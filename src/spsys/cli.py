@@ -333,8 +333,10 @@ def cmd_cp(args) -> int:
         p, p_path = _load_stochastic(args.p)
         q, q_path = _load_stochastic(args.q)
         res = cpmaps.strong_commute_stochastic(p, q, tol=tol)
+        # the support-count criterion only applies to a commuting pair
+        verdict = "pass" if res["commute"] else "inconclusive"
         checks = [check("strong-commute", (0, 0),
-                        res["commute_residual"], max(tol, 1e-12), "pass")]
+                        res["commute_residual"], max(tol, 1e-12), verdict)]
         extras = {"commute": res["commute"], "strong": res["strong"],
                   "witnesses": res["witnesses"]}
         return _emit("cp", {"p": p_path, "q": q_path}, checks, extras)
@@ -358,8 +360,6 @@ def _add_common(p, *, rep=False, r=False, out=None, depth_default=None):
                    help="truncation depth (default: the spec file's)")
     p.add_argument("--tol", type=float, default=None,
                    help="override the per-check default tolerance")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized subroutines (reserved)")
     p.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",
                    help="memory budget in MiB (default 2048)")
     if rep:

@@ -6,9 +6,7 @@ it is submultiplicative because a Kraus family for a composition is the set
 of products of the factors' families. For a pair of commuting stochastic
 matrices, strong commutation of the associated CP maps reduces to a support
 count: for every pair of states (i, k), the number of intermediate states j
-with q_kj p_ji != 0 must match the number with p_kj q_ji != 0. The same
-numbers arise as ranks of diagonal Gram matrices of lifted basis vectors,
-which this module exposes as an independent oracle.
+with q_kj p_ji != 0 must match the number with p_kj q_ji != 0.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 NONZERO_TOL = 1e-12
 ROWSUM_TOL = 1e-12
@@ -130,14 +127,6 @@ def _as_stochastic(m) -> StochasticMatrix:
     return m if isinstance(m, StochasticMatrix) else StochasticMatrix(np.asarray(m))
 
 
-def stochastic_exp(generator, t: float) -> StochasticMatrix:
-    """The Markov semigroup element e^{-t} e^{tP} at time t >= 0."""
-    generator = _as_stochastic(generator)
-    if t < 0:
-        raise ValueError("need t >= 0")
-    return StochasticMatrix(scipy.linalg.expm(t * (generator.p - np.eye(generator.n))))
-
-
 def commute_check(a, b, tol: float = NONZERO_TOL) -> dict:
     a, b = _as_stochastic(a), _as_stochastic(b)
     diff = a.p @ b.p - b.p @ a.p
@@ -179,21 +168,3 @@ def strong_commute_stochastic(p, q, tol: float = NONZERO_TOL) -> dict:
         "witnesses": witnesses,
         "tol": tol,
     }
-
-
-def gram_dim_oracle(p, q, i: int, k: int,
-                    tol: float = NONZERO_TOL) -> tuple[int, int]:
-    """Ranks of the two Gram matrices of lifted basis vectors at (i, k).
-
-    The vectors e_i ⊗ e_j ⊗ e_k (one per intermediate state j) have, in the
-    order Q-after-P respectively P-after-Q, the diagonal Gram matrices
-    diag_j(q_kj p_ji) and diag_j(p_kj q_ji); the ranks are the two counts of
-    the support criterion. Indices are 1-based.
-    """
-    p, q = _as_stochastic(p), _as_stochastic(q)
-    i, k = i - 1, k - 1
-    g1 = np.diag(q.p[k, :] * p.p[:, i])
-    g2 = np.diag(p.p[k, :] * q.p[:, i])
-    r1 = int(np.sum(np.linalg.eigvalsh(g1) > tol))
-    r2 = int(np.sum(np.linalg.eigvalsh(g2) > tol))
-    return r1, r2

@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from spsys import linalg, ncpoly
-from spsys.linalg import Subspace
+from spsys import linalg
 from spsys.ncpoly import NCPoly
 from spsys.subproduct import SubproductSystem, check_budget
 
@@ -100,20 +99,17 @@ def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> Truncat
 
 
 def build_shifts(fock: TruncatedFock, budget: Optional[int] = None) -> ShiftSet:
-    """Shift matrices S_i: level blocks F_{n+1}^† (e_i ⊗ F_n)."""
+    """Shift matrices S_i: the letter blocks B_{n+1,i} = F_{n+1}^† (e_i ⊗ F_n)."""
     system = fock.system
     d, total = system.d, fock.total_dim
     check_budget(16 * d * total * total, budget, "shift matrices")
+    blocks = system.letter_blocks
     mats = [np.zeros((total, total), dtype=complex) for _ in range(d)]
     for n in range(fock.depth):
-        fn = system.fiber(n).frame
-        fn1 = system.fiber(n + 1).frame
-        dn = d**n
         rows, cols = fock.level_slice(n + 1), fock.level_slice(n)
         for i in range(d):
-            block_rows = fn1[i * dn:(i + 1) * dn, :]
-            mats[i][rows, cols] = block_rows.conj().T @ fn
-    return ShiftSet(fock, tuple(m for m in mats))
+            mats[i][rows, cols] = blocks[n + 1][i]
+    return ShiftSet(fock, tuple(mats))
 
 
 def shift_of_vector(shifts: ShiftSet, xi: np.ndarray, n: int) -> np.ndarray:

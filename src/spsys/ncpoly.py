@@ -192,32 +192,6 @@ class IdealGens:
         return [g.degree() for g in self.gens]
 
 
-def homogeneous_component(gens: IdealGens, n: int) -> list[np.ndarray]:
-    """Spanning vectors of the degree-n piece of the ideal, as coordinates.
-
-    Every element is e_a ⊗ g(e) ⊗ e_b with |a| + deg g + |b| = n. The list
-    enumerates all such placements; callers reduce it with span().
-    """
-    d = gens.d
-    out = []
-    for g in gens.gens:
-        k = g.degree()
-        if k > n:
-            continue
-        gvec = g.eval_on_basis()
-        for la in range(n - k + 1):
-            lb = n - k - la
-            for ia in range(d**la):
-                ea = np.zeros(d**la, dtype=complex)
-                ea[ia] = 1.0
-                mid = np.kron(ea, gvec)
-                for ib in range(d**lb):
-                    eb = np.zeros(d**lb, dtype=complex)
-                    eb[ib] = 1.0
-                    out.append(np.kron(mid, eb))
-    return out
-
-
 def commutator_gens(d: int) -> IdealGens:
     """Generators x_i x_j - x_j x_i for i < j."""
     gens = []

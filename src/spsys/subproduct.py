@@ -16,6 +16,7 @@ plus the maximal completion of an explicitly prescribed finite chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,20 +79,27 @@ class SubshiftSpec:
         word = tuple(word)
         return not any(_is_subword(f, word) for f in self.forbidden)
 
+    def extend(self, words: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Legal one-letter extensions of legal words, in lexicographic order.
+
+        The words are legal already, so only suffixes can be forbidden.
+        """
+        out = []
+        for w in words:
+            for a in range(1, self.d + 1):
+                cand = w + (a,)
+                if not any(
+                    len(f) <= len(cand) and cand[-len(f):] == f
+                    for f in self.forbidden
+                ):
+                    out.append(cand)
+        return out
+
     def legal_words(self, n: int) -> list[tuple[int, ...]]:
         """Legal words of length n, in lexicographic order."""
         level = [()]
         for _ in range(n):
-            nxt = []
-            for w in level:
-                for a in range(1, self.d + 1):
-                    cand = w + (a,)
-                    if not any(
-                        len(f) <= len(cand) and cand[-len(f):] == f
-                        for f in self.forbidden
-                    ):
-                        nxt.append(cand)
-            level = nxt
+            level = self.extend(level)
         return level
 
     def followers(self, i: int, k: int) -> list[tuple[int, ...]]:
@@ -137,12 +145,29 @@ class SubproductSystem:
     def kind(self) -> str:
         return self.provenance.get("kind", "fibers")
 
+    @cached_property
+    def letter_blocks(self) -> tuple[np.ndarray, ...]:
+        """blocks[n][i] = F_n[i-th block of d^{n-1} rows]† F_{n-1}, shape r_n × r_{n-1}.
+
+        Since X(n) ⊆ E ⊗ X(n-1), the letter-i rows of F_n are F_{n-1} B_{n,i}†,
+        so these d blocks per level (the left-orthonormal tensor-train cores)
+        carry everything shifts, tildes and kernels need: B_{n,i} is the
+        letter-i shift from level n-1 to level n. There is no level -1, so
+        blocks[0] has no columns.
+        """
+        d = self.d
+        blocks = [np.zeros((d, 1, 0), dtype=complex)]
+        for n in range(1, self.depth + 1):
+            f_n, f_prev = self.fibers[n].frame, self.fibers[n - 1].frame
+            dn = d ** (n - 1)
+            blocks.append(np.stack([
+                f_n[i * dn:(i + 1) * dn, :].conj().T @ f_prev for i in range(d)
+            ]))
+        return tuple(blocks)
+
 
 def _scalar_fiber() -> Subspace:
     return Subspace(1, np.ones((1, 1), dtype=complex), linalg.RANK_ABS_FLOOR)
-
-
-_project_onto_pair = linalg.project_pair
 
 
 def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
@@ -236,16 +261,7 @@ def from_subshift(spec: SubshiftSpec, depth: int, budget: Optional[int] = None) 
     words = [()]
     dead_from = None
     for n in range(1, depth + 1):
-        nxt = []
-        for w in words:
-            for a in range(1, d + 1):
-                cand = w + (a,)
-                if not any(
-                    len(f) <= len(cand) and cand[-len(f):] == f
-                    for f in spec.forbidden
-                ):
-                    nxt.append(cand)
-        words = nxt
+        words = spec.extend(words)
         if not words and dead_from is None:
             dead_from = n
         check_budget(16 * d**n * max(len(words), 1), budget, f"subshift fiber at level {n}")
@@ -402,7 +418,7 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
                 vecs = base @ cand
                 acc = np.zeros(cand.shape[1])
                 for i, j in pairs:
-                    proj = _project_onto_pair(
+                    proj = linalg.project_pair(
                         fibers[i].frame, fibers[j].frame, vecs, d**i, d**j
                     )
                     acc += np.sum(np.abs(vecs - proj) ** 2, axis=0)
@@ -422,7 +438,7 @@ def _pair_inclusion_residual(fibers, d: int, i: int, j: int) -> float:
     if target.dim == 0:
         return 0.0
     g = target.frame
-    proj = _project_onto_pair(fibers[i].frame, fibers[j].frame, g, d**i, d**j)
+    proj = linalg.project_pair(fibers[i].frame, fibers[j].frame, g, d**i, d**j)
     return linalg.opnorm(g - proj)
 
 

@@ -1,0 +1,55 @@
+"""Brute-force oracles used only by the tests.
+
+Each enumerates what the package computes another way, so it stays out of
+`src/`: the placements of generators in an ideal component, and the Gram
+ranks behind the strong-commutation support counts.
+"""
+
+import numpy as np
+
+from spsys.cpmaps import NONZERO_TOL, StochasticMatrix
+from spsys.ncpoly import IdealGens
+
+
+def homogeneous_component(gens: IdealGens, n: int) -> list[np.ndarray]:
+    """Spanning vectors of the degree-n piece of the ideal, as coordinates.
+
+    Every element is e_a ⊗ g(e) ⊗ e_b with |a| + deg g + |b| = n. The list
+    enumerates all such placements; callers reduce it with span().
+    """
+    d = gens.d
+    out = []
+    for g in gens.gens:
+        k = g.degree()
+        if k > n:
+            continue
+        gvec = g.eval_on_basis()
+        for la in range(n - k + 1):
+            lb = n - k - la
+            for ia in range(d**la):
+                ea = np.zeros(d**la, dtype=complex)
+                ea[ia] = 1.0
+                mid = np.kron(ea, gvec)
+                for ib in range(d**lb):
+                    eb = np.zeros(d**lb, dtype=complex)
+                    eb[ib] = 1.0
+                    out.append(np.kron(mid, eb))
+    return out
+
+
+def gram_dim_oracle(p, q, i: int, k: int,
+                    tol: float = NONZERO_TOL) -> tuple[int, int]:
+    """Ranks of the two Gram matrices of lifted basis vectors at (i, k).
+
+    The vectors e_i ⊗ e_j ⊗ e_k (one per intermediate state j) have, in the
+    order Q-after-P respectively P-after-Q, the diagonal Gram matrices
+    diag_j(q_kj p_ji) and diag_j(p_kj q_ji); the ranks are the two counts of
+    the support criterion. Indices are 1-based.
+    """
+    p, q = StochasticMatrix(p).p, StochasticMatrix(q).p
+    i, k = i - 1, k - 1
+    g1 = np.diag(q[k, :] * p[:, i])
+    g2 = np.diag(p[k, :] * q[:, i])
+    r1 = int(np.sum(np.linalg.eigvalsh(g1) > tol))
+    r2 = int(np.sum(np.linalg.eigvalsh(g2) > tol))
+    return r1, r2

@@ -23,6 +23,7 @@ from conftest import (
     random_commuting_stochastic_pair,
     random_homogeneous_poly,
 )
+from oracles import gram_dim_oracle
 from test_subproduct import brute_legal_words
 
 
@@ -240,8 +241,8 @@ def test_12_stochastic_strong_commutation():
         if not out["commute"]:
             continue
         oracle = all(
-            cpmaps.gram_dim_oracle(p, q, i, k)[0]
-            == cpmaps.gram_dim_oracle(p, q, i, k)[1]
+            gram_dim_oracle(p, q, i, k)[0]
+            == gram_dim_oracle(p, q, i, k)[1]
             for i in range(1, n + 1)
             for k in range(1, n + 1)
         )

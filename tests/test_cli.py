@@ -208,6 +208,23 @@ def test_cp_strong_commute_example(capsys, tmp_path):
     assert report["witnesses"]
 
 
+def test_cp_strong_commute_noncommuting_is_inconclusive(capsys, tmp_path):
+    # the support-count criterion does not apply to a non-commuting pair
+    p_csv = tmp_path / "p.csv"
+    q_csv = tmp_path / "q.csv"
+    p_csv.write_text("0.5,0.5\n0.1,0.9\n")
+    q_csv.write_text("1,0\n0.3,0.7\n")
+    code, out, err = run_cli(capsys, "cp", "strong-commute", str(p_csv), str(q_csv))
+    assert code == 2
+    report = json.loads(out)
+    assert report["commute"] is False
+    assert report["strong"] is None
+    (c,) = report["checks"]
+    assert c["residual"] > c["threshold"]
+    assert c["verdict"] == "inconclusive"
+    assert "INCONCLUSIVE" in err
+
+
 def test_cp_as_dims(capsys, tmp_path):
     chan = tmp_path / "chan.json"
     rng = np.random.default_rng(0)

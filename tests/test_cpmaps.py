@@ -6,6 +6,7 @@ from spsys import cpmaps
 from spsys.cpmaps import KrausChannel, StochasticMatrix
 
 from conftest import random_commuting_stochastic_pair, random_stochastic
+from oracles import gram_dim_oracle
 
 UNIFORM3 = np.full((3, 3), 1 / 3)
 SPLIT3 = np.array([[0.5, 0.0, 0.5],
@@ -74,8 +75,8 @@ def test_gram_oracle_matches_support_counts():
         if not out["commute"]:
             continue
         oracle_strong = all(
-            cpmaps.gram_dim_oracle(p, q, i, k)[0]
-            == cpmaps.gram_dim_oracle(p, q, i, k)[1]
+            gram_dim_oracle(p, q, i, k)[0]
+            == gram_dim_oracle(p, q, i, k)[1]
             for i in range(1, n + 1)
             for k in range(1, n + 1)
         )

@@ -59,6 +59,21 @@ def test_shift_blocks_raise_level(sym_shifts):
             assert np.linalg.norm(block[mask]) < 1e-14
 
 
+def test_shift_blocks_are_frame_letter_blocks(sym_shifts, golden_shifts):
+    q = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
+    qsys = subproduct.from_qmatrix(q, 4)
+    q_shifts = fock.build_shifts(fock.build_fock(qsys))
+    for sh in (sym_shifts, golden_shifts, q_shifts):
+        f, system = sh.fock, sh.fock.system
+        d = system.d
+        for n in range(f.depth):
+            fn, fn1 = system.fiber(n).frame, system.fiber(n + 1).frame
+            for i in range(d):
+                expected = fn1[i * d**n:(i + 1) * d**n, :].conj().T @ fn
+                block = sh.matrices[i][f.level_slice(n + 1), f.level_slice(n)]
+                assert np.max(np.abs(block - expected), initial=0.0) <= 1e-14
+
+
 def test_shifts_are_row_contraction(sym_shifts, golden_shifts, full_shifts):
     for sh in (sym_shifts, golden_shifts, full_shifts):
         assert sh.row_norm <= 1 + 1e-10

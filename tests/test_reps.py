@@ -51,6 +51,31 @@ def test_rep_tildes_depth_guard(symmetric2_6):
         reps.rep_tildes(symmetric2_6, rep, depth=7)
 
 
+def _tilde_test_systems(symmetric2_6, golden_6):
+    q = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
+    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
+    return [
+        symmetric2_6,
+        golden_6,
+        subproduct.from_qmatrix(q, 4),
+        subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5),
+    ]
+
+
+def test_rep_tildes_match_word_sum(symmetric2_6, golden_6):
+    # T̃_n = W_n (F_n ⊗ I_h), with W_n the sum over all d^n words
+    rng = np.random.default_rng(21)
+    for system in _tilde_test_systems(symmetric2_6, golden_6):
+        h = 3
+        rep = random_row_contraction(rng, system.d, h, 0.95)
+        tildes = reps.rep_tildes(system, rep)
+        maps = reps.full_word_maps(rep, system.depth)
+        for n in range(system.depth + 1):
+            expected = maps[n] @ np.kron(system.fiber(n).frame, np.eye(h))
+            assert tildes[n].shape == expected.shape
+            assert np.max(np.abs(tildes[n] - expected), initial=0.0) <= 1e-12
+
+
 def test_is_representation_accepts_commuting_pair(symmetric2_6):
     rng = np.random.default_rng(3)
     rep = random_commuting_pair(rng, 3, 0.9)
@@ -202,6 +227,20 @@ def test_vn_inequality_inconclusive_when_truncation_moves():
     out = reps.vn_inequality_check(sym2, rep, p, p, depth=2)
     assert out["gap"] == pytest.approx(out["rhs"])
     assert out["verdict"] == "inconclusive"
+
+
+def test_vn_inequality_rhs_prev_is_depth_minus_one_rebuild(symmetric2_6, golden_6):
+    # mixed degrees, constant terms included, so that terms both raise and
+    # lower the level
+    rng = np.random.default_rng(22)
+    p = NCPoly(2, {(): 0.5, (1,): 1.0, (2, 1): -0.7j, (1, 2, 2): 0.3})
+    q = NCPoly(2, {(2,): 1.0, (1, 1): 0.4, (2, 1, 2): 1.0 + 0.5j})
+    for system in (symmetric2_6, golden_6):
+        rep = random_row_contraction(rng, 2, 3, 0.9)
+        for depth in range(3, system.depth + 1):
+            out = reps.vn_inequality_check(system, rep, p, q, depth=depth)
+            lower = reps.vn_inequality_check(system, rep, p, q, depth=depth - 1)
+            assert abs(out["rhs_prev"] - lower["rhs"]) <= 1e-12
 
 
 def test_vn_inequality_depth_guard(symmetric2_6):

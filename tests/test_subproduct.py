@@ -177,6 +177,20 @@ def test_maximal_with_fibers_rejects_bad_inclusion():
 # ---------------------------------------------------------------------------
 # axioms, recovery, units
 
+def test_letter_blocks_rebuild_the_frames(symmetric2_6, golden_6):
+    # X(n) ⊆ E ⊗ X(n-1): the letter-i rows of F_n are F_{n-1} B_{n,i}†
+    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
+    fibers = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5)
+    for system in (symmetric2_6, golden_6, fibers):
+        blocks = system.letter_blocks
+        assert len(blocks) == system.depth + 1
+        for n in range(1, system.depth + 1):
+            f_n, f_prev = system.fiber(n).frame, system.fiber(n - 1).frame
+            assert blocks[n].shape == (system.d, system.dim(n), system.dim(n - 1))
+            rebuilt = np.vstack([f_prev @ b.conj().T for b in blocks[n]])
+            assert np.max(np.abs(rebuilt - f_n), initial=0.0) <= 1e-12
+
+
 def test_axioms_hold_on_every_route(symmetric2_6, golden_6, full2_6):
     for sys_ in (symmetric2_6, golden_6, full2_6):
         rep = subproduct.verify_axioms(sys_)

@@ -41,10 +41,13 @@ class Subspace:
             )
         r = self.frame.shape[1]
         if r:
-            gram = self.frame.conj().T @ self.frame
-            err = np.linalg.norm(gram - np.eye(r), 2)
-            if err > FRAME_ORTHO_TOL:
-                raise ValueError(f"frame is not orthonormal (defect {err:.3e})")
+            defect = self.frame.conj().T @ self.frame - np.eye(r)
+            # the spectral norm is at most the Frobenius norm, so the SVD is
+            # only needed when the cheap bound does not already accept
+            if np.linalg.norm(defect) > FRAME_ORTHO_TOL:
+                err = np.linalg.norm(defect, 2)
+                if err > FRAME_ORTHO_TOL:
+                    raise ValueError(f"frame is not orthonormal (defect {err:.3e})")
 
 
 def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
@@ -151,13 +154,31 @@ def nullspace(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> Subspace:
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return full_space(cols)
-    # full V is needed; the full (rows x rows) U never is, and for tall
-    # stacks it would dominate memory, so only ask for it when rows < cols
+    # full V is needed, U never is: a tall stack is first reduced to its
+    # (cols x cols) R factor, which has the same singular values and right
+    # singular vectors, and a wide one needs full_matrices for the whole V
+    if rows > cols:
+        m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     smax = s[0] if s.size else 0.0
     cutoff = max(rel_tol * smax, RANK_ABS_FLOOR)
     r = int(np.sum(s > cutoff))
     return Subspace(cols, vh[r:, :].conj().T.copy(), cutoff)
+
+
+def pair_coordinates(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
+                     dim_a: int, dim_b: int) -> np.ndarray:
+    """(F_a ⊗ F_b)† applied to columns living in C^{dim_a} ⊗ C^{dim_b}.
+
+    Returns the (ra·rb) x r coordinates in the product frame, through one
+    matmul per leg; the Kronecker frame is never materialized.
+    """
+    r = columns.shape[1]
+    ra, rb = frame_a.shape[1], frame_b.shape[1]
+    a1 = frame_a.conj().T @ columns.reshape(dim_a, dim_b * r)
+    # (rb, dim_b) @ (ra, dim_b, r) -> (ra, rb, r): the b leg, batched over ra
+    w = frame_b.conj().T @ a1.reshape(ra, dim_b, r)
+    return w.reshape(ra * rb, r)
 
 
 def project_pair(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
@@ -170,13 +191,11 @@ def project_pair(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
     ra, rb = frame_a.shape[1], frame_b.shape[1]
     if ra == 0 or rb == 0 or r == 0:
         return np.zeros_like(columns)
-    a1 = frame_a.conj().T @ columns.reshape(dim_a, dim_b * r)
-    a1 = a1.reshape(ra, dim_b, r)
-    w = np.einsum("bc,abr->acr", frame_b.conj(), a1)
+    w = pair_coordinates(frame_a, frame_b, columns, dim_a, dim_b)
     tmp = frame_a @ w.reshape(ra, rb * r)
-    tmp = tmp.reshape(dim_a, rb, r)
-    out = np.einsum("cn,anr->acr", frame_b, tmp)
-    return out.reshape(dim_a * dim_b, r)
+    del w  # so at most two level-sized temporaries are held at once
+    # (dim_b, rb) @ (dim_a, rb, r) -> (dim_a, dim_b, r), batched over dim_a
+    return (frame_b @ tmp.reshape(dim_a, rb, r)).reshape(dim_a * dim_b, r)
 
 
 def opnorm(m: np.ndarray) -> float:

@@ -82,10 +82,10 @@ class RepTuple:
 
 def full_word_maps(rep: RepTuple, depth: int) -> list[np.ndarray]:
     """W_n: (C^d)^{⊗n} ⊗ C^h -> C^h, e_w ⊗ v -> T^w v, built recursively."""
-    row = np.hstack(rep.matrices)
     maps = [np.eye(rep.h, dtype=complex)]
     for _ in range(depth):
-        maps.append(row @ np.kron(np.eye(rep.d), maps[-1]))
+        # [T_1 ... T_d] (I_d ⊗ W_{n-1}) without forming the Kronecker factor
+        maps.append(np.hstack([t @ maps[-1] for t in rep.matrices]))
     return maps
 
 
@@ -368,40 +368,49 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    k_dim = rep.h
-    maps = full_word_maps(rep, system.depth)
-    adjoints = [m.conj().T for m in maps]
-    for n in range(1, system.depth + 1):
-        check_budget(16 * system.d**n * k_dim * k_dim, budget,
-                     f"piece constraints at level {n}")
+    d, depth, k_dim = system.d, system.depth, rep.h
+    # One estimate for the whole operation, before anything is allocated: the
+    # adjoints and the stacked constraint are held through the loop, and the
+    # QR in nullspace makes two working copies of the stack. Each is one
+    # k_dim x k_dim block per word of length <= depth; the word maps (dropped
+    # once the adjoints exist) and the per-level projections take less. A few
+    # more blocks cover the projector, the R factor and its SVD.
+    words = sum(d**n for n in range(depth + 1))
+    check_budget(16 * (4 * words + 8) * k_dim * k_dim, budget,
+                 f"piece constraints up to level {depth}")
+    maps = full_word_maps(rep, depth)
+    adjoints = [np.ascontiguousarray(m.conj().T) for m in maps]
+    del maps
+    stack = np.empty((words * k_dim, k_dim), dtype=complex)
     current = linalg.full_space(k_dim)
     iterations = 0
     while True:
         iterations += 1
-        rows = [np.eye(k_dim) - linalg.projector(current)]
-        for n in range(1, system.depth + 1):
+        stack[:k_dim] = np.eye(k_dim) - linalg.projector(current)
+        start = k_dim
+        for n in range(1, depth + 1):
             m = adjoints[n]
-            proj = linalg.project_pair(
-                system.fiber(n).frame, current.frame, m,
-                system.d**n, k_dim,
-            )
-            rows.append(m - proj)
-        nxt = linalg.nullspace(np.vstack(rows))
+            np.subtract(m, linalg.project_pair(
+                system.fiber(n).frame, current.frame, m, d**n, k_dim,
+            ), out=stack[start:start + m.shape[0]])
+            start += m.shape[0]
+        nxt = linalg.nullspace(stack)
         if nxt.dim == current.dim:
             current = nxt
             break
         current = nxt
         if current.dim == 0:
             break
+    del stack
     residual = 0.0
     if current.dim > 0:
-        for n in range(1, system.depth + 1):
+        for n in range(1, depth + 1):
             img = adjoints[n] @ current.frame
             proj = linalg.project_pair(
-                system.fiber(n).frame, current.frame, img,
-                system.d**n, k_dim,
+                system.fiber(n).frame, current.frame, img, d**n, k_dim,
             )
-            residual = max(residual, linalg.opnorm(img - proj))
+            img -= proj
+            residual = max(residual, linalg.opnorm(img))
     return {
         "subspace": current,
         "dim": current.dim,

@@ -404,11 +404,7 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
             if fi.dim == 0 or fj.dim == 0:
                 gram += np.eye(m)
                 continue
-            a1 = fi.frame.conj().T @ base.reshape(d**i, d ** j * m)
-            a1 = a1.reshape(fi.dim, d**j, m)
-            w = np.einsum("bc,abr->acr", fj.frame.conj(), a1).reshape(
-                fi.dim * fj.dim, m
-            )
+            w = linalg.pair_coordinates(fi.frame, fj.frame, base, d**i, d**j)
             gram += np.eye(m) - w.conj().T @ w
         if not pairs:
             z = np.eye(m, dtype=complex)

@@ -163,6 +163,27 @@ def test_piece_full_space_for_representation(capsys, commuting_spec, rep_file):
     assert report["dim"] == 3
 
 
+def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
+    # golden depth 5 against the full shift on words of length <= 5 (h=63):
+    # each level fits 3 MiB, all of them together do not
+    from spsys import fock, reps, subproduct
+    spec = tmp_path / "golden5.json"
+    formats.dump_json({"kind": "subshift", "d": 2, "depth": 5, "forbidden": [[2, 2]]}, spec)
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 5), 5))
+    rep = tmp_path / "full5.json"
+    formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
+
+    def never(*args, **kwargs):
+        raise AssertionError("word maps allocated before the budget check")
+
+    monkeypatch.setattr(reps, "full_word_maps", never)
+    code, out, err = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
+                             "--budget-mb", "3")
+    assert code == 3
+    assert "piece constraints" in err
+    assert "pass" not in out + err
+
+
 def test_classify_qmat(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -206,6 +227,10 @@ def test_cp_strong_commute_example(capsys, tmp_path):
     assert report["commute"] is True
     assert report["strong"] is False
     assert report["witnesses"]
+    # the check is about commuting, so it passes beside "strong": false
+    (c,) = report["checks"]
+    assert c["check_id"] == "commute"
+    assert c["verdict"] == "pass"
 
 
 def test_cp_strong_commute_noncommuting_is_inconclusive(capsys, tmp_path):
@@ -220,6 +245,7 @@ def test_cp_strong_commute_noncommuting_is_inconclusive(capsys, tmp_path):
     assert report["commute"] is False
     assert report["strong"] is None
     (c,) = report["checks"]
+    assert c["check_id"] == "commute"
     assert c["residual"] > c["threshold"]
     assert c["verdict"] == "inconclusive"
     assert "INCONCLUSIVE" in err

@@ -88,6 +88,40 @@ def test_nullspace_tall_matrix_full_rank():
     assert linalg.nullspace(m).dim == 0
 
 
+def test_nullspace_tall_complex_rank_deficient_matches_full_svd():
+    # tall stacks go through their R factor; the kept directions must be
+    # those of the full SVD of the stack itself
+    rng = np.random.default_rng(13)
+    left = rng.normal(size=(60, 7)) + 1j * rng.normal(size=(60, 7))
+    right = rng.normal(size=(7, 12)) + 1j * rng.normal(size=(7, 12))
+    m = left @ right
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.sum(s > max(linalg.RANK_REL_TOL * s[0], linalg.RANK_ABS_FLOOR)))
+    oracle = linalg.Subspace(12, vh[rank:, :].conj().T.copy(), 0.0)
+    z = linalg.nullspace(m)
+    assert rank == 7
+    assert z.dim == oracle.dim == 5
+    assert linalg.subspace_distance(z, oracle) <= 1e-12
+    assert np.linalg.norm(m @ z.frame) < 1e-9 * s[0]
+
+
+def test_frame_check_accepts_small_spectral_defect_with_large_frobenius():
+    # gram - I is (1 + 4e-11)^2 - 1 ≈ 8e-11 on each of 100 diagonal entries:
+    # spectral norm 8e-11, Frobenius norm 8e-10, and the spectral norm decides
+    frame = np.eye(100, dtype=complex) * (1 + 4e-11)
+    defect = frame.conj().T @ frame - np.eye(100)
+    assert np.linalg.norm(defect) > linalg.FRAME_ORTHO_TOL
+    assert np.linalg.norm(defect, 2) < linalg.FRAME_ORTHO_TOL
+    assert linalg.Subspace(100, frame, 0.0).dim == 100
+
+
+def test_frame_check_rejects_spectral_defect():
+    frame = np.eye(100, dtype=complex)
+    frame[:, 0] *= np.sqrt(1 + 1e-9)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        linalg.Subspace(100, frame, 0.0)
+
+
 def test_opnorm_agrees_with_numpy():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
@@ -111,6 +145,31 @@ def test_project_pair_matches_kron_projector():
     direct = np.kron(linalg.projector(a), linalg.projector(b)) @ m
     fast = linalg.project_pair(a.frame, b.frame, m, 3, 4)
     assert np.linalg.norm(direct - fast) < 1e-10
+
+
+@pytest.mark.parametrize("dim_a, ra, dim_b, rb, r", [
+    (2, 1, 63, 40, 63),    # ra = 1, and the piece's shapes
+    (32, 13, 6, 6, 6),     # a full b leg
+    (8, 5, 1, 1, 4),       # dim_b = 1
+    (1, 1, 7, 3, 2),       # dim_a = 1
+    (5, 0, 4, 2, 3),       # rank-0 a frame
+    (5, 3, 4, 0, 3),       # rank-0 b frame
+    (5, 3, 4, 2, 0),       # no columns
+])
+def test_project_pair_matches_kron_projector_on_shapes(dim_a, ra, dim_b, rb, r):
+    rng = np.random.default_rng(dim_a * 1000 + dim_b * 10 + ra + rb + r)
+    a = random_subspace(rng, dim_a, ra) if ra else linalg.zero_space(dim_a)
+    b = random_subspace(rng, dim_b, rb) if rb else linalg.zero_space(dim_b)
+    m = rng.normal(size=(dim_a * dim_b, r)) + 1j * rng.normal(size=(dim_a * dim_b, r))
+    m[:, ::2] = 0  # zero columns must come back exactly zero
+    direct = np.kron(linalg.projector(a), linalg.projector(b)) @ m
+    fast = linalg.project_pair(a.frame, b.frame, m, dim_a, dim_b)
+    assert fast.shape == (dim_a * dim_b, r)
+    assert not fast[:, ::2].any()
+    assert np.abs(direct - fast).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(m).max(initial=0.0))
+    coords = linalg.pair_coordinates(a.frame, b.frame, m, dim_a, dim_b)
+    assert coords.shape == (ra * rb, r)
+    assert np.abs(np.kron(a.frame, b.frame).conj().T @ m - coords).max(initial=0.0) <= 1e-12
 
 
 def test_subspace_distance_symmetry_and_zero():

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spsys import linalg, ncpoly, reps, subproduct
+from spsys import fock, linalg, ncpoly, reps, subproduct
 from spsys.ncpoly import IdealGens, NCPoly
 from spsys.reps import RepTuple
 from spsys.subproduct import SubshiftSpec
@@ -269,6 +271,64 @@ def test_maximal_piece_of_golden_inside_full():
     assert out["dim"] == target.dim
     assert linalg.subspace_distance(out["subspace"], target) < 1e-9
     assert out["residual"] < 1e-9
+
+
+def conjugated_full_shift(depth, seed):
+    """The full shift on words of length <= depth, conjugated by a unitary."""
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, depth), depth))
+    h = sh.fock.total_dim
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
+    return RepTuple(tuple(u @ s @ u.conj().T for s in sh.matrices)), u, sh.fock
+
+
+def test_maximal_piece_fixed_point_is_pinned():
+    # golden depth 4 inside the conjugated full shift (h = 31): the piece is
+    # U·(legal-word coordinates), reached in a fixed number of shrink steps;
+    # a rank flip in the null-space step changes the dim or the count
+    golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 4)
+    rep, u, f = conjugated_full_shift(4, seed=40)
+    out = reps.maximal_piece(golden, rep)
+    legal = [f.level_slice(n).start + i
+             for n in range(5) for i in np.flatnonzero(golden.fiber(n).frame.any(axis=1))]
+    assert len(legal) == sum(golden.dims()) == 19
+    assert out["dim"] == 19
+    assert out["iterations"] == 2
+    assert out["residual"] <= 1e-9
+    target = linalg.span(u[:, legal])
+    assert linalg.subspace_distance(out["subspace"], target) <= 1e-9
+
+
+def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
+    # d=2, depth 5, h=63: one level is about 2 MB, all levels together many
+    # times that; a 3 MiB budget passes every level alone but not the whole
+    golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5)
+    rep, _, _ = conjugated_full_shift(5, seed=41)
+    assert 16 * 2**5 * rep.h**2 < 3 << 20
+
+    def never(*args, **kwargs):
+        raise AssertionError("word maps allocated before the budget check")
+
+    monkeypatch.setattr(reps, "full_word_maps", never)
+    with pytest.raises(subproduct.MemoryBudgetError, match="piece constraints"):
+        reps.maximal_piece(golden, rep, budget=3 << 20)
+
+
+@pytest.mark.parametrize("d, depth, h_depth", [(2, 5, 5), (3, 3, 2), (4, 2, 2), (2, 1, 4)])
+def test_maximal_piece_budget_bounds_the_traced_peak(d, depth, h_depth):
+    system = subproduct.from_full(d, depth)
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, h_depth), h_depth))
+    rep = RepTuple(tuple(sh.matrices))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reps.maximal_piece(system, rep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # any budget the estimate accepts covers the measured peak
+    with pytest.raises(subproduct.MemoryBudgetError):
+        reps.maximal_piece(system, rep, budget=peak - 1)
 
 
 def test_maximal_piece_of_genuine_representation_is_everything(symmetric2_6):

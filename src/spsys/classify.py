@@ -24,13 +24,14 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from spsys import linalg
 from spsys.subproduct import is_admissible
 
 ENTRY_TOL = 1e-10
+# A closest permutation whose residual misses the entry tolerance by less than
+# this factor is too near the cutoff to call the pair inequivalent.
+Q_NEAR_MISS_FACTOR = 10.0
 WITNESS_TOL = 1e-8
 INVARIANT_TOL = 1e-8
 
@@ -76,6 +77,7 @@ def q_equivalent(q: np.ndarray, r: np.ndarray, tol: float = ENTRY_TOL) -> dict:
         "perm": None,
         "residual": best[1],
         "closest_perm": tuple(s + 1 for s in best[0]),
+        "near_miss": best[1] <= Q_NEAR_MISS_FACTOR * tol,
         "tol": tol,
     }
 
@@ -90,6 +92,8 @@ def takagi_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sym_defect = np.max(np.abs(a - a.T))
     if sym_defect > 1e-10 * max(1.0, np.max(np.abs(a))):
         raise ValueError(f"matrix is not symmetric (defect {sym_defect:.3e})")
+    import scipy.linalg  # imported here: every CLI command loads this module
+
     a = (a + a.T) / 2
     u, s, vh = np.linalg.svd(a)
     z = u.conj().T @ vh.T
@@ -119,6 +123,8 @@ def _canonical_data(a: np.ndarray):
 def _polish_witness(a: np.ndarray, b: np.ndarray, lam0: complex,
                     u0: np.ndarray, iters: int = 200) -> tuple[complex, np.ndarray, float]:
     """Local refinement of B ≈ λ Uᵗ A U around a seed, over U(2) x C."""
+    import scipy.linalg
+    import scipy.optimize
 
     def unpack(x):
         h = np.array(

@@ -20,7 +20,7 @@ import numpy as np
 
 import spsys
 from spsys import classify, cpmaps, fock, formats, linalg, reps, subproduct
-from spsys.subproduct import MemoryBudgetError
+from spsys.linalg import MemoryBudgetError
 
 
 class CLIError(Exception):
@@ -300,9 +300,15 @@ def cmd_classify(args) -> int:
         tol = args.tol or 1e-10
         res = classify.q_equivalent(mat_a, mat_b, tol=tol)
         # the check asserts the decision is clean: a witness permutation with a
-        # tiny residual, or no permutation anywhere near the tolerance
-        residual = res["residual"] if res["equivalent"] else 0.0
-        checks = [check("classify-qmat", (0, 0), residual, tol, "pass")]
+        # tiny residual, or no permutation anywhere near the tolerance; a
+        # closest residual just above it leaves the decision open
+        if res["equivalent"]:
+            residual, verdict = res["residual"], "pass"
+        elif res["near_miss"]:
+            residual, verdict = res["residual"], "inconclusive"
+        else:
+            residual, verdict = 0.0, "pass"
+        checks = [check("classify-qmat", (0, 0), residual, tol, verdict)]
         extras = {"equivalent": res["equivalent"], "perm": res.get("perm"),
                   "residual": res["residual"],
                   "closest_perm": res.get("closest_perm")}

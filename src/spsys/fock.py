@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 
 from spsys import linalg
+from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly
-from spsys.subproduct import SubproductSystem, check_budget
+from spsys.subproduct import SubproductSystem
 
 ROW_CONTRACTION_TOL = 1e-10
 DEFECT_TOL = 1e-10

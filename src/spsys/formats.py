@@ -147,7 +147,7 @@ def build_system(obj: dict, depth: int | None = None,
         key = "A" if "A" in obj else "a"
         return subproduct.from_quadratic(decode_matrix(obj[key]), depth, **kwargs)
     if kind == "full":
-        return subproduct.from_full(int(obj["d"]), depth)
+        return subproduct.from_full(int(obj["d"]), depth, **kwargs)
     if kind == "fibers":
         d = int(obj["d"])
         fibers = [decode_subspace(f, d ** (n + 1))

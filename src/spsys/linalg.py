@@ -3,12 +3,16 @@
 Every subspace is carried around as an orthonormal column frame. Rank
 decisions are made once, inside ``span``, by thresholding singular values;
 the cutoff actually used is kept on the object so downstream checks can
-report it.
+report it. A coordinate subspace (spanned by unit vectors, as the fibers of
+subshift and full systems are) keeps only the indices of its unit vectors
+and builds its 0/1 frame when a caller first asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -19,6 +23,21 @@ RANK_ABS_FLOOR = 1e-12
 
 # Frames are orthonormal to this accuracy by construction.
 FRAME_ORTHO_TOL = 1e-10
+
+DEFAULT_BUDGET_BYTES = 2 << 30
+
+
+class MemoryBudgetError(RuntimeError):
+    pass
+
+
+def check_budget(bytes_needed: int, budget: Optional[int], what: str) -> None:
+    budget = DEFAULT_BUDGET_BYTES if budget is None else budget
+    if bytes_needed > budget:
+        raise MemoryBudgetError(
+            f"{what} needs about {bytes_needed / 2 ** 20:.0f} MiB, "
+            f"budget is {budget / 2 ** 20:.0f} MiB"
+        )
 
 
 @dataclass(frozen=True)
@@ -50,6 +69,45 @@ class Subspace:
                     raise ValueError(f"frame is not orthonormal (defect {err:.3e})")
 
 
+class CoordinateSubspace(Subspace):
+    """The span of the unit vectors e_k of C^D for k in a strictly increasing index.
+
+    Distinct unit vectors are orthonormal exactly, so the index check replaces
+    the Gram check. ``frame`` is the D x r 0/1 matrix, built on first access
+    after a budget check against the budget the subspace was made with.
+    """
+
+    def __init__(self, ambient_dim: int, index, budget: Optional[int] = None):
+        if ambient_dim > np.iinfo(np.int64).max:
+            raise ValueError(f"ambient dimension {ambient_dim} exceeds int64 indices")
+        index = np.asarray(index, dtype=np.int64)
+        if index.ndim != 1:
+            raise ValueError("coordinate index must be one-dimensional")
+        if index.size and not (index[0] >= 0 and int(index[-1]) < ambient_dim):
+            raise ValueError(f"coordinate index out of range [0, {ambient_dim})")
+        if np.any(index[1:] <= index[:-1]):
+            raise ValueError("coordinate index must be strictly increasing")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "tol_used", RANK_ABS_FLOOR)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "budget", budget)
+
+    def __repr__(self) -> str:
+        return f"CoordinateSubspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
+
+    @property
+    def dim(self) -> int:
+        return self.index.size
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        d, r = self.ambient_dim, self.index.size
+        check_budget(16 * d * r, self.budget, f"coordinate frame of {d} x {r}")
+        frame = np.zeros((d, r), dtype=complex)
+        frame[self.index, np.arange(r)] = 1.0
+        return frame
+
+
 def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
     m = np.asarray(vectors, dtype=complex)
     if m.ndim == 1:
@@ -79,8 +137,8 @@ def span(vectors, rel_tol: float = RANK_REL_TOL, ambient_dim: int | None = None)
     return Subspace(d, u[:, :r].copy(), cutoff)
 
 
-def full_space(dim: int) -> Subspace:
-    return Subspace(dim, np.eye(dim, dtype=complex), RANK_ABS_FLOOR)
+def full_space(dim: int, budget: Optional[int] = None) -> CoordinateSubspace:
+    return CoordinateSubspace(dim, np.arange(dim), budget)
 
 
 def zero_space(dim: int) -> Subspace:

@@ -27,8 +27,9 @@ from typing import Optional
 import numpy as np
 
 from spsys import linalg
+from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly, q_relation_gens
-from spsys.subproduct import SubproductSystem, check_budget
+from spsys.subproduct import SubproductSystem
 from spsys import fock as fock_mod
 
 REP_TOL = 1e-8
@@ -166,20 +167,29 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
             residuals.append(max((r for k, r in norms if k <= n), default=0.0))
         route = "generators"
     else:
-        maps = full_word_maps(rep, system.depth)
+        d, depth = system.d, system.depth
+        # Held at once: the word maps of every level, and at level n the
+        # complement's SVD, which peaks near four d^n x d^n arrays (the full U,
+        # its trailing columns and LAPACK's copies), then the h x c·h block and
+        # the copy its norms take.
+        level_peak = max(
+            4 * d**(2 * n) + 2 * h * (d**n - system.dim(n)) * h
+            for n in range(1, depth + 1)
+        )
+        words = sum(d**n for n in range(depth + 1))
+        check_budget(16 * (words * h * h + level_peak), budget,
+                     f"complement residuals up to level {depth}")
+        maps = full_word_maps(rep, depth)
         residuals = []
-        for n in range(1, system.depth + 1):
+        for n in range(1, depth + 1):
             comp = linalg.complement(system.fiber(n))
             if comp.dim == 0:
                 residuals.append(0.0)
                 continue
-            check_budget(16 * system.d**n * h * comp.dim * h, budget,
-                         f"complement residual at level {n}")
-            r_block = maps[n] @ np.kron(comp.frame, np.eye(h))
-            worst = 0.0
-            for j in range(comp.dim):
-                worst = max(worst, linalg.opnorm(r_block[:, j * h:(j + 1) * h]))
-            residuals.append(worst)
+            # block j = sum_w C[w, j] T^w, batched as (h, c, h)
+            r_block = comp.frame.T @ maps[n].reshape(h, d**n, h)
+            residuals.append(float(np.max(np.linalg.norm(
+                r_block.transpose(1, 0, 2), 2, axis=(1, 2)))))
         route = "complement"
     return {
         "residuals": residuals,
@@ -374,9 +384,11 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     # QR in nullspace makes two working copies of the stack. Each is one
     # k_dim x k_dim block per word of length <= depth; the word maps (dropped
     # once the adjoints exist) and the per-level projections take less. A few
-    # more blocks cover the projector, the R factor and its SVD.
+    # more blocks cover the projector, the R factor and its SVD. The fiber
+    # frames count too, since coordinate fibers build theirs on first use.
     words = sum(d**n for n in range(depth + 1))
-    check_budget(16 * (4 * words + 8) * k_dim * k_dim, budget,
+    frames = sum(d**n * system.dim(n) for n in range(depth + 1))
+    check_budget(16 * ((4 * words + 8) * k_dim * k_dim + frames), budget,
                  f"piece constraints up to level {depth}")
     maps = full_word_maps(rep, depth)
     adjoints = [np.ascontiguousarray(m.conj().T) for m in maps]

@@ -22,27 +22,15 @@ from typing import Optional
 import numpy as np
 
 from spsys import linalg
-from spsys.linalg import Subspace
+from spsys.linalg import (  # noqa: F401  (the budget names are re-exported)
+    DEFAULT_BUDGET_BYTES, CoordinateSubspace, MemoryBudgetError, Subspace,
+    check_budget,
+)
 from spsys import ncpoly
 from spsys.ncpoly import IdealGens, NCPoly
 
 INCLUSION_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-12
-
-DEFAULT_BUDGET_BYTES = 2 << 30
-
-
-class MemoryBudgetError(RuntimeError):
-    pass
-
-
-def check_budget(bytes_needed: int, budget: Optional[int], what: str) -> None:
-    budget = DEFAULT_BUDGET_BYTES if budget is None else budget
-    if bytes_needed > budget:
-        raise MemoryBudgetError(
-            f"{what} needs about {bytes_needed / 2 ** 20:.0f} MiB, "
-            f"budget is {budget / 2 ** 20:.0f} MiB"
-        )
 
 
 @dataclass(frozen=True)
@@ -153,21 +141,44 @@ class SubproductSystem:
         so these d blocks per level (the left-orthonormal tensor-train cores)
         carry everything shifts, tildes and kernels need: B_{n,i} is the
         letter-i shift from level n-1 to level n. There is no level -1, so
-        blocks[0] has no columns.
+        blocks[0] has no columns. Between two coordinate fibers the blocks
+        are read off the indices, and no frame is built.
         """
         d = self.d
         blocks = [np.zeros((d, 1, 0), dtype=complex)]
         for n in range(1, self.depth + 1):
-            f_n, f_prev = self.fibers[n].frame, self.fibers[n - 1].frame
+            fib, prev = self.fibers[n], self.fibers[n - 1]
             dn = d ** (n - 1)
+            if isinstance(fib, CoordinateSubspace) and isinstance(prev, CoordinateSubspace):
+                blocks.append(_coordinate_letter_blocks(fib.index, prev.index, d, dn))
+                continue
+            f_n, f_prev = fib.frame, prev.frame
             blocks.append(np.stack([
                 f_n[i * dn:(i + 1) * dn, :].conj().T @ f_prev for i in range(d)
             ]))
         return tuple(blocks)
 
 
-def _scalar_fiber() -> Subspace:
-    return Subspace(1, np.ones((1, 1), dtype=complex), linalg.RANK_ABS_FLOOR)
+def _coordinate_letter_blocks(index: np.ndarray, prev: np.ndarray, d: int,
+                              dn: int) -> np.ndarray:
+    """Letter blocks between coordinate fibers with indices `index` and `prev`.
+
+    Word j of level n (row index[j] of C^{d^n}) is the letter i followed by
+    the word with row index[j] mod dn of level n-1; block i has its 1 at
+    (j, k) when that word is word k of the previous level.
+    """
+    letter, tail = np.divmod(index, dn)
+    out = np.zeros((d, index.size, prev.size), dtype=complex)
+    k = np.searchsorted(prev, tail)
+    hit = k < prev.size
+    hit[hit] = prev[k[hit]] == tail[hit]
+    rows = np.flatnonzero(hit)
+    out[letter[rows], rows, k[rows]] = 1.0
+    return out
+
+
+def _scalar_fiber() -> CoordinateSubspace:
+    return CoordinateSubspace(1, [0])
 
 
 def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
@@ -255,20 +266,24 @@ def from_ideal(gens: IdealGens, depth: int, budget: Optional[int] = None) -> Sub
 
 
 def from_subshift(spec: SubshiftSpec, depth: int, budget: Optional[int] = None) -> SubproductSystem:
-    """Coordinate system spanned by the legal words of the subshift."""
+    """Coordinate system spanned by the legal words of the subshift.
+
+    Level n keeps the row indices of its legal words, which come out of
+    ``extend`` in lexicographic, hence increasing, order.
+    """
     d = spec.d
     fibers = [_scalar_fiber()]
     words = [()]
     dead_from = None
+    held = 0
     for n in range(1, depth + 1):
         words = spec.extend(words)
         if not words and dead_from is None:
             dead_from = n
-        check_budget(16 * d**n * max(len(words), 1), budget, f"subshift fiber at level {n}")
-        frame = np.zeros((d**n, len(words)), dtype=complex)
-        for j, w in enumerate(words):
-            frame[ncpoly.word_index(w, d), j] = 1.0
-        fibers.append(Subspace(d**n, frame, linalg.RANK_ABS_FLOOR))
+        held += 8 * len(words)
+        check_budget(held, budget, f"subshift word indices up to level {n}")
+        index = [ncpoly.word_index(w, d) for w in words]
+        fibers.append(CoordinateSubspace(d**n, index, budget))
     return SubproductSystem(
         d, depth, tuple(fibers),
         {"kind": "subshift", "spec": spec, "dead_from": dead_from},
@@ -336,7 +351,7 @@ def from_quadratic(a: np.ndarray, depth: int, budget: Optional[int] = None) -> S
         raise ValueError("quadratic systems are two-letter: a must be 2x2")
     d = 2
     if np.all(a == 0):
-        sys_ = from_full(d, depth)
+        sys_ = from_full(d, depth, budget=budget)
     elif depth == 1:
         sys_ = SubproductSystem(d, 1, (_scalar_fiber(), linalg.full_space(d)))
     else:
@@ -349,11 +364,13 @@ def from_quadratic(a: np.ndarray, depth: int, budget: Optional[int] = None) -> S
     )
 
 
-def from_full(d: int, depth: int) -> SubproductSystem:
-    """The full system: every fiber is all of (C^d)^{⊗n}."""
+def from_full(d: int, depth: int, budget: Optional[int] = None) -> SubproductSystem:
+    """The full system: every fiber is all of (C^d)^{⊗n}, indexed by every word."""
+    check_budget(8 * sum(d**n for n in range(1, depth + 1)), budget,
+                 f"full word indices up to level {depth}")
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        fibers.append(linalg.full_space(d**n))
+        fibers.append(linalg.full_space(d**n, budget))
     return SubproductSystem(d, depth, tuple(fibers), {"kind": "full"})
 
 

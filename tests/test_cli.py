@@ -198,6 +198,33 @@ def test_classify_qmat(capsys, tmp_path):
     assert report["perm"] == [2, 1]
 
 
+@pytest.mark.parametrize("offset, code, verdict, equivalent", [
+    (3e-10, 2, "inconclusive", False),
+    (1e-7, 0, "pass", False),
+])
+def test_classify_qmat_near_the_cutoff(capsys, tmp_path, offset, code, verdict,
+                                       equivalent):
+    # the relabeling of [[1, 2], [.5, 1]], moved off by offset (3 and 1e3 tol)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    formats.dump_json(formats.encode_matrix(
+        np.array([[1, 2.0], [0.5, 1]], dtype=complex)), a)
+    z = 2.0 + offset
+    formats.dump_json(formats.encode_matrix(
+        np.array([[1, 1 / z], [z, 1]], dtype=complex)), b)
+    got, out, _ = run_cli(capsys, "classify", "qmat", str(a), str(b))
+    assert got == code
+    report = json.loads(out)
+    assert report["equivalent"] is equivalent
+    (c,) = report["checks"]
+    assert c["verdict"] == verdict
+    if verdict == "inconclusive":
+        assert c["residual"] == pytest.approx(offset, rel=1e-6)
+        assert c["threshold"] < c["residual"] <= 10 * c["threshold"]
+    else:
+        assert c["residual"] == 0.0
+
+
 def test_classify_quad_yes_and_no(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -282,6 +309,21 @@ def test_budget_flag_trips_guard(capsys, golden_spec):
         capsys, "dims", "--spec", golden_spec, "--budget-mb", "0")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_dims_golden_depth_twenty(capsys, golden_spec):
+    code, out, _ = run_cli(capsys, "dims", "--spec", golden_spec, "--depth", "20")
+    assert code == 0
+    assert out.split()[-3:] == ["6765", "10946", "17711"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spsys.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_reports_are_byte_stable(capsys, golden_spec):

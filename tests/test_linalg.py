@@ -122,6 +122,27 @@ def test_frame_check_rejects_spectral_defect():
         linalg.Subspace(100, frame, 0.0)
 
 
+@pytest.mark.parametrize("index, message", [
+    ([0, 3, 2], "strictly increasing"),
+    ([1, 1, 4], "strictly increasing"),
+    ([-1, 2], "out of range"),
+    ([2, 6], "out of range"),
+])
+def test_coordinate_subspace_rejects_bad_indices(index, message):
+    with pytest.raises(ValueError, match=message):
+        linalg.CoordinateSubspace(6, index)
+
+
+def test_coordinate_subspace_frame_is_unit_columns_on_demand():
+    s = linalg.CoordinateSubspace(6, [0, 2, 5], budget=16 * 6 * 3)
+    assert s.dim == 3 and "frame" not in vars(s)
+    assert np.array_equal(s.frame, np.eye(6, dtype=complex)[:, [0, 2, 5]])
+    assert s.frame is s.frame
+    with pytest.raises(linalg.MemoryBudgetError, match="coordinate frame"):
+        linalg.CoordinateSubspace(6, [0, 2, 5], budget=16 * 6 * 3 - 1).frame
+    assert np.array_equal(linalg.full_space(4).frame, np.eye(4, dtype=complex))
+
+
 def test_opnorm_agrees_with_numpy():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

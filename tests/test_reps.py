@@ -119,6 +119,44 @@ def test_is_representation_fibers_route():
     assert "ok" in out and "max_residual" in out
 
 
+def _symmetric_fibers_system(depth):
+    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))
+    return subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], depth)
+
+
+def test_is_representation_complement_matches_kron_formula():
+    sys_ = _symmetric_fibers_system(6)
+    rng = np.random.default_rng(22)
+    h = 4
+    rep = random_row_contraction(rng, 2, h, 0.8)
+    out = reps.is_representation(sys_, rep)
+    assert out["route"] == "complement"
+    maps = reps.full_word_maps(rep, sys_.depth)
+    for n in range(1, sys_.depth + 1):
+        comp = linalg.complement(sys_.fiber(n))
+        r_block = maps[n] @ np.kron(comp.frame, np.eye(h))
+        expected = max((linalg.opnorm(r_block[:, j * h:(j + 1) * h])
+                        for j in range(comp.dim)), default=0.0)
+        assert abs(out["residuals"][n - 1] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("depth, h", [(7, 12), (8, 8)])
+def test_is_representation_complement_budget_bounds_the_traced_peak(depth, h):
+    sys_ = _symmetric_fibers_system(depth)
+    rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
+    for n in range(depth + 1):
+        sys_.fiber(n).frame
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reps.is_representation(sys_, rep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(subproduct.MemoryBudgetError, match="complement residuals"):
+        reps.is_representation(sys_, rep, budget=peak - 1)
+
+
 def test_poisson_kernel_isometry_defect_within_tail(symmetric2_6):
     rng = np.random.default_rng(6)
     rep = random_commuting_pair(rng, 3, 0.9)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,80 @@ def test_letter_blocks_rebuild_the_frames(symmetric2_6, golden_6):
             assert np.max(np.abs(rebuilt - f_n), initial=0.0) <= 1e-12
 
 
+def _frame_letter_blocks(system, n):
+    """B_{n,i} = F_n[letter-i rows]† F_{n-1}, straight from the frames."""
+    f_n, f_prev = system.fiber(n).frame, system.fiber(n - 1).frame
+    dn = system.d ** (n - 1)
+    return np.stack([f_n[i * dn:(i + 1) * dn].conj().T @ f_prev
+                     for i in range(system.d)])
+
+
+def _coordinate_systems():
+    return [
+        subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 8),
+        subproduct.from_subshift(SubshiftSpec(3, ((1, 1), (2, 3), (3, 2, 1))), 5),
+        subproduct.from_subshift(SubshiftSpec(2, ((1, 2), (2, 1), (2, 2), (1, 1, 1))), 4),
+        subproduct.from_full(3, 4),
+    ]
+
+
+def test_coordinate_letter_blocks_equal_frame_blocks():
+    for system in _coordinate_systems():
+        blocks = system.letter_blocks  # read off the indices, before any frame
+        assert all("frame" not in vars(f) for f in system.fibers)
+        for n in range(1, system.depth + 1):
+            assert np.array_equal(blocks[n], _frame_letter_blocks(system, n))
+
+
+def test_coordinate_frames_equal_dense_frames():
+    for system in _coordinate_systems():
+        spec = system.provenance.get("spec")
+        forbidden = spec.forbidden if spec else ()
+        for n in range(system.depth + 1):
+            words = brute_legal_words(system.d, forbidden, n)
+            dense = np.zeros((system.d**n, len(words)), dtype=complex)
+            for j, w in enumerate(words):
+                dense[ncpoly.word_index(w, system.d), j] = 1.0
+            assert system.fiber(n).frame.dtype == dense.dtype
+            assert np.array_equal(system.fiber(n).frame, dense)
+
+
+def test_subshift_frame_beyond_budget_is_refused_without_building():
+    tracemalloc.start()
+    try:
+        system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 14,
+                                          budget=1 << 20)
+        assert system.dim(14) == 987
+        with pytest.raises(MemoryBudgetError, match="coordinate frame"):
+            system.fiber(14).frame  # 2^14 x 987 complex is about 247 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_subshift_beyond_int64_word_indices_is_refused():
+    # one legal word per level (2...2), so only the index width limits depth
+    spec = SubshiftSpec(2, ((1,),))
+    assert subproduct.from_subshift(spec, 62).dims() == [1] * 63
+    with pytest.raises(ValueError, match="int64"):
+        subproduct.from_subshift(spec, 63)
+
+
+def test_golden_depth_twenty_dims_in_small_memory():
+    tracemalloc.start()
+    try:
+        system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fib = [1, 2]
+    while len(fib) < 21:
+        fib.append(fib[-1] + fib[-2])
+    assert system.dims() == fib
+    assert peak < 32 << 20
+
+
 def test_axioms_hold_on_every_route(symmetric2_6, golden_6, full2_6):
     for sys_ in (symmetric2_6, golden_6, full2_6):
         rep = subproduct.verify_axioms(sys_)
@@ -238,6 +313,10 @@ def test_every_direction_is_a_unit_for_symmetric(symmetric2_6):
 def test_budget_guard_trips():
     with pytest.raises(MemoryBudgetError):
         subproduct.from_ideal(ncpoly.commutator_gens(3), 6, budget=1000)
+    # the full system's word indices are 8 bytes each, 8·(2 + 4 + 8) in all
+    assert subproduct.from_full(2, 3, budget=8 * 14).dims() == [1, 2, 4, 8]
+    with pytest.raises(MemoryBudgetError, match="full word indices"):
+        subproduct.from_full(2, 3, budget=8 * 14 - 1)
 
 
 def test_provenance_kinds(symmetric2_6, golden_6, full2_6):

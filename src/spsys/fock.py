@@ -113,32 +113,6 @@ def build_shifts(fock: TruncatedFock, budget: Optional[int] = None) -> ShiftSet:
     return ShiftSet(fock, tuple(mats))
 
 
-def shift_of_vector(shifts: ShiftSet, xi: np.ndarray, n: int) -> np.ndarray:
-    """The shift by a whole fiber vector: sum_w xi_w S^w for xi in X(n).
-
-    Assembled block-by-block as F_{m+n}^† (xi ⊗ F_m), which agrees with the
-    word-sum because nested level projections collapse onto the top one.
-    """
-    fock, system = shifts.fock, shifts.fock.system
-    d = system.d
-    xi = np.asarray(xi, dtype=complex).ravel()
-    if xi.size != d**n:
-        raise ValueError(f"expected {d ** n} coordinates at level {n}")
-    out = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
-    for m in range(fock.depth - n + 1):
-        fm = system.fiber(m).frame
-        ftop = system.fiber(m + n).frame
-        r_top = ftop.shape[1]
-        if r_top == 0 or fm.shape[1] == 0:
-            continue
-        t1 = np.einsum(
-            "a,apr->pr", xi, np.conj(ftop.reshape(d**n, d**m, r_top))
-        )
-        block = t1.T @ fm
-        out[fock.level_slice(m + n), fock.level_slice(m)] = block
-    return out
-
-
 def defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:
     """I - sum_{|w|=k} S^w S^{w*}, built by the recursion A_k = sum_i S_i A_{k-1} S_i^†.
 

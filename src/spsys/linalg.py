@@ -3,9 +3,10 @@
 Every subspace is carried around as an orthonormal column frame. Rank
 decisions are made once, inside ``span``, by thresholding singular values;
 the cutoff actually used is kept on the object so downstream checks can
-report it. A coordinate subspace (spanned by unit vectors, as the fibers of
-subshift and full systems are) keeps only the indices of its unit vectors
-and builds its 0/1 frame when a caller first asks for it.
+report it. Two forms build their frame only on first use: a coordinate
+subspace (the fibers of subshift and full systems) keeps the indices of its
+unit vectors, and a core subspace (the fibers of ideal systems) keeps the
+previous fiber and an orthonormal core that carries it one letter further.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class Subspace:
     def dim(self) -> int:
         return self.frame.shape[1]
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(ambient_dim={self.ambient_dim}, dim={self.dim})"
+
     def __post_init__(self):
         if self.frame.ndim != 2 or self.frame.shape[0] != self.ambient_dim:
             raise ValueError(
@@ -92,9 +96,6 @@ class CoordinateSubspace(Subspace):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "budget", budget)
 
-    def __repr__(self) -> str:
-        return f"CoordinateSubspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
-
     @property
     def dim(self) -> int:
         return self.index.size
@@ -106,6 +107,40 @@ class CoordinateSubspace(Subspace):
         frame = np.zeros((d, r), dtype=complex)
         frame[self.index, np.arange(r)] = 1.0
         return frame
+
+
+class CoreSubspace(Subspace):
+    """The subspace (I_d ⊗ F_prev) z of C^d ⊗ C^{D_prev}, F_prev the frame of `prev`.
+
+    `core` holds z as a subspace of C^{d·r_prev}; I_d ⊗ F_prev is an isometry,
+    so z's frame check is the only Gram check. ``frame`` is built on first
+    access after a budget check against the budget the subspace was made with.
+    """
+
+    def __init__(self, d: int, prev: Subspace, core: Subspace,
+                 budget: Optional[int] = None):
+        if core.ambient_dim != d * prev.dim:
+            raise ValueError(f"a core in C^{core.ambient_dim} does not fit C^{d} ⊗ C^{prev.dim}")
+        object.__setattr__(self, "ambient_dim", d * prev.ambient_dim)
+        object.__setattr__(self, "tol_used", core.tol_used)
+        object.__setattr__(self, "prev", prev)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "budget", budget)
+
+    @property
+    def dim(self) -> int:
+        return self.core.dim
+
+    def letter_cores(self) -> np.ndarray:
+        """z as d blocks Z_i (r_prev × r): the letter-i rows of the frame are F_prev Z_i."""
+        d = self.ambient_dim // self.prev.ambient_dim
+        return self.core.frame.reshape(d, self.prev.dim, self.dim)
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        dim, r = self.ambient_dim, self.dim
+        check_budget(16 * dim * r, self.budget, f"fiber frame of {dim} x {r}")
+        return np.matmul(self.prev.frame, self.letter_cores()).reshape(dim, r)
 
 
 def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from spsys import linalg
 from spsys.linalg import check_budget
-from spsys.ncpoly import NCPoly, q_relation_gens
+from spsys.ncpoly import NCPoly
 from spsys.subproduct import SubproductSystem
 from spsys import fock as fock_mod
 
@@ -99,8 +99,8 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = N
     """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..depth.
 
     The letter-i rows of F_n are F_{n-1} B_{n,i}†, so
-    T̃_n = sum_i T_i T̃_{n-1} (B_{n,i}† ⊗ I_h), which keeps the cost
-    proportional to fiber dimensions.
+    T̃_n = sum_i T_i T̃_{n-1} (B_{n,i}† ⊗ I_h), one matmul per letter, which
+    keeps the cost proportional to fiber dimensions.
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
@@ -108,39 +108,13 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = N
     if depth > system.depth:
         raise ValueError("depth exceeds the system depth")
     h = rep.h
-    t = np.stack(rep.matrices)
     tildes = [np.eye(h, dtype=complex)]
     for n in range(1, depth + 1):
         prev = tildes[-1].reshape(h, -1, h)
-        blocks = system.letter_blocks[n]
-        nxt = np.einsum("iba,akv,ijk->bjv", t, prev, blocks.conj(), optimize=True)
-        tildes.append(nxt.reshape(h, -1))
+        # (B_{n,i}† ⊗ I_h) on the right is B_{n,i}* on the middle index
+        tildes.append(sum(t @ (b.conj() @ prev).reshape(h, -1)
+                          for t, b in zip(rep.matrices, system.letter_blocks[n])))
     return tildes
-
-
-def _generator_polys(system: SubproductSystem) -> Optional[list[NCPoly]]:
-    kind = system.kind
-    prov = system.provenance
-    if kind == "ideal":
-        return list(prov["gens"].gens)
-    if kind == "qmatrix":
-        return list(q_relation_gens(prov["q"]).gens)
-    if kind == "quadratic":
-        a = prov["a"]
-        if np.all(a == 0):
-            return []
-        terms = {}
-        for i in range(2):
-            for j in range(2):
-                if a[i, j] != 0:
-                    terms[(i + 1, j + 1)] = a[i, j]
-        return [NCPoly(2, terms)]
-    if kind == "subshift":
-        spec = prov["spec"]
-        return [NCPoly.monomial(system.d, w) for w in spec.forbidden]
-    if kind == "full":
-        return []
-    return None
 
 
 def is_representation(system: SubproductSystem, rep: RepTuple,
@@ -148,20 +122,21 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
                       budget: Optional[int] = None) -> dict:
     """Residuals of the annihilation conditions, level by level.
 
-    For systems that carry a generating set (ideal, q-matrix, quadratic,
-    subshift, full) the level-n residual is the largest ||g(T)|| over
-    generators of degree <= n; annihilating the generators annihilates the
-    whole graded ideal, so for a contractive tuple this equals the residual
-    over the full orthogonal complement of the fiber. Systems without
-    generators are checked against explicit complement frames.
+    For systems whose constructor recorded a generating set in
+    ``provenance["gens"]`` (ideal, q-matrix, quadratic, subshift, full) the
+    level-n residual is the largest ||g(T)|| over generators of degree <= n;
+    annihilating the generators annihilates the whole graded ideal, so for a
+    contractive tuple this equals the residual over the full orthogonal
+    complement of the fiber. Systems without generators are checked against
+    explicit complement frames.
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    gens = _generator_polys(system)
+    gens = system.provenance.get("gens")
     h = rep.h
     if gens is not None:
         norms = [(g.degree(), linalg.opnorm(g.eval_on_tuple(rep.matrices)))
-                 for g in gens]
+                 for g in gens.gens]
         residuals = []
         for n in range(1, system.depth + 1):
             residuals.append(max((r for k, r in norms if k <= n), default=0.0))

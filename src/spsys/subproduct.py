@@ -2,20 +2,20 @@
 
 A system is a chain of fibers X(0)=C, X(1), ..., X(N) with X(n) a subspace
 of (C^d)^{⊗n} such that X(m+n) sits inside X(m) ⊗ X(n) for all m, n. The
-constructors here realize the four concrete sources of such chains:
+constructors here realize the concrete sources of such chains:
 
 * two-sided homogeneous ideals of the free algebra (complements of the
-  graded components),
-* subshifts (coordinate subspaces spanned by legal words),
-* q-commutation relations x_i x_j = q_ij x_j x_i,
-* a single quadratic relation in two variables,
+  graded components), among them the q-commutation relations
+  x_i x_j = q_ij x_j x_i and one quadratic relation in two variables,
+* subshifts and the full system (coordinate subspaces spanned by words),
 
-plus the maximal completion of an explicitly prescribed finite chain.
+each recording its generators in ``provenance["gens"]``, plus the maximal
+completion of an explicitly prescribed finite chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -23,8 +23,8 @@ import numpy as np
 
 from spsys import linalg
 from spsys.linalg import (  # noqa: F401  (the budget names are re-exported)
-    DEFAULT_BUDGET_BYTES, CoordinateSubspace, MemoryBudgetError, Subspace,
-    check_budget,
+    DEFAULT_BUDGET_BYTES, CoordinateSubspace, CoreSubspace, MemoryBudgetError,
+    Subspace, check_budget,
 )
 from spsys import ncpoly
 from spsys.ncpoly import IdealGens, NCPoly
@@ -142,7 +142,8 @@ class SubproductSystem:
         carry everything shifts, tildes and kernels need: B_{n,i} is the
         letter-i shift from level n-1 to level n. There is no level -1, so
         blocks[0] has no columns. Between two coordinate fibers the blocks
-        are read off the indices, and no frame is built.
+        are read off the indices, and a core fiber over its predecessor gives
+        them as its conjugate-transposed core; neither builds a frame.
         """
         d = self.d
         blocks = [np.zeros((d, 1, 0), dtype=complex)]
@@ -151,6 +152,9 @@ class SubproductSystem:
             dn = d ** (n - 1)
             if isinstance(fib, CoordinateSubspace) and isinstance(prev, CoordinateSubspace):
                 blocks.append(_coordinate_letter_blocks(fib.index, prev.index, d, dn))
+                continue
+            if isinstance(fib, CoreSubspace) and fib.prev is prev:
+                blocks.append(fib.letter_cores().conj().transpose(0, 2, 1))
                 continue
             f_n, f_prev = fib.frame, prev.frame
             blocks.append(np.stack([
@@ -212,81 +216,93 @@ def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
 def from_ideal(gens: IdealGens, depth: int, budget: Optional[int] = None) -> SubproductSystem:
     """System whose level n is the complement of the degree-n ideal component.
 
-    Levels are built recursively: a vector of degree n is orthogonal to the
-    ideal iff it lies in E ⊗ X(n-1) and is orthogonal to every g ⊗ (word)
-    with the generator g flush left. The left-edge constraints are imposed as
-    a Gram null-space problem in the coordinates of E ⊗ X(n-1), which keeps
-    the work proportional to the fiber dimensions rather than to d^n.
+    A vector of degree n is orthogonal to the ideal iff it lies in E ⊗ X(n-1)
+    and is orthogonal to every g ⊗ (word) with the generator g flush left. So
+    level n is v = (I_d ⊗ F_{n-1}) z for z in the null space of the stacked
+    `_generator_rows`, and that orthonormal z is the level's core: nothing of
+    size d^n is formed.
     """
     d = gens.d
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        prev = fibers[-1].frame
-        r_prev = prev.shape[1]
-        if r_prev == 0:
-            fibers.append(linalg.zero_space(d**n))
-            continue
-        cols = d * r_prev
-        check_budget(16 * d**n * cols, budget, f"ideal fiber at level {n}")
-        gram = np.zeros((cols, cols), dtype=complex)
-        blocks = []
-        by_degree: dict[int, list] = {}
+        dims = [f.dim for f in fibers]
+        batches: dict[int, list] = {}
         for g in gens.gens:
-            if g.degree() <= n:
-                by_degree.setdefault(g.degree(), []).append(g)
-        for k, batch in sorted(by_degree.items()):
-            dk1 = d ** (k - 1)
-            rest = d ** (n - k)
-            ftens = prev.reshape(dk1, rest, r_prev)
-            # cross-Gram of the leading-letter slices, shared by the whole
-            # degree batch: c4[s, j, t, l] = sum_x conj(F[s,x,j]) F[t,x,l]
-            a = ftens.transpose(1, 0, 2).reshape(rest, dk1 * r_prev)
-            c4 = (a.conj().T @ a).reshape(dk1, r_prev, dk1, r_prev)
-            for g in batch:
-                gbar = np.conj(g.eval_on_basis()).reshape(d, dk1)
-                m_g = np.einsum("is,sxj->xij", gbar, ftens).reshape(rest, cols)
-                blocks.append(m_g)
-                gram += np.einsum(
-                    "is,kt,sjtl->ijkl", gbar.conj(), gbar, c4
-                ).reshape(cols, cols)
+            if dims[-1] and g.degree() <= n:  # nothing is left to constrain at r = 0
+                batches.setdefault(g.degree(), []).append(g)
+        rows = sum(len(b) * dims[n - k] for k, b in batches.items())
+        cols = d * dims[-1]
+        # Held at once: the cores so far; the largest contraction step and its
+        # transposed copy; the constraint blocks, their stack and the null
+        # space's copy of it; and four copies of the SVD's square factor.
+        held = sum(d * a * b for a, b in zip(dims, dims[1:]))
+        inter = max((len(b) * d**(k - t) * dims[n - k] * dims[n - k + t]
+                     for k, b in batches.items() for t in range(1, k)), default=0)
+        check_budget(16 * (held + 2 * inter + 3 * rows * cols + 4 * cols * cols),
+                     budget, f"ideal fiber at level {n}")
+        stack = np.vstack([np.zeros((0, cols), dtype=complex)] + [
+            _generator_rows(np.conj([g.eval_on_basis() for g in b]),
+                            [f.letter_cores() for f in fibers[n - k + 1:n]], d, dims[-1])
+            for k, b in sorted(batches.items())
+        ])
+        fibers.append(CoreSubspace(d, fibers[-1], linalg.nullspace(stack), budget))
+        del stack
+    return SubproductSystem(d, depth, tuple(fibers), {"kind": "ideal", "gens": gens})
 
-        def residual_fn(cand, blocks=blocks):
-            acc = np.zeros(cand.shape[1])
-            for blk in blocks:
-                acc += np.sum(np.abs(blk @ cand) ** 2, axis=0)
-            return np.sqrt(acc)
 
-        z = _two_stage_null(gram, residual_fn)
-        zt = z.reshape(d, r_prev, z.shape[1])
-        frame = np.matmul(prev[None, :, :], zt).reshape(d**n, z.shape[1])
-        fibers.append(Subspace(d**n, frame, fibers[-1].tol_used))
-    return SubproductSystem(
-        d, depth, tuple(fibers), {"kind": "ideal", "gens": gens}
-    )
+def _generator_rows(coeffs: np.ndarray, chain: list, d: int, r_prev: int) -> np.ndarray:
+    """Stacked M_g of degree-k generators, from conj(g(e)) as rows of `coeffs`.
+
+    `chain` holds the cores Z_{n-k+1..n-1}. With Z_s the product of the cores
+    along the k-1 letters s after the leading letter i, F_{n-1}[s·x] =
+    F_{n-k}[x] Z_s, so (I_d ⊗ F_{n-1}) z is orthogonal to every g ⊗ u iff
+    M_g z = 0, where column block i of M_g is sum_s conj(g[i·s]) Z_s. The
+    letters of s are contracted last one first, against the deepest core.
+    """
+    if not chain:
+        return np.kron(coeffs, np.eye(r_prev))
+    ra = chain[0].shape[1]
+    acc = coeffs.reshape(-1, d) @ chain[0].reshape(d, -1)
+    for core in chain[1:]:
+        rb, rc = core.shape[1:]
+        acc = acc.reshape(-1, d, ra, rb).transpose(0, 2, 1, 3).reshape(-1, d * rb)
+        acc = acc @ core.reshape(d * rb, rc)
+    # rows (generator, r_{n-k}); columns (leading letter, r_{n-1})
+    return acc.reshape(-1, d, ra, r_prev).transpose(0, 2, 1, 3).reshape(-1, d * r_prev)
 
 
 def from_subshift(spec: SubshiftSpec, depth: int, budget: Optional[int] = None) -> SubproductSystem:
     """Coordinate system spanned by the legal words of the subshift.
 
-    Level n keeps the row indices of its legal words, which come out of
-    ``extend`` in lexicographic, hence increasing, order.
+    Level n keeps the row indices of its legal words. The candidates prev·d + a
+    extend the legal words of level n-1 in increasing order, and as those are
+    legal, a candidate is illegal iff it is index(f) mod d^{|f|} for some
+    forbidden word f, that is iff f is its suffix.
     """
     d = spec.d
+    suffixes = [(len(f), ncpoly.word_index(f, d)) for f in spec.forbidden]
     fibers = [_scalar_fiber()]
-    words = [()]
-    dead_from = None
-    held = 0
+    index = np.zeros(1, dtype=np.int64)
     for n in range(1, depth + 1):
-        words = spec.extend(words)
-        if not words and dead_from is None:
-            dead_from = n
-        held += 8 * len(words)
-        check_budget(held, budget, f"subshift word indices up to level {n}")
-        index = [ncpoly.word_index(w, d) for w in words]
+        if d**n > np.iinfo(np.int64).max:
+            raise ValueError(f"level {n} has {d}^{n} words, beyond int64 word indices")
+        # the candidates, one remainder and the new index (8 bytes each), and
+        # two masks (1 byte each), next to the indices already held
+        check_budget(sum(f.index.nbytes for f in fibers) + 26 * d * index.size, budget,
+                     f"subshift word indices up to level {n}")
+        cand = (index[:, None] * d + np.arange(d)).ravel()
+        keep = np.ones(cand.size, dtype=bool)
+        for length, f in suffixes:
+            if length <= n:
+                keep &= cand % d**length != f
+        index = cand[keep]
+        del cand, keep
         fibers.append(CoordinateSubspace(d**n, index, budget))
+    dead_from = next((n for n, f in enumerate(fibers) if not f.dim), None)
     return SubproductSystem(
         d, depth, tuple(fibers),
-        {"kind": "subshift", "spec": spec, "dead_from": dead_from},
+        {"kind": "subshift", "spec": spec, "dead_from": dead_from,
+         "gens": ncpoly.forbidden_word_gens(d, spec.forbidden)},
     )
 
 
@@ -306,24 +322,8 @@ def is_admissible(q: np.ndarray, tol: float = ADMISSIBLE_TOL):
     return True, None
 
 
-def qmatrix_level2(q: np.ndarray) -> Subspace:
-    """E ⊗ E minus the span of e_i ⊗ e_j - q_ij e_j ⊗ e_i (i < j)."""
-    q = np.asarray(q, dtype=complex)
-    d = q.shape[0]
-    rels = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d * d, dtype=complex)
-            v[i * d + j] = 1.0
-            v[j * d + i] = -q[i, j]
-            rels.append(v)
-    if not rels:
-        return linalg.full_space(d * d)
-    return linalg.complement(linalg.span(np.column_stack(rels)))
-
-
 def from_qmatrix(q: np.ndarray, depth: int, budget: Optional[int] = None) -> SubproductSystem:
-    """Maximal system with full level 1 and the q-commutation level 2."""
+    """Maximal system with full level 1 and the q-commutation level 2, as an ideal system."""
     q = np.asarray(q, dtype=complex)
     d = q.shape[0]
     if q.shape != (d, d):
@@ -333,35 +333,23 @@ def from_qmatrix(q: np.ndarray, depth: int, budget: Optional[int] = None) -> Sub
         raise ValueError(
             f"q is not admissible at pair {pair}: need nonzero q_ij = 1/q_ji"
         )
-    if depth == 1:
-        sys_ = SubproductSystem(d, 1, (_scalar_fiber(), linalg.full_space(d)))
-    else:
-        sys_ = maximal_with_fibers(
-            d, [linalg.full_space(d), qmatrix_level2(q)], depth, budget=budget
-        )
-    return SubproductSystem(
-        d, depth, sys_.fibers, {"kind": "qmatrix", "q": q.copy()}
-    )
+    system = from_ideal(ncpoly.q_relation_gens(q), depth, budget)
+    return replace(system, provenance={**system.provenance, "kind": "qmatrix",
+                                       "q": q.copy()})
 
 
 def from_quadratic(a: np.ndarray, depth: int, budget: Optional[int] = None) -> SubproductSystem:
-    """Maximal two-letter system with one quadratic relation sum a_ij x_i x_j."""
+    """Maximal two-letter system with one quadratic relation sum a_ij x_i x_j (an ideal system)."""
     a = np.asarray(a, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError("quadratic systems are two-letter: a must be 2x2")
-    d = 2
     if np.all(a == 0):
-        sys_ = from_full(d, depth, budget=budget)
-    elif depth == 1:
-        sys_ = SubproductSystem(d, 1, (_scalar_fiber(), linalg.full_space(d)))
+        system = from_full(2, depth, budget=budget)
     else:
-        level2 = linalg.complement(linalg.span(a.reshape(4, 1)))
-        sys_ = maximal_with_fibers(
-            d, [linalg.full_space(d), level2], depth, budget=budget
-        )
-    return SubproductSystem(
-        d, depth, sys_.fibers, {"kind": "quadratic", "a": a.copy()}
-    )
+        relation = NCPoly.from_vector(a.ravel(), 2, 2)
+        system = from_ideal(IdealGens(2, [relation]), depth, budget)
+    return replace(system, provenance={**system.provenance, "kind": "quadratic",
+                                       "a": a.copy()})
 
 
 def from_full(d: int, depth: int, budget: Optional[int] = None) -> SubproductSystem:
@@ -371,7 +359,8 @@ def from_full(d: int, depth: int, budget: Optional[int] = None) -> SubproductSys
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
         fibers.append(linalg.full_space(d**n, budget))
-    return SubproductSystem(d, depth, tuple(fibers), {"kind": "full"})
+    return SubproductSystem(d, depth, tuple(fibers),
+                            {"kind": "full", "gens": IdealGens(d, [])})
 
 
 def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,

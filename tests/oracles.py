@@ -1,13 +1,15 @@
 """Brute-force oracles used only by the tests.
 
 Each enumerates what the package computes another way, so it stays out of
-`src/`: the placements of generators in an ideal component, and the Gram
-ranks behind the strong-commutation support counts.
+`src/`: the placements of generators in an ideal component, the shift by a
+whole fiber vector assembled from dense frames, and the Gram ranks behind
+the strong-commutation support counts.
 """
 
 import numpy as np
 
 from spsys.cpmaps import NONZERO_TOL, StochasticMatrix
+from spsys.fock import ShiftSet
 from spsys.ncpoly import IdealGens
 
 
@@ -34,6 +36,32 @@ def homogeneous_component(gens: IdealGens, n: int) -> list[np.ndarray]:
                     eb = np.zeros(d**lb, dtype=complex)
                     eb[ib] = 1.0
                     out.append(np.kron(mid, eb))
+    return out
+
+
+def shift_of_vector(shifts: ShiftSet, xi: np.ndarray, n: int) -> np.ndarray:
+    """The shift by a whole fiber vector: sum_w xi_w S^w for xi in X(n).
+
+    Assembled block-by-block as F_{m+n}^† (xi ⊗ F_m), which agrees with the
+    word-sum because nested level projections collapse onto the top one.
+    """
+    fock, system = shifts.fock, shifts.fock.system
+    d = system.d
+    xi = np.asarray(xi, dtype=complex).ravel()
+    if xi.size != d**n:
+        raise ValueError(f"expected {d ** n} coordinates at level {n}")
+    out = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
+    for m in range(fock.depth - n + 1):
+        fm = system.fiber(m).frame
+        ftop = system.fiber(m + n).frame
+        r_top = ftop.shape[1]
+        if r_top == 0 or fm.shape[1] == 0:
+            continue
+        t1 = np.einsum(
+            "a,apr->pr", xi, np.conj(ftop.reshape(d**n, d**m, r_top))
+        )
+        block = t1.T @ fm
+        out[fock.level_slice(m + n), fock.level_slice(m)] = block
     return out
 
 

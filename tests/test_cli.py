@@ -112,6 +112,7 @@ def test_check_rep_pass_and_fail(capsys, tmp_path, commuting_spec, rep_file):
     code, out, _ = run_cli(
         capsys, "check-rep", "--spec", commuting_spec, "--rep", rep_file)
     assert code == 0
+    assert json.loads(out)["route"] == "generators"
 
     bad = tmp_path / "bad_rep.json"
     t1 = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]], dtype=complex)
@@ -315,6 +316,16 @@ def test_dims_golden_depth_twenty(capsys, golden_spec):
     code, out, _ = run_cli(capsys, "dims", "--spec", golden_spec, "--depth", "20")
     assert code == 0
     assert out.split()[-3:] == ["6765", "10946", "17711"]
+
+
+def test_dims_commutator_three_letters_depth_twelve_in_64_mib(capsys, tmp_path):
+    from spsys import ncpoly
+    spec = tmp_path / "commutator3.json"
+    formats.dump_json({"kind": "ideal", "d": 3, "depth": 12, "generators": [
+        formats.encode_poly(g) for g in ncpoly.commutator_gens(3).gens]}, spec)
+    code, out, _ = run_cli(capsys, "dims", "--spec", str(spec), "--budget-mb", "64")
+    assert code == 0
+    assert out.split() == [str((n + 1) * (n + 2) // 2) for n in range(13)]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -6,6 +6,7 @@ from spsys.ncpoly import NCPoly
 from spsys.subproduct import SubshiftSpec
 
 from conftest import random_homogeneous_poly
+from oracles import shift_of_vector
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ def test_graded_element_keeps_vector_norm(golden_6, golden_shifts):
     rng = np.random.default_rng(0)
     x = golden_6.fiber(3)
     v = x.frame @ (rng.normal(size=x.dim) + 1j * rng.normal(size=x.dim))
-    op = fock.shift_of_vector(golden_shifts, v, 3)
+    op = shift_of_vector(golden_shifts, v, 3)
     nrm = linalg.opnorm(op)
     assert nrm == pytest.approx(np.linalg.norm(v), abs=1e-9)
 

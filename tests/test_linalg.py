@@ -143,6 +143,22 @@ def test_coordinate_subspace_frame_is_unit_columns_on_demand():
     assert np.array_equal(linalg.full_space(4).frame, np.eye(4, dtype=complex))
 
 
+def test_core_subspace_frame_is_core_over_previous_frame_on_demand():
+    rng = np.random.default_rng(9)
+    prev = random_subspace(rng, 5, 3)
+    core = random_subspace(rng, 2 * 3, 4)
+    s = linalg.CoreSubspace(2, prev, core, budget=16 * 10 * 4)
+    assert (s.ambient_dim, s.dim) == (10, 4) and "frame" not in vars(s)
+    expected = np.kron(np.eye(2), prev.frame) @ core.frame
+    assert np.max(np.abs(s.frame - expected)) <= 1e-14
+    assert s.frame is s.frame
+    assert np.array_equal(prev.frame @ s.letter_cores()[1], s.frame[5:])
+    with pytest.raises(linalg.MemoryBudgetError, match="fiber frame"):
+        linalg.CoreSubspace(2, prev, core, budget=16 * 10 * 4 - 1).frame
+    with pytest.raises(ValueError, match="does not fit"):
+        linalg.CoreSubspace(3, prev, core)
+
+
 def test_opnorm_agrees_with_numpy():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

@@ -57,18 +57,19 @@ def _tilde_test_systems(symmetric2_6, golden_6):
     q = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
     level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
     return [
-        symmetric2_6,
-        golden_6,
-        subproduct.from_qmatrix(q, 4),
-        subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5),
+        (symmetric2_6, 3),
+        (golden_6, 3),
+        (subproduct.from_qmatrix(q, 4), 3),
+        (subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5), 3),
+        (subproduct.from_ideal(ncpoly.commutator_gens(2), 4), 31),
+        (subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5), 33),
     ]
 
 
 def test_rep_tildes_match_word_sum(symmetric2_6, golden_6):
     # T̃_n = W_n (F_n ⊗ I_h), with W_n the sum over all d^n words
     rng = np.random.default_rng(21)
-    for system in _tilde_test_systems(symmetric2_6, golden_6):
-        h = 3
+    for system, h in _tilde_test_systems(symmetric2_6, golden_6):
         rep = random_row_contraction(rng, system.d, h, 0.95)
         tildes = reps.rep_tildes(system, rep)
         maps = reps.full_word_maps(rep, system.depth)

@@ -9,6 +9,7 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import MemoryBudgetError, SubshiftSpec
 
 from conftest import random_homogeneous_poly
+from oracles import homogeneous_component
 
 
 def brute_legal_words(d, forbidden, n):
@@ -158,6 +159,100 @@ def test_generators_spanning_all_letters_give_zero_fibers():
     sys_ = subproduct.from_ideal(gens, 4)
     assert sys_.dims() == [1, 0, 0, 0, 0]
     assert subproduct.verify_axioms(sys_)["ok"]
+
+
+Q3 = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
+QUAD_RANDOM = np.array([[0.3 - 1.1j, 0.8 + 0.2j], [-0.5 + 0.7j, 1.4 - 0.3j]])
+QUAD_COMMUTATOR = np.array([[0, 1], [-1, 0]], dtype=complex)
+
+
+def _quadratic_relation(a):
+    return NCPoly(2, {(i + 1, j + 1): a[i, j] for i in range(2) for j in range(2)})
+
+
+def _generator_systems(depth):
+    """(system, generators written out independently) for every generator route."""
+    rng = np.random.default_rng(31)
+    ideals = [
+        ncpoly.commutator_gens(2),
+        ncpoly.commutator_gens(3),
+        IdealGens(2, [random_homogeneous_poly(rng, 2, 2), random_homogeneous_poly(rng, 2, 3)]),
+        IdealGens(2, [random_homogeneous_poly(rng, 2, 3)]),
+        IdealGens(2, [NCPoly.monomial(2, (1,))]),
+        IdealGens(2, [NCPoly.monomial(2, (1,)), NCPoly.monomial(2, (2,))]),
+    ]
+    out = [(subproduct.from_ideal(g, depth), g) for g in ideals]
+    q_gens = IdealGens(3, [NCPoly(3, {(i, j): 1.0, (j, i): -Q3[i - 1, j - 1]})
+                           for i in range(1, 4) for j in range(i + 1, 4)])
+    out.append((subproduct.from_qmatrix(Q3, depth), q_gens))
+    for a in (QUAD_RANDOM, QUAD_COMMUTATOR):
+        out.append((subproduct.from_quadratic(a, depth), IdealGens(2, [_quadratic_relation(a)])))
+    return out
+
+
+def test_generator_systems_match_the_ideal_component_oracle():
+    for system, gens in _generator_systems(5):
+        for n in range(6):
+            vecs = homogeneous_component(gens, n)
+            oracle = linalg.complement(linalg.span(
+                np.column_stack(vecs) if vecs else np.zeros((system.d**n, 0)),
+                ambient_dim=system.d**n))
+            assert system.dim(n) == oracle.dim
+            assert linalg.subspace_distance(system.fiber(n), oracle) <= 1e-10
+
+
+def test_qmatrix_and_quadratic_match_maximal_with_fibers():
+    for system, gens in _generator_systems(6)[-3:]:
+        d = system.d
+        level2 = linalg.complement(linalg.span(
+            np.column_stack([g.eval_on_basis() for g in gens.gens])))
+        dense = subproduct.maximal_with_fibers(d, [linalg.full_space(d), level2], 6)
+        assert system.kind in ("qmatrix", "quadratic")
+        assert system.dims() == dense.dims()
+        for n in range(7):
+            assert linalg.subspace_distance(system.fiber(n), dense.fiber(n)) <= 1e-10
+
+
+def test_commutator_three_letters_depth_twelve_on_cores_in_small_memory():
+    tracemalloc.start()
+    try:
+        system = subproduct.from_ideal(ncpoly.commutator_gens(3), 12)
+        system.letter_blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.dims() == [math.comb(n + 2, 2) for n in range(13)]
+    assert all("frame" not in vars(f) for f in system.fibers[1:])
+    assert peak < 64 << 20
+
+
+def test_core_frame_beyond_budget_is_refused_without_building():
+    system = subproduct.from_ideal(ncpoly.commutator_gens(3), 10, budget=8 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match="fiber frame"):
+            system.fiber(10).frame  # 3^10 x 66 complex is about 59 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all("frame" not in vars(f) for f in system.fibers[1:])
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda budget: subproduct.from_ideal(ncpoly.commutator_gens(3), 12, budget=budget),
+    lambda budget: subproduct.from_qmatrix(Q3, 8, budget=budget),
+    lambda budget: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20, budget=budget),
+], ids=["commutator3-12", "qmatrix3-8", "golden-20"])
+def test_construction_budget_bounds_the_traced_peak(build):
+    tracemalloc.start()
+    try:
+        build(None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(MemoryBudgetError):
+        build(peak - 1)
 
 
 def test_maximal_with_fibers_reproduces_step_one_subshift(golden_6):
@@ -323,3 +418,10 @@ def test_provenance_kinds(symmetric2_6, golden_6, full2_6):
     assert symmetric2_6.kind == "ideal"
     assert golden_6.kind == "subshift"
     assert full2_6.kind == "full"
+    # every constructor but the maximal completion records its generators
+    for system, gens in _generator_systems(3):
+        assert [g.terms for g in system.provenance["gens"].gens] == [g.terms for g in gens.gens]
+    assert [g.terms for g in golden_6.provenance["gens"].gens] == [{(2, 2): 1}]
+    assert full2_6.provenance["gens"].gens == []
+    assert subproduct.from_quadratic(np.zeros((2, 2)), 3).provenance["gens"].gens == []
+    assert "gens" not in subproduct.maximal_with_fibers(2, [linalg.full_space(2)], 2).provenance

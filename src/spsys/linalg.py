@@ -114,7 +114,8 @@ class CoreSubspace(Subspace):
 
     `core` holds z as a subspace of C^{d·r_prev}; I_d ⊗ F_prev is an isometry,
     so z's frame check is the only Gram check. ``frame`` is built on first
-    access after a budget check against the budget the subspace was made with.
+    access, with every lower frame not built yet, after a budget check of all
+    of them against the budget the subspace was made with.
     """
 
     def __init__(self, d: int, prev: Subspace, core: Subspace,
@@ -139,7 +140,12 @@ class CoreSubspace(Subspace):
     @cached_property
     def frame(self) -> np.ndarray:
         dim, r = self.ambient_dim, self.dim
-        check_budget(16 * dim * r, self.budget, f"fiber frame of {dim} x {r}")
+        needed, s = 0, self
+        while s is not None and "frame" not in vars(s):
+            needed += 16 * s.ambient_dim * s.dim
+            s = getattr(s, "prev", None)
+        check_budget(needed, self.budget,
+                     f"fiber frame of {dim} x {r} with the lower frames it builds")
         return np.matmul(self.prev.frame, self.letter_cores()).reshape(dim, r)
 
 

@@ -67,28 +67,29 @@ class SubshiftSpec:
         word = tuple(word)
         return not any(_is_subword(f, word) for f in self.forbidden)
 
-    def extend(self, words: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Legal one-letter extensions of legal words, in lexicographic order.
+    def extend_index(self, index: np.ndarray, n: int) -> np.ndarray:
+        """Word indices of the legal words of length n, from those of length n-1.
 
-        The words are legal already, so only suffixes can be forbidden.
+        The candidates index·d + a are in increasing (lexicographic) order.
+        The words of `index` are legal already, so a candidate is illegal iff
+        some forbidden word f is its suffix, that is iff it is index(f) mod d^{|f|}.
         """
-        out = []
-        for w in words:
-            for a in range(1, self.d + 1):
-                cand = w + (a,)
-                if not any(
-                    len(f) <= len(cand) and cand[-len(f):] == f
-                    for f in self.forbidden
-                ):
-                    out.append(cand)
-        return out
+        d = self.d
+        if d**n > np.iinfo(np.int64).max:
+            raise ValueError(f"level {n} has {d}^{n} words, beyond int64 word indices")
+        cand = (index[:, None] * d + np.arange(d)).ravel()
+        keep = np.ones(cand.size, dtype=bool)
+        for f in self.forbidden:
+            if len(f) <= n:
+                keep &= cand % d**len(f) != ncpoly.word_index(f, d)
+        return cand[keep]
 
     def legal_words(self, n: int) -> list[tuple[int, ...]]:
         """Legal words of length n, in lexicographic order."""
-        level = [()]
-        for _ in range(n):
-            level = self.extend(level)
-        return level
+        index = np.zeros(1, dtype=np.int64)
+        for k in range(1, n + 1):
+            index = self.extend_index(index, k)
+        return [ncpoly.index_word(int(i), n, self.d) for i in index]
 
     def followers(self, i: int, k: int) -> list[tuple[int, ...]]:
         """Legal words a of length k such that i·a is legal."""
@@ -274,29 +275,17 @@ def _generator_rows(coeffs: np.ndarray, chain: list, d: int, r_prev: int) -> np.
 def from_subshift(spec: SubshiftSpec, depth: int, budget: Optional[int] = None) -> SubproductSystem:
     """Coordinate system spanned by the legal words of the subshift.
 
-    Level n keeps the row indices of its legal words. The candidates prev·d + a
-    extend the legal words of level n-1 in increasing order, and as those are
-    legal, a candidate is illegal iff it is index(f) mod d^{|f|} for some
-    forbidden word f, that is iff f is its suffix.
+    Level n keeps the row indices of its legal words (`SubshiftSpec.extend_index`).
     """
     d = spec.d
-    suffixes = [(len(f), ncpoly.word_index(f, d)) for f in spec.forbidden]
     fibers = [_scalar_fiber()]
     index = np.zeros(1, dtype=np.int64)
     for n in range(1, depth + 1):
-        if d**n > np.iinfo(np.int64).max:
-            raise ValueError(f"level {n} has {d}^{n} words, beyond int64 word indices")
         # the candidates, one remainder and the new index (8 bytes each), and
         # two masks (1 byte each), next to the indices already held
         check_budget(sum(f.index.nbytes for f in fibers) + 26 * d * index.size, budget,
                      f"subshift word indices up to level {n}")
-        cand = (index[:, None] * d + np.arange(d)).ravel()
-        keep = np.ones(cand.size, dtype=bool)
-        for length, f in suffixes:
-            if length <= n:
-                keep &= cand % d**length != f
-        index = cand[keep]
-        del cand, keep
+        index = spec.extend_index(index, n)
         fibers.append(CoordinateSubspace(d**n, index, budget))
     dead_from = next((n for n, f in enumerate(fibers) if not f.dim), None)
     return SubproductSystem(

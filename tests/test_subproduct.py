@@ -239,6 +239,23 @@ def test_core_frame_beyond_budget_is_refused_without_building():
     assert peak < 1 << 20
 
 
+def test_core_frame_budget_counts_the_lower_frames_it_builds():
+    # the top frame is half of the traced peak: every lower frame is built too
+    def top_fiber(budget):
+        return subproduct.from_ideal(ncpoly.commutator_gens(2), 14, budget=budget).fiber(14)
+
+    fiber = top_fiber(None)
+    tracemalloc.start()
+    try:
+        fiber.frame
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert top_fiber(peak).frame.shape == fiber.frame.shape
+    with pytest.raises(MemoryBudgetError, match="fiber frame"):
+        top_fiber(int(peak * 0.999)).frame
+
+
 @pytest.mark.parametrize("build", [
     lambda budget: subproduct.from_ideal(ncpoly.commutator_gens(3), 12, budget=budget),
     lambda budget: subproduct.from_qmatrix(Q3, 8, budget=budget),

@@ -64,7 +64,8 @@ class Subspace:
             )
         r = self.frame.shape[1]
         if r:
-            defect = self.frame.conj().T @ self.frame - np.eye(r)
+            defect = self.frame.conj().T @ self.frame
+            defect.flat[::r + 1] -= 1  # in place: no r x r identity or difference
             # the spectral norm is at most the Frobenius norm, so the SVD is
             # only needed when the cheap bound does not already accept
             if np.linalg.norm(defect) > FRAME_ORTHO_TOL:
@@ -262,7 +263,9 @@ def nullspace(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> Subspace:
     smax = s[0] if s.size else 0.0
     cutoff = max(rel_tol * smax, RANK_ABS_FLOOR)
     r = int(np.sum(s > cutoff))
-    return Subspace(cols, vh[r:, :].conj().T.copy(), cutoff)
+    null = np.conjugate(vh[r:].T, out=np.empty((cols, cols - r), dtype=complex))
+    del vh  # one copy of the null columns, and V freed before the frame check
+    return Subspace(cols, null, cutoff)
 
 
 def pair_coordinates(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,

@@ -14,8 +14,7 @@ on X annihilates T. The dilation-side machinery lives here:
   representation.
 
 Everything is computed level-recursively through the system's letter
-blocks; apart from the word-sum oracle `full_word_maps`, no routine
-enumerates the d^n words of a level.
+blocks; no routine enumerates the d^n words of a level.
 """
 
 from __future__ import annotations
@@ -81,15 +80,6 @@ class RepTuple:
         return out
 
 
-def full_word_maps(rep: RepTuple, depth: int) -> list[np.ndarray]:
-    """W_n: (C^d)^{⊗n} ⊗ C^h -> C^h, e_w ⊗ v -> T^w v, built recursively."""
-    maps = [np.eye(rep.h, dtype=complex)]
-    for _ in range(depth):
-        # [T_1 ... T_d] (I_d ⊗ W_{n-1}) without forming the Kronecker factor
-        maps.append(np.hstack([t @ maps[-1] for t in rep.matrices]))
-    return maps
-
-
 def _tensor_eye(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(op ⊗ I) x, for x whose row index is (column of op, inner index)."""
     return (op @ x.reshape(op.shape[1], -1)).reshape(-1, x.shape[1])
@@ -117,6 +107,48 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = N
     return tildes
 
 
+def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[int],
+                      piece: bool) -> tuple[list, list]:
+    """The T̃_n† and roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†, n = 0..depth.
+
+    W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is I_d ⊗ (I - P_{n-1}),
+    giving the rows R_{n-1} T_i†, plus (I_d ⊗ F_{n-1})(I - Z_n Z_n†)(I_d ⊗ F_{n-1})†
+    for the stacked cores Z_n, giving U_n† - (Z_n ⊗ I_h) T̃_n† with U_n = [T_i T̃_{n-1}]_i.
+    A QR keeps h rows per level: no singular value is squared, nothing has d^n rows.
+    One budget check, before anything is allocated, covers the whole call and,
+    with `piece`, the constraint stack and residual of `maximal_piece`.
+    """
+    h, hh, dims = rep.h, rep.h ** 2, system.dims()
+    tildes, pairs = sum(dims) * hh, list(zip(dims, dims[1:]))  # pairs (r_{n-1}, r_n)
+    # Held at once next to the adjoints, the largest of: the tildes, and for a
+    # piece its constraint stack with the QR copy; three level-sized products
+    # (rep_tildes, the piece residual) and a conjugated letter block; the roots
+    # with a level's stack (d·(1 + r_{n-1})·h rows of h), its copy and a letter's
+    # products. Then a few h × h blocks, array headers, and the letter blocks.
+    level = max(2 * rep.d * (1 + a) * hh + a * (b + 2 * hh) for a, b in pairs)
+    words = tildes + max((1 + piece) * tildes, len(dims) * hh + level,
+                         3 * max(dims) * hh + max(a * b for a, b in pairs))
+    words += (len(dims) + 8) * hh + 64 * len(dims) + 1024
+    if "letter_blocks" not in vars(system):
+        words += rep.d * sum(a * b for a, b in pairs)
+    what = "piece constraints" if piece else "complement residuals"
+    check_budget(16 * words, budget, f"{what} up to level {system.depth}")
+    adjoints = [np.ascontiguousarray(t.T) for t in rep_tildes(system, rep)]
+    for a in adjoints:
+        np.conjugate(a, out=a)  # in place, so each adjoint is one copy
+    adj_letters = [t.conj().T for t in rep.matrices]
+    roots = [np.zeros((0, h), dtype=complex)]
+    for n in range(1, len(adjoints)):
+        top = adjoints[n].reshape(-1, hh)
+        # Z_{n,i} = B_{n,i}†: (b.conj().T @ top) are the letter-i rows of (Z_n ⊗ I_h) T̃_n†
+        stack = np.vstack([roots[-1] @ t for t in adj_letters] + [
+            adjoints[n - 1] @ t - (b.conj().T @ top).reshape(-1, h)
+            for t, b in zip(adj_letters, system.letter_blocks[n])])
+        roots.append(np.linalg.qr(stack, mode="r"))
+        del stack
+    return adjoints, roots
+
+
 def is_representation(system: SubproductSystem, rep: RepTuple,
                       tol: float = REP_TOL,
                       budget: Optional[int] = None) -> dict:
@@ -127,13 +159,12 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
     level-n residual is the largest ||g(T)|| over generators of degree <= n;
     annihilating the generators annihilates the whole graded ideal, so for a
     contractive tuple this equals the residual over the full orthogonal
-    complement of the fiber. Systems without generators are checked against
-    explicit complement frames.
+    complement of the fiber. Without generators the level-n residual is the
+    root's norm ||R_n|| = ||W_n (C_n ⊗ I_h)||, C_n any complement frame of X(n).
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
     gens = system.provenance.get("gens")
-    h = rep.h
     if gens is not None:
         norms = [(g.degree(), linalg.opnorm(g.eval_on_tuple(rep.matrices)))
                  for g in gens.gens]
@@ -142,29 +173,8 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
             residuals.append(max((r for k, r in norms if k <= n), default=0.0))
         route = "generators"
     else:
-        d, depth = system.d, system.depth
-        # Held at once: the word maps of every level, and at level n the
-        # complement's SVD, which peaks near four d^n x d^n arrays (the full U,
-        # its trailing columns and LAPACK's copies), then the h x c·h block and
-        # the copy its norms take.
-        level_peak = max(
-            4 * d**(2 * n) + 2 * h * (d**n - system.dim(n)) * h
-            for n in range(1, depth + 1)
-        )
-        words = sum(d**n for n in range(depth + 1))
-        check_budget(16 * (words * h * h + level_peak), budget,
-                     f"complement residuals up to level {depth}")
-        maps = full_word_maps(rep, depth)
-        residuals = []
-        for n in range(1, depth + 1):
-            comp = linalg.complement(system.fiber(n))
-            if comp.dim == 0:
-                residuals.append(0.0)
-                continue
-            # block j = sum_w C[w, j] T^w, batched as (h, c, h)
-            r_block = comp.frame.T @ maps[n].reshape(h, d**n, h)
-            residuals.append(float(np.max(np.linalg.norm(
-                r_block.transpose(1, 0, 2), 2, axis=(1, 2)))))
+        _, roots = _complement_roots(system, rep, budget, piece=False)
+        residuals = [linalg.opnorm(r) for r in roots[1:]]
         route = "complement"
     return {
         "residuals": residuals,
@@ -349,55 +359,35 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
 
     Shrinks from the full space: at each step keep the vectors whose
     backward orbit under every T̃_n† stays inside X(n) ⊗ (current subspace),
-    for all n up to the system depth. The loop is monotone, hence finite.
+    for all n up to the system depth. As I - P_n ⊗ P_V is (I - P_n) ⊗ I plus
+    the orthogonal P_n ⊗ P_V^⊥, stacking the roots R_n and the (I ⊗ P_V^⊥) T̃_n†
+    gives the Gram of the stacked (I - P_n ⊗ P_V) W_n† from (2 + sum r_n)·h rows.
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    d, depth, k_dim = system.d, system.depth, rep.h
-    # One estimate for the whole operation, before anything is allocated: the
-    # adjoints and the stacked constraint are held through the loop, and the
-    # QR in nullspace makes two working copies of the stack. Each is one
-    # k_dim x k_dim block per word of length <= depth; the word maps (dropped
-    # once the adjoints exist) and the per-level projections take less. A few
-    # more blocks cover the projector, the R factor and its SVD. The fiber
-    # frames count too, since coordinate fibers build theirs on first use.
-    words = sum(d**n for n in range(depth + 1))
-    frames = sum(d**n * system.dim(n) for n in range(depth + 1))
-    check_budget(16 * ((4 * words + 8) * k_dim * k_dim + frames), budget,
-                 f"piece constraints up to level {depth}")
-    maps = full_word_maps(rep, depth)
-    adjoints = [np.ascontiguousarray(m.conj().T) for m in maps]
-    del maps
-    stack = np.empty((words * k_dim, k_dim), dtype=complex)
-    current = linalg.full_space(k_dim)
-    iterations = 0
-    while True:
-        iterations += 1
-        stack[:k_dim] = np.eye(k_dim) - linalg.projector(current)
-        start = k_dim
-        for n in range(1, depth + 1):
-            m = adjoints[n]
-            np.subtract(m, linalg.project_pair(
-                system.fiber(n).frame, current.frame, m, d**n, k_dim,
-            ), out=stack[start:start + m.shape[0]])
-            start += m.shape[0]
-        nxt = linalg.nullspace(stack)
-        if nxt.dim == current.dim:
-            current = nxt
+    h = rep.h
+    adjoints, roots = _complement_roots(system, rep, budget, piece=True)
+    # the V-independent rows R_1..R_N, compressed once to at most h rows
+    base = np.linalg.qr(np.vstack(roots), mode="r")
+    stack = np.vstack([base] + adjoints)  # the rows below base are rewritten at each step
+    current = linalg.full_space(h)
+    for iterations in range(1, h + 2):  # the dim drops at every step but the last
+        perp = np.eye(h) - linalg.projector(current)
+        start = base.shape[0]
+        for a in adjoints:  # (I_{r_n} ⊗ P_V^⊥) T̃_n†, n = 0 giving I - P_V
+            rows = slice(start, start + a.shape[0])
+            np.matmul(perp, a.reshape(-1, h, h), out=stack[rows].reshape(-1, h, h))
+            start += a.shape[0]
+        current, previous = linalg.nullspace(stack), current
+        if current.dim in (previous.dim, 0):
             break
-        current = nxt
-        if current.dim == 0:
-            break
-    del stack
+    del stack  # before the residual's level-sized products
     residual = 0.0
-    if current.dim > 0:
-        for n in range(1, depth + 1):
-            img = adjoints[n] @ current.frame
-            proj = linalg.project_pair(
-                system.fiber(n).frame, current.frame, img, d**n, k_dim,
-            )
-            img -= proj
-            residual = max(residual, linalg.opnorm(img))
+    if current.dim:
+        q, perp = current.frame, np.eye(h) - linalg.projector(current)
+        for a, root in zip(adjoints[1:], roots[1:]):
+            outside = (perp @ (a @ q).reshape(-1, h, q.shape[1])).reshape(-1, q.shape[1])
+            residual = max(residual, linalg.opnorm(np.vstack([root @ q, outside])))
     return {
         "subspace": current,
         "dim": current.dim,

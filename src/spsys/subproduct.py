@@ -157,10 +157,11 @@ class SubproductSystem:
             if isinstance(fib, CoreSubspace) and fib.prev is prev:
                 blocks.append(fib.letter_cores().conj().transpose(0, 2, 1))
                 continue
-            f_n, f_prev = fib.frame, prev.frame
-            blocks.append(np.stack([
-                f_n[i * dn:(i + 1) * dn, :].conj().T @ f_prev for i in range(d)
-            ]))
+            # F_n[i-th block]† F_{n-1} through real views (re, im interleaved): no conjugate copy
+            x = np.ascontiguousarray(fib.frame).view(float).reshape(d, dn, 2 * fib.dim)
+            g = x.transpose(0, 2, 1) @ np.ascontiguousarray(prev.frame).view(float)
+            g = g.reshape(d, fib.dim, 2, prev.dim, 2)
+            blocks.append(g[..., 0, :, 0] + g[..., 1, :, 1] + 1j * (g[..., 0, :, 1] - g[..., 1, :, 0]))
         return tuple(blocks)
 
 
@@ -235,11 +236,12 @@ def from_ideal(gens: IdealGens, depth: int, budget: Optional[int] = None) -> Sub
         cols = d * dims[-1]
         # Held at once: the cores so far; the largest contraction step and its
         # transposed copy; the constraint blocks, their stack and the null
-        # space's copy of it; and four copies of the SVD's square factor.
+        # space's copy of it; and three cols x cols arrays (the SVD's factors,
+        # or the null frame with its frame check's conjugate copy and Gram).
         held = sum(d * a * b for a, b in zip(dims, dims[1:]))
         inter = max((len(b) * d**(k - t) * dims[n - k] * dims[n - k + t]
                      for k, b in batches.items() for t in range(1, k)), default=0)
-        check_budget(16 * (held + 2 * inter + 3 * rows * cols + 4 * cols * cols),
+        check_budget(16 * (held + 2 * inter + 3 * rows * cols + 3 * cols * cols),
                      budget, f"ideal fiber at level {n}")
         stack = np.vstack([np.zeros((0, cols), dtype=complex)] + [
             _generator_rows(np.conj([g.eval_on_basis() for g in b]),

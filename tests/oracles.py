@@ -2,12 +2,14 @@
 
 Each enumerates what the package computes another way, so it stays out of
 `src/`: the placements of generators in an ideal component, the shift by a
-whole fiber vector assembled from dense frames, and the Gram ranks behind
-the strong-commutation support counts.
+whole fiber vector assembled from dense frames, the Gram ranks behind the
+strong-commutation support counts, and the maps over all d^n words behind
+the maximal piece and the complement residuals.
 """
 
 import numpy as np
 
+from spsys import linalg
 from spsys.cpmaps import NONZERO_TOL, StochasticMatrix
 from spsys.fock import ShiftSet
 from spsys.ncpoly import IdealGens
@@ -81,3 +83,45 @@ def gram_dim_oracle(p, q, i: int, k: int,
     r1 = int(np.sum(np.linalg.eigvalsh(g1) > tol))
     r2 = int(np.sum(np.linalg.eigvalsh(g2) > tol))
     return r1, r2
+
+
+def full_word_maps(rep, depth: int) -> list[np.ndarray]:
+    """W_n: (C^d)^{⊗n} ⊗ C^h -> C^h, e_w ⊗ v -> T^w v, built recursively."""
+    maps = [np.eye(rep.h, dtype=complex)]
+    for _ in range(depth):
+        # [T_1 ... T_d] (I_d ⊗ W_{n-1}) without forming the Kronecker factor
+        maps.append(np.hstack([t @ maps[-1] for t in rep.matrices]))
+    return maps
+
+
+def word_map_piece(system, rep) -> dict:
+    """The maximal piece from the stacked (I - P_n ⊗ P_V) W_n†, over all d^n words.
+
+    Shrinks from the full space until the null space of the stack keeps its
+    dimension; returns the subspace, the iteration count and the largest
+    ||(I - P_n ⊗ P_V) W_n† Q_V|| at the fixed point.
+    """
+    d, depth, h = system.d, system.depth, rep.h
+    adjoints = [m.conj().T for m in full_word_maps(rep, depth)]
+    current = linalg.full_space(h)
+    iterations = 0
+    while True:
+        iterations += 1
+        blocks = [np.eye(h) - linalg.projector(current)]
+        for n in range(1, depth + 1):
+            m = adjoints[n]
+            blocks.append(m - linalg.project_pair(
+                system.fiber(n).frame, current.frame, m, d**n, h))
+        nxt = linalg.nullspace(np.vstack(blocks))
+        done = nxt.dim == current.dim
+        current = nxt
+        if done or current.dim == 0:
+            break
+    residual = 0.0
+    if current.dim > 0:
+        for n in range(1, depth + 1):
+            img = adjoints[n] @ current.frame
+            img -= linalg.project_pair(system.fiber(n).frame, current.frame, img, d**n, h)
+            residual = max(residual, linalg.opnorm(img))
+    return {"subspace": current, "dim": current.dim, "iterations": iterations,
+            "residual": residual}

@@ -166,7 +166,8 @@ def test_piece_full_space_for_representation(capsys, commuting_spec, rep_file):
 
 def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     # golden depth 5 against the full shift on words of length <= 5 (h=63):
-    # each level fits 3 MiB, all of them together do not
+    # each level's tilde fits 3 MiB, the tildes, roots and constraint stack
+    # together do not, and the refusal comes before the first tilde
     from spsys import fock, reps, subproduct
     spec = tmp_path / "golden5.json"
     formats.dump_json({"kind": "subshift", "d": 2, "depth": 5, "forbidden": [[2, 2]]}, spec)
@@ -175,9 +176,9 @@ def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
 
     def never(*args, **kwargs):
-        raise AssertionError("word maps allocated before the budget check")
+        raise AssertionError("tildes allocated before the budget check")
 
-    monkeypatch.setattr(reps, "full_word_maps", never)
+    monkeypatch.setattr(reps, "rep_tildes", never)
     code, out, err = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
                              "--budget-mb", "3")
     assert code == 3

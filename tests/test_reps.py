@@ -9,6 +9,7 @@ from spsys.reps import RepTuple
 from spsys.subproduct import SubshiftSpec
 
 from conftest import random_commuting_pair, random_row_contraction
+from oracles import full_word_maps, word_map_piece
 
 
 def test_rep_tuple_validation():
@@ -39,7 +40,7 @@ def test_rep_word_is_matrix_product():
 def test_full_word_maps_collect_all_products():
     rng = np.random.default_rng(1)
     rep = random_row_contraction(rng, 2, 2, 0.9)
-    maps = reps.full_word_maps(rep, 2)
+    maps = full_word_maps(rep, 2)
     w2 = maps[2]
     for idx, w in enumerate(ncpoly.all_words(2, 2)):
         col = w2[:, idx * 2:(idx + 1) * 2]
@@ -72,7 +73,7 @@ def test_rep_tildes_match_word_sum(symmetric2_6, golden_6):
     for system, h in _tilde_test_systems(symmetric2_6, golden_6):
         rep = random_row_contraction(rng, system.d, h, 0.95)
         tildes = reps.rep_tildes(system, rep)
-        maps = reps.full_word_maps(rep, system.depth)
+        maps = full_word_maps(rep, system.depth)
         for n in range(system.depth + 1):
             expected = maps[n] @ np.kron(system.fiber(n).frame, np.eye(h))
             assert tildes[n].shape == expected.shape
@@ -126,19 +127,28 @@ def _symmetric_fibers_system(depth):
 
 
 def test_is_representation_complement_matches_kron_formula():
+    # the level-n residual is ||W_n (C ⊗ I_h)|| over the whole complement
+    # frame C, which bounds the norm of every single column's block
     sys_ = _symmetric_fibers_system(6)
     rng = np.random.default_rng(22)
     h = 4
     rep = random_row_contraction(rng, 2, h, 0.8)
     out = reps.is_representation(sys_, rep)
     assert out["route"] == "complement"
-    maps = reps.full_word_maps(rep, sys_.depth)
+    maps = full_word_maps(rep, sys_.depth)
     for n in range(1, sys_.depth + 1):
         comp = linalg.complement(sys_.fiber(n))
-        r_block = maps[n] @ np.kron(comp.frame, np.eye(h))
-        expected = max((linalg.opnorm(r_block[:, j * h:(j + 1) * h])
-                        for j in range(comp.dim)), default=0.0)
+        expected = linalg.opnorm(maps[n] @ np.kron(comp.frame, np.eye(h)))
         assert abs(out["residuals"][n - 1] - expected) <= 1e-12
+
+
+def test_is_representation_complement_fits_a_small_budget_at_depth():
+    # the top level has 8192 words; the roots keep the route at fiber size
+    sys_ = _symmetric_fibers_system(13)
+    rep = random_row_contraction(np.random.default_rng(24), 2, 16, 0.8)
+    out = reps.is_representation(sys_, rep, budget=8 << 20)
+    assert out["route"] == "complement"
+    assert not out["ok"]
 
 
 @pytest.mark.parametrize("depth, h", [(7, 12), (8, 8)])
@@ -312,9 +322,9 @@ def test_maximal_piece_of_golden_inside_full():
     assert out["residual"] < 1e-9
 
 
-def conjugated_full_shift(depth, seed):
+def conjugated_full_shift(depth, seed, d=2):
     """The full shift on words of length <= depth, conjugated by a unitary."""
-    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, depth), depth))
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, depth), depth))
     h = sh.fock.total_dim
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
@@ -338,17 +348,80 @@ def test_maximal_piece_fixed_point_is_pinned():
     assert linalg.subspace_distance(out["subspace"], target) <= 1e-9
 
 
+def _golden(depth):
+    return subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), depth)
+
+
+def _shift_tuple(d, depth):
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, depth), depth))
+    return RepTuple(tuple(sh.matrices))
+
+
+def _zero_fiber_case():
+    gens = IdealGens(2, [NCPoly.monomial(2, (1,)), NCPoly.monomial(2, (2,))])
+    t1 = np.array([[0, 1.0, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
+    t2 = np.array([[0, 0, 0.5], [0, 0, 0], [0, 0, 0]], dtype=complex)
+    return subproduct.from_ideal(gens, 3), RepTuple((t1, t2))
+
+
+PIECE_CASES = {
+    "golden4-conj": lambda: (_golden(4), conjugated_full_shift(4, seed=40)[0]),
+    "golden5-conj": lambda: (_golden(5), conjugated_full_shift(5, seed=42)[0]),
+    "golden6-conj": lambda: (_golden(6), conjugated_full_shift(6, seed=43)[0]),
+    "quadratic5-conj": lambda: (subproduct.from_quadratic(np.array([[0, 1], [-1, 0]]), 5),
+                                conjugated_full_shift(5, seed=44)[0]),
+    "commutator2-4-conj": lambda: (subproduct.from_ideal(ncpoly.commutator_gens(2), 4),
+                                   conjugated_full_shift(4, seed=45)[0]),
+    "commutator3-3-conj": lambda: (subproduct.from_ideal(ncpoly.commutator_gens(3), 3),
+                                   conjugated_full_shift(3, seed=46, d=3)[0]),
+    "symmetric-fibers5-conj": lambda: (_symmetric_fibers_system(5),
+                                       conjugated_full_shift(5, seed=47)[0]),
+    "commuting-h4": lambda: (subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
+                             random_commuting_pair(np.random.default_rng(14), 4, 0.9)),
+    "zero-fibers": _zero_fiber_case,
+    "random-h5-golden6": lambda: (_golden(6), random_row_contraction(
+        np.random.default_rng(48), 2, 5, 0.9)),
+    "golden5-shift": lambda: (_golden(5), _shift_tuple(2, 5)),
+    "full2-5": lambda: (subproduct.from_full(2, 5), _shift_tuple(2, 5)),
+    "full3-3": lambda: (subproduct.from_full(3, 3), _shift_tuple(3, 2)),
+    "full4-2": lambda: (subproduct.from_full(4, 2), _shift_tuple(4, 2)),
+    "full2-1": lambda: (subproduct.from_full(2, 1), _shift_tuple(2, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIECE_CASES))
+def test_maximal_piece_matches_word_map_oracle(case):
+    # the roots and tildes give the Gram of the stacked (I - P_n ⊗ P_V) W_n†,
+    # so the shrink steps, the fixed point and its residual are the oracle's
+    system, rep = PIECE_CASES[case]()
+    out = reps.maximal_piece(system, rep)
+    ref = word_map_piece(system, rep)
+    assert out["dim"] == ref["dim"]
+    assert out["iterations"] == ref["iterations"]
+    assert linalg.subspace_distance(out["subspace"], ref["subspace"]) <= 1e-10
+    assert abs(out["residual"] - ref["residual"]) <= 1e-10
+
+
+def test_piece_and_complement_build_no_fiber_frame():
+    rep, _, _ = conjugated_full_shift(4, seed=49)
+    for system in (_golden(4), subproduct.from_ideal(ncpoly.commutator_gens(2), 4)):
+        reps.maximal_piece(system, rep)
+        reps.is_representation(system, rep)
+        assert all("frame" not in vars(f) for f in system.fibers)
+
+
 def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
-    # d=2, depth 5, h=63: one level is about 2 MB, all levels together many
-    # times that; a 3 MiB budget passes every level alone but not the whole
+    # d=2, depth 5, h=63: one level's tilde is under 1 MB, the tildes, their
+    # adjoints and the constraint stack together are several times that; a
+    # 3 MiB budget passes every level alone but not the whole
     golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5)
     rep, _, _ = conjugated_full_shift(5, seed=41)
-    assert 16 * 2**5 * rep.h**2 < 3 << 20
+    assert 16 * golden.dim(5) * rep.h**2 < 3 << 20
 
     def never(*args, **kwargs):
-        raise AssertionError("word maps allocated before the budget check")
+        raise AssertionError("tildes allocated before the budget check")
 
-    monkeypatch.setattr(reps, "full_word_maps", never)
+    monkeypatch.setattr(reps, "rep_tildes", never)
     with pytest.raises(subproduct.MemoryBudgetError, match="piece constraints"):
         reps.maximal_piece(golden, rep, budget=3 << 20)
 

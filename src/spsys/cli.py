@@ -189,11 +189,8 @@ def cmd_verify(args) -> int:
         for k in (1, 2):
             if k > n_depth:
                 continue
-            win = sh.fock.window(n_depth - k)
-            dk = fock.defect_projection(sh, k)[win, win]
-            target = sh.fock.particle_projection(k)[win, win]
             checks.append(check(f"defect-k{k}", (0, n_depth - k),
-                                linalg.opnorm(dk - target), tol))
+                                fock.defect_residual(sh, k), tol))
     if "subshift" in wanted:
         if system.kind != "subshift":
             raise CLIError("the subshift check needs a system of kind subshift")

@@ -2,14 +2,21 @@
 
 The Fock space keeps levels 0..N of the system in fiber coordinates, so the
 ambient dimension is the sum of the fiber dimensions, not d^N. Shifts act
-block-superdiagonally: level n goes to level n+1 through e_i ⊗ (·) followed
-by the level-(n+1) projection, and the outflow of the top level is dropped.
-Products of at most N shifts applied to the vacuum are therefore exact.
+block-superdiagonally: S_i sends level n to level n+1 through the letter
+block B_{n+1,i} (shape r_{n+1} × r_n), and the outflow of the top level is
+dropped. Products of at most N shifts applied to the vacuum are therefore
+exact.
+
+A shift tuple is held as these blocks. S_i†S_j, the follower sums S^a S^{a†}
+and the defect recursion are block-diagonal, so every check here runs level
+by level; the dense total × total matrices are a view built on demand, for
+export and for operator norms that need them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -51,13 +58,6 @@ class TruncatedFock:
         v[self.vacuum_index] = 1.0
         return v
 
-    def particle_projection(self, below: int) -> np.ndarray:
-        """Projection onto levels 0..below-1."""
-        p = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        cut = self.offsets[min(below, self.depth + 1)]
-        p[:cut, :cut] = np.eye(cut)
-        return p
-
     def window(self, top_level: int) -> slice:
         """Index range of levels 0..top_level."""
         return slice(0, self.offsets[min(top_level, self.depth) + 1])
@@ -65,14 +65,32 @@ class TruncatedFock:
 
 @dataclass(frozen=True)
 class ShiftSet:
-    """The d shift matrices on a truncated Fock space."""
+    """The d shifts on a truncated Fock space, held as their letter blocks.
+
+    blocks[n][i] = B_{n,i} (r_n × r_{n-1}) is S_{i+1} from level n-1 to level
+    n, for n = 1..depth; blocks[0] has no columns. `matrices` is the dense
+    view, checked against `budget` before it is assembled.
+    """
 
     fock: TruncatedFock
-    matrices: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+    budget: Optional[int] = None
 
     @property
     def d(self) -> int:
-        return len(self.matrices)
+        return self.fock.system.d
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """The d dense total × total shift matrices."""
+        fock, d, total = self.fock, self.d, self.fock.total_dim
+        # the d arrays, plus their headers and the views that fill them
+        check_budget(16 * d * total * total + 256 * d + 1024, self.budget, "shift matrices")
+        mats = [np.zeros((total, total), dtype=complex) for _ in range(d)]
+        for n in range(1, fock.depth + 1):
+            for m, b in zip(mats, self.blocks[n]):
+                m[fock.level_slice(n), fock.level_slice(n - 1)] = b
+        return tuple(mats)
 
     def row(self) -> np.ndarray:
         return np.hstack(self.matrices)
@@ -80,13 +98,6 @@ class ShiftSet:
     @property
     def row_norm(self) -> float:
         return linalg.opnorm(self.row())
-
-    def of_word(self, word) -> np.ndarray:
-        """S^w = S_{w_1} ... S_{w_k} (identity for the empty word)."""
-        out = np.eye(self.fock.total_dim, dtype=complex)
-        for a in word:
-            out = out @ self.matrices[a - 1]
-        return out
 
 
 def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> TruncatedFock:
@@ -100,31 +111,51 @@ def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> Truncat
 
 
 def build_shifts(fock: TruncatedFock, budget: Optional[int] = None) -> ShiftSet:
-    """Shift matrices S_i: the letter blocks B_{n+1,i} = F_{n+1}^† (e_i ⊗ F_n)."""
+    """The shift tuple from the letter blocks B_{n,i} = F_n[i-th block]† F_{n-1}.
+
+    `budget` bounds the letter blocks here and the dense view later.
+    """
     system = fock.system
-    d, total = system.d, fock.total_dim
-    check_budget(16 * d * total * total, budget, "shift matrices")
-    blocks = system.letter_blocks
-    mats = [np.zeros((total, total), dtype=complex) for _ in range(d)]
-    for n in range(fock.depth):
-        rows, cols = fock.level_slice(n + 1), fock.level_slice(n)
-        for i in range(d):
-            mats[i][rows, cols] = blocks[n + 1][i]
-    return ShiftSet(fock, tuple(mats))
+    check_budget(system.letter_block_bytes(), budget, "letter blocks")
+    return ShiftSet(fock, system.letter_blocks[:fock.depth + 1], budget)
 
 
-def defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:
-    """I - sum_{|w|=k} S^w S^{w*}, built by the recursion A_k = sum_i S_i A_{k-1} S_i^†.
+def _defect_blocks(shifts: ShiftSet, k: int) -> list[np.ndarray]:
+    """Level blocks of I - sum_{|w|=k} S^w S^{w†}.
 
-    Valid (equal to the projection onto levels < k) on levels <= depth - k.
+    The sum A_k is block-diagonal: A_0 = I and
+    A_k[n+1] = sum_i B_{n+1,i} A_{k-1}[n] B_{n+1,i}†, A_k[0] = 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = shifts.fock.total_dim
-    acc = np.eye(total, dtype=complex)
+    dims = shifts.fock.level_dims()
+    acc = [np.eye(r, dtype=complex) for r in dims]
     for _ in range(k):
-        acc = sum(s @ acc @ s.conj().T for s in shifts.matrices)
-    return np.eye(total) - acc
+        acc = [np.zeros((1, 1), dtype=complex)] + [
+            (b @ a @ b.conj().transpose(0, 2, 1)).sum(axis=0)
+            for a, b in zip(acc, shifts.blocks[1:])]
+    return [np.eye(r) - a for r, a in zip(dims, acc)]
+
+
+def defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:
+    """I - sum_{|w|=k} S^w S^{w*} as a dense block-diagonal matrix.
+
+    Valid (equal to the projection onto levels < k) on levels <= depth - k.
+    """
+    fock = shifts.fock
+    out = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
+    for n, block in enumerate(_defect_blocks(shifts, k)):
+        out[fock.level_slice(n), fock.level_slice(n)] = block
+    return out
+
+
+def defect_residual(shifts: ShiftSet, k: int) -> float:
+    """||D_k - P_{<k}|| on the window of levels 0..depth-k, D_k the k-defect.
+
+    Both are block-diagonal, so this is the largest level-block norm.
+    """
+    blocks = _defect_blocks(shifts, k)[:max(shifts.fock.depth - k, 0) + 1]
+    return max(linalg.opnorm(b - np.eye(len(b)) * (n < k)) for n, b in enumerate(blocks))
 
 
 def annihilation_check(shifts: ShiftSet, p: NCPoly, tol: float = 1e-9) -> dict:
@@ -143,8 +174,15 @@ def annihilation_check(shifts: ShiftSet, p: NCPoly, tol: float = 1e-9) -> dict:
     pvec = p.eval_on_basis()
     proj = linalg.project(system.fiber(n), pvec.reshape(-1, 1)).ravel()
     projected_norm = float(np.linalg.norm(proj))
-    vac = p.eval_on_tuple(shifts.matrices) @ shifts.fock.vacuum()
-    residual = float(np.linalg.norm(vac))
+    # p(S)Ω from the vacuum outward: x holds, for each prefix of the words,
+    # the sum over their suffixes s of c_{prefix·s} S^s Ω, at level |s|; the
+    # innermost letter is the last, so each step contracts one letter with
+    # the blocks B_{m+1,i} into level m+1
+    x = pvec.reshape(-1, 1)
+    for b in shifts.blocks[1:n + 1]:
+        d, r_next, r = b.shape
+        x = x.reshape(x.shape[0] // d, d * r) @ b.transpose(0, 2, 1).reshape(d * r, r_next)
+    residual = float(np.linalg.norm(x))
     return {
         "degree": n,
         "in_ideal": projected_norm <= tol,
@@ -153,6 +191,18 @@ def annihilation_check(shifts: ShiftSet, p: NCPoly, tol: float = 1e-9) -> dict:
         "agreement": abs(projected_norm - residual),
         "tol": tol,
     }
+
+
+def _follower_sum(up: tuple, followers: list, n: int) -> np.ndarray:
+    """sum_a S^a S^{a†} on level n >= |a|: S^a from level n-|a| is B_{n,a_1} ... B_{n-|a|+1,a_|a|}."""
+    dim = up[n].shape[2]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for a in followers:
+        c = up[n - 1][a[0] - 1] if a else np.eye(dim)
+        for j, letter in enumerate(a[1:], start=2):
+            c = c @ up[n - j][letter - 1]
+        acc += c @ c.conj().T
+    return acc
 
 
 def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
@@ -165,6 +215,9 @@ def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
       precede);
     * completeness: I - sum_i S_i S_i^† is the vacuum projection on levels
       <= depth-1.
+
+    Every operator here is block-diagonal, so each relation is checked level
+    by level: norms are the largest block norm and ranks sum over blocks.
     """
     fock = shifts.fock
     system = fock.system
@@ -173,27 +226,29 @@ def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
     spec = system.provenance["spec"]
     d, n_depth = system.d, fock.depth
     k = spec.step
+    up = shifts.blocks[1:]  # up[n][i]: S_{i+1} from level n to level n+1
 
     ortho = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                ortho = max(
-                    ortho,
-                    linalg.opnorm(shifts.matrices[i].conj().T @ shifts.matrices[j]),
-                )
+    for b in up:
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    ortho = max(ortho, linalg.opnorm(b[i].conj().T @ b[j]))
 
     per_letter = []
-    win = fock.window(max(n_depth - k - 1, 0))
-    low = fock.particle_projection(k)
+    top = max(n_depth - k - 1, 0)  # the window is levels 0..top
     for i in range(1, d + 1):
-        si = shifts.matrices[i - 1]
         followers = spec.followers(i, k)
-        acc = np.zeros_like(si)
-        for a in followers:
-            sa = shifts.of_word(a)
-            acc += sa @ sa.conj().T
-        diff = (si.conj().T @ si - acc)[win, win]
+        rank, outside = 0, 0.0
+        for n in range(top + 1):
+            b = up[n][i - 1]
+            diff = b.conj().T @ b
+            if n >= k:
+                diff -= _follower_sum(up, followers, n)
+            sing = np.linalg.svd(diff, compute_uv=False) if diff.size else np.zeros(1)
+            rank += int(np.sum(sing > tol))
+            if n >= k:  # levels below k carry the expected projection
+                outside = max(outside, float(sing.max()))
         visible_levels = min(k, max(n_depth - k, 0))
         expected_rank = sum(
             1
@@ -201,9 +256,6 @@ def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
             for w in spec.legal_words(m)
             if spec.is_legal((i,) + w)
         )
-        sing = np.linalg.svd(diff, compute_uv=False) if diff.size else np.array([])
-        rank = int(np.sum(sing > tol))
-        outside = linalg.opnorm(diff - low[win, win] @ diff @ low[win, win])
         per_letter.append(
             {
                 "letter": i,
@@ -215,10 +267,7 @@ def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
             }
         )
 
-    win1 = fock.window(n_depth - 1)
-    vac_defect = defect_projection(shifts, 1)
-    vac_target = fock.particle_projection(1)
-    completeness = linalg.opnorm(vac_defect[win1, win1] - vac_target[win1, win1])
+    completeness = defect_residual(shifts, 1)
 
     return {
         "orthogonality": ortho,

@@ -193,7 +193,14 @@ def projector(s: Subspace) -> np.ndarray:
 
 
 def project(s: Subspace, v: np.ndarray) -> np.ndarray:
-    """Apply the orthogonal projection onto `s` to a vector or matrix of columns."""
+    """Apply the orthogonal projection onto `s` to a vector or matrix of columns.
+
+    A coordinate subspace keeps the rows of its index, without a frame.
+    """
+    if isinstance(s, CoordinateSubspace):
+        out = np.zeros(np.shape(v), dtype=complex)
+        out[s.index] = v[s.index]
+        return out
     return s.frame @ (s.frame.conj().T @ v)
 
 

@@ -80,11 +80,6 @@ class RepTuple:
         return out
 
 
-def _tensor_eye(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(op ⊗ I) x, for x whose row index is (column of op, inner index)."""
-    return (op @ x.reshape(op.shape[1], -1)).reshape(-1, x.shape[1])
-
-
 def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = None) -> list[np.ndarray]:
     """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..depth.
 
@@ -129,10 +124,9 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[
     words = tildes + max((1 + piece) * tildes, len(dims) * hh + level,
                          3 * max(dims) * hh + max(a * b for a, b in pairs))
     words += (len(dims) + 8) * hh + 64 * len(dims) + 1024
-    if "letter_blocks" not in vars(system):
-        words += rep.d * sum(a * b for a, b in pairs)
     what = "piece constraints" if piece else "complement residuals"
-    check_budget(16 * words, budget, f"{what} up to level {system.depth}")
+    check_budget(16 * words + system.letter_block_bytes(), budget,
+                 f"{what} up to level {system.depth}")
     adjoints = [np.ascontiguousarray(t.T) for t in rep_tildes(system, rep)]
     for a in adjoints:
         np.conjugate(a, out=a)  # in place, so each adjoint is one copy
@@ -192,11 +186,11 @@ class PoissonKernel:
     Δ(W) = I - sum_i W_i W_i†. For a representation with row norm below 1/r
     this is an isometry up to a geometric tail in the truncation depth. At
     r = 1 the row norm must lie below 1 - ROW_NORM_SLACK, since at row norm 1
-    the tail does not shrink.
+    the tail does not shrink. `budget` bounds the shifts' dense view.
     """
 
     def __init__(self, system: SubproductSystem, rep: RepTuple, r: float,
-                 depth: Optional[int] = None):
+                 depth: Optional[int] = None, budget: Optional[int] = None):
         if rep.d != system.d:
             raise ValueError("tuple size does not match the system")
         if not 0 < r <= 1:
@@ -218,6 +212,7 @@ class PoissonKernel:
         self.delta_sqrt = linalg.psd_sqrt(delta, clamp=EIG_CLAMP)
         tildes = np.hstack(rep_tildes(system, scaled, self.depth))
         self.matrix = (self.delta_sqrt @ tildes.conj().T.reshape(-1, h, h)).reshape(-1, h)
+        self.budget = budget
         self._shifts = None
 
     @property
@@ -227,8 +222,13 @@ class PoissonKernel:
     def shifts(self) -> fock_mod.ShiftSet:
         if self._shifts is None:
             fk = fock_mod.build_fock(self.system, self.depth)
-            self._shifts = fock_mod.build_shifts(fk)
+            self._shifts = fock_mod.build_shifts(fk, self.budget)
         return self._shifts
+
+    def levels(self) -> list[np.ndarray]:
+        """The level blocks K_n as views of shape (r_n, h·h): rows in level n, columns (h, h)."""
+        cuts = np.cumsum(self.system.dims()[:self.depth])
+        return np.split(self.matrix.reshape(-1, self.h * self.h), cuts)
 
     def isometry_defect(self) -> float:
         k = self.matrix
@@ -244,6 +244,17 @@ def poisson_kernel(system: SubproductSystem, rep: RepTuple, r: float,
     return PoissonKernel(system, rep, r, depth)
 
 
+def _lower(blocks: tuple, levels: list, word) -> list:
+    """(S^{w†} ⊗ I) on level blocks: S_i† takes level m+1 to level m through B_{m+1,i}†.
+
+    S^{w†} = S_{w_k}† ... S_{w_1}† applies S_{w_1}† first; each letter drops
+    the top level.
+    """
+    for a in word:
+        levels = [blocks[m + 1][a - 1].conj().T @ x for m, x in enumerate(levels[1:])]
+    return levels
+
+
 def poisson_transform(kernel: PoissonKernel, alpha, beta) -> dict:
     """Compress S^a S^{b†} ⊗ I through the kernel and compare with the tuple.
 
@@ -254,9 +265,10 @@ def poisson_transform(kernel: PoissonKernel, alpha, beta) -> dict:
     n_depth = kernel.depth
     if max(len(alpha), len(beta)) > n_depth:
         raise ValueError("word longer than the truncation depth")
-    shifts = kernel.shifts()
-    op = shifts.of_word(alpha) @ shifts.of_word(beta).conj().T
-    value = kernel.matrix.conj().T @ _tensor_eye(op, kernel.matrix)
+    # K† (S^a S^{b†} ⊗ I) K = ((S^{a†} ⊗ I) K)† (S^{b†} ⊗ I) K, level by level
+    blocks, levels, h = kernel.shifts().blocks, kernel.levels(), kernel.h
+    value = sum(x.reshape(-1, h).conj().T @ y.reshape(-1, h) for x, y in zip(
+        _lower(blocks, levels, alpha), _lower(blocks, levels, beta)))
     s = len(alpha) + len(beta)
     t = kernel.rep
     target = kernel.r**s * (t.word(alpha) @ t.word(beta).conj().T)
@@ -292,13 +304,14 @@ def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
         )
     kernel = PoissonKernel(system, w, 1.0, depth)
     n_depth = kernel.depth
-    shifts = kernel.shifts()
-    k = kernel.matrix
+    blocks, levels, k = kernel.shifts().blocks, kernel.levels(), kernel.matrix
     residuals = []
     for i in range(rep.d):
-        lhs = _tensor_eye(shifts.matrices[i].conj().T, k)
-        rhs = k @ w.matrices[i].conj().T
-        residuals.append(linalg.opnorm(lhs - rhs))
+        diff = k @ w.matrices[i].conj().T
+        # (S_i† ⊗ I) K on levels 0..depth-1; nothing comes down into the top level
+        lhs = np.vstack(_lower(blocks, levels, (i + 1,))).reshape(-1, kernel.h)
+        diff[:lhs.shape[0]] -= lhs
+        residuals.append(linalg.opnorm(diff))
     rho = kernel.row_norm_w
     bound = rho ** (n_depth + 1)
     return {
@@ -313,7 +326,8 @@ def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
 
 def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
                         p: NCPoly, q: NCPoly,
-                        depth: Optional[int] = None) -> dict:
+                        depth: Optional[int] = None,
+                        budget: Optional[int] = None) -> dict:
     """Compare ||p(T) q(T)†|| against the same expression in the shifts.
 
     The truncated shift norm increases with the depth toward its limit, so
@@ -321,6 +335,8 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     truncated rhs the verdict depends on the stabilization gap (the change
     from one depth lower): well above it is a failure, within a few gaps of
     it the truncation is still moving and the comparison is inconclusive.
+    This check needs the dense shifts: one estimate of everything it holds is
+    checked against `budget` before anything is allocated.
     """
     depth = system.depth if depth is None else depth
     if depth < 2:
@@ -328,12 +344,20 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     lhs = linalg.opnorm(
         p.eval_on_tuple(rep.matrices) @ q.eval_on_tuple(rep.matrices).conj().T
     )
-    shifts = fock_mod.build_shifts(fock_mod.build_fock(system, depth))
-    mats = shifts.matrices
+    fk = fock_mod.build_fock(system, depth)
+    total, below = fk.total_dim, fk.offsets[depth]
+    # Held at once next to the letter blocks and the d dense shifts: p(S) while
+    # q(S) is evaluated, where eval_on_tuple holds its sum, a word product and
+    # the next one (or p(S), q(S), a conjugate and their product); then the
+    # operator norm's copy of the window; and 16 KiB of headers and small arrays.
+    words = (system.d + 4) * total**2 + below**2
+    check_budget(16 * words + system.letter_block_bytes() + (16 << 10), budget,
+                 f"vN shift operators on {total} Fock dimensions")
+    mats = fock_mod.build_shifts(fk, budget).matrices
     op = p.eval_on_tuple(mats) @ q.eval_on_tuple(mats).conj().T
     # Depth - 1 is the window onto levels 0..depth-1: each S^a S^{b†} lowers
     # before it raises, so no term leaves the window and comes back into it.
-    win = shifts.fock.window(depth - 1)
+    win = fk.window(depth - 1)
     rhs, rhs_prev = linalg.opnorm(op), linalg.opnorm(op[win, win])
     gap = abs(rhs - rhs_prev)
     margin = max(1e-8, 10.0 * gap)

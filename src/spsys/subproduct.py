@@ -31,6 +31,10 @@ from spsys.ncpoly import IdealGens, NCPoly
 
 INCLUSION_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-12
+# Stage one of `_two_stage_null` keeps sqrt-eigenvalues up to this at least: a
+# Gram eigenvalue of 1e-12, far above the roundoff (about 1e-15) of a sum of
+# I - W†W terms whose exact value is zero.
+STAGE_ONE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,13 @@ class SubproductSystem:
     def kind(self) -> str:
         return self.provenance.get("kind", "fibers")
 
+    def letter_block_bytes(self) -> int:
+        """Bytes `letter_blocks` still has to allocate: 16·d·sum r_n r_{n-1}, or 0 once cached."""
+        if "letter_blocks" in vars(self):
+            return 0
+        dims = self.dims()
+        return 16 * self.d * sum(a * b for a, b in zip(dims, dims[1:]))
+
     @cached_property
     def letter_blocks(self) -> tuple[np.ndarray, ...]:
         """blocks[n][i] = F_n[i-th block of d^{n-1} rows]† F_{n-1}, shape r_n × r_{n-1}.
@@ -175,12 +186,18 @@ def _coordinate_letter_blocks(index: np.ndarray, prev: np.ndarray, d: int,
     """
     letter, tail = np.divmod(index, dn)
     out = np.zeros((d, index.size, prev.size), dtype=complex)
-    k = np.searchsorted(prev, tail)
-    hit = k < prev.size
-    hit[hit] = prev[k[hit]] == tail[hit]
+    k, hit = _positions(prev, tail)
     rows = np.flatnonzero(hit)
     out[letter[rows], rows, k[rows]] = 1.0
     return out
+
+
+def _positions(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each value would sit in the strictly increasing `index`, and whether it is there."""
+    k = np.searchsorted(index, values)
+    hit = k < index.size
+    hit[hit] = index[k[hit]] == values[hit]
+    return k, hit
 
 
 def _scalar_fiber() -> CoordinateSubspace:
@@ -206,7 +223,8 @@ def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
     smax = s[-1] if s.size else 0.0
     if smax == 0.0:
         return np.eye(m, dtype=complex)
-    loose = 1e-4 * smax
+    # the floor lets a Gram that is zero to roundoff pass every direction on
+    loose = max(1e-4 * smax, STAGE_ONE_FLOOR)
     cand = v[:, s <= loose]
     if cand.shape[1] == 0:
         return cand
@@ -426,12 +444,22 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
 
 
 def _pair_inclusion_residual(fibers, d: int, i: int, j: int) -> float:
-    """|| (I - P_i ⊗ P_j) frame_{i+j} ||."""
-    target = fibers[i + j]
+    """|| (I - P_i ⊗ P_j) frame_{i+j} ||.
+
+    Between coordinate fibers this is a set inclusion of word indices: the
+    unit vector of word w = (head, tail) lies in X(i) ⊗ X(j) when both halves
+    are kept and is orthogonal to it otherwise, so the residual is exactly 0
+    or 1. Other fibers go through their frames.
+    """
+    target, a, b = fibers[i + j], fibers[i], fibers[j]
     if target.dim == 0:
         return 0.0
+    if all(isinstance(f, CoordinateSubspace) for f in (target, a, b)):
+        head, tail = np.divmod(target.index, d**j)
+        kept = _positions(a.index, head)[1] & _positions(b.index, tail)[1]
+        return 0.0 if kept.all() else 1.0
     g = target.frame
-    proj = linalg.project_pair(fibers[i].frame, fibers[j].frame, g, d**i, d**j)
+    proj = linalg.project_pair(a.frame, b.frame, g, d**i, d**j)
     return linalg.opnorm(g - proj)
 
 

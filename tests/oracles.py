@@ -2,7 +2,9 @@
 
 Each enumerates what the package computes another way, so it stays out of
 `src/`: the placements of generators in an ideal component, the shift by a
-whole fiber vector assembled from dense frames, the Gram ranks behind the
+whole fiber vector assembled from dense frames, the dense total × total
+forms of the shift-side checks that the package runs level by level, the
+pair inclusions on dense frames, the Gram ranks behind the
 strong-commutation support counts, and the maps over all d^n words behind
 the maximal piece and the complement residuals.
 """
@@ -11,8 +13,8 @@ import numpy as np
 
 from spsys import linalg
 from spsys.cpmaps import NONZERO_TOL, StochasticMatrix
-from spsys.fock import ShiftSet
-from spsys.ncpoly import IdealGens
+from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
+from spsys.ncpoly import IdealGens, NCPoly
 
 
 def homogeneous_component(gens: IdealGens, n: int) -> list[np.ndarray]:
@@ -64,6 +66,106 @@ def shift_of_vector(shifts: ShiftSet, xi: np.ndarray, n: int) -> np.ndarray:
         )
         block = t1.T @ fm
         out[fock.level_slice(m + n), fock.level_slice(m)] = block
+    return out
+
+
+def of_word(shifts: ShiftSet, word) -> np.ndarray:
+    """S^w = S_{w_1} ... S_{w_k} (identity for the empty word)."""
+    out = np.eye(shifts.fock.total_dim, dtype=complex)
+    for a in word:
+        out = out @ shifts.matrices[a - 1]
+    return out
+
+
+def particle_projection(fock: TruncatedFock, below: int) -> np.ndarray:
+    """Projection onto levels 0..below-1."""
+    p = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
+    cut = fock.offsets[min(below, fock.depth + 1)]
+    p[:cut, :cut] = np.eye(cut)
+    return p
+
+
+def dense_defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:
+    """I - sum_{|w|=k} S^w S^{w*}, built by the recursion A_k = sum_i S_i A_{k-1} S_i^†."""
+    total = shifts.fock.total_dim
+    acc = np.eye(total, dtype=complex)
+    for _ in range(k):
+        acc = sum(s @ acc @ s.conj().T for s in shifts.matrices)
+    return np.eye(total) - acc
+
+
+def dense_defect_residual(shifts: ShiftSet, k: int) -> float:
+    """||D_k - P_{<k}|| on the window of levels 0..depth-k, on dense matrices."""
+    win = shifts.fock.window(shifts.fock.depth - k)
+    dk = dense_defect_projection(shifts, k)[win, win]
+    return linalg.opnorm(dk - particle_projection(shifts.fock, k)[win, win])
+
+
+def dense_subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
+    """Orthogonality, per-letter range identities and completeness on dense matrices."""
+    fock = shifts.fock
+    spec = fock.system.provenance["spec"]
+    d, n_depth, k = fock.system.d, fock.depth, spec.step
+    ortho = 0.0
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                ortho = max(ortho, linalg.opnorm(
+                    shifts.matrices[i].conj().T @ shifts.matrices[j]))
+    per_letter = []
+    win = fock.window(max(n_depth - k - 1, 0))
+    low = particle_projection(fock, k)
+    for i in range(1, d + 1):
+        si = shifts.matrices[i - 1]
+        followers = spec.followers(i, k)
+        acc = np.zeros_like(si)
+        for a in followers:
+            sa = of_word(shifts, a)
+            acc += sa @ sa.conj().T
+        diff = (si.conj().T @ si - acc)[win, win]
+        sing = np.linalg.svd(diff, compute_uv=False) if diff.size else np.array([])
+        per_letter.append({
+            "letter": i,
+            "followers": len(followers),
+            "rank": int(np.sum(sing > tol)),
+            "support_residual": linalg.opnorm(diff - low[win, win] @ diff @ low[win, win]),
+        })
+    return {"orthogonality": ortho, "per_letter": per_letter,
+            "completeness_residual": dense_defect_residual(shifts, 1)}
+
+
+def dense_annihilation_residual(shifts: ShiftSet, p: NCPoly) -> float:
+    """||p(S) Ω|| from the dense shift matrices."""
+    return float(np.linalg.norm(p.eval_on_tuple(shifts.matrices) @ shifts.fock.vacuum()))
+
+
+def _tensor_eye(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(op ⊗ I) x, for x whose row index is (column of op, inner index)."""
+    return (op @ x.reshape(op.shape[1], -1)).reshape(-1, x.shape[1])
+
+
+def dense_poisson_value(kernel, alpha, beta) -> np.ndarray:
+    """K† (S^a S^{b†} ⊗ I) K from the dense shift matrices."""
+    shifts = kernel.shifts()
+    op = of_word(shifts, alpha) @ of_word(shifts, beta).conj().T
+    return kernel.matrix.conj().T @ _tensor_eye(op, kernel.matrix)
+
+
+def dense_model_residuals(kernel, w) -> list[float]:
+    """||(S_i† ⊗ I) K - K W_i†|| for each letter, from the dense shift matrices."""
+    shifts, k = kernel.shifts(), kernel.matrix
+    return [linalg.opnorm(_tensor_eye(s.conj().T, k) - k @ wi.conj().T)
+            for s, wi in zip(shifts.matrices, w.matrices)]
+
+
+def dense_axiom_residuals(system) -> dict:
+    """|| (I - P_i ⊗ P_j) F_{i+j} || for every split, by pair projections of the frames."""
+    d, fibers, out = system.d, system.fibers, {}
+    for total in range(2, system.depth + 1):
+        for i in range(1, total):
+            j, g = total - i, fibers[total].frame
+            proj = linalg.project_pair(fibers[i].frame, fibers[j].frame, g, d**i, d**j)
+            out[(i, j)] = linalg.opnorm(g - proj) if g.shape[1] else 0.0
     return out
 
 

@@ -23,7 +23,7 @@ from conftest import (
     random_commuting_stochastic_pair,
     random_homogeneous_poly,
 )
-from oracles import gram_dim_oracle
+from oracles import gram_dim_oracle, particle_projection
 from test_subproduct import brute_legal_words
 
 
@@ -86,7 +86,7 @@ def test_04_shift_defects_are_particle_projections(
         for k in (2, 3):
             dk = fock.defect_projection(sh, k)
             wk = f.window(6 - k)
-            low = f.particle_projection(k)
+            low = particle_projection(f, k)
             assert linalg.opnorm(dk[wk, wk] - low[wk, wk]) <= 1e-10
 
 

@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spsys import fock, linalg, ncpoly, subproduct
+from spsys import fock, linalg, ncpoly, reps, subproduct
+from spsys.linalg import MemoryBudgetError
 from spsys.ncpoly import NCPoly
 from spsys.subproduct import SubshiftSpec
 
-from conftest import random_homogeneous_poly
-from oracles import shift_of_vector
+from conftest import random_homogeneous_poly, random_row_contraction
+from oracles import (
+    dense_annihilation_residual, dense_axiom_residuals, dense_defect_projection,
+    dense_defect_residual, dense_model_residuals, dense_poisson_value,
+    dense_subshift_relations, of_word, particle_projection, shift_of_vector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +101,11 @@ def test_vacuum_only_survives_adjoint_words(golden_shifts):
     f = golden_shifts.fock
     omega = f.vacuum()
     for alpha in [(1,), (2,), (1, 2)]:
-        sa = golden_shifts.of_word(alpha)
+        sa = of_word(golden_shifts, alpha)
         assert np.linalg.norm(sa.conj().T @ omega) < 1e-14
         val = omega.conj() @ (sa @ sa.conj().T @ omega)
         assert abs(val) < 1e-14
-    assert golden_shifts.of_word(()).shape == (f.total_dim, f.total_dim)
+    assert of_word(golden_shifts, ()).shape == (f.total_dim, f.total_dim)
 
 
 def test_graded_element_keeps_vector_norm(golden_6, golden_shifts):
@@ -145,7 +152,7 @@ def test_higher_defects_are_low_particle_projections(golden_shifts):
     for k in (2, 3):
         defect = fock.defect_projection(golden_shifts, k)
         win = f.window(f.depth - k)
-        low = f.particle_projection(k)
+        low = particle_projection(f, k)
         assert linalg.opnorm(defect[win, win] - low[win, win]) < 1e-10
         # levels 0..k-1 sit inside the window, so the whole projection shows
         assert int(round(np.trace(defect[win, win]).real)) == int(low_dims[k - 1])
@@ -214,3 +221,153 @@ def test_export_shifts_writes_consistent_files(tmp_path, golden_shifts):
     for i in (1, 2):
         m = formats.decode_matrix(formats.load_json(tmp_path / f"shift_{i}.json"))
         assert np.allclose(m, golden_shifts.matrices[i - 1])
+
+
+# ---------------------------------------------------------------------------
+# level-local checks against their dense total x total forms
+
+D3_FORBIDDEN = ((1, 1), (2, 3), (3, 2, 1))
+Q3 = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
+
+
+def _relabel(words, perm):
+    return tuple(tuple(perm[a - 1] for a in w) for w in words)
+
+
+ORACLE_SYSTEMS = {
+    **{f"golden-{n}": (lambda n=n: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), n))
+       for n in range(4, 10)},
+    "d3-5": lambda: subproduct.from_subshift(SubshiftSpec(3, D3_FORBIDDEN), 5),
+    "d3-relabeled-5": lambda: subproduct.from_subshift(
+        SubshiftSpec(3, _relabel(D3_FORBIDDEN, (2, 3, 1))), 5),
+    "full-subshift-5": lambda: subproduct.from_subshift(SubshiftSpec(2, ()), 5),
+    "full-5": lambda: subproduct.from_full(2, 5),
+    "commutator2-6": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
+    "commutator3-5": lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 5),
+    "qmatrix3-5": lambda: subproduct.from_qmatrix(Q3, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_level_local_checks_match_dense_oracles(name):
+    system = ORACLE_SYSTEMS[name]()
+    d, depth = system.d, system.depth
+    sh = fock.build_shifts(fock.build_fock(system))
+    for k in range(1, 4):
+        assert np.max(np.abs(fock.defect_projection(sh, k)
+                             - dense_defect_projection(sh, k))) <= 1e-12
+        assert abs(fock.defect_residual(sh, k) - dense_defect_residual(sh, k)) <= 1e-12
+
+    rng = np.random.default_rng(11)
+    for deg in range(1, min(depth, 4) + 1):
+        p = random_homogeneous_poly(rng, d, deg)
+        assert abs(fock.annihilation_check(sh, p)["residual"]
+                   - dense_annihilation_residual(sh, p)) <= 1e-12
+
+    axioms = subproduct.verify_axioms(system)["residuals"]
+    dense = dense_axiom_residuals(system)
+    assert axioms.keys() == dense.keys()
+    assert all(abs(axioms[s] - dense[s]) <= 1e-12 for s in dense)
+
+    if system.kind == "subshift":
+        rel, oracle = fock.subshift_relations(sh), dense_subshift_relations(sh)
+        assert abs(rel["orthogonality"] - oracle["orthogonality"]) <= 1e-12
+        assert abs(rel["completeness_residual"] - oracle["completeness_residual"]) <= 1e-12
+        for got, want in zip(rel["per_letter"], oracle["per_letter"], strict=True):
+            assert got["rank"] == want["rank"]
+            assert got["followers"] == want["followers"]
+            assert abs(got["support_residual"] - want["support_residual"]) <= 1e-12
+
+    rep = random_row_contraction(rng, d, 3, 0.7)
+    kernel = reps.PoissonKernel(system, rep, 0.9)
+    words = [((), ()), ((1,), (d,)), ((d, 1), (2,)), ((1, 2, 1), (2, 2))]
+    for alpha, beta in words:
+        value = reps.poisson_transform(kernel, alpha, beta)["value"]
+        assert np.max(np.abs(value - dense_poisson_value(kernel, alpha, beta))) <= 1e-12
+    model = reps.model_intertwining_check(system, rep, 0.8)
+    oracle = dense_model_residuals(reps.PoissonKernel(system, rep.scaled(1 / 0.8), 1.0),
+                                   rep.scaled(1 / 0.8))
+    assert np.allclose(model["residuals"], oracle, rtol=0, atol=1e-12)
+
+
+def test_coordinate_checks_build_no_dense_shift_or_frame(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense object built")
+
+    monkeypatch.setattr(fock.ShiftSet, "matrices", property(refuse))
+    monkeypatch.setattr(linalg.CoordinateSubspace, "frame", property(refuse))
+    system = subproduct.from_subshift(SubshiftSpec(3, D3_FORBIDDEN), 5)
+    sh = fock.build_shifts(fock.build_fock(system))
+    assert fock.defect_projection(sh, 2).shape == (sh.fock.total_dim,) * 2
+    assert fock.defect_residual(sh, 2) == 0.0
+    assert fock.subshift_relations(sh)["ok"]
+    rng = np.random.default_rng(2)
+    assert fock.annihilation_check(sh, NCPoly.monomial(3, (2, 3)))["in_ideal"]
+    assert not fock.annihilation_check(sh, random_homogeneous_poly(rng, 3, 3))["in_ideal"]
+    rep = random_row_contraction(rng, 3, 4, 0.6)
+    kernel = reps.PoissonKernel(system, rep, 0.9)
+    assert reps.poisson_transform(kernel, (1, 2), (3,))["value"].shape == (4, 4)
+    assert len(reps.model_intertwining_check(system, rep, 0.7)["residuals"]) == 3
+    assert subproduct.verify_axioms(system)["max_residual"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# budgets of the dense shift views
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_shift_view_budget_bounds_the_traced_peak():
+    system = subproduct.from_ideal(ncpoly.commutator_gens(3), 7)
+    fk = fock.build_fock(system)
+    blocks = fock.build_shifts(fk).blocks  # the letter blocks are cached from here on
+    peak = _traced_peak(lambda: fock.build_shifts(fk).matrices)
+    refused = fock.build_shifts(fk, budget=peak - 1)
+
+    def refuse():
+        with pytest.raises(MemoryBudgetError, match="shift matrices"):
+            refused.matrices
+
+    assert _traced_peak(refuse) < peak // 100  # refused before anything is assembled
+    # the estimate is the arrays and a header allowance: within 2 KiB of the peak
+    accepted = fock.build_shifts(fk, budget=peak + 2048).matrices
+    for n in range(1, fk.depth + 1):
+        for s, b in zip(accepted, blocks[n]):
+            assert np.array_equal(s[fk.level_slice(n), fk.level_slice(n - 1)], b)
+
+
+def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10):
+    x = [NCPoly.monomial(3, (i,)) for i in (1, 2, 3)]
+    p, q = x[0] + x[1] * x[2], x[1] - x[0] * x[2]
+    rep = random_row_contraction(np.random.default_rng(4), 3, 3, 0.5)
+
+    def run(budget):
+        return reps.vn_inequality_check(symmetric3_10, rep, p, q, depth=8, budget=budget)
+
+    symmetric3_10.letter_blocks
+    peak = _traced_peak(lambda: run(None))
+
+    def refuse():
+        with pytest.raises(MemoryBudgetError, match="vN shift operators"):
+            run(peak - 1)
+
+    assert _traced_peak(refuse) < peak // 100  # refused before anything is allocated
+    # the estimate is within 10% of the peak here
+    assert run(int(1.1 * peak))["verdict"] in ("pass", "inconclusive")
+
+
+def test_kernel_passes_its_budget_to_the_shifts(golden_7):
+    rep = random_row_contraction(np.random.default_rng(6), 2, 3, 0.6)
+    kernel = reps.PoissonKernel(golden_7, rep, 0.9, budget=1 << 10)
+    with pytest.raises(MemoryBudgetError, match="shift matrices"):
+        kernel.shifts().matrices
+    # the transform works on the letter blocks, so the small budget does not stop it
+    free = reps.PoissonKernel(golden_7, rep, 0.9)
+    assert np.array_equal(reps.poisson_transform(kernel, (1,), (2,))["value"],
+                          reps.poisson_transform(free, (1,), (2,))["value"])

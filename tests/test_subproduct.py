@@ -9,7 +9,7 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import MemoryBudgetError, SubshiftSpec
 
 from conftest import random_homogeneous_poly
-from oracles import homogeneous_component
+from oracles import dense_axiom_residuals, homogeneous_component
 
 
 def brute_legal_words(d, forbidden, n):
@@ -383,6 +383,38 @@ def test_axioms_hold_on_every_route(symmetric2_6, golden_6, full2_6):
         rep = subproduct.verify_axioms(sys_)
         assert rep["ok"]
         assert rep["max_residual"] < 1e-9
+
+
+def test_coordinate_axioms_are_index_inclusions_equal_to_the_dense_oracle():
+    # X(2) = span{e2 ⊗ e2} is not inside X(1) ⊗ X(1) = span{e1 ⊗ e1}
+    fibers = (linalg.CoordinateSubspace(1, [0]), linalg.CoordinateSubspace(2, [0]),
+              linalg.CoordinateSubspace(4, [ncpoly.word_index((2, 2), 2)]))
+    broken = subproduct.SubproductSystem(2, 2, fibers)
+    rep = subproduct.verify_axioms(broken)
+    assert all("frame" not in vars(f) for f in fibers)  # decided on the indices
+    assert rep["residuals"] == {(1, 1): 1.0} == dense_axiom_residuals(broken)
+    assert not rep["ok"]
+
+
+def test_mixed_coordinate_and_dense_fibers_take_the_dense_route():
+    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))
+    mixed = subproduct.SubproductSystem(
+        2, 2, (linalg.CoordinateSubspace(1, [0]), linalg.full_space(2), level2))
+    rep = subproduct.verify_axioms(mixed)
+    assert rep["ok"]
+    assert rep["residuals"] == dense_axiom_residuals(mixed)
+    assert "frame" in vars(mixed.fiber(1))  # the coordinate level-1 frame was built
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_maximal_completion_of_a_generic_level_one_keeps_every_level(kind, seed):
+    # every pair constraint is zero to roundoff here, so nothing may be dropped
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(3, 2))
+    if kind == "complex":
+        m = m + 1j * rng.normal(size=(3, 2))
+    assert subproduct.maximal_with_fibers(3, [linalg.span(m)], 4).dims() == [1, 2, 4, 8, 16]
 
 
 def test_recovered_ideal_level_two_of_symmetric(symmetric2_6):

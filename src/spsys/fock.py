@@ -194,7 +194,10 @@ def annihilation_check(shifts: ShiftSet, p: NCPoly, tol: float = 1e-9) -> dict:
 
 
 def _follower_sum(up: tuple, followers: list, n: int) -> np.ndarray:
-    """sum_a S^a S^{a†} on level n >= |a|: S^a from level n-|a| is B_{n,a_1} ... B_{n-|a|+1,a_|a|}."""
+    """sum_a S^a S^{a†} on level n >= |a|.
+
+    S^a from level n-|a| to level n is B_{n,a_1} ... B_{n-|a|+1,a_|a|}.
+    """
     dim = up[n].shape[2]
     acc = np.zeros((dim, dim), dtype=complex)
     for a in followers:
@@ -287,10 +290,11 @@ def export_shifts(shifts: ShiftSet, out_dir) -> list:
 
     from spsys import formats
 
+    mats = shifts.matrices  # the budget check comes before anything is written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, s in enumerate(shifts.matrices, start=1):
+    for i, s in enumerate(mats, start=1):
         path = out / f"shift_{i}.json"
         formats.dump_json(formats.encode_matrix(s), path)
         written.append(path)

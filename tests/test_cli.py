@@ -108,6 +108,21 @@ def test_shift_exports_matrices(capsys, tmp_path, golden_spec):
     assert m.shape == (sum(meta["dims"]),) * 2
 
 
+def test_verify_fits_a_budget_below_the_dense_shifts(capsys, tmp_path):
+    # golden depth 12: the two dense shifts need 31 MiB, the letter blocks 2 MiB
+    spec = tmp_path / "golden12.json"
+    formats.dump_json({"kind": "subshift", "d": 2, "depth": 12, "forbidden": [[2, 2]]}, spec)
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "16",
+                           "--checks", "axioms,defect,subshift")
+    assert code == 0
+    assert all(c["residual"] == 0.0 for c in json.loads(out)["checks"])
+    out_dir = tmp_path / "shifts"
+    code, _, err = run_cli(capsys, "shift", "--spec", str(spec), "--budget-mb", "16",
+                           "--out", str(out_dir))
+    assert code == 3 and "shift matrices" in err
+    assert not out_dir.exists()  # refused before anything is written
+
+
 def test_check_rep_pass_and_fail(capsys, tmp_path, commuting_spec, rep_file):
     code, out, _ = run_cli(
         capsys, "check-rep", "--spec", commuting_spec, "--rep", rep_file)

@@ -186,11 +186,11 @@ class PoissonKernel:
     Δ(W) = I - sum_i W_i W_i†. For a representation with row norm below 1/r
     this is an isometry up to a geometric tail in the truncation depth. At
     r = 1 the row norm must lie below 1 - ROW_NORM_SLACK, since at row norm 1
-    the tail does not shrink. `budget` bounds the shifts' dense view.
+    the tail does not shrink.
     """
 
     def __init__(self, system: SubproductSystem, rep: RepTuple, r: float,
-                 depth: Optional[int] = None, budget: Optional[int] = None):
+                 depth: Optional[int] = None):
         if rep.d != system.d:
             raise ValueError("tuple size does not match the system")
         if not 0 < r <= 1:
@@ -212,7 +212,6 @@ class PoissonKernel:
         self.delta_sqrt = linalg.psd_sqrt(delta, clamp=EIG_CLAMP)
         tildes = np.hstack(rep_tildes(system, scaled, self.depth))
         self.matrix = (self.delta_sqrt @ tildes.conj().T.reshape(-1, h, h)).reshape(-1, h)
-        self.budget = budget
         self._shifts = None
 
     @property
@@ -222,7 +221,7 @@ class PoissonKernel:
     def shifts(self) -> fock_mod.ShiftSet:
         if self._shifts is None:
             fk = fock_mod.build_fock(self.system, self.depth)
-            self._shifts = fock_mod.build_shifts(fk, self.budget)
+            self._shifts = fock_mod.build_shifts(fk)
         return self._shifts
 
     def levels(self) -> list[np.ndarray]:
@@ -326,8 +325,7 @@ def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
 
 def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
                         p: NCPoly, q: NCPoly,
-                        depth: Optional[int] = None,
-                        budget: Optional[int] = None) -> dict:
+                        depth: Optional[int] = None) -> dict:
     """Compare ||p(T) q(T)†|| against the same expression in the shifts.
 
     The truncated shift norm increases with the depth toward its limit, so
@@ -336,7 +334,7 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     from one depth lower): well above it is a failure, within a few gaps of
     it the truncation is still moving and the comparison is inconclusive.
     This check needs the dense shifts: one estimate of everything it holds is
-    checked against `budget` before anything is allocated.
+    checked against the default budget before anything is allocated.
     """
     depth = system.depth if depth is None else depth
     if depth < 2:
@@ -351,9 +349,9 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     # the next one (or p(S), q(S), a conjugate and their product); then the
     # operator norm's copy of the window; and 16 KiB of headers and small arrays.
     words = (system.d + 4) * total**2 + below**2
-    check_budget(16 * words + system.letter_block_bytes() + (16 << 10), budget,
+    check_budget(16 * words + system.letter_block_bytes() + (16 << 10), None,
                  f"vN shift operators on {total} Fock dimensions")
-    mats = fock_mod.build_shifts(fk, budget).matrices
+    mats = fock_mod.build_shifts(fk).matrices
     op = p.eval_on_tuple(mats) @ q.eval_on_tuple(mats).conj().T
     # Depth - 1 is the window onto levels 0..depth-1: each S^a S^{b†} lowers
     # before it raises, so no term leaves the window and comes back into it.

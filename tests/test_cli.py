@@ -109,7 +109,7 @@ def test_shift_exports_matrices(capsys, tmp_path, golden_spec):
 
 
 def test_verify_fits_a_budget_below_the_dense_shifts(capsys, tmp_path):
-    # golden depth 12: the two dense shifts need 31 MiB, the letter blocks 2 MiB
+    # golden depth 12: the two dense shifts need 30 MiB, the letter blocks 2 MiB
     spec = tmp_path / "golden12.json"
     formats.dump_json({"kind": "subshift", "d": 2, "depth": 12, "forbidden": [[2, 2]]}, spec)
     code, out, _ = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "16",

@@ -342,32 +342,23 @@ def test_dense_shift_view_budget_bounds_the_traced_peak():
             assert np.array_equal(s[fk.level_slice(n), fk.level_slice(n - 1)], b)
 
 
-def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10):
+def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10, monkeypatch):
     x = [NCPoly.monomial(3, (i,)) for i in (1, 2, 3)]
     p, q = x[0] + x[1] * x[2], x[1] - x[0] * x[2]
     rep = random_row_contraction(np.random.default_rng(4), 3, 3, 0.5)
 
-    def run(budget):
-        return reps.vn_inequality_check(symmetric3_10, rep, p, q, depth=8, budget=budget)
+    def run():
+        return reps.vn_inequality_check(symmetric3_10, rep, p, q, depth=8)
 
     symmetric3_10.letter_blocks
-    peak = _traced_peak(lambda: run(None))
+    peak = _traced_peak(run)
+    monkeypatch.setattr(linalg, "DEFAULT_BUDGET_BYTES", peak - 1)
 
     def refuse():
         with pytest.raises(MemoryBudgetError, match="vN shift operators"):
-            run(peak - 1)
+            run()
 
     assert _traced_peak(refuse) < peak // 100  # refused before anything is allocated
     # the estimate is within 10% of the peak here
-    assert run(int(1.1 * peak))["verdict"] in ("pass", "inconclusive")
-
-
-def test_kernel_passes_its_budget_to_the_shifts(golden_7):
-    rep = random_row_contraction(np.random.default_rng(6), 2, 3, 0.6)
-    kernel = reps.PoissonKernel(golden_7, rep, 0.9, budget=1 << 10)
-    with pytest.raises(MemoryBudgetError, match="shift matrices"):
-        kernel.shifts().matrices
-    # the transform works on the letter blocks, so the small budget does not stop it
-    free = reps.PoissonKernel(golden_7, rep, 0.9)
-    assert np.array_equal(reps.poisson_transform(kernel, (1,), (2,))["value"],
-                          reps.poisson_transform(free, (1,), (2,))["value"])
+    monkeypatch.setattr(linalg, "DEFAULT_BUDGET_BYTES", int(1.1 * peak))
+    assert run()["verdict"] in ("pass", "inconclusive")

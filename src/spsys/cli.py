@@ -117,7 +117,7 @@ def _build_system(args):
 
 def cmd_build(args) -> int:
     system, path = _build_system(args)
-    ax = subproduct.verify_axioms(system, tol=args.tol or 1e-9)
+    ax = subproduct.verify_axioms(system, tol=args.tol or 1e-9, budget=_budget_bytes(args))
     checks = [check("build-axioms", (0, system.depth), ax["max_residual"], ax["tol"])]
     extras = {"d": system.d, "depth": system.depth, "kind": system.kind,
               "dims": system.dims()}
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
 
     if "axioms" in wanted:
         tol = args.tol or 1e-9
-        ax = subproduct.verify_axioms(system, tol=tol)
+        ax = subproduct.verify_axioms(system, tol=tol, budget=_budget_bytes(args))
         checks.append(check("axioms", (0, n_depth), ax["max_residual"], tol))
     if "defect" in wanted:
         tol = args.tol or 1e-10

@@ -92,6 +92,11 @@ class ShiftSet:
                 m[fock.level_slice(n), fock.level_slice(n - 1)] = b
         return tuple(mats)
 
+    @cached_property
+    def _sums(self) -> list:
+        """A_1, A_2, ... as level blocks, filled by `_word_sums` as they are asked for."""
+        return []
+
     def row(self) -> np.ndarray:
         return np.hstack(self.matrices)
 
@@ -120,21 +125,29 @@ def build_shifts(fock: TruncatedFock, budget: Optional[int] = None) -> ShiftSet:
     return ShiftSet(fock, system.letter_blocks[:fock.depth + 1], budget)
 
 
-def _defect_blocks(shifts: ShiftSet, k: int) -> list[np.ndarray]:
-    """Level blocks of I - sum_{|w|=k} S^w S^{w†}.
+def _word_sums(shifts: ShiftSet, k: int) -> list[np.ndarray]:
+    """Level blocks of A_k = sum_{|w|=k} S^w S^{w†}, cached on the shift set.
 
-    The sum A_k is block-diagonal: A_0 = I and
-    A_k[n+1] = sum_i B_{n+1,i} A_{k-1}[n] B_{n+1,i}†, A_k[0] = 0.
+    A_k is block-diagonal: A_k[0] = 0, A_1[n+1] = sum_i B_{n+1,i} B_{n+1,i}† and
+    A_k[n+1] = sum_i B_{n+1,i} A_{k-1}[n] B_{n+1,i}†, so each A_k is one step on
+    the cached A_{k-1}, and a defect of every order is computed once per tuple.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dims = shifts.fock.level_dims()
-    acc = [np.eye(r, dtype=complex) for r in dims]
-    for _ in range(k):
-        acc = [np.zeros((1, 1), dtype=complex)] + [
-            (b @ a @ b.conj().transpose(0, 2, 1)).sum(axis=0)
-            for a, b in zip(acc, shifts.blocks[1:])]
-    return [np.eye(r) - a for r, a in zip(dims, acc)]
+    sums = shifts._sums
+    adj = [b.conj().transpose(0, 2, 1) for b in shifts.blocks[1:]] if len(sums) < k else []
+    while len(sums) < k:
+        if sums:
+            level = [(b @ a @ bh).sum(axis=0) for a, b, bh in zip(sums[-1], shifts.blocks[1:], adj)]
+        else:
+            level = [(b @ bh).sum(axis=0) for b, bh in zip(shifts.blocks[1:], adj)]
+        sums.append([np.zeros((1, 1), dtype=complex)] + level)
+    return sums[k - 1]
+
+
+def _defect_blocks(shifts: ShiftSet, k: int) -> list[np.ndarray]:
+    """Level blocks of I - sum_{|w|=k} S^w S^{w†}."""
+    return [np.eye(len(a)) - a for a in _word_sums(shifts, k)]
 
 
 def defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:

@@ -392,16 +392,20 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     # the V-independent rows R_1..R_N, compressed once to at most h rows
     base = np.linalg.qr(np.vstack(roots), mode="r")
     stack = np.vstack([base] + adjoints)  # the rows below base are rewritten at each step
-    current = linalg.full_space(h)
-    for iterations in range(1, h + 2):  # the dim drops at every step but the last
-        perp = np.eye(h) - linalg.projector(current)
+    # V = C^h at the first step, where every (I ⊗ P_V^⊥) T̃_n† row is zero
+    current, iterations = linalg.nullspace(base), 1
+    while current.dim not in (h, 0):  # the dim drops at every step but the last
+        # Q⊥ Q⊥† = P_V^⊥ for an orthonormal frame Q⊥ of V^⊥ (c columns), so the
+        # c-row blocks (I_{r_n} ⊗ Q⊥†) T̃_n† give the Gram of (I_{r_n} ⊗ P_V^⊥) T̃_n†
+        perp = linalg.complement(current).frame.conj().T
         start = base.shape[0]
-        for a in adjoints:  # (I_{r_n} ⊗ P_V^⊥) T̃_n†, n = 0 giving I - P_V
-            rows = slice(start, start + a.shape[0])
-            np.matmul(perp, a.reshape(-1, h, h), out=stack[rows].reshape(-1, h, h))
-            start += a.shape[0]
-        current, previous = linalg.nullspace(stack), current
-        if current.dim in (previous.dim, 0):
+        for a in adjoints:  # n = 0 gives Q⊥†, the rows of I - P_V
+            rows = slice(start, start + a.shape[0] // h * len(perp))
+            np.matmul(perp, a.reshape(-1, h, h), out=stack[rows].reshape(-1, len(perp), h))
+            start = rows.stop
+        current, previous = linalg.nullspace(stack[:start]), current
+        iterations += 1
+        if current.dim == previous.dim:
             break
     del stack  # before the residual's level-sized products
     residual = 0.0

@@ -454,7 +454,7 @@ def _pair_inclusion_residual(fibers, d: int, i: int, j: int) -> float:
     target, a, b = fibers[i + j], fibers[i], fibers[j]
     if target.dim == 0:
         return 0.0
-    if all(isinstance(f, CoordinateSubspace) for f in (target, a, b)):
+    if _coordinate_triple(target, a, b):
         head, tail = np.divmod(target.index, d**j)
         kept = _positions(a.index, head)[1] & _positions(b.index, tail)[1]
         return 0.0 if kept.all() else 1.0
@@ -463,15 +463,123 @@ def _pair_inclusion_residual(fibers, d: int, i: int, j: int) -> float:
     return linalg.opnorm(g - proj)
 
 
-def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
-    """Residuals of X(m+n) ⊆ X(m) ⊗ X(n) for every split of every level."""
-    residuals = {}
-    worst = 0.0
+def _coordinate_triple(*fibers) -> bool:
+    return all(isinstance(f, CoordinateSubspace) for f in fibers)
+
+
+def _is_core_chain(system: SubproductSystem) -> bool:
+    """Whether every fiber above level 0 is a core over the fiber before it."""
+    return all(isinstance(f, CoreSubspace) and f.prev is p
+               for p, f in zip(system.fibers, system.fibers[1:]))
+
+
+def _core_axiom_words(dims: list[int], d: int) -> int:
+    """Complex words `_core_axiom_residuals` holds at once, at its largest split.
+
+    For right leg n and left leg k: W_{k-1}; the products U and, next to them,
+    W_k and (Z_k ⊗ I) W_k; the stack of the previous root's products and the
+    complement rows, its QR copy, and the new root.
+    """
+    words = 0
+    for n in range(1, len(dims) - 1):
+        for k in range(1, len(dims) - n):
+            p, below, top = dims[k - 1] * dims[n], dims[n + k - 1], dims[n + k]
+            stack = d * (below + p) * top
+            words = max(words, p * below + 2 * d * p * top + dims[k] * dims[n] * top
+                        + 2 * stack + top * top)
+    return words
+
+
+def _core_axiom_residuals(system: SubproductSystem) -> dict:
+    """|| (I - P_k ⊗ P_n) F_{k+n} || for every split of a core chain, without a frame.
+
+    The letter-a_1 rows of F_{k+n} are those of F_{k+n-1} times Z_{k+n,a_1}, so
+    X(k+n) = (I_{d^k} ⊗ F_n) C_k with C_0 = I_{r_n} and the letter-a block of C_k
+    equal to C_{k-1} Z_{n+k,a}; as C_k already lies in C^{d^k} ⊗ X(n), the
+    residual is || ((I - P_k) ⊗ I_{r_n}) C_k ||. As X(k) ⊆ E ⊗ X(k-1), I - P_k is
+    I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1})(I - Z_k Z_k†)(I_d ⊗ F_{k-1})†, so a
+    root R_k of C_k† ((I - P_k) ⊗ I) C_k stacks the rows R_{k-1} Z_{n+k,a} on
+    U_a - (Z_{k,a} ⊗ I) W_k, where W_k = (F_k† ⊗ I) C_k = sum_a (Z_{k,a}† ⊗ I) U_a
+    and U_a = W_{k-1} Z_{n+k,a}; a QR keeps at most r_{n+k} rows. One pass over
+    k serves every split with right leg n, and nothing has d^n rows.
+    """
+    d, depth, dims = system.d, system.depth, system.dims()
+    cores = [None] + [f.letter_cores() for f in system.fibers[1:]]  # cores[m][a] = Z_{m,a}
+    out = {}
+    for n in range(1, depth):
+        rn = dims[n]
+        w = np.eye(rn, dtype=complex)  # W_0: rows (r_0, r_n)
+        root = np.zeros((0, rn), dtype=complex)
+        for k in range(1, depth - n + 1):
+            top = dims[n + k]
+            if top == 0:  # every higher level is zero too
+                out.update({(j, n): 0.0 for j in range(k, depth - n + 1)})
+                break
+            zk = cores[k].reshape(-1, dims[k])  # the stacked Z_k, rows (letter, r_{k-1})
+            # letter blocks U_a, as rows (a, r_{k-1}) and columns (r_n, r_{n+k})
+            u = (w @ cores[n + k]).reshape(-1, rn * top)
+            w = zk.conj().T @ u
+            u -= zk @ w
+            stack = np.vstack([(root @ cores[n + k]).reshape(-1, top), u.reshape(-1, top)])
+            root = np.linalg.qr(stack, mode="r")
+            w = w.reshape(-1, top)
+            out[(k, n)] = linalg.opnorm(root)
+    return out
+
+
+def _dense_axiom_bytes(system: SubproductSystem) -> int:
+    """Bytes the frame route of `verify_axioms` allocates at its largest split.
+
+    The lazy frames it reads that are not built yet (with the lower frames a
+    core frame builds on the way); then for one split, the larger of the pair
+    projection's coordinates and partial products, or its result, the
+    difference and the operator norm's copy of it; a coordinate split holds
+    a few index arrays instead.
+    """
+    d, fibers = system.d, system.fibers
+    read, work = [], 0
     for total in range(2, system.depth + 1):
         for i in range(1, total):
-            res = _pair_inclusion_residual(system.fibers, system.d, i, total - i)
-            residuals[(i, total - i)] = res
-            worst = max(worst, res)
+            a, b, g = fibers[i], fibers[total - i], fibers[total]
+            if not g.dim:
+                continue
+            if _coordinate_triple(g, a, b):
+                work = max(work, 48 * g.dim)
+                continue
+            read += [a, b, g]
+            ra, rb, da, db = a.dim, b.dim, d**i, d**(total - i)
+            work = max(work, 16 * g.dim * max(3 * da * db, ra * (db + rb),
+                                              rb * (ra + da) + da * db))
+    lazy = {}
+    for f in read:
+        while isinstance(f, (CoordinateSubspace, CoreSubspace)) and "frame" not in vars(f):
+            lazy[id(f)] = 16 * f.ambient_dim * f.dim
+            f = getattr(f, "prev", None)
+    return sum(lazy.values()) + work
+
+
+def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL,
+                  budget: Optional[int] = None) -> dict:
+    """Residuals of X(m+n) ⊆ X(m) ⊗ X(n) for every split of every level.
+
+    A core chain (ideal, q-matrix and quadratic systems) is decided on its
+    cores and coordinate fibers on their word indices; other fibers go
+    through their frames. One estimate of the whole check is held against
+    `budget` before anything is allocated.
+    """
+    splits = [(i, total - i) for total in range(2, system.depth + 1) for i in range(1, total)]
+    # the two residual dicts, their keys and values, and array headers
+    small = 256 * system.depth**2 + 4096
+    if _is_core_chain(system):
+        check_budget(16 * _core_axiom_words(system.dims(), system.d) + small, budget,
+                     f"axiom residuals on the cores up to level {system.depth}")
+        found = _core_axiom_residuals(system)
+    else:
+        check_budget(_dense_axiom_bytes(system) + small, budget,
+                     f"axiom residuals on the frames up to level {system.depth}")
+        found = {s: _pair_inclusion_residual(system.fibers, system.d, *s) for s in splits}
+    residuals = {s: found[s] for s in splits}
+    worst = max(residuals.values(), default=0.0)
     return {
         "residuals": residuals,
         "max_residual": worst,
@@ -502,17 +610,21 @@ def verify_unit(system: SubproductSystem, v: np.ndarray, tol: float = 1e-9) -> d
     """Check that v^{⊗n} survives every projection p_n.
 
     Tuples (v^{⊗n}) of that form are exactly the multiplicative units of the
-    system; the unit is unital iff ||v|| = 1.
+    system; the unit is unital iff ||v|| = 1. A core chain is checked on its
+    cores (`_core_unit_residuals`), other fibers on v^{⊗n} itself.
     """
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != system.d:
         raise ValueError("vector has wrong dimension")
-    residuals = []
-    w = np.ones(1, dtype=complex)
-    for n in range(1, system.depth + 1):
-        w = np.kron(w, v)
-        diff = w - linalg.project(system.fiber(n), w.reshape(-1, 1)).ravel()
-        residuals.append(float(np.linalg.norm(diff)))
+    if _is_core_chain(system):
+        residuals = _core_unit_residuals(system, v)
+    else:
+        residuals = []
+        w = np.ones(1, dtype=complex)
+        for n in range(1, system.depth + 1):
+            w = np.kron(w, v)
+            diff = w - linalg.project(system.fiber(n), w.reshape(-1, 1)).ravel()
+            residuals.append(float(np.linalg.norm(diff)))
     is_unit = all(r <= tol for r in residuals)
     norm_v = float(np.linalg.norm(v))
     return {
@@ -522,3 +634,23 @@ def verify_unit(system: SubproductSystem, v: np.ndarray, tol: float = 1e-9) -> d
         "unital": is_unit and abs(norm_v - 1.0) <= tol,
         "tol": tol,
     }
+
+
+def _core_unit_residuals(system: SubproductSystem, v: np.ndarray) -> list[float]:
+    """|| (I - P_n) v^{⊗n} || for n = 1..depth on a core chain, without a frame.
+
+    With c_n = F_n† v^{⊗n} = Z_n† (v ⊗ c_{n-1}), the split of I - P_n into
+    I_d ⊗ (I - P_{n-1}) and (I_d ⊗ F_{n-1})(I - Z_n Z_n†)(I_d ⊗ F_{n-1})† gives
+    res_n² = ||v||² res_{n-1}² + ||v ⊗ c_{n-1} - Z_n c_n||²: each part is the
+    norm of an unsquared difference.
+    """
+    scale = float(np.vdot(v, v).real)
+    c, square, out = np.ones(1, dtype=complex), 0.0, []
+    for f in system.fibers[1:]:
+        z = f.core.frame  # the stacked cores Z_n, rows (letter, r_{n-1})
+        u = np.outer(v, c).ravel()
+        c = z.conj().T @ u
+        rest = u - z @ c
+        square = scale * square + float(np.vdot(rest, rest).real)
+        out.append(float(np.sqrt(square)))
+    return out

@@ -4,7 +4,7 @@ Each enumerates what the package computes another way, so it stays out of
 `src/`: the placements of generators in an ideal component, the shift by a
 whole fiber vector assembled from dense frames, the dense total × total
 forms of the shift-side checks that the package runs level by level, the
-pair inclusions on dense frames, the Gram ranks behind the
+pair inclusions and unit residuals on dense frames, the Gram ranks behind the
 strong-commutation support counts, and the maps over all d^n words behind
 the maximal piece and the complement residuals.
 """
@@ -166,6 +166,17 @@ def dense_axiom_residuals(system) -> dict:
             j, g = total - i, fibers[total].frame
             proj = linalg.project_pair(fibers[i].frame, fibers[j].frame, g, d**i, d**j)
             out[(i, j)] = linalg.opnorm(g - proj) if g.shape[1] else 0.0
+    return out
+
+
+def dense_unit_residuals(system, v) -> list[float]:
+    """||(I - P_n) v^{⊗n}|| for n = 1..depth, projecting v^{⊗n} through each fiber's frame."""
+    v = np.asarray(v, dtype=complex).ravel()
+    w, out = np.ones(1, dtype=complex), []
+    for n in range(1, system.depth + 1):
+        w = np.kron(w, v)
+        f = system.fiber(n).frame
+        out.append(float(np.linalg.norm(w - f @ (f.conj().T @ w))))
     return out
 
 

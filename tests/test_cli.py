@@ -344,6 +344,42 @@ def test_dims_commutator_three_letters_depth_twelve_in_64_mib(capsys, tmp_path):
     assert out.split() == [str((n + 1) * (n + 2) // 2) for n in range(13)]
 
 
+def test_verify_ideal_axioms_and_units_on_cores_within_the_budget(capsys, tmp_path):
+    # d=3 commutator depth 12: the frames (the level-9 frame and the lower ones
+    # it builds need 17 MiB) do not fit in 16 MiB; the core check needs 13 MB
+    from spsys import ncpoly
+    spec = tmp_path / "commutator3.json"
+    formats.dump_json({"kind": "ideal", "d": 3, "depth": 12, "generators": [
+        formats.encode_poly(g) for g in ncpoly.commutator_gens(3).gens]}, spec)
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "16",
+                           "--checks", "axioms,unit")
+    assert code == 0
+    checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+    assert checks["axioms"]["residual"] <= 1e-12 and checks["unit"]["verdict"] == "pass"
+    # the build fits in 8 MiB, the axiom check's one estimate does not
+    code, out, err = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "8",
+                             "--checks", "axioms")
+    assert code == 3 and "axiom residuals" in err and out == ""
+
+
+def test_verify_runs_each_defect_recursion_once(capsys, golden_spec, monkeypatch):
+    # defect-k1, defect-k2 and the subshift completeness share A_1 = sum_i S_i S_i†
+    from spsys import fock
+    built, real = [], fock._word_sums
+
+    def spy(shifts, k):
+        before = len(shifts._sums)
+        out = real(shifts, k)
+        built.extend(range(before + 1, len(shifts._sums) + 1))
+        return out
+
+    monkeypatch.setattr(fock, "_word_sums", spy)
+    code, _, _ = run_cli(capsys, "verify", "--spec", golden_spec,
+                         "--checks", "axioms,defect,subshift")
+    assert code == 0
+    assert built == [1, 2]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -9,7 +9,7 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import MemoryBudgetError, SubshiftSpec
 
 from conftest import random_homogeneous_poly
-from oracles import dense_axiom_residuals, homogeneous_component
+from oracles import dense_axiom_residuals, dense_unit_residuals, homogeneous_component
 
 
 def brute_legal_words(d, forbidden, n):
@@ -404,6 +404,78 @@ def test_mixed_coordinate_and_dense_fibers_take_the_dense_route():
     assert rep["ok"]
     assert rep["residuals"] == dense_axiom_residuals(mixed)
     assert "frame" in vars(mixed.fiber(1))  # the coordinate level-1 frame was built
+
+
+def _perturbed_core_chain():
+    """The d=3 commutator chain at depth 6 with a random orthonormal level-3 core."""
+    system = subproduct.from_ideal(ncpoly.commutator_gens(3), 6)
+    rng = np.random.default_rng(5)
+    shape = system.fiber(3).core.frame.shape
+    fibers = list(system.fibers)
+    fibers[3] = linalg.CoreSubspace(3, fibers[2], linalg.span(
+        rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+    for n in range(4, 7):  # the same cores above, over the perturbed level
+        fibers[n] = linalg.CoreSubspace(3, fibers[n - 1], system.fiber(n).core)
+    return subproduct.SubproductSystem(3, 6, tuple(fibers))
+
+
+CORE_CHAINS = {
+    "commutator2-7": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 7),
+    "commutator3-6": lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 6),
+    "qmatrix3-7": lambda: subproduct.from_qmatrix(Q3, 7),
+    "quadratic-random-7": lambda: subproduct.from_quadratic(QUAD_RANDOM, 7),
+    "degree3-d3-5": lambda: subproduct.from_ideal(IdealGens(3, [random_homogeneous_poly(
+        np.random.default_rng(17), 3, 3)]), 5),
+    "degree1-5": lambda: subproduct.from_ideal(IdealGens(2, [NCPoly.monomial(2, (1,))]), 5),
+    "dead-4": lambda: subproduct.from_ideal(
+        IdealGens(2, [NCPoly.monomial(2, (1,)), NCPoly.monomial(2, (2,))]), 4),
+    "perturbed-core-6": _perturbed_core_chain,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CHAINS))
+def test_core_axioms_and_units_match_the_dense_oracles(case):
+    system = CORE_CHAINS[case]()
+    rng = np.random.default_rng(23)
+    vectors = [np.eye(system.d)[0], rng.normal(size=system.d) + 1j * rng.normal(size=system.d)]
+    rep = subproduct.verify_axioms(system)
+    units = [subproduct.verify_unit(system, v)["residuals"] for v in vectors]
+    assert all("frame" not in vars(f) for f in system.fibers[1:])  # decided on the cores
+    ref = dense_axiom_residuals(system)
+    assert list(rep["residuals"]) == list(ref)
+    assert max(abs(rep["residuals"][s] - ref[s]) for s in ref) <= 1e-12
+    for v, got in zip(vectors, units):
+        assert np.allclose(got, dense_unit_residuals(system, v), rtol=0, atol=1e-12)
+    # the perturbed level-3 core breaks X(3) ⊆ X(1) ⊗ X(2) and every level above
+    assert rep["ok"] == (case != "perturbed-core-6")
+    if case == "perturbed-core-6":
+        assert rep["max_residual"] > 0.5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 12),
+    lambda: subproduct.from_qmatrix(Q3, 7),
+    lambda: subproduct.maximal_with_fibers(2, [linalg.full_space(2), linalg.complement(
+        linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))], 9),
+], ids=["commutator3-12", "qmatrix3-7", "symmetric-fibers-9"])
+def test_axiom_budget_bounds_the_traced_peak(build):
+    system = build()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        subproduct.verify_axioms(system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(MemoryBudgetError, match="axiom residuals"):
+            subproduct.verify_axioms(system, budget=peak - 1)
+        refused = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert refused < 16 << 10  # refused before anything level-sized is allocated
+    assert subproduct.verify_axioms(system, budget=2 * peak)["ok"]
+    assert all("frame" not in vars(f) for f in system.fibers[1:]
+               if isinstance(f, linalg.CoreSubspace))
 
 
 @pytest.mark.parametrize("seed", range(8))

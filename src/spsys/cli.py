@@ -264,7 +264,8 @@ def cmd_poisson(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = args.tol or 1e-9
-    kernel = reps.poisson_kernel(system, rep, args.r, depth=args.depth)
+    kernel = reps.poisson_kernel(system, rep, args.r, depth=args.depth,
+                                 budget=_budget_bytes(args))
     defect = kernel.isometry_defect()
     bound = kernel.tail_bound()
     checks = [check("kernel-isometry", (0, kernel.depth), defect, bound + tol)]

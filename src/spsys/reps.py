@@ -13,8 +13,13 @@ on X annihilates T. The dilation-side machinery lives here:
 * the discrete CP semigroup a -> T̃_n (I ⊗ a) T̃_n† induced by a
   representation.
 
-Everything is computed level-recursively through the system's letter
-blocks; no routine enumerates the d^n words of a level.
+Tildes, Poisson kernels and the roots behind the piece and the complement
+residuals come from one recursion per level: C^d ⊗ X(n-1) is split by the
+stacked core Z_n and its orthonormal complement C_n, read off the word
+indices on coordinate levels, the cores on core chains and the letter
+blocks only for frames built by hand. Poisson transforms and the model
+check go through the shift tuple's letter blocks. No routine enumerates
+the d^n words of a level.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from spsys import linalg
 from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly
-from spsys.subproduct import SubproductSystem
+from spsys.subproduct import SubproductSystem, _positions
 from spsys import fock as fock_mod
 
 REP_TOL = 1e-8
@@ -80,66 +85,143 @@ class RepTuple:
         return out
 
 
+def _block_bytes(system: SubproductSystem, depth: int) -> int:
+    """Letter-block bytes the recursion up to `depth` allocates: none unless a level reads them."""
+    if all(system.level_route(n) != "frames" for n in range(1, depth + 1)):
+        return 0
+    return system.letter_block_bytes()
+
+
+def _split(system: SubproductSystem, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z_n† and C_n†, as maps on the rows (letter, previous word) of C^d ⊗ X(n-1).
+
+    Z_n is the stacked core (d·r_{n-1} × r_n): the letter-i rows of F_n are
+    F_{n-1} Z_{n,i}. C_n is an orthonormal complement of Z_n, so [Z_n | C_n] is
+    unitary. On a coordinate level both are 0/1 columns, and each comes back as
+    the rows it picks: the (letter, previous word) pairs that are words of X(n),
+    and those that are not. Elsewhere both are matrices, and C_n comes from a
+    complete QR of the stacked core.
+    """
+    fib, prev = system.fibers[n], system.fibers[n - 1]
+    route = system.level_route(n)
+    if route == "coordinate":
+        letter, tail = np.divmod(fib.index, prev.ambient_dim)
+        k, hit = _positions(prev.index, tail)
+        if not hit.all():
+            raise ValueError(f"X({n}) is not inside E ⊗ X({n - 1})")
+        hits = letter * prev.dim + k
+        missed = np.ones(system.d * prev.dim, dtype=bool)
+        missed[hits] = False
+        return hits, np.flatnonzero(missed)
+    if route == "core":
+        zh = fib.core.frame.conj().T
+    else:  # B_{n,i} = Z_{n,i}†, side by side
+        zh = system.letter_blocks[n].transpose(1, 0, 2).reshape(fib.dim, -1)
+    # conj(Z_n) = Q R: the last columns of conj(Q) span C_n, so C_n† = Q[:, r_n:]^T
+    q = np.linalg.qr(zh.T, mode="complete")[0]
+    return zh, q[:, fib.dim:].T
+
+
+def _rows(op: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Apply a `_split` map to the rows of u: a gather for indices, else a product."""
+    return u[op] if op.dtype.kind == "i" else op @ u
+
+
+def _tilde_levels(system: SubproductSystem, rep: RepTuple, depth: int, roots: bool = False):
+    """Yield (T̃_n†, R_n) for n = 0..depth, holding only the level before.
+
+    T̃_n† is (r_n·h) × h, rows (word, v). One step per level: U_n = [T̃_{n-1}† T_i†]_i,
+    d GEMMs held as d·r_{n-1} rows (letter, previous word) of h·h, is split by
+    [Z_n | C_n] (`_split`). T̃_n† = (Z_n† ⊗ I_h) U_n, and the complement rows
+    (C_n† ⊗ I_h) U_n have the Gram U_n† ((I - Z_n Z_n†) ⊗ I_h) U_n. With `roots`,
+    R_n is the R factor of the rows R_{n-1} T_i† over the complement rows (at
+    most h × h, see `_complement_roots`); without, it is None.
+    """
+    h = rep.h
+    letters = np.stack([t.conj().T for t in rep.matrices])  # T_i†
+    adj, root = np.eye(h, dtype=complex), np.zeros((0, h), dtype=complex) if roots else None
+    yield adj, root
+    for n in range(1, depth + 1):
+        u = np.matmul(adj, letters).reshape(-1, h * h)
+        zh, ch = _split(system, n)
+        adj = _rows(zh, u).reshape(-1, h)
+        if roots:
+            root = np.linalg.qr(np.vstack([np.matmul(root, letters).reshape(-1, h),
+                                           _rows(ch, u).reshape(-1, h)]), mode="r")
+        del u  # not held while the caller works on the level
+        yield adj, root
+
+
+def _level_words(system: SubproductSystem, h: int, depth: int, roots: bool) -> int:
+    """Complex words one step of `_tilde_levels` holds at once, at its largest level.
+
+    The level before, U_n and the new T̃_n†; the split (a few index arrays, or
+    Z_n†, the complete-QR factor and its R); with `roots`, the complement
+    rows, the stack with the root products, and the QR copy of the stack.
+    """
+    d, dims, hh = system.d, system.dims(), h * h
+    words = 0
+    for n in range(1, depth + 1):
+        a, b = dims[n - 1], dims[n]
+        rows = d * a
+        if system.level_route(n) == "coordinate":
+            split = 3 * b + rows
+        else:
+            split = rows * (rows + 3 * b)
+        step = (a + rows + b) * hh + split
+        if roots:
+            step += 3 * (rows - b + d) * hh
+        words = max(words, step)
+    return words
+
+
 def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = None) -> list[np.ndarray]:
     """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..depth.
 
-    The letter-i rows of F_n are F_{n-1} B_{n,i}†, so
-    T̃_n = sum_i T_i T̃_{n-1} (B_{n,i}† ⊗ I_h), one matmul per letter, which
-    keeps the cost proportional to fiber dimensions.
+    The adjoints of `_tilde_levels`: T̃_n = U_n† (Z_n ⊗ I_h), with
+    U_n† = [T_i T̃_{n-1}]_i, so the cost follows the fiber dimensions.
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
     depth = system.depth if depth is None else depth
     if depth > system.depth:
         raise ValueError("depth exceeds the system depth")
-    h = rep.h
-    tildes = [np.eye(h, dtype=complex)]
-    for n in range(1, depth + 1):
-        prev = tildes[-1].reshape(h, -1, h)
-        # (B_{n,i}† ⊗ I_h) on the right is B_{n,i}* on the middle index
-        tildes.append(sum(t @ (b.conj() @ prev).reshape(h, -1)
-                          for t, b in zip(rep.matrices, system.letter_blocks[n])))
-    return tildes
+    return [np.ascontiguousarray(a.conj().T) for a, _ in _tilde_levels(system, rep, depth)]
 
 
 def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[int],
                       piece: bool) -> tuple[list, list]:
-    """The T̃_n† and roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†, n = 0..depth.
+    """With `piece` the T̃_n†, and the roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†.
 
-    W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is I_d ⊗ (I - P_{n-1}),
-    giving the rows R_{n-1} T_i†, plus (I_d ⊗ F_{n-1})(I - Z_n Z_n†)(I_d ⊗ F_{n-1})†
-    for the stacked cores Z_n, giving U_n† - (Z_n ⊗ I_h) T̃_n† with U_n = [T_i T̃_{n-1}]_i.
-    A QR keeps h rows per level: no singular value is squared, nothing has d^n rows.
-    One budget check, before anything is allocated, covers the whole call and,
-    with `piece`, the constraint stack and residual of `maximal_piece`.
+    n = 0..depth, and W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is
+    I_d ⊗ (I - P_{n-1}) plus (I_d ⊗ F_{n-1}) C_n C_n† (I_d ⊗ F_{n-1})†, C_n the
+    orthonormal complement of the stacked core Z_n. The first gives the rows
+    R_{n-1} T_i†, the second the (d·r_{n-1} - r_n)·h complement rows of
+    `_tilde_levels`. A QR keeps h rows per level: no singular value is squared,
+    nothing has d^n rows. One budget check, before anything is allocated,
+    covers the whole call and, with `piece`, the constraint stack and residual
+    of `maximal_piece`.
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
-    tildes, pairs = sum(dims) * hh, list(zip(dims, dims[1:]))  # pairs (r_{n-1}, r_n)
-    # Held at once next to the adjoints, the largest of: the tildes, and for a
-    # piece its constraint stack with the QR copy; three level-sized products
-    # (rep_tildes, the piece residual) and a conjugated letter block; the roots
-    # with a level's stack (d·(1 + r_{n-1})·h rows of h), its copy and a letter's
-    # products. Then a few h × h blocks, array headers, and the letter blocks.
-    level = max(2 * rep.d * (1 + a) * hh + a * (b + 2 * hh) for a, b in pairs)
-    words = tildes + max((1 + piece) * tildes, len(dims) * hh + level,
-                         3 * max(dims) * hh + max(a * b for a, b in pairs))
-    words += (len(dims) + 8) * hh + 64 * len(dims) + 1024
+    total = sum(dims) * hh  # the T̃_n†
+    level = _level_words(system, h, system.depth, roots=True)
+    if piece:
+        # next to the tildes: a recursion step; or the constraint stack (a copy
+        # of the tildes under h rows) with its QR copy; or the residual's
+        # level-sized products and the operator norm's copy
+        words = total + max(level, 2 * (total + hh), 4 * max(dims) * hh)
+    else:
+        words = level
+    # the roots, their stack and its QR copy, a few h × h blocks and array headers
+    words += 3 * len(dims) * hh + 8 * hh + 64 * len(dims) + 1024
     what = "piece constraints" if piece else "complement residuals"
-    check_budget(16 * words + system.letter_block_bytes(), budget,
+    check_budget(16 * words + _block_bytes(system, system.depth), budget,
                  f"{what} up to level {system.depth}")
-    adjoints = [np.ascontiguousarray(t.T) for t in rep_tildes(system, rep)]
-    for a in adjoints:
-        np.conjugate(a, out=a)  # in place, so each adjoint is one copy
-    adj_letters = [t.conj().T for t in rep.matrices]
-    roots = [np.zeros((0, h), dtype=complex)]
-    for n in range(1, len(adjoints)):
-        top = adjoints[n].reshape(-1, hh)
-        # Z_{n,i} = B_{n,i}†: (b.conj().T @ top) are the letter-i rows of (Z_n ⊗ I_h) T̃_n†
-        stack = np.vstack([roots[-1] @ t for t in adj_letters] + [
-            adjoints[n - 1] @ t - (b.conj().T @ top).reshape(-1, h)
-            for t, b in zip(adj_letters, system.letter_blocks[n])])
-        roots.append(np.linalg.qr(stack, mode="r"))
-        del stack
+    adjoints, roots = [], []
+    for adj, root in _tilde_levels(system, rep, system.depth, roots=True):
+        if piece:
+            adjoints.append(adj)
+        roots.append(root)
     return adjoints, roots
 
 
@@ -154,7 +236,8 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
     annihilating the generators annihilates the whole graded ideal, so for a
     contractive tuple this equals the residual over the full orthogonal
     complement of the fiber. Without generators the level-n residual is the
-    root's norm ||R_n|| = ||W_n (C_n ⊗ I_h)||, C_n any complement frame of X(n).
+    root's norm ||R_n|| = ||W_n (G_n ⊗ I_h)||, G_n any frame of the complement
+    of X(n).
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
@@ -190,7 +273,7 @@ class PoissonKernel:
     """
 
     def __init__(self, system: SubproductSystem, rep: RepTuple, r: float,
-                 depth: Optional[int] = None):
+                 depth: Optional[int] = None, budget: Optional[int] = None):
         if rep.d != system.d:
             raise ValueError("tuple size does not match the system")
         if not 0 < r <= 1:
@@ -199,19 +282,34 @@ class PoissonKernel:
             raise ValueError(f"row norm {rep.row_norm:.6f} exceeds 1")
         if r == 1 and rep.row_norm >= 1 - ROW_NORM_SLACK:
             raise ValueError("r = 1 requires row norm strictly below 1")
+        self.depth = system.depth if depth is None else depth
+        if self.depth > system.depth:
+            raise ValueError("depth exceeds the system depth")
+        h = rep.h
+        hh, rows = h * h, sum(system.dims()[:self.depth + 1])
+        # the kernel matrix, next to a step of the tilde recursion or to the
+        # conjugate copy isometry_defect takes; a few h × h blocks and headers
+        words = rows * hh + max(_level_words(system, h, self.depth, roots=False),
+                                rows * hh + hh) + 8 * hh + 64 * self.depth + 1024
+        check_budget(16 * words + _block_bytes(system, self.depth), budget,
+                     f"Poisson kernel up to level {self.depth}")
         self.system = system
         self.rep = rep
         self.r = float(r)
-        self.depth = system.depth if depth is None else depth
+        self.budget = budget
         scaled = rep.scaled(self.r)
         self.row_norm_w = min(scaled.row_norm, 1 - 1e-15)
-        h = rep.h
         delta = np.eye(h, dtype=complex)
         for w in scaled.matrices:
             delta -= w @ w.conj().T
         self.delta_sqrt = linalg.psd_sqrt(delta, clamp=EIG_CLAMP)
-        tildes = np.hstack(rep_tildes(system, scaled, self.depth))
-        self.matrix = (self.delta_sqrt @ tildes.conj().T.reshape(-1, h, h)).reshape(-1, h)
+        # level n is (I_{r_n} ⊗ Δ^{1/2}) T̃_n†, written in place level by level
+        self.matrix = np.empty((rows * h, h), dtype=complex)
+        start = 0
+        for adj, _ in _tilde_levels(system, scaled, self.depth):
+            block = self.matrix[start:start + adj.shape[0]]
+            np.matmul(self.delta_sqrt, adj.reshape(-1, h, h), out=block.reshape(-1, h, h))
+            start += adj.shape[0]
         self._shifts = None
 
     @property
@@ -221,7 +319,7 @@ class PoissonKernel:
     def shifts(self) -> fock_mod.ShiftSet:
         if self._shifts is None:
             fk = fock_mod.build_fock(self.system, self.depth)
-            self._shifts = fock_mod.build_shifts(fk)
+            self._shifts = fock_mod.build_shifts(fk, self.budget)
         return self._shifts
 
     def levels(self) -> list[np.ndarray]:
@@ -239,18 +337,20 @@ class PoissonKernel:
 
 
 def poisson_kernel(system: SubproductSystem, rep: RepTuple, r: float,
-                   depth: Optional[int] = None) -> PoissonKernel:
-    return PoissonKernel(system, rep, r, depth)
+                   depth: Optional[int] = None,
+                   budget: Optional[int] = None) -> PoissonKernel:
+    return PoissonKernel(system, rep, r, depth, budget)
 
 
 def _lower(blocks: tuple, levels: list, word) -> list:
     """(S^{w†} ⊗ I) on level blocks: S_i† takes level m+1 to level m through B_{m+1,i}†.
 
     S^{w†} = S_{w_k}† ... S_{w_1}† applies S_{w_1}† first; each letter drops
-    the top level.
+    the top level. B† x is taken as conj(B^T conj(x)), which conjugates the
+    level block (h·h columns) instead of the letter block.
     """
     for a in word:
-        levels = [blocks[m + 1][a - 1].conj().T @ x for m, x in enumerate(levels[1:])]
+        levels = [np.conj(blocks[m + 1][a - 1].T @ x.conj()) for m, x in enumerate(levels[1:])]
     return levels
 
 
@@ -410,7 +510,8 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     del stack  # before the residual's level-sized products
     residual = 0.0
     if current.dim:
-        q, perp = current.frame, np.eye(h) - linalg.projector(current)
+        # (I ⊗ Q⊥†) keeps the norm of (I ⊗ P_V^⊥) on c rows per block instead of h
+        q, perp = current.frame, linalg.complement(current).frame.conj().T
         for a, root in zip(adjoints[1:], roots[1:]):
             outside = (perp @ (a @ q).reshape(-1, h, q.shape[1])).reshape(-1, q.shape[1])
             residual = max(residual, linalg.opnorm(np.vstack([root @ q, outside])))

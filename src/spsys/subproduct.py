@@ -138,12 +138,32 @@ class SubproductSystem:
     def kind(self) -> str:
         return self.provenance.get("kind", "fibers")
 
+    def level_route(self, n: int) -> str:
+        """How level n sits over level n-1: "coordinate" (word indices on both),
+        "core" (a core over the fiber below) or "frames" (dense frames, which
+        only systems built from frames by hand have)."""
+        fib, prev = self.fibers[n], self.fibers[n - 1]
+        if _coordinate_triple(fib, prev):
+            return "coordinate"
+        if isinstance(fib, CoreSubspace) and fib.prev is prev:
+            return "core"
+        return "frames"
+
     def letter_block_bytes(self) -> int:
-        """Bytes `letter_blocks` still has to allocate: 16·d·sum r_n r_{n-1}, or 0 once cached."""
+        """Bytes `letter_blocks` still has to allocate, or 0 once cached.
+
+        The blocks, 16·d·sum r_n r_{n-1}; for the levels read from frames, the
+        frames not built yet, and the real-view product and its temporaries
+        at the largest such level (four times its blocks), with headers.
+        """
         if "letter_blocks" in vars(self):
             return 0
-        dims = self.dims()
-        return 16 * self.d * sum(a * b for a, b in zip(dims, dims[1:]))
+        dims, fibers = self.dims(), self.fibers
+        blocks = [16 * self.d * a * b for a, b in zip(dims, dims[1:])]
+        dense = [n for n in range(1, self.depth + 1) if self.level_route(n) == "frames"]
+        read = [f for n in dense for f in (fibers[n], fibers[n - 1])]
+        work = max((4 * blocks[n - 1] for n in dense), default=0)
+        return sum(blocks) + work + _unbuilt_frame_bytes(read) + 2048 * self.depth
 
     @cached_property
     def letter_blocks(self) -> tuple[np.ndarray, ...]:
@@ -151,8 +171,9 @@ class SubproductSystem:
 
         Since X(n) ⊆ E ⊗ X(n-1), the letter-i rows of F_n are F_{n-1} B_{n,i}†,
         so these d blocks per level (the left-orthonormal tensor-train cores)
-        carry everything shifts, tildes and kernels need: B_{n,i} is the
-        letter-i shift from level n-1 to level n. There is no level -1, so
+        carry everything shifts need: B_{n,i} is the letter-i shift from level
+        n-1 to level n. Tildes and Poisson kernels read them only on levels
+        held as frames (`reps._split`). There is no level -1, so
         blocks[0] has no columns. Between two coordinate fibers the blocks
         are read off the indices, and a core fiber over its predecessor gives
         them as its conjugate-transposed core; neither builds a frame.
@@ -162,10 +183,11 @@ class SubproductSystem:
         for n in range(1, self.depth + 1):
             fib, prev = self.fibers[n], self.fibers[n - 1]
             dn = d ** (n - 1)
-            if isinstance(fib, CoordinateSubspace) and isinstance(prev, CoordinateSubspace):
+            route = self.level_route(n)
+            if route == "coordinate":
                 blocks.append(_coordinate_letter_blocks(fib.index, prev.index, d, dn))
                 continue
-            if isinstance(fib, CoreSubspace) and fib.prev is prev:
+            if route == "core":
                 blocks.append(fib.letter_cores().conj().transpose(0, 2, 1))
                 continue
             # F_n[i-th block]† F_{n-1} through real views (re, im interleaved): no conjugate copy
@@ -469,8 +491,7 @@ def _coordinate_triple(*fibers) -> bool:
 
 def _is_core_chain(system: SubproductSystem) -> bool:
     """Whether every fiber above level 0 is a core over the fiber before it."""
-    return all(isinstance(f, CoreSubspace) and f.prev is p
-               for p, f in zip(system.fibers, system.fibers[1:]))
+    return all(system.level_route(n) == "core" for n in range(1, system.depth + 1))
 
 
 def _core_axiom_words(dims: list[int], d: int) -> int:
@@ -550,12 +571,17 @@ def _dense_axiom_bytes(system: SubproductSystem) -> int:
             ra, rb, da, db = a.dim, b.dim, d**i, d**(total - i)
             work = max(work, 16 * g.dim * max(3 * da * db, ra * (db + rb),
                                               rb * (ra + da) + da * db))
+    return _unbuilt_frame_bytes(read) + work
+
+
+def _unbuilt_frame_bytes(read: list) -> int:
+    """Bytes of the lazy frames of `read` not built yet, with the lower frames a core frame builds."""
     lazy = {}
     for f in read:
         while isinstance(f, (CoordinateSubspace, CoreSubspace)) and "frame" not in vars(f):
             lazy[id(f)] = 16 * f.ambient_dim * f.dim
             f = getattr(f, "prev", None)
-    return sum(lazy.values()) + work
+    return sum(lazy.values())
 
 
 def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL,

@@ -193,11 +193,47 @@ def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("tildes allocated before the budget check")
 
-    monkeypatch.setattr(reps, "rep_tildes", never)
+    monkeypatch.setattr(reps, "_tilde_levels", never)
     code, out, err = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
                              "--budget-mb", "3")
     assert code == 3
     assert "piece constraints" in err
+    assert "pass" not in out + err
+
+
+def _seeded_pair_file(tmp_path, h, seed=7):
+    """A seeded random pair on C^h scaled to row norm 0.9, as a rep file."""
+    from spsys import reps
+    rng = np.random.default_rng(seed)
+    mats = [rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)) for _ in range(2)]
+    scale = 0.9 / np.linalg.norm(np.hstack(mats), 2)
+    path = tmp_path / f"pair{h}.json"
+    formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(scale * m for m in mats))), path)
+    return str(path)
+
+
+def test_piece_golden_depth_sixteen_in_16_mib(capsys, tmp_path, golden_spec):
+    # the dense 0/1 letter blocks alone would need 204 MiB here; the word
+    # indices split every level, so the whole command fits 16 MiB
+    code, out, err = run_cli(capsys, "piece", "--spec", golden_spec, "--depth", "16",
+                             "--rep", _seeded_pair_file(tmp_path, 4), "--budget-mb", "16")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["checks"][0]["verdict"] == "pass"
+
+
+def test_poisson_budget_refuses_before_the_tildes(capsys, tmp_path, golden_spec, monkeypatch):
+    # golden depth 16 at h = 16: the kernel matrix alone is about 16 MiB
+    from spsys import reps
+
+    def never(*args, **kwargs):
+        raise AssertionError("tildes allocated before the budget check")
+
+    monkeypatch.setattr(reps, "_tilde_levels", never)
+    code, out, err = run_cli(capsys, "poisson", "--spec", golden_spec, "--depth", "16",
+                             "--rep", _seeded_pair_file(tmp_path, 16), "--budget-mb", "8")
+    assert code == 3
+    assert "Poisson kernel" in err
     assert "pass" not in out + err
 
 

@@ -61,9 +61,17 @@ def _tilde_test_systems(symmetric2_6, golden_6):
         (symmetric2_6, 3),
         (golden_6, 3),
         (subproduct.from_qmatrix(q, 4), 3),
+        # a coordinate level 1 under dense frames: the letter-block route
         (subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5), 3),
         (subproduct.from_ideal(ncpoly.commutator_gens(2), 4), 31),
         (subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5), 33),
+        # full-shift levels, where the complement C_n is empty
+        (subproduct.from_full(2, 4), 3),
+        (subproduct.from_subshift(SubshiftSpec(3, D3_FORBIDDEN), 4), 3),
+        # zero fibers: r_n = 0 over r_{n-1} > 0, then r_{n-1} = r_n = 0, on cores and indices
+        (_zero_fiber_case()[0], 3),
+        (subproduct.from_subshift(SubshiftSpec(2, ((1, 1), (1, 2), (2, 1), (2, 2))), 4), 3),
+        (subproduct.from_subshift(SubshiftSpec(2, ((1,), (2,))), 3), 3),
     ]
 
 
@@ -78,6 +86,16 @@ def test_rep_tildes_match_word_sum(symmetric2_6, golden_6):
             expected = maps[n] @ np.kron(system.fiber(n).frame, np.eye(h))
             assert tildes[n].shape == expected.shape
             assert np.max(np.abs(tildes[n] - expected), initial=0.0) <= 1e-12
+
+
+def test_tildes_refuse_a_coordinate_level_outside_the_one_below():
+    # X(2) = span{e2 ⊗ e2} does not lie in E ⊗ X(1) = E ⊗ span{e1}
+    fibers = (linalg.CoordinateSubspace(1, [0]), linalg.CoordinateSubspace(2, [0]),
+              linalg.CoordinateSubspace(4, [ncpoly.word_index((2, 2), 2)]))
+    broken = subproduct.SubproductSystem(2, 2, fibers)
+    rep = random_row_contraction(np.random.default_rng(26), 2, 3, 0.9)
+    with pytest.raises(ValueError, match=r"X\(2\) is not inside"):
+        reps.rep_tildes(broken, rep)
 
 
 def test_is_representation_accepts_commuting_pair(symmetric2_6):
@@ -197,6 +215,37 @@ def test_poisson_kernel_r_one_boundary_is_tolerant(symmetric2_6):
     edge = random_commuting_pair(rng, 3, 1 - 1e-12)
     with pytest.raises(ValueError, match="strictly below 1"):
         reps.poisson_kernel(symmetric2_6, edge, r=1.0)
+
+
+@pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12),
+                                     ("mixed", 2)])
+def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
+    # word indices, cores, and the letter blocks of frames built by hand, which
+    # the kernel builds and counts; isometry_defect runs inside the estimate
+    make = {"golden": lambda: _golden(9),
+            "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
+            "fibers": lambda: _symmetric_fibers_system(7),
+            "mixed": lambda: _golden_dense_top(11)}[kind]
+    rep = random_row_contraction(np.random.default_rng(25), 2, h, 0.9)
+
+    def run(budget=None):
+        system = make()  # fresh, so the blocks of every run are still to build
+        for n in range(system.depth + 1):
+            system.fiber(n).frame
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reps.PoissonKernel(system, rep, 0.9, budget=budget).isometry_defect()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ("letter_blocks" in vars(system)) == (kind in ("fibers", "mixed"))
+        return peak
+
+    peak = run()
+    with pytest.raises(subproduct.MemoryBudgetError, match="Poisson kernel"):
+        run(budget=peak - 1)
+    run(budget=2 * peak)
 
 
 def test_model_intertwining_r_at_row_norm_is_refused(symmetric2_6):
@@ -357,6 +406,9 @@ def _shift_tuple(d, depth):
     return RepTuple(tuple(sh.matrices))
 
 
+D3_FORBIDDEN = ((1, 1), (2, 3), (3, 2, 1))
+
+
 def _zero_fiber_case():
     gens = IdealGens(2, [NCPoly.monomial(2, (1,)), NCPoly.monomial(2, (2,))])
     t1 = np.array([[0, 1.0, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
@@ -386,6 +438,11 @@ PIECE_CASES = {
     "full3-3": lambda: (subproduct.from_full(3, 3), _shift_tuple(3, 2)),
     "full4-2": lambda: (subproduct.from_full(4, 2), _shift_tuple(4, 2)),
     "full2-1": lambda: (subproduct.from_full(2, 1), _shift_tuple(2, 4)),
+    "subshift3-3-conj": lambda: (subproduct.from_subshift(SubshiftSpec(3, D3_FORBIDDEN), 3),
+                                 conjugated_full_shift(3, seed=50, d=3)[0]),
+    "zero-level2-subshift": lambda: (
+        subproduct.from_subshift(SubshiftSpec(2, ((1, 1), (1, 2), (2, 1), (2, 2))), 4),
+        conjugated_full_shift(3, seed=51)[0]),
 }
 
 
@@ -407,7 +464,10 @@ def test_piece_and_complement_build_no_fiber_frame():
     for system in (_golden(4), subproduct.from_ideal(ncpoly.commutator_gens(2), 4)):
         reps.maximal_piece(system, rep)
         reps.is_representation(system, rep)
+        reps._complement_roots(system, rep, None, piece=False)  # the route subshifts skip
         assert all("frame" not in vars(f) for f in system.fibers)
+        # word indices and cores split the levels: no dense letter block is built
+        assert "letter_blocks" not in vars(system)
 
 
 def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
@@ -421,14 +481,39 @@ def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("tildes allocated before the budget check")
 
-    monkeypatch.setattr(reps, "rep_tildes", never)
+    monkeypatch.setattr(reps, "_tilde_levels", never)
     with pytest.raises(subproduct.MemoryBudgetError, match="piece constraints"):
         reps.maximal_piece(golden, rep, budget=3 << 20)
 
 
-@pytest.mark.parametrize("d, depth, h_depth", [(2, 5, 5), (3, 3, 2), (4, 2, 2), (2, 1, 4)])
-def test_maximal_piece_budget_bounds_the_traced_peak(d, depth, h_depth):
-    system = subproduct.from_full(d, depth)
+def _golden_dense_top(depth):
+    """Golden with its top fiber as a dense frame: that level reads the letter
+    blocks, which are then built, 0/1 and dense, for every level."""
+    fibers = _golden(depth).fibers
+    top = fibers[-1]
+    return subproduct.SubproductSystem(
+        2, depth, fibers[:-1] + (linalg.Subspace(top.ambient_dim, top.frame, top.tol_used),))
+
+
+BUILDERS = {
+    "full": subproduct.from_full,
+    "golden": lambda d, depth: _golden(depth),
+    "commutator": lambda d, depth: subproduct.from_ideal(ncpoly.commutator_gens(d), depth),
+    "mixed": lambda d, depth: _golden_dense_top(depth),
+}
+
+
+@pytest.mark.parametrize("kind, d, depth, h_depth", [
+    pytest.param("full", 2, 5, 5, id="2-5-5"),
+    pytest.param("full", 3, 3, 2, id="3-3-2"),
+    pytest.param("full", 4, 2, 2, id="4-2-2"),
+    pytest.param("full", 2, 1, 4, id="2-1-4"),
+    pytest.param("golden", 2, 9, 5, id="golden-9-5"),
+    pytest.param("commutator", 3, 4, 2, id="commutator3-4-2"),
+    pytest.param("mixed", 2, 11, 2, id="mixed-11-2"),
+])
+def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
+    system = BUILDERS[kind](d, depth)
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, h_depth), h_depth))
     rep = RepTuple(tuple(sh.matrices))
     tracemalloc.start()
@@ -438,9 +523,10 @@ def test_maximal_piece_budget_bounds_the_traced_peak(d, depth, h_depth):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # any budget the estimate accepts covers the measured peak
+    # any budget the estimate accepts covers the measured peak; a fresh system,
+    # as the call above cached the letter blocks of the mixed one
     with pytest.raises(subproduct.MemoryBudgetError):
-        reps.maximal_piece(system, rep, budget=peak - 1)
+        reps.maximal_piece(BUILDERS[kind](d, depth), rep, budget=peak - 1)
 
 
 def test_maximal_piece_of_genuine_representation_is_everything(symmetric2_6):

@@ -92,8 +92,9 @@ def _block_bytes(system: SubproductSystem, depth: int) -> int:
     return system.letter_block_bytes()
 
 
-def _split(system: SubproductSystem, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z_n† and C_n†, as maps on the rows (letter, previous word) of C^d ⊗ X(n-1).
+def _split(system: SubproductSystem, n: int, complement: bool) -> tuple:
+    """Z_n† and, with `complement`, C_n† (else None), as maps on the rows
+    (letter, previous word) of C^d ⊗ X(n-1).
 
     Z_n is the stacked core (d·r_{n-1} × r_n): the letter-i rows of F_n are
     F_{n-1} Z_{n,i}. C_n is an orthonormal complement of Z_n, so [Z_n | C_n] is
@@ -110,6 +111,8 @@ def _split(system: SubproductSystem, n: int) -> tuple[np.ndarray, np.ndarray]:
         if not hit.all():
             raise ValueError(f"X({n}) is not inside E ⊗ X({n - 1})")
         hits = letter * prev.dim + k
+        if not complement:
+            return hits, None
         missed = np.ones(system.d * prev.dim, dtype=bool)
         missed[hits] = False
         return hits, np.flatnonzero(missed)
@@ -117,6 +120,8 @@ def _split(system: SubproductSystem, n: int) -> tuple[np.ndarray, np.ndarray]:
         zh = fib.core.frame.conj().T
     else:  # B_{n,i} = Z_{n,i}†, side by side
         zh = system.letter_blocks[n].transpose(1, 0, 2).reshape(fib.dim, -1)
+    if not complement:
+        return zh, None
     # conj(Z_n) = Q R: the last columns of conj(Q) span C_n, so C_n† = Q[:, r_n:]^T
     q = np.linalg.qr(zh.T, mode="complete")[0]
     return zh, q[:, fib.dim:].T
@@ -143,7 +148,7 @@ def _tilde_levels(system: SubproductSystem, rep: RepTuple, depth: int, roots: bo
     yield adj, root
     for n in range(1, depth + 1):
         u = np.matmul(adj, letters).reshape(-1, h * h)
-        zh, ch = _split(system, n)
+        zh, ch = _split(system, n, roots)
         adj = _rows(zh, u).reshape(-1, h)
         if roots:
             root = np.linalg.qr(np.vstack([np.matmul(root, letters).reshape(-1, h),
@@ -156,8 +161,9 @@ def _level_words(system: SubproductSystem, h: int, depth: int, roots: bool) -> i
     """Complex words one step of `_tilde_levels` holds at once, at its largest level.
 
     The level before, U_n and the new T̃_n†; the split (a few index arrays, or
-    Z_n†, the complete-QR factor and its R); with `roots`, the complement
-    rows, the stack with the root products, and the QR copy of the stack.
+    Z_n† and, with `roots`, the complete-QR factor and its R); with `roots`,
+    the complement rows, the stack with the root products, and the QR copy of
+    the stack.
     """
     d, dims, hh = system.d, system.dims(), h * h
     words = 0
@@ -166,8 +172,8 @@ def _level_words(system: SubproductSystem, h: int, depth: int, roots: bool) -> i
         rows = d * a
         if system.level_route(n) == "coordinate":
             split = 3 * b + rows
-        else:
-            split = rows * (rows + 3 * b)
+        else:  # Z_n†, and for the roots the complete-QR factor and its R
+            split = rows * b + roots * rows * (rows + 2 * b)
         step = (a + rows + b) * hh + split
         if roots:
             step += 3 * (rows - b + d) * hh
@@ -346,11 +352,10 @@ def _lower(blocks: tuple, levels: list, word) -> list:
     """(S^{w†} ⊗ I) on level blocks: S_i† takes level m+1 to level m through B_{m+1,i}†.
 
     S^{w†} = S_{w_k}† ... S_{w_1}† applies S_{w_1}† first; each letter drops
-    the top level. B† x is taken as conj(B^T conj(x)), which conjugates the
-    level block (h·h columns) instead of the letter block.
+    the top level.
     """
     for a in word:
-        levels = [np.conj(blocks[m + 1][a - 1].T @ x.conj()) for m, x in enumerate(levels[1:])]
+        levels = [blocks[m + 1][a - 1].conj().T @ x for m, x in enumerate(levels[1:])]
     return levels
 
 

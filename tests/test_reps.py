@@ -169,9 +169,20 @@ def test_is_representation_complement_fits_a_small_budget_at_depth():
     assert not out["ok"]
 
 
-@pytest.mark.parametrize("depth, h", [(7, 12), (8, 8)])
-def test_is_representation_complement_budget_bounds_the_traced_peak(depth, h):
-    sys_ = _symmetric_fibers_system(depth)
+def _dead_level_system(depth):
+    """The full shift below `depth` and a zero top level, with no generators:
+    every pair of the top level is a complement row."""
+    spec = SubshiftSpec(2, tuple(ncpoly.all_words(depth, 2)))
+    return subproduct.SubproductSystem(2, depth, subproduct.from_subshift(spec, depth).fibers)
+
+
+@pytest.mark.parametrize("make, depth, h", [
+    pytest.param(_symmetric_fibers_system, 7, 12, id="7-12"),
+    pytest.param(_symmetric_fibers_system, 8, 8, id="8-8"),
+    pytest.param(_dead_level_system, 5, 16, id="dead-5-16"),
+])
+def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth, h):
+    sys_ = make(depth)
     rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
     for n in range(depth + 1):
         sys_.fiber(n).frame

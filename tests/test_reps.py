@@ -475,7 +475,8 @@ def test_piece_and_complement_build_no_fiber_frame():
     for system in (_golden(4), subproduct.from_ideal(ncpoly.commutator_gens(2), 4)):
         reps.maximal_piece(system, rep)
         reps.is_representation(system, rep)
-        reps._complement_roots(system, rep, None, piece=False)  # the route subshifts skip
+        # the complement route, which is_representation skips when there are generators
+        reps._complement_roots(system, rep, None, piece=False)
         assert all("frame" not in vars(f) for f in system.fibers)
         # word indices and cores split the levels: no dense letter block is built
         assert "letter_blocks" not in vars(system)

@@ -507,7 +507,7 @@ def _golden_dense_top(depth):
         2, depth, fibers[:-1] + (linalg.Subspace(top.ambient_dim, top.frame, top.tol_used),))
 
 
-BUILDERS = {
+BUDGET_SYSTEMS = {
     "full": subproduct.from_full,
     "golden": lambda d, depth: _golden(depth),
     "commutator": lambda d, depth: subproduct.from_ideal(ncpoly.commutator_gens(d), depth),
@@ -525,7 +525,7 @@ BUILDERS = {
     pytest.param("mixed", 2, 11, 2, id="mixed-11-2"),
 ])
 def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
-    system = BUILDERS[kind](d, depth)
+    system = BUDGET_SYSTEMS[kind](d, depth)
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, h_depth), h_depth))
     rep = RepTuple(tuple(sh.matrices))
     tracemalloc.start()
@@ -538,7 +538,7 @@ def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
     # any budget the estimate accepts covers the measured peak; a fresh system,
     # as the call above cached the letter blocks of the mixed one
     with pytest.raises(subproduct.MemoryBudgetError):
-        reps.maximal_piece(BUILDERS[kind](d, depth), rep, budget=peak - 1)
+        reps.maximal_piece(BUDGET_SYSTEMS[kind](d, depth), rep, budget=peak - 1)
 
 
 def test_maximal_piece_of_genuine_representation_is_everything(symmetric2_6):

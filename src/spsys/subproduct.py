@@ -10,7 +10,9 @@ constructors here realize the concrete sources of such chains:
 * subshifts and the full system (coordinate subspaces spanned by words),
 
 each recording its generators in ``provenance["gens"]``, plus the maximal
-completion of an explicitly prescribed finite chain.
+completion of an explicitly prescribed finite chain (`fibers` specs), which
+is `from_ideal` on generators derived from the prescribed levels. Every
+constructor returns a coordinate chain or a core chain.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from spsys.ncpoly import IdealGens, NCPoly
 
 INCLUSION_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-12
-# Stage one of `_two_stage_null` keeps sqrt-eigenvalues up to this at least: a
-# Gram eigenvalue of 1e-12, far above the roundoff (about 1e-15) of a sum of
-# I - W†W terms whose exact value is zero.
-STAGE_ONE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,9 @@ class SubproductSystem:
 
     def level_route(self, n: int) -> str:
         """How level n sits over level n-1: "coordinate" (word indices on both),
-        "core" (a core over the fiber below) or "frames" (dense frames, which
-        only systems built from frames by hand have)."""
+        "core" (a core over the fiber below) or "frames" (dense frames). Every
+        constructor gives coordinate or core levels, so only systems built by
+        hand from dense frames reach the frame routes."""
         fib, prev = self.fibers[n], self.fibers[n - 1]
         if _coordinate_triple(fib, prev):
             return "coordinate"
@@ -176,7 +175,8 @@ class SubproductSystem:
         held as frames (`reps._split`). There is no level -1, so
         blocks[0] has no columns. Between two coordinate fibers the blocks
         are read off the indices, and a core fiber over its predecessor gives
-        them as its conjugate-transposed core; neither builds a frame.
+        them as its conjugate-transposed core; neither builds a frame. Only
+        systems built by hand from dense frames reach the frame branch.
         """
         d = self.d
         blocks = [np.zeros((d, 1, 0), dtype=complex)]
@@ -226,35 +226,6 @@ def _scalar_fiber() -> CoordinateSubspace:
     return CoordinateSubspace(1, [0])
 
 
-def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of a constraint Gram.
-
-    Forming M†M squares singular values, so the roundoff floor of the Gram
-    sits near 1e-12 * lambda_max and a bare 1e-9 cutoff on sqrt(lambda)
-    would misread exact-null directions. Stage one keeps every eigenvector
-    whose sqrt-eigenvalue is below a loose relative bound; stage two
-    re-measures each survivor against the unsquared constraints via
-    ``residual_fn`` (matrix of candidate columns -> per-column residual
-    norms) and applies the span() cutoff to those honest residuals.
-    """
-    m = gram.shape[0]
-    if m == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    smax = s[-1] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(m, dtype=complex)
-    # the floor lets a Gram that is zero to roundoff pass every direction on
-    loose = max(1e-4 * smax, STAGE_ONE_FLOOR)
-    cand = v[:, s <= loose]
-    if cand.shape[1] == 0:
-        return cand
-    res = residual_fn(cand)
-    cutoff = max(linalg.RANK_REL_TOL * smax, linalg.RANK_ABS_FLOOR)
-    return cand[:, res <= cutoff]
-
-
 def from_ideal(gens: IdealGens, depth: int, budget: Optional[int] = None) -> SubproductSystem:
     """System whose level n is the complement of the degree-n ideal component.
 
@@ -265,32 +236,49 @@ def from_ideal(gens: IdealGens, depth: int, budget: Optional[int] = None) -> Sub
     size d^n is formed.
     """
     d = gens.d
+    batches: dict[int, list] = {}
+    for g in gens.gens:
+        batches.setdefault(g.degree(), []).append(g.eval_on_basis())
+    coeffs = {k: np.conj(b) for k, b in batches.items()}
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        dims = [f.dim for f in fibers]
-        batches: dict[int, list] = {}
-        for g in gens.gens:
-            if dims[-1] and g.degree() <= n:  # nothing is left to constrain at r = 0
-                batches.setdefault(g.degree(), []).append(g)
-        rows = sum(len(b) * dims[n - k] for k, b in batches.items())
-        cols = d * dims[-1]
-        # Held at once: the cores so far; the largest contraction step and its
-        # transposed copy; the constraint blocks, their stack and the null
-        # space's copy of it; and three cols x cols arrays (the SVD's factors,
-        # or the null frame with its frame check's conjugate copy and Gram).
-        held = sum(d * a * b for a, b in zip(dims, dims[1:]))
-        inter = max((len(b) * d**(k - t) * dims[n - k] * dims[n - k + t]
-                     for k, b in batches.items() for t in range(1, k)), default=0)
-        check_budget(16 * (held + 2 * inter + 3 * rows * cols + 3 * cols * cols),
-                     budget, f"ideal fiber at level {n}")
-        stack = np.vstack([np.zeros((0, cols), dtype=complex)] + [
-            _generator_rows(np.conj([g.eval_on_basis() for g in b]),
-                            [f.letter_cores() for f in fibers[n - k + 1:n]], d, dims[-1])
-            for k, b in sorted(batches.items())
-        ])
-        fibers.append(CoreSubspace(d, fibers[-1], linalg.nullspace(stack), budget))
-        del stack
+        null = _null_core(coeffs, fibers, d, budget, "ideal fiber")
+        fibers.append(CoreSubspace(d, fibers[-1], null, budget))
     return SubproductSystem(d, depth, tuple(fibers), {"kind": "ideal", "gens": gens})
+
+
+def _held_words(coeffs: dict, dims: list[int], d: int) -> int:
+    """Complex words a level step keeps from the levels before: the cores and the generator rows."""
+    return (sum(d * a * b for a, b in zip(dims, dims[1:]))
+            + sum(c.size for c in coeffs.values()))
+
+
+def _null_core(coeffs: dict, fibers: list, d: int, budget: Optional[int],
+               what: str) -> Subspace:
+    """The core z of level n = len(fibers) of an ideal system (see `from_ideal`).
+
+    `coeffs` maps each degree k to the rows conj(g(e)) of its generators.
+    """
+    n, dims = len(fibers), [f.dim for f in fibers]
+    # nothing is left to constrain at r = 0
+    batches = {k: c for k, c in coeffs.items() if dims[-1] and k <= n}
+    rows = sum(len(c) * dims[n - k] for k, c in batches.items())
+    cols = d * dims[-1]
+    # Held at once, next to the cores and generator rows so far and the
+    # constraint blocks (then their stack): the largest contraction step and
+    # its transposed copy; or the null space's copy of the stack and three
+    # cols x cols arrays (the SVD's factors, or the null frame with its frame
+    # check's conjugate copy and Gram).
+    inter = max((len(c) * d**(k - t) * dims[n - k] * dims[n - k + t]
+                 for k, c in batches.items() for t in range(1, k)), default=0)
+    check_budget(16 * (_held_words(coeffs, dims, d) + rows * cols
+                       + max(2 * inter, rows * cols + 3 * cols * cols)),
+                 budget, f"{what} at level {n}")
+    stack = np.vstack([np.zeros((0, cols), dtype=complex)] + [
+        _generator_rows(c, [f.letter_cores() for f in fibers[n - k + 1:n]], d, dims[-1])
+        for k, c in sorted(batches.items())
+    ])
+    return linalg.nullspace(stack)
 
 
 def _generator_rows(coeffs: np.ndarray, chain: list, d: int, r_prev: int) -> np.ndarray:
@@ -395,74 +383,72 @@ def from_full(d: int, depth: int, budget: Optional[int] = None) -> SubproductSys
 
 
 def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
-                        tol: float = INCLUSION_TOL,
                         budget: Optional[int] = None) -> SubproductSystem:
     """Largest system extending the prescribed fibers X(1..k).
 
-    The prescribed chain must itself satisfy the inclusions
-    X(n) ⊆ X(i) ⊗ X(j) for i + j = n <= k; beyond k each level is the
-    intersection of all two-fold tensor products of earlier levels.
+    Every subproduct system over N is the system of a homogeneous ideal
+    (Shalit and Solel, Doc. Math. 14, 2009), so this is the ideal system of
+    the ideal generated by X(1)^⊥, ..., X(k)^⊥, built by the level step of
+    `from_ideal` on generators derived level by level. At a prescribed
+    level j, N_j is the largest level the generators of lower degree allow:
+    the chain is refused unless F_j lies in N_j, N_j ⊖ F_j joins the
+    generators as degree j, and F_j's coordinates are the level's core
+    (`_prescribed_core`). Levels above k are plain ideal levels.
     """
     k = len(prescribed)
     if k < 1:
         raise ValueError("need at least the level-1 fiber")
     if depth < k:
         raise ValueError("depth smaller than the prescribed chain")
-    fibers = [_scalar_fiber()] + [s for s in prescribed]
-    for n, s in enumerate(fibers):
+    given = [_scalar_fiber()] + list(prescribed)
+    for n, s in enumerate(given):
         if s.ambient_dim != d**n:
             raise ValueError(f"prescribed fiber {n} has wrong ambient dimension")
-    for n in range(2, k + 1):
-        for i in range(1, n):
-            j = n - i
-            res = _pair_inclusion_residual(fibers, d, i, j)
-            if res > tol:
-                raise ValueError(
-                    f"prescribed fibers violate X({n}) ⊆ X({i})⊗X({j}): "
-                    f"residual {res:.3e}"
-                )
-    for n in range(k + 1, depth + 1):
-        prev = fibers[n - 1]
-        if prev.dim == 0 or fibers[1].dim == 0:
-            fibers.append(linalg.zero_space(d**n))
-            continue
-        check_budget(16 * d**n * fibers[1].dim * prev.dim, budget,
-                     f"maximal fiber at level {n}")
-        base = np.kron(fibers[1].frame, prev.frame)
-        m = base.shape[1]
-        gram = np.zeros((m, m), dtype=complex)
-        pairs = []
-        for i in range(2, n):
-            j = n - i
-            fi, fj = fibers[i], fibers[j]
-            if fi.dim * fj.dim == d**n:
-                continue  # full pair constrains nothing
-            pairs.append((i, j))
-            if fi.dim == 0 or fj.dim == 0:
-                gram += np.eye(m)
-                continue
-            w = linalg.pair_coordinates(fi.frame, fj.frame, base, d**i, d**j)
-            gram += np.eye(m) - w.conj().T @ w
-        if not pairs:
-            z = np.eye(m, dtype=complex)
-        else:
-
-            def residual_fn(cand, pairs=pairs, base=base, fibers=fibers, n=n):
-                vecs = base @ cand
-                acc = np.zeros(cand.shape[1])
-                for i, j in pairs:
-                    proj = linalg.project_pair(
-                        fibers[i].frame, fibers[j].frame, vecs, d**i, d**j
-                    )
-                    acc += np.sum(np.abs(vecs - proj) ** 2, axis=0)
-                return np.sqrt(acc)
-
-            z = _two_stage_null(gram, residual_fn)
-        frame = base @ z
-        fibers.append(Subspace(d**n, frame, prev.tol_used))
+    coeffs: dict[int, np.ndarray] = {}
+    fibers = [_scalar_fiber()]
+    for n in range(1, depth + 1):
+        core = _null_core(coeffs, fibers, d, budget, "maximal fiber")
+        if n <= k:
+            held = _held_words(coeffs, [f.dim for f in fibers], d)
+            core, coeffs[n] = _prescribed_core(core, given[n], given[n - 1], n, held, budget)
+        fibers.append(CoreSubspace(d, fibers[-1], core, budget))
     return SubproductSystem(
         d, depth, tuple(fibers), {"kind": "fibers", "prescribed_levels": k}
     )
+
+
+def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
+                     held: int, budget: Optional[int]) -> tuple[Subspace, np.ndarray]:
+    """The core of the prescribed level n inside N_n, and N_n ⊖ F_n as generator rows.
+
+    `null` is N_n in the coordinates of E ⊗ X(n-1), with frame Z; `below`
+    is the prescribed X(n-1), whose frame G the lower cores reproduce. With
+    c = (I_d ⊗ G)† F_n and y = Z† c, the residual of F_n in N_n is
+    ||F_n - (I_d ⊗ G) Z y||. From the SVD y = U S V†, Z U_1 V† (U_1 the first
+    r_n columns) is the orthonormal core closest to c, and Z U_2 spans
+    N_n ⊖ F_n; their rows conj(g(e)) are the new degree-n generators.
+    """
+    size, r, rp, m = fiber.ambient_dim, fiber.dim, below.dim, null.dim
+    d, cols = size // below.ambient_dim, null.ambient_dim
+    # Held at once, next to `held` words: Z and G†; c, y and their products
+    # (at most cols x m each); the SVD's factors and copies (3 m x m); and at
+    # most three size x m arrays (the projection, the difference and the
+    # norm's copy of it, or the new generator rows); with the prescribed
+    # frames not built yet.
+    words = held + below.ambient_dim * rp + 4 * cols * m + 3 * m * m + 3 * size * m
+    check_budget(16 * words + _unbuilt_frame_bytes([fiber, below]), budget,
+                 f"prescribed fiber at level {n}")
+    f, gh, z = fiber.frame, below.frame.conj().T, null.frame
+    c = (gh @ f.reshape(d, below.ambient_dim, r)).reshape(cols, r)
+    y = z.conj().T @ c
+    res = linalg.opnorm(f - (below.frame @ (z @ y).reshape(d, rp, r)).reshape(size, r))
+    if res > INCLUSION_TOL:
+        raise ValueError(f"prescribed fiber X({n}) is not inside the largest level {n} "
+                         f"over the fibers below: residual {res:.3e}")
+    u, _, vh = np.linalg.svd(y)
+    core = Subspace(cols, z @ (u[:, :r] @ vh), null.tol_used)
+    rest = (z @ u[:, r:]).T.conj()
+    return core, (rest.reshape(m - r, d, rp) @ gh).reshape(m - r, size)
 
 
 def _pair_inclusion_residual(fibers, d: int, i: int, j: int) -> float:
@@ -588,8 +574,9 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL,
                   budget: Optional[int] = None) -> dict:
     """Residuals of X(m+n) ⊆ X(m) ⊗ X(n) for every split of every level.
 
-    A core chain (ideal, q-matrix and quadratic systems) is decided on its
-    cores and coordinate fibers on their word indices; other fibers go
+    A core chain (ideal, q-matrix, quadratic and `fibers` systems) is
+    decided on its cores and coordinate fibers on their word indices; other
+    fibers, which only systems built by hand from dense frames have, go
     through their frames. One estimate of the whole check is held against
     `budget` before anything is allocated.
     """
@@ -637,7 +624,9 @@ def verify_unit(system: SubproductSystem, v: np.ndarray, tol: float = 1e-9) -> d
 
     Tuples (v^{⊗n}) of that form are exactly the multiplicative units of the
     system; the unit is unital iff ||v|| = 1. A core chain is checked on its
-    cores (`_core_unit_residuals`), other fibers on v^{⊗n} itself.
+    cores (`_core_unit_residuals`), other fibers on v^{⊗n} itself: by word
+    indices on coordinate fibers, and through the frames only on systems
+    built by hand from dense frames.
     """
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != system.d:

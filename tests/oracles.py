@@ -5,13 +5,20 @@ Each enumerates what the package computes another way, so it stays out of
 whole fiber vector assembled from dense frames, the dense total × total
 forms of the shift-side checks that the package runs level by level, the
 pair inclusions and unit residuals on dense frames, the Gram ranks behind the
-strong-commutation support counts, and the maps over all d^n words behind
-the maximal piece and the complement residuals.
+strong-commutation support counts, the maps over all d^n words behind
+the maximal piece and the complement residuals, and the maximal completion of
+a prescribed chain by the pair products of its dense frames.
 """
+
+from typing import Optional
 
 import numpy as np
 
 from spsys import linalg
+from spsys.linalg import Subspace, check_budget
+from spsys.subproduct import (
+    INCLUSION_TOL, SubproductSystem, _pair_inclusion_residual, _scalar_fiber,
+)
 from spsys.cpmaps import NONZERO_TOL, StochasticMatrix
 from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
 from spsys.ncpoly import IdealGens, NCPoly
@@ -238,3 +245,111 @@ def word_map_piece(system, rep) -> dict:
             residual = max(residual, linalg.opnorm(img))
     return {"subspace": current, "dim": current.dim, "iterations": iterations,
             "residual": residual}
+
+
+# Stage one of `_two_stage_null` keeps sqrt-eigenvalues up to this at least: a
+# Gram eigenvalue of 1e-12, far above the roundoff (about 1e-15) of a sum of
+# I - W†W terms whose exact value is zero.
+STAGE_ONE_FLOOR = 1e-6
+
+
+def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
+    """Orthonormal basis of the numerical null space of a constraint Gram.
+
+    Forming M†M squares singular values, so the roundoff floor of the Gram
+    sits near 1e-12 * lambda_max and a bare 1e-9 cutoff on sqrt(lambda)
+    would misread exact-null directions. Stage one keeps every eigenvector
+    whose sqrt-eigenvalue is below a loose relative bound; stage two
+    re-measures each survivor against the unsquared constraints via
+    ``residual_fn`` (matrix of candidate columns -> per-column residual
+    norms) and applies the span() cutoff to those honest residuals.
+    """
+    m = gram.shape[0]
+    if m == 0:
+        return np.zeros((0, 0), dtype=complex)
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    smax = s[-1] if s.size else 0.0
+    if smax == 0.0:
+        return np.eye(m, dtype=complex)
+    # the floor lets a Gram that is zero to roundoff pass every direction on
+    loose = max(1e-4 * smax, STAGE_ONE_FLOOR)
+    cand = v[:, s <= loose]
+    if cand.shape[1] == 0:
+        return cand
+    res = residual_fn(cand)
+    cutoff = max(linalg.RANK_REL_TOL * smax, linalg.RANK_ABS_FLOOR)
+    return cand[:, res <= cutoff]
+
+
+
+def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
+                              tol: float = INCLUSION_TOL,
+                              budget: Optional[int] = None) -> SubproductSystem:
+    """Largest system extending the prescribed fibers X(1..k), on dense frames.
+
+    The prescribed chain must itself satisfy the inclusions
+    X(n) ⊆ X(i) ⊗ X(j) for i + j = n <= k; beyond k each level is the
+    intersection of all two-fold tensor products of earlier levels.
+    """
+    k = len(prescribed)
+    if k < 1:
+        raise ValueError("need at least the level-1 fiber")
+    if depth < k:
+        raise ValueError("depth smaller than the prescribed chain")
+    fibers = [_scalar_fiber()] + [s for s in prescribed]
+    for n, s in enumerate(fibers):
+        if s.ambient_dim != d**n:
+            raise ValueError(f"prescribed fiber {n} has wrong ambient dimension")
+    for n in range(2, k + 1):
+        for i in range(1, n):
+            j = n - i
+            res = _pair_inclusion_residual(fibers, d, i, j)
+            if res > tol:
+                raise ValueError(
+                    f"prescribed fibers violate X({n}) ⊆ X({i})⊗X({j}): "
+                    f"residual {res:.3e}"
+                )
+    for n in range(k + 1, depth + 1):
+        prev = fibers[n - 1]
+        if prev.dim == 0 or fibers[1].dim == 0:
+            fibers.append(linalg.zero_space(d**n))
+            continue
+        check_budget(16 * d**n * fibers[1].dim * prev.dim, budget,
+                     f"maximal fiber at level {n}")
+        base = np.kron(fibers[1].frame, prev.frame)
+        m = base.shape[1]
+        gram = np.zeros((m, m), dtype=complex)
+        pairs = []
+        for i in range(2, n):
+            j = n - i
+            fi, fj = fibers[i], fibers[j]
+            if fi.dim * fj.dim == d**n:
+                continue  # full pair constrains nothing
+            pairs.append((i, j))
+            if fi.dim == 0 or fj.dim == 0:
+                gram += np.eye(m)
+                continue
+            w = linalg.pair_coordinates(fi.frame, fj.frame, base, d**i, d**j)
+            gram += np.eye(m) - w.conj().T @ w
+        if not pairs:
+            z = np.eye(m, dtype=complex)
+        else:
+
+            def residual_fn(cand, pairs=pairs, base=base, fibers=fibers, n=n):
+                vecs = base @ cand
+                acc = np.zeros(cand.shape[1])
+                for i, j in pairs:
+                    proj = linalg.project_pair(
+                        fibers[i].frame, fibers[j].frame, vecs, d**i, d**j
+                    )
+                    acc += np.sum(np.abs(vecs - proj) ** 2, axis=0)
+                return np.sqrt(acc)
+
+            z = _two_stage_null(gram, residual_fn)
+        frame = base @ z
+        fibers.append(Subspace(d**n, frame, prev.tol_used))
+    return SubproductSystem(
+        d, depth, tuple(fibers), {"kind": "fibers", "prescribed_levels": k}
+    )
+

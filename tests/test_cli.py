@@ -70,6 +70,17 @@ def test_build_emits_report_and_fibers(capsys, tmp_path, golden_spec):
     assert saved["dims"] == [1, 2, 3, 5, 8, 13]
 
 
+def test_fibers_spec_that_breaks_an_inclusion_exits_3(capsys, tmp_path):
+    # X(2) = span{e2 ⊗ e2} does not lie in E ⊗ X(1) = E ⊗ span{e1}
+    path = tmp_path / "bad-fibers.json"
+    formats.dump_json({"kind": "fibers", "d": 2, "depth": 4, "fibers": [
+        formats.encode_matrix(np.array([[1.0], [0.0]])),
+        formats.encode_matrix(np.array([[0.0], [0.0], [0.0], [1.0]]))]}, path)
+    code, out, err = run_cli(capsys, "dims", "--spec", str(path))
+    assert code == 3 and out == ""
+    assert "prescribed fiber X(2) is not inside" in err and "residual 1.000e+00" in err
+
+
 def test_verify_all_checks_pass(capsys, golden_spec):
     code, out, err = run_cli(
         capsys, "verify", "--spec", golden_spec, "--depth", "6",

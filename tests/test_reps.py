@@ -8,7 +8,7 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.reps import RepTuple
 from spsys.subproduct import SubshiftSpec
 
-from conftest import random_commuting_pair, random_row_contraction
+from conftest import dense_frame_copy, random_commuting_pair, random_row_contraction
 from oracles import full_word_maps, word_map_piece
 
 
@@ -57,12 +57,14 @@ def test_rep_tildes_depth_guard(symmetric2_6):
 def _tilde_test_systems(symmetric2_6, golden_6):
     q = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
     level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
+    fibers = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5)
     return [
         (symmetric2_6, 3),
         (golden_6, 3),
         (subproduct.from_qmatrix(q, 4), 3),
-        # a coordinate level 1 under dense frames: the letter-block route
-        (subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5), 3),
+        (fibers, 3),
+        # dense frames built by hand: the letter-block route
+        (dense_frame_copy(fibers), 3),
         (subproduct.from_ideal(ncpoly.commutator_gens(2), 4), 31),
         (subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5), 33),
         # full-shift levels, where the complement C_n is empty
@@ -128,8 +130,8 @@ def test_is_representation_subshift_monomials(golden_6):
 
 
 def test_is_representation_fibers_route():
-    # maximal systems built from raw fibers carry no generating polynomials,
-    # so the check falls back to complement frames
+    # maximal systems built from raw fibers record no generating polynomials,
+    # so the check takes the complement route
     level2 = linalg.complement(linalg.span(np.array([[0, 0, 1.0, 0]]).T))
     sys_ = subproduct.maximal_with_fibers(
         2, [linalg.full_space(2), level2], 4)
@@ -231,8 +233,9 @@ def test_poisson_kernel_r_one_boundary_is_tolerant(symmetric2_6):
 @pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12),
                                      ("mixed", 2)])
 def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
-    # word indices, cores, and the letter blocks of frames built by hand, which
-    # the kernel builds and counts; isometry_defect runs inside the estimate
+    # word indices, cores (the fibers spec too), and the letter blocks of frames
+    # built by hand, which the kernel builds and counts; isometry_defect runs
+    # inside the estimate
     make = {"golden": lambda: _golden(9),
             "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
             "fibers": lambda: _symmetric_fibers_system(7),
@@ -250,7 +253,7 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert ("letter_blocks" in vars(system)) == (kind in ("fibers", "mixed"))
+        assert ("letter_blocks" in vars(system)) == (kind == "mixed")
         return peak
 
     peak = run()

@@ -8,8 +8,11 @@ from spsys import linalg, ncpoly, subproduct
 from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import MemoryBudgetError, SubshiftSpec
 
-from conftest import random_homogeneous_poly
-from oracles import dense_axiom_residuals, dense_unit_residuals, homogeneous_component
+from conftest import dense_frame_copy, random_homogeneous_poly
+from oracles import (
+    dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
+    homogeneous_component,
+)
 
 
 def brute_legal_words(d, forbidden, n):
@@ -202,11 +205,12 @@ def test_generator_systems_match_the_ideal_component_oracle():
 
 
 def test_qmatrix_and_quadratic_match_maximal_with_fibers():
+    # against the dense completion, which shares no step with the ideal route
     for system, gens in _generator_systems(6)[-3:]:
         d = system.d
         level2 = linalg.complement(linalg.span(
             np.column_stack([g.eval_on_basis() for g in gens.gens])))
-        dense = subproduct.maximal_with_fibers(d, [linalg.full_space(d), level2], 6)
+        dense = dense_maximal_with_fibers(d, [linalg.full_space(d), level2], 6)
         assert system.kind in ("qmatrix", "quadratic")
         assert system.dims() == dense.dims()
         for n in range(7):
@@ -256,11 +260,25 @@ def test_core_frame_budget_counts_the_lower_frames_it_builds():
         top_fiber(int(peak * 0.999)).frame
 
 
+def _golden_chain(k):
+    """The golden-mean fibers X(1..k), on word indices."""
+    return list(subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), k).fibers[1:])
+
+
+def _symmetric_chain(d):
+    """The full X(1) and the symmetric X(2), the complement of the commutators."""
+    commutators = [g.eval_on_basis() for g in ncpoly.commutator_gens(d).gens]
+    return [linalg.full_space(d), linalg.complement(linalg.span(np.column_stack(commutators)))]
+
+
 @pytest.mark.parametrize("build", [
     lambda budget: subproduct.from_ideal(ncpoly.commutator_gens(3), 12, budget=budget),
     lambda budget: subproduct.from_qmatrix(Q3, 8, budget=budget),
     lambda budget: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20, budget=budget),
-], ids=["commutator3-12", "qmatrix3-8", "golden-20"])
+    lambda budget: subproduct.maximal_with_fibers(2, _golden_chain(3), 12, budget=budget),
+    lambda budget: subproduct.maximal_with_fibers(3, _symmetric_chain(3), 9, budget=budget),
+], ids=["commutator3-12", "qmatrix3-8", "golden-20", "golden123-fibers-12",
+        "symmetric3-fibers-9"])
 def test_construction_budget_bounds_the_traced_peak(build):
     tracemalloc.start()
     try:
@@ -270,6 +288,22 @@ def test_construction_budget_bounds_the_traced_peak(build):
         tracemalloc.stop()
     with pytest.raises(MemoryBudgetError):
         build(peak - 1)
+    build(2 * peak)
+
+
+def test_prescribed_level_budget_bounds_the_traced_peak():
+    # a `build --out` file read back: every level is prescribed as a dense
+    # frame, and the top prescribed step holds the largest estimate
+    chain = [linalg.Subspace(f.ambient_dim, f.frame, f.tol_used) for f in _golden_chain(10)]
+    tracemalloc.start()
+    try:
+        subproduct.maximal_with_fibers(2, chain, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(MemoryBudgetError, match="prescribed fiber at level 10"):
+        subproduct.maximal_with_fibers(2, chain, 10, budget=peak - 1)
+    subproduct.maximal_with_fibers(2, chain, 10, budget=2 * peak)
 
 
 def test_maximal_with_fibers_reproduces_step_one_subshift(golden_6):
@@ -279,11 +313,57 @@ def test_maximal_with_fibers_reproduces_step_one_subshift(golden_6):
         assert linalg.subspace_distance(sys_.fiber(n), golden_6.fiber(n)) < 1e-9
 
 
+def _random_level2_chain():
+    """The full X(1) and a random 5-dim complex X(2) in C^9."""
+    rng = np.random.default_rng(0)
+    return [linalg.full_space(3), linalg.span(rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5)))]
+
+
+def _one_complement_chain(vector):
+    """The full X(1) and the complement of one vector in C^4."""
+    return [linalg.full_space(2), linalg.complement(linalg.span(np.array([vector], dtype=float).T))]
+
+
+FIBERS_CASES = {
+    "golden12-6": (2, lambda: _golden_chain(2), 6, [1, 2, 3, 5, 8, 13, 21]),
+    "golden123-8": (2, lambda: _golden_chain(3), 8, [1, 2, 3, 5, 8, 13, 21, 34, 55]),
+    "golden12-frames-4": (2, lambda: [linalg.span(f.frame) for f in _golden_chain(2)], 4,
+                          [1, 2, 3, 5, 8]),
+    "symmetric2-9": (2, lambda: _symmetric_chain(2), 9, list(range(1, 11))),
+    "symmetric3-5": (3, lambda: _symmetric_chain(3), 5, [1, 3, 6, 10, 15, 21]),
+    "random-level2-d3-5": (3, _random_level2_chain, 5, [1, 3, 5, 3, 0, 0]),
+    "half-commutator-5": (2, lambda: _one_complement_chain([0, 1.0, -0.5, 0]), 5,
+                          [1, 2, 3, 4, 5, 6]),
+    "no-21-4": (2, lambda: _one_complement_chain([0, 0, 1.0, 0]), 4, [1, 2, 3, 4, 5]),
+    "full-level1-2": (2, lambda: [linalg.full_space(2)], 2, [1, 2, 4]),
+    # a zero prescribed level: nothing is left to constrain above it
+    "dead-level2-4": (2, lambda: [linalg.span(np.array([[1.0], [0.0]])), linalg.zero_space(4)],
+                      4, [1, 1, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIBERS_CASES))
+def test_maximal_with_fibers_matches_the_dense_completion(case):
+    d, chain, depth, dims = FIBERS_CASES[case]
+    prescribed = chain()
+    system = subproduct.maximal_with_fibers(d, prescribed, depth)
+    # a core chain, with no frame built above the prescribed levels
+    assert all(system.level_route(n) == "core" for n in range(1, depth + 1))
+    assert all("frame" not in vars(f) for f in system.fibers[len(prescribed) + 1:])
+    ref = dense_maximal_with_fibers(d, prescribed, depth)
+    assert system.dims() == ref.dims() == dims
+    for n in range(depth + 1):
+        assert linalg.subspace_distance(system.fiber(n), ref.fiber(n)) <= 1e-12
+    # the prescribed levels keep their frames, so `build --out` writes them back
+    for n, f in enumerate(prescribed, 1):
+        assert np.max(np.abs(system.fiber(n).frame - f.frame), initial=0.0) <= 1e-12
+
+
 def test_maximal_with_fibers_rejects_bad_inclusion():
     # prescribe a level-2 fiber that is not inside E (x) X(1)
     e1 = linalg.span(np.array([[1.0], [0.0]]))
     bad2 = linalg.span(np.array([[0.0], [0.0], [0.0], [1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"X\(2\) is not inside .*: residual 1\.000e\+00"):
         subproduct.maximal_with_fibers(2, [e1, bad2], 4)
 
 
@@ -294,7 +374,9 @@ def test_letter_blocks_rebuild_the_frames(symmetric2_6, golden_6):
     # X(n) ⊆ E ⊗ X(n-1): the letter-i rows of F_n are F_{n-1} B_{n,i}†
     level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
     fibers = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5)
-    for system in (symmetric2_6, golden_6, fibers):
+    frames = dense_frame_copy(fibers)  # every level on the frame branch
+    assert {frames.level_route(n) for n in range(1, 6)} == {"frames"}
+    for system in (symmetric2_6, golden_6, fibers, frames):
         blocks = system.letter_blocks
         assert len(blocks) == system.depth + 1
         for n in range(1, system.depth + 1):
@@ -403,6 +485,9 @@ def test_mixed_coordinate_and_dense_fibers_take_the_dense_route():
     rep = subproduct.verify_axioms(mixed)
     assert rep["ok"]
     assert rep["residuals"] == dense_axiom_residuals(mixed)
+    v = np.array([1.0, 2.0j])
+    assert np.allclose(subproduct.verify_unit(mixed, v)["residuals"],
+                       dense_unit_residuals(mixed, v), rtol=0, atol=1e-12)
     assert "frame" in vars(mixed.fiber(1))  # the coordinate level-1 frame was built
 
 
@@ -455,9 +540,9 @@ def test_core_axioms_and_units_match_the_dense_oracles(case):
 @pytest.mark.parametrize("build", [
     lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 12),
     lambda: subproduct.from_qmatrix(Q3, 7),
-    lambda: subproduct.maximal_with_fibers(2, [linalg.full_space(2), linalg.complement(
-        linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))], 9),
-], ids=["commutator3-12", "qmatrix3-7", "symmetric-fibers-9"])
+    lambda: subproduct.maximal_with_fibers(2, _symmetric_chain(2), 9),
+    lambda: dense_frame_copy(subproduct.from_ideal(ncpoly.commutator_gens(2), 9)),
+], ids=["commutator3-12", "qmatrix3-7", "symmetric-fibers-9", "symmetric-frames-9"])
 def test_axiom_budget_bounds_the_traced_peak(build):
     system = build()
     tracemalloc.start()
@@ -486,7 +571,11 @@ def test_maximal_completion_of_a_generic_level_one_keeps_every_level(kind, seed)
     m = rng.normal(size=(3, 2))
     if kind == "complex":
         m = m + 1j * rng.normal(size=(3, 2))
-    assert subproduct.maximal_with_fibers(3, [linalg.span(m)], 4).dims() == [1, 2, 4, 8, 16]
+    system = subproduct.maximal_with_fibers(3, [linalg.span(m)], 4)
+    ref = dense_maximal_with_fibers(3, [linalg.span(m)], 4)
+    assert system.dims() == ref.dims() == [1, 2, 4, 8, 16]
+    for n in range(5):
+        assert linalg.subspace_distance(system.fiber(n), ref.fiber(n)) <= 1e-12
 
 
 def test_recovered_ideal_level_two_of_symmetric(symmetric2_6):

@@ -16,7 +16,9 @@ off the complete invariants
 where c is the antisymmetric coefficient (A_a = c J). When the symmetric
 part has rank one the phase of c0 is gauge and only |c0| / s1 matters. A
 matching pair yields an explicit witness (λ, U) whose residual is verified
-before answering yes.
+before answering yes. The decision and the witness are closed forms in numpy;
+scipy is imported only when a witness misses its tolerance and is polished
+by a local search.
 """
 
 from __future__ import annotations
@@ -86,25 +88,36 @@ def takagi_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorization A = W diag(s) Wᵗ of a complex symmetric 2x2.
 
     From the SVD A = U Σ V†, symmetry forces Z = U† conj(V) to be a
-    symmetric unitary commuting with Σ, and W = U Z^{1/2} works.
+    symmetric unitary commuting with Σ, and W = U R works for any square
+    root R of Z that is a polynomial in Z (`_unitary_sqrt_2x2`). Closed form
+    in numpy: scipy is loaded only to polish a witness (`_polish_witness`).
     """
     a = np.asarray(a, dtype=complex)
     sym_defect = np.max(np.abs(a - a.T))
     if sym_defect > 1e-10 * max(1.0, np.max(np.abs(a))):
         raise ValueError(f"matrix is not symmetric (defect {sym_defect:.3e})")
-    import scipy.linalg  # imported here: every CLI command loads this module
-
     a = (a + a.T) / 2
     u, s, vh = np.linalg.svd(a)
     z = u.conj().T @ vh.T
-    z = (z + z.T) / 2
-    z_half = scipy.linalg.sqrtm(z)
-    z_half = np.asarray((z_half + z_half.T) / 2, dtype=complex)
-    w = u @ z_half
+    w = u @ _unitary_sqrt_2x2((z + z.T) / 2)
     res = np.max(np.abs(w @ np.diag(s) @ w.T - a))
     if res > 1e-8 * max(1.0, float(s[0])):
         raise ArithmeticError(f"Takagi residual {res:.3e}")
     return w, s
+
+
+def _unitary_sqrt_2x2(z: np.ndarray) -> np.ndarray:
+    """A square root R = (Z + μ₁μ₂ I) / (μ₁ + μ₂) of a 2x2 unitary Z, μᵢ² its eigenvalues.
+
+    R² = Z by Cayley–Hamilton, and R is a polynomial in Z, so it is symmetric
+    when Z is. The sign of μ₂ is chosen so that Re(μ₁ conj(μ₂)) ≥ 0, that is
+    |μ₁ + μ₂| ≥ √2: no division by a small number, even for eigenvalues on
+    both sides of the branch cut at −1.
+    """
+    mu = np.sqrt(np.linalg.eigvals(z))
+    if (mu[0] * mu[1].conj()).real < 0:
+        mu[1] = -mu[1]
+    return (z + mu[0] * mu[1] * np.eye(2)) / (mu[0] + mu[1])
 
 
 def _congruence(lam: complex, u: np.ndarray, a: np.ndarray) -> np.ndarray:

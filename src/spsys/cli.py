@@ -127,10 +127,9 @@ def cmd_build(args) -> int:
             "depth": system.depth,
             "kind": "fibers",
             "dims": system.dims(),
-            "fibers": [formats.encode_matrix(system.fiber(n).frame)
-                       for n in range(1, system.depth + 1)],
+            "fibers": formats.encode_fibers(system, _budget_bytes(args)),
         }
-        formats.dump_json(_jsonable(built), args.out)
+        formats.dump_json(built, args.out)
         extras["out"] = args.out
     return _emit("build", {"spec": path}, checks, extras)
 

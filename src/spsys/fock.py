@@ -80,12 +80,16 @@ class ShiftSet:
     def d(self) -> int:
         return self.fock.system.d
 
+    def matrix_bytes(self) -> int:
+        """Bytes of the dense view: the d arrays, their headers and the views that fill them."""
+        d, total = self.d, self.fock.total_dim
+        return 16 * d * total * total + 256 * d + 1024
+
     @cached_property
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The d dense total × total shift matrices."""
         fock, d, total = self.fock, self.d, self.fock.total_dim
-        # the d arrays, plus their headers and the views that fill them
-        check_budget(16 * d * total * total + 256 * d + 1024, self.budget, "shift matrices")
+        check_budget(self.matrix_bytes(), self.budget, "shift matrices")
         mats = [np.zeros((total, total), dtype=complex) for _ in range(d)]
         for n in range(1, fock.depth + 1):
             for m, b in zip(mats, self.blocks[n]):
@@ -298,12 +302,20 @@ def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
 
 
 def export_shifts(shifts: ShiftSet, out_dir) -> list:
-    """Write shift matrices and the level-offset table as JSON files."""
+    """Write shift matrices and the level-offset table as JSON files.
+
+    One estimate is checked against the shifts' budget before anything is
+    written: the dense view and the JSON encoding of one matrix (the files are
+    written one at a time).
+    """
     from pathlib import Path
 
     from spsys import formats
 
-    mats = shifts.matrices  # the budget check comes before anything is written
+    total = shifts.fock.total_dim
+    check_budget(shifts.matrix_bytes() + formats.encoding_bytes([total * total]),
+                 shifts.budget, "shift matrices and their JSON encoding")
+    mats = shifts.matrices
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

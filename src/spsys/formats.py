@@ -1,6 +1,7 @@
 """JSON exchange formats for matrices, polynomials, systems, and tuples.
 
-Complex scalars travel as [re, im] pairs. Matrices are row-major:
+Complex scalars travel as [re, im] pairs; a bare real is read as re. Matrices
+are row-major:
 
     {"rows": 2, "cols": 2, "data": [[1,0],[0,0],[0,0],[1,0]]}
 
@@ -17,6 +18,11 @@ its payload (the "depth" field is a default, overridable at build time):
 
 An operator tuple is {"d": 2, "h": 3, "matrices": [{...}, {...}]}; a Kraus
 channel is {"h": 3, "kraus": [{...}, ...]}.
+
+Files written with `dump_json` (every `--out` file) are compact canonical
+JSON: sorted keys, no whitespace, every float written as Python's shortest
+repr, so it reads back bit for bit. The CLI's stdout reports keep their
+indented layout.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from spsys import linalg, subproduct
+from spsys.linalg import check_budget
 from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import SubproductSystem, SubshiftSpec
 from spsys.reps import RepTuple
@@ -45,26 +52,51 @@ def decode_complex(pair) -> complex:
 
 
 def encode_matrix(m: np.ndarray) -> dict:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    m = np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=complex)))
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [encode_complex(z) for z in m.ravel()],
+        "data": m.view(float).reshape(-1, 2).tolist(),
     }
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = [decode_complex(p) for p in obj["data"]]
+    data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != {rows}x{cols}")
-    return np.array(data, dtype=complex).reshape(rows, cols)
+    try:
+        values = np.asarray(data)
+    except ValueError:  # bare reals mixed with [re, im] pairs
+        values = None
+    if values is None or values.dtype.kind not in "biuf" or values.shape[1:] not in ((), (2,)):
+        values = np.array([decode_complex(p) for p in data], dtype=complex)
+    elif values.ndim == 2:
+        values = np.ascontiguousarray(values, dtype=float).view(complex)
+    return values.astype(complex, copy=False).reshape(rows, cols)
+
+
+# `encoding_bytes` per entry: the [re, im] list, its slot and its two floats
+# (128 bytes), and the text, at most 52 characters an entry, held twice (the
+# encoder's chunks and their join, or the text and the file buffer). The
+# encoder (CPython 3.10/3.11) also keeps its first 100000 chunks, about 17000
+# entries, as separate strings of up to 144 bytes an entry.
+_ENTRY_BYTES = 128 + 2 * 52
+_CHUNK_ENTRY_BYTES = 144
+_CHUNK_ENTRIES = 17000
+
+
+def encoding_bytes(entries: list[int]) -> int:
+    """Bytes that encoding matrices of these entry counts and writing them as
+    one `dump_json` file needs on top of the arrays, with a contiguous copy of
+    the largest matrix and headers."""
+    n = sum(entries)
+    return (_ENTRY_BYTES * n + _CHUNK_ENTRY_BYTES * min(n, _CHUNK_ENTRIES)
+            + 16 * max(entries, default=0) + 4096)
 
 
 def encode_vector(v: np.ndarray) -> dict:
-    v = np.asarray(v, dtype=complex).ravel()
-    return {"rows": int(v.size), "cols": 1,
-            "data": [encode_complex(z) for z in v]}
+    return encode_matrix(np.asarray(v, dtype=complex).reshape(-1, 1))
 
 
 def decode_vector(obj: dict) -> np.ndarray:
@@ -118,9 +150,21 @@ def encode_system_spec(system: SubproductSystem) -> dict:
         return {**base, "kind": "quadratic", "A": encode_matrix(prov["a"])}
     if kind == "full":
         return {**base, "kind": "full"}
-    return {**base, "kind": "fibers",
-            "fibers": [encode_matrix(system.fiber(n).frame)
-                       for n in range(1, system.depth + 1)]}
+    return {**base, "kind": "fibers", "fibers": encode_fibers(system)}
+
+
+def encode_fibers(system: SubproductSystem, budget: int | None = None) -> list[dict]:
+    """The frames of X(1..depth), encoded.
+
+    One estimate is checked against `budget` first: the frames not built yet
+    and `encoding_bytes` of all of them, so that writing the result with
+    `dump_json` fits too.
+    """
+    levels = range(1, system.depth + 1)
+    entries = [system.d**n * system.dim(n) for n in levels]
+    check_budget(system.unbuilt_frame_bytes() + encoding_bytes(entries), budget,
+                 "fiber frames and their JSON encoding")
+    return [encode_matrix(system.fiber(n).frame) for n in levels]
 
 
 def build_system(obj: dict, depth: int | None = None,
@@ -206,7 +250,13 @@ def load_json(path: str | Path) -> dict:
 
 
 def dump_json(obj: dict, path: str | Path | None = None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Compact canonical JSON: sorted keys, no whitespace, no NaN or infinity.
+
+    Without `indent`, `json.dumps` runs CPython's C encoder.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if path is not None:
-        Path(path).write_text(text + "\n")
+        with open(path, "w") as f:  # two writes: `text + "\n"` would copy the text
+            f.write(text)
+            f.write("\n")
     return text

@@ -148,6 +148,10 @@ class SubproductSystem:
             return "core"
         return "frames"
 
+    def unbuilt_frame_bytes(self) -> int:
+        """Bytes the frames of every level take that are not built yet."""
+        return _unbuilt_frame_bytes(self.fibers)
+
     def letter_block_bytes(self) -> int:
         """Bytes `letter_blocks` still has to allocate, or 0 once cached.
 

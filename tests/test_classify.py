@@ -93,6 +93,48 @@ def test_takagi_factorization_2x2():
         assert s[0] >= s[1] >= 0
 
 
+def _symmetric_unitary(phases, angle):
+    """Q diag(e^{i·phases}) Qᵗ for the real rotation Q by `angle`: a symmetric unitary."""
+    c, s = np.cos(angle), np.sin(angle)
+    q = np.array([[c, -s], [s, c]])
+    z = q @ np.diag(np.exp(1j * np.asarray(phases))) @ q.T
+    return (z + z.T) / 2
+
+
+@pytest.mark.parametrize("z", [
+    np.eye(2, dtype=complex),
+    -np.eye(2, dtype=complex),
+    # eigenvalues -1 ± 1e-15i, on both sides of the principal branch cut
+    _symmetric_unitary([np.pi - 1e-15, -np.pi + 1e-15], 0.3),
+    _symmetric_unitary([2.5, -2.9], 1.1),
+], ids=["identity", "minus-identity", "across-the-cut", "generic"])
+def test_unitary_square_root_is_symmetric_and_unitary(z):
+    r = classify._unitary_sqrt_2x2(z)
+    assert np.abs(r @ r - z).max() < 1e-14
+    assert np.abs(r - r.T).max() == 0.0
+    assert np.abs(r @ r.conj().T - np.eye(2)).max() < 1e-14
+
+
+def test_takagi_of_a_rank_one_symmetric_part():
+    v = np.array([0.6 - 1.1j, 0.3 + 0.4j])
+    a = np.outer(v, v)
+    w, s = classify.takagi_2x2(a)
+    assert np.abs(w @ w.conj().T - np.eye(2)).max() < 1e-14
+    assert np.abs(w @ np.diag(s) @ w.T - a).max() < 1e-14
+    assert s[1] < 1e-15 * s[0]
+
+
+def test_purely_antisymmetric_pairs_need_no_polish():
+    # the symmetric parts are zero: Takagi-factoring them meets Z = I
+    a = np.array([[0, 1.5 - 0.5j], [-1.5 + 0.5j, 0]])
+    w, s = classify.takagi_2x2((a + a.T) / 2)
+    assert np.array_equal(s, [0.0, 0.0])
+    assert np.abs(w @ w.conj().T - np.eye(2)).max() < 1e-15
+    out = classify.quad_equivalent(a, -0.2j * a)
+    assert out["verdict"] == "yes" and "polished" not in out["invariants"]
+    assert out["residual"] < 1e-15
+
+
 def test_quad_zero_vs_zero():
     z = np.zeros((2, 2))
     assert classify.quad_equivalent(z, z)["verdict"] == "yes"

@@ -1,6 +1,8 @@
 import json
+import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +289,59 @@ def test_classify_qmat_near_the_cutoff(capsys, tmp_path, offset, code, verdict,
         assert c["threshold"] < c["residual"] <= 10 * c["threshold"]
     else:
         assert c["residual"] == 0.0
+
+
+def test_out_budget_counts_the_json_encoding(capsys, tmp_path, monkeypatch):
+    # golden depth 8: the frames take 0.2 MiB and the dense shifts 0.24 MiB,
+    # while the commands that encode them peak at about 5.4 and 5.8 MiB traced
+    spec = tmp_path / "golden8.json"
+    formats.dump_json({"kind": "subshift", "d": 2, "depth": 8, "forbidden": [[2, 2]]}, spec)
+    for command, out in (("build", tmp_path / "fibers.json"), ("shift", tmp_path / "shifts")):
+        argv = [command, "--spec", str(spec), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        if out.is_dir():
+            shutil.rmtree(out)
+        else:
+            out.unlink()
+        monkeypatch.setattr(cli, "_budget_bytes", lambda args: peak - 1)
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 3 and "and their JSON encoding" in err and report == ""
+        assert not out.exists()  # refused before anything is written
+        monkeypatch.setattr(cli, "_budget_bytes", lambda args: 2 * peak)
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_classify_quad_leaves_scipy_unloaded(tmp_path):
+    # a generic pair, a rank-one symmetric part, and an antisymmetric pair
+    rng = np.random.default_rng(8)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    j = np.array([[0, 1], [-1, 0]])
+    v = np.array([1 - 2j, 0.5j])
+    pairs = []
+    for name, a in (("generic", np.array([[1, 2 - 1j], [0.3j, -0.7]])),
+                    ("rank-one", np.outer(v, v) + 0.4 * j), ("antisymmetric", (2 + 1j) * j)):
+        paths = [tmp_path / f"{name}-a.json", tmp_path / f"{name}-b.json"]
+        formats.dump_json(formats.encode_matrix(a), paths[0])
+        formats.dump_json(formats.encode_matrix(0.8j * u.T @ a @ u), paths[1])
+        pairs.append([str(p) for p in paths])
+    script = ("import json, sys\n"
+              "from spsys import cli\n"
+              "for a, b in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(['classify', 'quad', a, b]) == 0\n"
+              "print('scipy' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(pairs)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads("[" + proc.stdout.replace("}\n{", "},{") + "]")
+    assert [r["equivalent"] for r in reports] == [True, True, True]
+    assert all("polished" not in r["invariants"] for r in reports)
+    assert proc.stderr.splitlines()[-1] == "False"
 
 
 def test_classify_quad_yes_and_no(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,37 @@ def test_complex_and_matrix_round_trip():
     assert formats.decode_complex(3) == 3.0 + 0j  # bare reals allowed
 
 
+def _bits(m) -> np.ndarray:
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
+
+
+def test_matrix_codec_is_bit_exact_through_the_file(tmp_path):
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    m[0, :3] = [complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e308, -1e308)]
+    m[1, 0] = complex(0.0, -0.0)
+    enc = formats.encode_matrix(m.T)  # a non-contiguous view is encoded row-major too
+    # the same Python floats, entry by entry, as `encode_complex` gives
+    assert repr(enc["data"]) == repr([formats.encode_complex(z) for z in m.T.ravel()])
+    formats.dump_json(enc, tmp_path / "m.json")
+    back = formats.decode_matrix(formats.load_json(tmp_path / "m.json"))
+    assert np.array_equal(_bits(back), _bits(m.T))
+
+
+def test_matrix_decode_takes_bare_reals_and_mixed_lists():
+    bare = formats.decode_matrix({"rows": 1, "cols": 3, "data": [1, -0.0, 5e-324]})
+    assert np.array_equal(_bits(bare), _bits([[complex(1), complex(-0.0), complex(5e-324)]]))
+    mixed = formats.decode_matrix(
+        {"rows": 2, "cols": 2, "data": [2, [0, -1e308], -0.0, [True, 0.5]]})
+    expected = [complex(2), complex(0, -1e308), complex(-0.0), complex(1, 0.5)]
+    assert np.array_equal(_bits(mixed), _bits(np.reshape(expected, (2, 2))))
+    for data in ([["1", 0]], [[None, 0]], [[1, 2, 3]]):  # not numbers, or not pairs
+        with pytest.raises((TypeError, ValueError)):
+            formats.decode_matrix({"rows": 1, "cols": 1, "data": data})
+
+
 def test_matrix_data_length_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix data length 1 != 2x2"):
         formats.decode_matrix({"rows": 2, "cols": 2, "data": [[1, 0]]})
 
 
@@ -135,10 +166,15 @@ def test_load_stochastic_csv_and_json(tmp_path):
 
 
 def test_dump_json_is_sorted_and_stable(tmp_path):
-    obj = {"b": 2, "a": 1}
-    t1 = formats.dump_json(obj)
+    obj = {"b": 2, "a": 1, "m": formats.encode_matrix(np.array([[0.1 - 2j, -0.0]])),
+           "s": "x y"}
+    t1 = formats.dump_json(obj, tmp_path / "o.json")
     t2 = formats.dump_json(dict(reversed(list(obj.items()))))
     assert t1 == t2
-    assert t1.index('"a"') < t1.index('"b"')
+    assert t1 == ('{"a":1,"b":2,"m":{"cols":2,"data":[[0.1,-2.0],[-0.0,0.0]],"rows":1},'
+                  '"s":"x y"}')
+    assert (tmp_path / "o.json").read_text() == t1 + "\n"
+    # the same value as the indented layout the files had before
+    assert json.loads(t1) == json.loads(json.dumps(obj, sort_keys=True, indent=2))
     with pytest.raises(ValueError):
         formats.dump_json({"x": float("nan")})

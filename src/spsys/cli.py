@@ -229,12 +229,14 @@ def cmd_shift(args) -> int:
 
 
 def _off_block_mass(sh) -> float:
-    total = 0.0
+    """Largest entry of the dense shifts outside the blocks from level n - 1 to level n."""
+    off, total = sh.fock.offsets, 0.0
     for s in sh.matrices:
-        rest = s.copy()
-        for n in range(sh.fock.depth):
-            rest[sh.fock.level_slice(n + 1), sh.fock.level_slice(n)] = 0.0
-        total = max(total, float(np.max(np.abs(rest))) if rest.size else 0.0)
+        for n in range(sh.fock.depth + 1):
+            band = s[off[n]:off[n + 1]]  # level n's rows: only level n - 1 maps in
+            for part in (band[:, :off[max(n - 1, 0)]], band[:, off[n]:]):
+                if part.size:
+                    total = max(total, float(np.max(np.abs(part))))
     return total
 
 

@@ -101,12 +101,10 @@ class ShiftSet:
         """A_1, A_2, ... as level blocks, filled by `_word_sums` as they are asked for."""
         return []
 
-    def row(self) -> np.ndarray:
-        return np.hstack(self.matrices)
-
     @property
     def row_norm(self) -> float:
-        return linalg.opnorm(self.row())
+        """||[S_1 ... S_d]|| = ||Σ_i S_i S_i†||^{1/2}, the largest over the level blocks of A_1."""
+        return max(linalg.opnorm(a) for a in _word_sums(self, 1)) ** 0.5
 
 
 def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> TruncatedFock:

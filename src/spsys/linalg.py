@@ -255,24 +255,34 @@ def subspace_distance(a: Subspace, b: Subspace) -> float:
     return opnorm(projector(a) - projector(b))
 
 
-def nullspace(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> Subspace:
-    """Orthonormal basis of the right null space, with span() rank semantics."""
+def nullspace(m: np.ndarray, rel_tol: float = RANK_REL_TOL, cutoff: Optional[float] = None,
+              with_complement: bool = False):
+    """Orthonormal basis of the right null space, with span() rank semantics.
+
+    A given `cutoff` replaces the relative one: singular values above it count.
+    With `with_complement` the result is the pair (null space, frame of its
+    orthogonal complement), both from the one SVD.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        return full_space(cols)
+        null = full_space(cols)
+        return (null, np.zeros((cols, 0), dtype=complex)) if with_complement else null
     # full V is needed, U never is: a tall stack is first reduced to its
     # (cols x cols) R factor, which has the same singular values and right
     # singular vectors, and a wide one needs full_matrices for the whole V
     if rows > cols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    smax = s[0] if s.size else 0.0
-    cutoff = max(rel_tol * smax, RANK_ABS_FLOOR)
+    if cutoff is None:
+        smax = s[0] if s.size else 0.0
+        cutoff = max(rel_tol * smax, RANK_ABS_FLOOR)
     r = int(np.sum(s > cutoff))
     null = np.conjugate(vh[r:].T, out=np.empty((cols, cols - r), dtype=complex))
+    comp = np.conjugate(vh[:r].T) if with_complement else None
     del vh  # one copy of the null columns, and V freed before the frame check
-    return Subspace(cols, null, cutoff)
+    null = Subspace(cols, null, cutoff)
+    return (null, comp) if with_complement else null
 
 
 def pair_coordinates(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,

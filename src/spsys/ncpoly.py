@@ -150,8 +150,9 @@ class NCPoly:
                 raise ValueError("matrices must be square and of equal size")
         out = np.zeros((h, h), dtype=complex)
         for w, c in self.terms.items():
-            acc = np.eye(h, dtype=complex)
-            for a in w:
+            # a word's product starts at its first letter: I @ T equals T
+            acc = mats[w[0] - 1] if w else np.eye(h, dtype=complex)
+            for a in w[1:]:
                 acc = acc @ mats[a - 1]
             out += c * acc
         return out

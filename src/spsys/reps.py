@@ -181,6 +181,24 @@ def _level_words(system: SubproductSystem, h: int, depth: int, roots: bool) -> i
     return words
 
 
+def _shrink_words(dims: list, h: int) -> int:
+    """Complex words a later step of `maximal_piece` holds next to the tildes.
+
+    The largest over m = dim V, with c = h - m, of: the level factors made so
+    far (m × m each) and one level's rows (at most (h + c·r_n) × m), next to
+    the larger of the level's product before its c rows are taken or the QR
+    copy of the rows; or the stacked factors with their QR copy and the SVD's
+    factors. Next to either, the frames of V and V^⊥ and their updates.
+    """
+    if h < 2:
+        return 0  # no later step: V = C^h or 0 after the first
+    m = np.arange(1, h)
+    c, top, n = h - m, max(dims, default=0), len(dims)
+    rows = (h + top * c) * m
+    levels = n * m * m + rows + np.maximum(top * h * np.minimum(m, c), rows + m * m)
+    return int(np.maximum(levels, (3 * n + 6) * m * m).max()) + 3 * h * h
+
+
 def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = None) -> list[np.ndarray]:
     """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..depth.
 
@@ -205,19 +223,14 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[
     R_{n-1} T_i†, the second the (d·r_{n-1} - r_n)·h complement rows of
     `_tilde_levels`. A QR keeps h rows per level: no singular value is squared,
     nothing has d^n rows. One budget check, before anything is allocated,
-    covers the whole call and, with `piece`, the constraint stack and residual
-    of `maximal_piece`.
+    covers the whole call and, with `piece`, the shrink steps of
+    `maximal_piece`.
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
     total = sum(dims) * hh  # the T̃_n†
     level = _level_words(system, h, system.depth, roots=True)
-    if piece:
-        # next to the tildes: a recursion step; or the constraint stack (a copy
-        # of the tildes under h rows) with its QR copy; or the residual's
-        # level-sized products and the operator norm's copy
-        words = total + max(level, 2 * (total + hh), 4 * max(dims) * hh)
-    else:
-        words = level
+    # next to the tildes, with `piece`: a recursion step or a shrink step
+    words = total + max(level, _shrink_words(dims[1:], h)) if piece else level
     # the roots, their stack and its QR copy, a few h × h blocks and array headers
     words += 3 * len(dims) * hh + 8 * hh + 64 * len(dims) + 1024
     what = "piece constraints" if piece else "complement residuals"
@@ -487,39 +500,55 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     Shrinks from the full space: at each step keep the vectors whose
     backward orbit under every T̃_n† stays inside X(n) ⊗ (current subspace),
     for all n up to the system depth. As I - P_n ⊗ P_V is (I - P_n) ⊗ I plus
-    the orthogonal P_n ⊗ P_V^⊥, stacking the roots R_n and the (I ⊗ P_V^⊥) T̃_n†
-    gives the Gram of the stacked (I - P_n ⊗ P_V) W_n† from (2 + sum r_n)·h rows.
+    the orthogonal P_n ⊗ P_V^⊥, the roots R_n and the (I ⊗ P_V^⊥) T̃_n† give
+    the Gram of the stacked (I - P_n ⊗ P_V) W_n†.
+
+    The first step, at V = C^h, is the null space of the roots alone. Every
+    later step works in the coordinates of V: with Q a frame of V (m columns)
+    and Q⊥ one of V^⊥ (c = h - m columns), its rows are, level by level,
+    R_n Q over the c-row blocks (I_{r_n} ⊗ Q⊥†) T̃_n† Q. Each level is
+    reduced to its m-column R factor as it is made, and one SVD of the
+    stacked factors gives the next frame and the directions V loses. A later
+    step counts singular values above max(RANK_REL_TOL · max(1, σ_max(base)),
+    RANK_ABS_FLOOR), base the stacked roots: a stack over all of C^h would
+    also hold the rows Q⊥†, whose singular values are 1, so this is never
+    above that stack's cutoff. At the fixed point the step's null space is
+    all of C^m and V is kept. The residual, the largest
+    ||(I - P_n ⊗ P_V) W_n† Q|| = ||[R_n Q; block_n]||, is the norm of that
+    step's level factors.
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
     h = rep.h
     adjoints, roots = _complement_roots(system, rep, budget, piece=True)
-    # the V-independent rows R_1..R_N, compressed once to at most h rows
-    base = np.linalg.qr(np.vstack(roots), mode="r")
-    stack = np.vstack([base] + adjoints)  # the rows below base are rewritten at each step
     # V = C^h at the first step, where every (I ⊗ P_V^⊥) T̃_n† row is zero
-    current, iterations = linalg.nullspace(base), 1
-    while current.dim not in (h, 0):  # the dim drops at every step but the last
-        # Q⊥ Q⊥† = P_V^⊥ for an orthonormal frame Q⊥ of V^⊥ (c columns), so the
-        # c-row blocks (I_{r_n} ⊗ Q⊥†) T̃_n† give the Gram of (I_{r_n} ⊗ P_V^⊥) T̃_n†
-        perp = linalg.complement(current).frame.conj().T
-        start = base.shape[0]
-        for a in adjoints:  # n = 0 gives Q⊥†, the rows of I - P_V
-            rows = slice(start, start + a.shape[0] // h * len(perp))
-            np.matmul(perp, a.reshape(-1, h, h), out=stack[rows].reshape(-1, len(perp), h))
-            start = rows.stop
-        current, previous = linalg.nullspace(stack[:start]), current
-        iterations += 1
-        if current.dim == previous.dim:
-            break
-    del stack  # before the residual's level-sized products
-    residual = 0.0
-    if current.dim:
-        # (I ⊗ Q⊥†) keeps the norm of (I ⊗ P_V^⊥) on c rows per block instead of h
-        q, perp = current.frame, linalg.complement(current).frame.conj().T
+    first, perp = linalg.nullspace(np.vstack(roots), with_complement=True)
+    frame, cutoff, iterations = first.frame, first.tol_used, 1
+    # tol_used is max(RANK_REL_TOL · σ_max(base), RANK_ABS_FLOOR)
+    later = max(cutoff, linalg.RANK_REL_TOL)
+    factors = roots[1:]  # the level factors at V = C^h, up to the unitary frame
+    while 0 < frame.shape[1] < h:  # the dim drops at every step but the last
+        m, c = frame.shape[1], perp.shape[1]
+        perp_h, factors = perp.conj().T, []
         for a, root in zip(adjoints[1:], roots[1:]):
-            outside = (perp @ (a @ q).reshape(-1, h, q.shape[1])).reshape(-1, q.shape[1])
-            residual = max(residual, linalg.opnorm(np.vstack([root @ q, outside])))
+            k = len(root)
+            rows = np.empty((k + a.shape[0] // h * c, m), dtype=complex)
+            np.matmul(root, frame, out=rows[:k])
+            a, block = a.reshape(-1, h, h), rows[k:].reshape(-1, c, m)
+            # the smaller of Q⊥† and Q first: fewer flops and a smaller product
+            if c < m:
+                np.matmul(perp_h @ a, frame, out=block)
+            else:
+                np.matmul(perp_h, a @ frame, out=block)
+            factors.append(np.linalg.qr(rows, mode="r"))
+            del rows, block  # one level's rows at a time
+        step, lost = linalg.nullspace(np.vstack(factors), cutoff=later, with_complement=True)
+        cutoff, iterations = later, iterations + 1
+        if step.dim == m:
+            break  # the fixed point: V is kept, with this step's factors
+        frame, perp = frame @ step.frame, np.hstack([perp, frame @ lost])
+    residual = max(map(linalg.opnorm, factors), default=0.0) if frame.shape[1] else 0.0
+    current = linalg.Subspace(h, frame, cutoff)
     return {
         "subspace": current,
         "dim": current.dim,

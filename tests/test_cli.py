@@ -194,7 +194,7 @@ def test_piece_full_space_for_representation(capsys, commuting_spec, rep_file):
 
 def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     # golden depth 5 against the full shift on words of length <= 5 (h=63):
-    # each level's tilde fits 3 MiB, the tildes, roots and constraint stack
+    # each level's tilde fits 3 MiB, the tildes, roots and a shrink step
     # together do not, and the refusal comes before the first tilde
     from spsys import fock, reps, subproduct
     spec = tmp_path / "golden5.json"

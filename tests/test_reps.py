@@ -430,6 +430,29 @@ def _zero_fiber_case():
     return subproduct.from_ideal(gens, 3), RepTuple((t1, t2))
 
 
+def _weighted_chain(n, seed, lead=0):
+    """Golden depth n and a weighted chain on C^{n+2+lead}, conjugated by a unitary U.
+
+    With t = n - 1 + lead, T_1† e_k = w_k e_{k+1} for k < t, and T_2† takes
+    e_t to e_{t+1} to e_{t+2} (all in U's coordinates). Step 1 drops
+    e_{lead+1}..e_t, whose words to 22 have at most n letters. Each later step
+    drops the e_k within n letters of those dropped at the step before: for
+    lead < n, e_0..e_lead at step 2, and span(e_{t+1}, e_{t+2}) is fixed at
+    step 3; for lead = n, e_0 only at step 3, which needs the directions lost
+    at step 2, and the fixed point comes at step 4.
+    """
+    t = n - 1 + lead
+    h = t + 3
+    a1, a2 = np.zeros((h, h), dtype=complex), np.zeros((h, h), dtype=complex)
+    w = 0.5 + 0.4 * np.arange(h) / h
+    for k in range(t):
+        a1[k + 1, k] = w[k]
+    a2[t + 1, t], a2[t + 2, t + 1] = w[t], w[t + 1]
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
+    return _golden(n), RepTuple(tuple(u @ a.conj().T @ u.conj().T for a in (a1, a2)))
+
+
 PIECE_CASES = {
     "golden4-conj": lambda: (_golden(4), conjugated_full_shift(4, seed=40)[0]),
     "golden5-conj": lambda: (_golden(5), conjugated_full_shift(5, seed=42)[0]),
@@ -457,6 +480,10 @@ PIECE_CASES = {
     "zero-level2-subshift": lambda: (
         subproduct.from_subshift(SubshiftSpec(2, ((1, 1), (1, 2), (2, 1), (2, 2))), 4),
         conjugated_full_shift(3, seed=51)[0]),
+    "chain3-golden": lambda: _weighted_chain(3, seed=52),
+    "chain4-golden": lambda: _weighted_chain(4, seed=53),
+    "chain5-golden": lambda: _weighted_chain(5, seed=54),
+    "chain4-lead4-golden": lambda: _weighted_chain(4, seed=55, lead=4),
 }
 
 
@@ -473,6 +500,18 @@ def test_maximal_piece_matches_word_map_oracle(case):
     assert abs(out["residual"] - ref["residual"]) <= 1e-10
 
 
+@pytest.mark.parametrize("case, steps", [
+    ("chain3-golden", 3), ("chain4-golden", 3), ("chain5-golden", 3), ("chain4-lead4-golden", 4)])
+def test_maximal_piece_shrinks_after_the_first_step(case, steps):
+    # the chains are the cases where later steps work in V's coordinates and
+    # lose directions: a plane survives after `steps` steps
+    system, rep = PIECE_CASES[case]()
+    out = reps.maximal_piece(system, rep)
+    assert out["iterations"] == steps
+    assert out["dim"] == 2
+    assert out["residual"] <= 1e-12
+
+
 def test_piece_and_complement_build_no_fiber_frame():
     rep, _, _ = conjugated_full_shift(4, seed=49)
     for system in (_golden(4), subproduct.from_ideal(ncpoly.commutator_gens(2), 4)):
@@ -486,8 +525,8 @@ def test_piece_and_complement_build_no_fiber_frame():
 
 
 def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
-    # d=2, depth 5, h=63: one level's tilde is under 1 MB, the tildes, their
-    # adjoints and the constraint stack together are several times that; a
+    # d=2, depth 5, h=63: one level's tilde is under 1 MB, the tildes, the
+    # roots and a shrink step together are several times that (6.7 MiB); a
     # 3 MiB budget passes every level alone but not the whole
     golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5)
     rep, _, _ = conjugated_full_shift(5, seed=41)
@@ -542,6 +581,33 @@ def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
     # as the call above cached the letter blocks of the mixed one
     with pytest.raises(subproduct.MemoryBudgetError):
         reps.maximal_piece(BUDGET_SYSTEMS[kind](d, depth), rep, budget=peak - 1)
+
+
+@pytest.mark.parametrize("kind, d, depth, h_depth", [
+    pytest.param("full", 2, 5, 5, id="2-5-5"),
+    pytest.param("golden", 2, 9, 5, id="golden-9-5"),
+])
+def test_maximal_piece_budget_is_at_most_twice_the_traced_peak(kind, d, depth, h_depth,
+                                                               monkeypatch):
+    # where the tildes and a shrink step outweigh the headers and small blocks,
+    # the estimate stays close enough that a budget which would fit is not refused
+    seen = []
+    check = reps.check_budget
+
+    def spy(needed, *args):
+        seen.append(needed)
+        return check(needed, *args)
+
+    monkeypatch.setattr(reps, "check_budget", spy)
+    system, rep = BUDGET_SYSTEMS[kind](d, depth), _shift_tuple(d, h_depth)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reps.maximal_piece(system, rep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert seen[0] <= 2 * peak
 
 
 def test_maximal_piece_of_genuine_representation_is_everything(symmetric2_6):

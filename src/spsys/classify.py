@@ -275,9 +275,6 @@ class CharacterSet:
             return False
         return all(abs(z[i - 1] * z[j - 1]) <= tol for i, j in self.edges)
 
-    def describe(self) -> dict:
-        return {"d": self.d, "kind": self.kind, "edges": self.edges}
-
 
 def character_set_descriptor(q: np.ndarray, tol: float = 1e-12) -> CharacterSet:
     return CharacterSet(q, tol)

@@ -183,10 +183,6 @@ def full_space(dim: int, budget: Optional[int] = None) -> CoordinateSubspace:
     return CoordinateSubspace(dim, np.arange(dim), budget)
 
 
-def zero_space(dim: int) -> Subspace:
-    return Subspace(dim, np.zeros((dim, 0), dtype=complex), RANK_ABS_FLOOR)
-
-
 def projector(s: Subspace) -> np.ndarray:
     """Orthogonal projection onto `s` as a dense D x D matrix."""
     return s.frame @ s.frame.conj().T
@@ -283,38 +279,6 @@ def nullspace(m: np.ndarray, rel_tol: float = RANK_REL_TOL, cutoff: Optional[flo
     del vh  # one copy of the null columns, and V freed before the frame check
     null = Subspace(cols, null, cutoff)
     return (null, comp) if with_complement else null
-
-
-def pair_coordinates(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
-                     dim_a: int, dim_b: int) -> np.ndarray:
-    """(F_a ⊗ F_b)† applied to columns living in C^{dim_a} ⊗ C^{dim_b}.
-
-    Returns the (ra·rb) x r coordinates in the product frame, through one
-    matmul per leg; the Kronecker frame is never materialized.
-    """
-    r = columns.shape[1]
-    ra, rb = frame_a.shape[1], frame_b.shape[1]
-    a1 = frame_a.conj().T @ columns.reshape(dim_a, dim_b * r)
-    # (rb, dim_b) @ (ra, dim_b, r) -> (ra, rb, r): the b leg, batched over ra
-    w = frame_b.conj().T @ a1.reshape(ra, dim_b, r)
-    return w.reshape(ra * rb, r)
-
-
-def project_pair(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
-                 dim_a: int, dim_b: int) -> np.ndarray:
-    """(P_a ⊗ P_b) applied to columns living in C^{dim_a} ⊗ C^{dim_b}.
-
-    Works through reshapes so the Kronecker projector is never materialized.
-    """
-    r = columns.shape[1]
-    ra, rb = frame_a.shape[1], frame_b.shape[1]
-    if ra == 0 or rb == 0 or r == 0:
-        return np.zeros_like(columns)
-    w = pair_coordinates(frame_a, frame_b, columns, dim_a, dim_b)
-    tmp = frame_a @ w.reshape(ra, rb * r)
-    del w  # so at most two level-sized temporaries are held at once
-    # (dim_b, rb) @ (dim_a, rb, r) -> (dim_a, dim_b, r), batched over dim_a
-    return (frame_b @ tmp.reshape(dim_a, rb, r)).reshape(dim_a * dim_b, r)
 
 
 def opnorm(m: np.ndarray) -> float:

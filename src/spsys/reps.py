@@ -15,11 +15,10 @@ on X annihilates T. The dilation-side machinery lives here:
 
 Tildes, Poisson kernels and the roots behind the piece and the complement
 residuals come from one recursion per level: C^d ⊗ X(n-1) is split by the
-stacked core Z_n and its orthonormal complement C_n, read off the word
-indices on coordinate levels, the cores on core chains and the letter
-blocks only for frames built by hand. Poisson transforms and the model
-check go through the shift tuple's letter blocks. No routine enumerates
-the d^n words of a level.
+stacked core Z_n and its orthonormal complement C_n (`subproduct._split`),
+read off the word indices of a coordinate system or the cores of a core
+chain. Poisson transforms and the model check go through the shift tuple's
+letter blocks. No routine enumerates the d^n words of a level.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from spsys import linalg
 from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly
-from spsys.subproduct import SubproductSystem, _positions
+from spsys.subproduct import SubproductSystem, _rows, _split
 from spsys import fock as fock_mod
 
 REP_TOL = 1e-8
@@ -85,53 +84,6 @@ class RepTuple:
         return out
 
 
-def _block_bytes(system: SubproductSystem, depth: int) -> int:
-    """Letter-block bytes the recursion up to `depth` allocates: none unless a level reads them."""
-    if all(system.level_route(n) != "frames" for n in range(1, depth + 1)):
-        return 0
-    return system.letter_block_bytes()
-
-
-def _split(system: SubproductSystem, n: int, complement: bool) -> tuple:
-    """Z_n† and, with `complement`, C_n† (else None), as maps on the rows
-    (letter, previous word) of C^d ⊗ X(n-1).
-
-    Z_n is the stacked core (d·r_{n-1} × r_n): the letter-i rows of F_n are
-    F_{n-1} Z_{n,i}. C_n is an orthonormal complement of Z_n, so [Z_n | C_n] is
-    unitary. On a coordinate level both are 0/1 columns, and each comes back as
-    the rows it picks: the (letter, previous word) pairs that are words of X(n),
-    and those that are not. Elsewhere both are matrices, and C_n comes from a
-    complete QR of the stacked core.
-    """
-    fib, prev = system.fibers[n], system.fibers[n - 1]
-    route = system.level_route(n)
-    if route == "coordinate":
-        letter, tail = np.divmod(fib.index, prev.ambient_dim)
-        k, hit = _positions(prev.index, tail)
-        if not hit.all():
-            raise ValueError(f"X({n}) is not inside E ⊗ X({n - 1})")
-        hits = letter * prev.dim + k
-        if not complement:
-            return hits, None
-        missed = np.ones(system.d * prev.dim, dtype=bool)
-        missed[hits] = False
-        return hits, np.flatnonzero(missed)
-    if route == "core":
-        zh = fib.core.frame.conj().T
-    else:  # B_{n,i} = Z_{n,i}†, side by side
-        zh = system.letter_blocks[n].transpose(1, 0, 2).reshape(fib.dim, -1)
-    if not complement:
-        return zh, None
-    # conj(Z_n) = Q R: the last columns of conj(Q) span C_n, so C_n† = Q[:, r_n:]^T
-    q = np.linalg.qr(zh.T, mode="complete")[0]
-    return zh, q[:, fib.dim:].T
-
-
-def _rows(op: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply a `_split` map to the rows of u: a gather for indices, else a product."""
-    return u[op] if op.dtype.kind == "i" else op @ u
-
-
 def _tilde_levels(system: SubproductSystem, rep: RepTuple, depth: int, roots: bool = False):
     """Yield (T̃_n†, R_n) for n = 0..depth, holding only the level before.
 
@@ -170,7 +122,7 @@ def _level_words(system: SubproductSystem, h: int, depth: int, roots: bool) -> i
     for n in range(1, depth + 1):
         a, b = dims[n - 1], dims[n]
         rows = d * a
-        if system.level_route(n) == "coordinate":
+        if system.route == "coordinate":
             split = 3 * b + rows
         else:  # Z_n†, and for the roots the complete-QR factor and its R
             split = rows * b + roots * rows * (rows + 2 * b)
@@ -234,8 +186,7 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[
     # the roots, their stack and its QR copy, a few h × h blocks and array headers
     words += 3 * len(dims) * hh + 8 * hh + 64 * len(dims) + 1024
     what = "piece constraints" if piece else "complement residuals"
-    check_budget(16 * words + _block_bytes(system, system.depth), budget,
-                 f"{what} up to level {system.depth}")
+    check_budget(16 * words, budget, f"{what} up to level {system.depth}")
     adjoints, roots = [], []
     for adj, root in _tilde_levels(system, rep, system.depth, roots=True):
         if piece:
@@ -310,8 +261,7 @@ class PoissonKernel:
         # conjugate copy isometry_defect takes; a few h × h blocks and headers
         words = rows * hh + max(_level_words(system, h, self.depth, roots=False),
                                 rows * hh + hh) + 8 * hh + 64 * self.depth + 1024
-        check_budget(16 * words + _block_bytes(system, self.depth), budget,
-                     f"Poisson kernel up to level {self.depth}")
+        check_budget(16 * words, budget, f"Poisson kernel up to level {self.depth}")
         self.system = system
         self.rep = rep
         self.r = float(r)

@@ -105,7 +105,14 @@ def _is_subword(u: tuple, w: tuple) -> bool:
 
 @dataclass(frozen=True)
 class SubproductSystem:
-    """Fibers X(0..depth) with X(m+n) contained in X(m) ⊗ X(n)."""
+    """Fibers X(0..depth) with X(m+n) contained in X(m) ⊗ X(n).
+
+    The fibers take one of two forms, fixed for the whole system (`route`):
+    every fiber a `CoordinateSubspace` (word indices), or every fiber above
+    level 0 a `CoreSubspace` over the fiber below it. Every constructor
+    returns one of them; frames made by hand enter through
+    `maximal_with_fibers`, which turns them into a core chain.
+    """
 
     d: int
     depth: int
@@ -122,6 +129,17 @@ class SubproductSystem:
                 raise ValueError(f"fiber {n} has wrong ambient dimension")
         if self.fibers[0].dim != 1:
             raise ValueError("level-0 fiber must be C")
+        fibers = self.fibers
+        if self.route == "coordinate":
+            bad = [n for n, f in enumerate(fibers) if not isinstance(f, CoordinateSubspace)]
+        else:
+            bad = [n for n in range(1, self.depth + 1) if not (
+                isinstance(fibers[n], CoreSubspace) and fibers[n].prev is fibers[n - 1])]
+        if bad:
+            raise ValueError(
+                f"fiber {bad[0]} breaks the system's form: every fiber must be word "
+                f"indices, or every fiber above level 0 a core over the fiber below; "
+                f"build hand-made frames with maximal_with_fibers(d, frames, len(frames))")
 
     def fiber(self, n: int) -> Subspace:
         return self.fibers[n]
@@ -136,37 +154,23 @@ class SubproductSystem:
     def kind(self) -> str:
         return self.provenance.get("kind", "fibers")
 
-    def level_route(self, n: int) -> str:
-        """How level n sits over level n-1: "coordinate" (word indices on both),
-        "core" (a core over the fiber below) or "frames" (dense frames). Every
-        constructor gives coordinate or core levels, so only systems built by
-        hand from dense frames reach the frame routes."""
-        fib, prev = self.fibers[n], self.fibers[n - 1]
-        if _coordinate_triple(fib, prev):
-            return "coordinate"
-        if isinstance(fib, CoreSubspace) and fib.prev is prev:
-            return "core"
-        return "frames"
+    @property
+    def route(self) -> str:
+        """How every level sits over the one below: "coordinate" (word indices)
+        or "core" (a core over the fiber below)."""
+        return "coordinate" if isinstance(self.fibers[1], CoordinateSubspace) else "core"
 
     def unbuilt_frame_bytes(self) -> int:
         """Bytes the frames of every level take that are not built yet."""
         return _unbuilt_frame_bytes(self.fibers)
 
     def letter_block_bytes(self) -> int:
-        """Bytes `letter_blocks` still has to allocate, or 0 once cached.
-
-        The blocks, 16·d·sum r_n r_{n-1}; for the levels read from frames, the
-        frames not built yet, and the real-view product and its temporaries
-        at the largest such level (four times its blocks), with headers.
-        """
+        """Bytes `letter_blocks` still has to allocate, or 0 once cached:
+        the blocks, 16·d·sum r_n r_{n-1}, with headers."""
         if "letter_blocks" in vars(self):
             return 0
-        dims, fibers = self.dims(), self.fibers
-        blocks = [16 * self.d * a * b for a, b in zip(dims, dims[1:])]
-        dense = [n for n in range(1, self.depth + 1) if self.level_route(n) == "frames"]
-        read = [f for n in dense for f in (fibers[n], fibers[n - 1])]
-        work = max((4 * blocks[n - 1] for n in dense), default=0)
-        return sum(blocks) + work + _unbuilt_frame_bytes(read) + 2048 * self.depth
+        dims = self.dims()
+        return sum(16 * self.d * a * b for a, b in zip(dims, dims[1:])) + 2048 * self.depth
 
     @cached_property
     def letter_blocks(self) -> tuple[np.ndarray, ...]:
@@ -175,30 +179,19 @@ class SubproductSystem:
         Since X(n) ⊆ E ⊗ X(n-1), the letter-i rows of F_n are F_{n-1} B_{n,i}†,
         so these d blocks per level (the left-orthonormal tensor-train cores)
         carry everything shifts need: B_{n,i} is the letter-i shift from level
-        n-1 to level n. Tildes and Poisson kernels read them only on levels
-        held as frames (`reps._split`). There is no level -1, so
-        blocks[0] has no columns. Between two coordinate fibers the blocks
-        are read off the indices, and a core fiber over its predecessor gives
-        them as its conjugate-transposed core; neither builds a frame. Only
-        systems built by hand from dense frames reach the frame branch.
+        n-1 to level n. There is no level -1, so blocks[0] has no columns.
+        Between coordinate fibers the blocks are read off the indices, and a
+        core fiber gives them as its conjugate-transposed core; neither builds
+        a frame.
         """
         d = self.d
         blocks = [np.zeros((d, 1, 0), dtype=complex)]
         for n in range(1, self.depth + 1):
             fib, prev = self.fibers[n], self.fibers[n - 1]
-            dn = d ** (n - 1)
-            route = self.level_route(n)
-            if route == "coordinate":
-                blocks.append(_coordinate_letter_blocks(fib.index, prev.index, d, dn))
-                continue
-            if route == "core":
+            if self.route == "coordinate":
+                blocks.append(_coordinate_letter_blocks(fib.index, prev.index, d, d ** (n - 1)))
+            else:
                 blocks.append(fib.letter_cores().conj().transpose(0, 2, 1))
-                continue
-            # F_n[i-th block]† F_{n-1} through real views (re, im interleaved): no conjugate copy
-            x = np.ascontiguousarray(fib.frame).view(float).reshape(d, dn, 2 * fib.dim)
-            g = x.transpose(0, 2, 1) @ np.ascontiguousarray(prev.frame).view(float)
-            g = g.reshape(d, fib.dim, 2, prev.dim, 2)
-            blocks.append(g[..., 0, :, 0] + g[..., 1, :, 1] + 1j * (g[..., 0, :, 1] - g[..., 1, :, 0]))
         return tuple(blocks)
 
 
@@ -224,6 +217,44 @@ def _positions(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     hit = k < index.size
     hit[hit] = index[k[hit]] == values[hit]
     return k, hit
+
+
+def _split(system: SubproductSystem, n: int, complement: bool) -> tuple:
+    """Z_n† and, with `complement`, C_n† (else None), as maps on the rows
+    (letter, previous word) of C^d ⊗ X(n-1).
+
+    Z_n is the stacked core (d·r_{n-1} × r_n): the letter-i rows of F_n are
+    F_{n-1} Z_{n,i}. C_n is an orthonormal complement of Z_n, so [Z_n | C_n] is
+    unitary. On a coordinate level both are 0/1 columns, and each comes back as
+    the rows it picks: the (letter, previous word) pairs that are words of X(n),
+    and those that are not. On a core level both are matrices, and C_n comes
+    from a complete QR of the stacked core.
+    """
+    fib, prev = system.fibers[n], system.fibers[n - 1]
+    if system.route == "coordinate":
+        letter, tail = np.divmod(fib.index, prev.ambient_dim)
+        k, hit = _positions(prev.index, tail)
+        del tail
+        if not hit.all():
+            raise ValueError(f"X({n}) is not inside E ⊗ X({n - 1})")
+        letter *= prev.dim
+        letter += k  # the rows of the hits, in place
+        if not complement:
+            return letter, None
+        missed = np.ones(system.d * prev.dim, dtype=bool)
+        missed[letter] = False
+        return letter, np.flatnonzero(missed)
+    zh = fib.core.frame.conj().T
+    if not complement:
+        return zh, None
+    # conj(Z_n) = Q R: the last columns of conj(Q) span C_n, so C_n† = Q[:, r_n:]^T
+    q = np.linalg.qr(zh.T, mode="complete")[0]
+    return zh, q[:, fib.dim:].T
+
+
+def _rows(op: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Apply a `_split` map to the rows of u: a gather for indices, else a product."""
+    return u[op] if op.dtype.kind == "i" else op @ u
 
 
 def _scalar_fiber() -> CoordinateSubspace:
@@ -455,33 +486,17 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     return core, (rest.reshape(m - r, d, rp) @ gh).reshape(m - r, size)
 
 
-def _pair_inclusion_residual(fibers, d: int, i: int, j: int) -> float:
-    """|| (I - P_i ⊗ P_j) frame_{i+j} ||.
+def _index_axiom_residual(fibers, d: int, i: int, j: int) -> float:
+    """|| (I - P_i ⊗ P_j) frame_{i+j} || between coordinate fibers, a set inclusion.
 
-    Between coordinate fibers this is a set inclusion of word indices: the
-    unit vector of word w = (head, tail) lies in X(i) ⊗ X(j) when both halves
-    are kept and is orthogonal to it otherwise, so the residual is exactly 0
-    or 1. Other fibers go through their frames.
+    The unit vector of word w = (head, tail) lies in X(i) ⊗ X(j) when both
+    halves are kept and is orthogonal to it otherwise, so the residual is
+    exactly 0 or 1.
     """
     target, a, b = fibers[i + j], fibers[i], fibers[j]
-    if target.dim == 0:
-        return 0.0
-    if _coordinate_triple(target, a, b):
-        head, tail = np.divmod(target.index, d**j)
-        kept = _positions(a.index, head)[1] & _positions(b.index, tail)[1]
-        return 0.0 if kept.all() else 1.0
-    g = target.frame
-    proj = linalg.project_pair(a.frame, b.frame, g, d**i, d**j)
-    return linalg.opnorm(g - proj)
-
-
-def _coordinate_triple(*fibers) -> bool:
-    return all(isinstance(f, CoordinateSubspace) for f in fibers)
-
-
-def _is_core_chain(system: SubproductSystem) -> bool:
-    """Whether every fiber above level 0 is a core over the fiber before it."""
-    return all(system.level_route(n) == "core" for n in range(1, system.depth + 1))
+    head, tail = np.divmod(target.index, d**j)
+    kept = _positions(a.index, head)[1] & _positions(b.index, tail)[1]
+    return 0.0 if kept.all() else 1.0
 
 
 def _core_axiom_words(dims: list[int], d: int) -> int:
@@ -538,32 +553,6 @@ def _core_axiom_residuals(system: SubproductSystem) -> dict:
     return out
 
 
-def _dense_axiom_bytes(system: SubproductSystem) -> int:
-    """Bytes the frame route of `verify_axioms` allocates at its largest split.
-
-    The lazy frames it reads that are not built yet (with the lower frames a
-    core frame builds on the way); then for one split, the larger of the pair
-    projection's coordinates and partial products, or its result, the
-    difference and the operator norm's copy of it; a coordinate split holds
-    a few index arrays instead.
-    """
-    d, fibers = system.d, system.fibers
-    read, work = [], 0
-    for total in range(2, system.depth + 1):
-        for i in range(1, total):
-            a, b, g = fibers[i], fibers[total - i], fibers[total]
-            if not g.dim:
-                continue
-            if _coordinate_triple(g, a, b):
-                work = max(work, 48 * g.dim)
-                continue
-            read += [a, b, g]
-            ra, rb, da, db = a.dim, b.dim, d**i, d**(total - i)
-            work = max(work, 16 * g.dim * max(3 * da * db, ra * (db + rb),
-                                              rb * (ra + da) + da * db))
-    return _unbuilt_frame_bytes(read) + work
-
-
 def _unbuilt_frame_bytes(read: list) -> int:
     """Bytes of the lazy frames of `read` not built yet, with the lower frames a core frame builds."""
     lazy = {}
@@ -579,22 +568,22 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL,
     """Residuals of X(m+n) ⊆ X(m) ⊗ X(n) for every split of every level.
 
     A core chain (ideal, q-matrix, quadratic and `fibers` systems) is
-    decided on its cores and coordinate fibers on their word indices; other
-    fibers, which only systems built by hand from dense frames have, go
-    through their frames. One estimate of the whole check is held against
+    decided on its cores, coordinate fibers on their word indices; neither
+    builds a frame. One estimate of the whole check is held against
     `budget` before anything is allocated.
     """
     splits = [(i, total - i) for total in range(2, system.depth + 1) for i in range(1, total)]
     # the two residual dicts, their keys and values, and array headers
     small = 256 * system.depth**2 + 4096
-    if _is_core_chain(system):
+    if system.route == "core":
         check_budget(16 * _core_axiom_words(system.dims(), system.d) + small, budget,
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
     else:
-        check_budget(_dense_axiom_bytes(system) + small, budget,
-                     f"axiom residuals on the frames up to level {system.depth}")
-        found = {s: _pair_inclusion_residual(system.fibers, system.d, *s) for s in splits}
+        # a split holds a few index arrays of its top level
+        check_budget(48 * max(system.dims()[2:], default=0) + small, budget,
+                     f"axiom residuals on the word indices up to level {system.depth}")
+        found = {s: _index_axiom_residual(system.fibers, system.d, *s) for s in splits}
     residuals = {s: found[s] for s in splits}
     worst = max(residuals.values(), default=0.0)
     return {
@@ -613,37 +602,43 @@ def recover_ideal(system: SubproductSystem, n: int) -> Subspace:
 
 
 def recover_ideal_gens(system: SubproductSystem, max_level: Optional[int] = None) -> IdealGens:
-    """Complement frames of levels 1..max_level as polynomial generators."""
+    """Generators of the vanishing ideal, from the complement cores of levels 1..max_level.
+
+    As X(n) ⊆ E ⊗ X(n-1), X(n)^⊥ = E ⊗ X(n-1)^⊥ ⊕ (I_d ⊗ F_{n-1}) C_n, C_n the
+    orthonormal complement of the stacked core (`_split`). The first part lies
+    in the ideal the lower levels generate, so level n adds the d·r_{n-1} - r_n
+    columns of (I_d ⊗ F_{n-1}) C_n: on a coordinate level, the monomials of the
+    missed (letter, previous word) pairs.
+    """
     top = system.depth if max_level is None else max_level
-    gens = []
+    if top > system.depth:
+        raise ValueError("level out of range")
+    d, gens = system.d, []
     for n in range(1, top + 1):
-        comp = recover_ideal(system, n)
-        for j in range(comp.dim):
-            gens.append(NCPoly.from_vector(comp.frame[:, j], n, system.d))
-    return IdealGens(system.d, gens)
+        prev = system.fiber(n - 1)
+        _, ch = _split(system, n, complement=True)
+        if system.route == "coordinate":
+            letter, k = np.divmod(ch, prev.dim)
+            words = letter * prev.ambient_dim + prev.index[k]
+            gens += [NCPoly.monomial(d, ncpoly.index_word(int(w), n, d)) for w in words]
+            continue
+        comp = prev.frame @ ch.conj().T.reshape(d, prev.dim, len(ch))
+        gens += [NCPoly.from_vector(col, n, d) for col in comp.reshape(d**n, len(ch)).T]
+    return IdealGens(d, gens)
 
 
 def verify_unit(system: SubproductSystem, v: np.ndarray, tol: float = 1e-9) -> dict:
     """Check that v^{⊗n} survives every projection p_n.
 
     Tuples (v^{⊗n}) of that form are exactly the multiplicative units of the
-    system; the unit is unital iff ||v|| = 1. A core chain is checked on its
-    cores (`_core_unit_residuals`), other fibers on v^{⊗n} itself: by word
-    indices on coordinate fibers, and through the frames only on systems
-    built by hand from dense frames.
+    system; the unit is unital iff ||v|| = 1. The residuals come level by
+    level from the word indices or the cores (`_unit_residuals`), with no
+    d^n-entry vector.
     """
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != system.d:
         raise ValueError("vector has wrong dimension")
-    if _is_core_chain(system):
-        residuals = _core_unit_residuals(system, v)
-    else:
-        residuals = []
-        w = np.ones(1, dtype=complex)
-        for n in range(1, system.depth + 1):
-            w = np.kron(w, v)
-            diff = w - linalg.project(system.fiber(n), w.reshape(-1, 1)).ravel()
-            residuals.append(float(np.linalg.norm(diff)))
+    residuals = _unit_residuals(system, v)
     is_unit = all(r <= tol for r in residuals)
     norm_v = float(np.linalg.norm(v))
     return {
@@ -655,21 +650,25 @@ def verify_unit(system: SubproductSystem, v: np.ndarray, tol: float = 1e-9) -> d
     }
 
 
-def _core_unit_residuals(system: SubproductSystem, v: np.ndarray) -> list[float]:
-    """|| (I - P_n) v^{⊗n} || for n = 1..depth on a core chain, without a frame.
+def _unit_residuals(system: SubproductSystem, v: np.ndarray) -> list[float]:
+    """|| (I - P_n) v^{⊗n} || for n = 1..depth, without a frame.
 
-    With c_n = F_n† v^{⊗n} = Z_n† (v ⊗ c_{n-1}), the split of I - P_n into
-    I_d ⊗ (I - P_{n-1}) and (I_d ⊗ F_{n-1})(I - Z_n Z_n†)(I_d ⊗ F_{n-1})† gives
-    res_n² = ||v||² res_{n-1}² + ||v ⊗ c_{n-1} - Z_n c_n||²: each part is the
-    norm of an unsquared difference.
+    With u = v ⊗ c_{n-1} and c_n = F_n† v^{⊗n} = Z_n† u (`_split`), the split of
+    I - P_n into I_d ⊗ (I - P_{n-1}) and (I_d ⊗ F_{n-1})(I - Z_n Z_n†)(I_d ⊗ F_{n-1})†
+    gives res_n² = ||v||² res_{n-1}² + ||u - Z_n c_n||²: each part is the norm
+    of an unsquared difference. On a coordinate level c_n gathers the rows of
+    u that are words of X(n), and u - Z_n c_n is u at the missed rows.
     """
+    coordinate = system.route == "coordinate"
     scale = float(np.vdot(v, v).real)
     c, square, out = np.ones(1, dtype=complex), 0.0, []
-    for f in system.fibers[1:]:
-        z = f.core.frame  # the stacked cores Z_n, rows (letter, r_{n-1})
+    for n in range(1, system.depth + 1):
+        zh, missed = _split(system, n, complement=coordinate)
         u = np.outer(v, c).ravel()
-        c = z.conj().T @ u
-        rest = u - z @ c
+        del c  # one level's coordinates at a time
+        c = _rows(zh, u)
+        rest = u[missed] if coordinate else u - zh.conj().T @ c
         square = scale * square + float(np.vdot(rest, rest).real)
         out.append(float(np.sqrt(square)))
+        del zh, missed, u, rest  # the next split is made next to c alone
     return out

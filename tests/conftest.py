@@ -6,7 +6,7 @@ Everything random is seeded, so the suite is deterministic run to run.
 import numpy as np
 import pytest
 
-from spsys import linalg, ncpoly, subproduct
+from spsys import ncpoly, subproduct
 from spsys.reps import RepTuple
 
 
@@ -46,17 +46,6 @@ def golden_7():
 @pytest.fixture(scope="session")
 def full2_6():
     return subproduct.from_full(2, 6)
-
-
-def dense_frame_copy(system):
-    """The system with every fiber above level 0 held as its dense frame.
-
-    No constructor returns such a system: the tests use it to reach the
-    frame routes (`SubproductSystem.level_route`).
-    """
-    fibers = tuple(linalg.Subspace(f.ambient_dim, f.frame, f.tol_used)
-                   for f in system.fibers[1:])
-    return subproduct.SubproductSystem(system.d, system.depth, system.fibers[:1] + fibers)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Each enumerates what the package computes another way, so it stays out of
 `src/`: the placements of generators in an ideal component, the shift by a
 whole fiber vector assembled from dense frames, the dense total × total
 forms of the shift-side checks that the package runs level by level, the
-pair inclusions and unit residuals on dense frames, the Gram ranks behind the
-strong-commutation support counts, the maps over all d^n words behind
-the maximal piece and the complement residuals, and the maximal completion of
-a prescribed chain by the pair products of its dense frames.
+pair projections, pair inclusions and unit residuals on dense frames, the
+Gram ranks behind the strong-commutation support counts, the maps over all
+d^n words behind the maximal piece and the complement residuals, and the
+maximal completion of a prescribed chain by the pair products of its dense
+frames.
 """
 
 from typing import Optional
@@ -15,13 +16,54 @@ from typing import Optional
 import numpy as np
 
 from spsys import linalg
-from spsys.linalg import Subspace, check_budget
-from spsys.subproduct import (
-    INCLUSION_TOL, SubproductSystem, _pair_inclusion_residual, _scalar_fiber,
-)
+from spsys.linalg import RANK_ABS_FLOOR, Subspace, check_budget
+from spsys.subproduct import INCLUSION_TOL, _scalar_fiber
 from spsys.cpmaps import NONZERO_TOL, StochasticMatrix
 from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
 from spsys.ncpoly import IdealGens, NCPoly
+
+
+def zero_space(dim: int) -> Subspace:
+    return Subspace(dim, np.zeros((dim, 0), dtype=complex), RANK_ABS_FLOOR)
+
+
+def pair_coordinates(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
+                     dim_a: int, dim_b: int) -> np.ndarray:
+    """(F_a ⊗ F_b)† applied to columns living in C^{dim_a} ⊗ C^{dim_b}.
+
+    Returns the (ra·rb) x r coordinates in the product frame, through one
+    matmul per leg; the Kronecker frame is never materialized.
+    """
+    r = columns.shape[1]
+    ra, rb = frame_a.shape[1], frame_b.shape[1]
+    a1 = frame_a.conj().T @ columns.reshape(dim_a, dim_b * r)
+    # (rb, dim_b) @ (ra, dim_b, r) -> (ra, rb, r): the b leg, batched over ra
+    w = frame_b.conj().T @ a1.reshape(ra, dim_b, r)
+    return w.reshape(ra * rb, r)
+
+
+def project_pair(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
+                 dim_a: int, dim_b: int) -> np.ndarray:
+    """(P_a ⊗ P_b) applied to columns living in C^{dim_a} ⊗ C^{dim_b}.
+
+    Works through reshapes so the Kronecker projector is never materialized.
+    """
+    r = columns.shape[1]
+    ra, rb = frame_a.shape[1], frame_b.shape[1]
+    if ra == 0 or rb == 0 or r == 0:
+        return np.zeros_like(columns)
+    w = pair_coordinates(frame_a, frame_b, columns, dim_a, dim_b)
+    tmp = frame_a @ w.reshape(ra, rb * r)
+    # (dim_b, rb) @ (dim_a, rb, r) -> (dim_a, dim_b, r), batched over dim_a
+    return (frame_b @ tmp.reshape(dim_a, rb, r)).reshape(dim_a * dim_b, r)
+
+
+def dense_pair_residual(fibers, d: int, i: int, j: int) -> float:
+    """|| (I - P_i ⊗ P_j) F_{i+j} ||, by the pair projection of the frames."""
+    g = fibers[i + j].frame
+    if not g.shape[1]:
+        return 0.0
+    return linalg.opnorm(g - project_pair(fibers[i].frame, fibers[j].frame, g, d**i, d**j))
 
 
 def homogeneous_component(gens: IdealGens, n: int) -> list[np.ndarray]:
@@ -167,13 +209,8 @@ def dense_model_residuals(kernel, w) -> list[float]:
 
 def dense_axiom_residuals(system) -> dict:
     """|| (I - P_i ⊗ P_j) F_{i+j} || for every split, by pair projections of the frames."""
-    d, fibers, out = system.d, system.fibers, {}
-    for total in range(2, system.depth + 1):
-        for i in range(1, total):
-            j, g = total - i, fibers[total].frame
-            proj = linalg.project_pair(fibers[i].frame, fibers[j].frame, g, d**i, d**j)
-            out[(i, j)] = linalg.opnorm(g - proj) if g.shape[1] else 0.0
-    return out
+    return {(i, total - i): dense_pair_residual(system.fibers, system.d, i, total - i)
+            for total in range(2, system.depth + 1) for i in range(1, total)}
 
 
 def dense_unit_residuals(system, v) -> list[float]:
@@ -230,7 +267,7 @@ def word_map_piece(system, rep) -> dict:
         blocks = [np.eye(h) - linalg.projector(current)]
         for n in range(1, depth + 1):
             m = adjoints[n]
-            blocks.append(m - linalg.project_pair(
+            blocks.append(m - project_pair(
                 system.fiber(n).frame, current.frame, m, d**n, h))
         nxt = linalg.nullspace(np.vstack(blocks))
         done = nxt.dim == current.dim
@@ -241,7 +278,7 @@ def word_map_piece(system, rep) -> dict:
     if current.dim > 0:
         for n in range(1, depth + 1):
             img = adjoints[n] @ current.frame
-            img -= linalg.project_pair(system.fiber(n).frame, current.frame, img, d**n, h)
+            img -= project_pair(system.fiber(n).frame, current.frame, img, d**n, h)
             residual = max(residual, linalg.opnorm(img))
     return {"subspace": current, "dim": current.dim, "iterations": iterations,
             "residual": residual}
@@ -285,8 +322,9 @@ def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
 
 def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
                               tol: float = INCLUSION_TOL,
-                              budget: Optional[int] = None) -> SubproductSystem:
-    """Largest system extending the prescribed fibers X(1..k), on dense frames.
+                              budget: Optional[int] = None) -> tuple[Subspace, ...]:
+    """The fibers X(0..depth) of the largest system extending the prescribed
+    X(1..k), as dense frames.
 
     The prescribed chain must itself satisfy the inclusions
     X(n) ⊆ X(i) ⊗ X(j) for i + j = n <= k; beyond k each level is the
@@ -304,7 +342,7 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
     for n in range(2, k + 1):
         for i in range(1, n):
             j = n - i
-            res = _pair_inclusion_residual(fibers, d, i, j)
+            res = dense_pair_residual(fibers, d, i, j)
             if res > tol:
                 raise ValueError(
                     f"prescribed fibers violate X({n}) ⊆ X({i})⊗X({j}): "
@@ -313,7 +351,7 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
     for n in range(k + 1, depth + 1):
         prev = fibers[n - 1]
         if prev.dim == 0 or fibers[1].dim == 0:
-            fibers.append(linalg.zero_space(d**n))
+            fibers.append(zero_space(d**n))
             continue
         check_budget(16 * d**n * fibers[1].dim * prev.dim, budget,
                      f"maximal fiber at level {n}")
@@ -330,7 +368,7 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
             if fi.dim == 0 or fj.dim == 0:
                 gram += np.eye(m)
                 continue
-            w = linalg.pair_coordinates(fi.frame, fj.frame, base, d**i, d**j)
+            w = pair_coordinates(fi.frame, fj.frame, base, d**i, d**j)
             gram += np.eye(m) - w.conj().T @ w
         if not pairs:
             z = np.eye(m, dtype=complex)
@@ -340,7 +378,7 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
                 vecs = base @ cand
                 acc = np.zeros(cand.shape[1])
                 for i, j in pairs:
-                    proj = linalg.project_pair(
+                    proj = project_pair(
                         fibers[i].frame, fibers[j].frame, vecs, d**i, d**j
                     )
                     acc += np.sum(np.abs(vecs - proj) ** 2, axis=0)
@@ -349,7 +387,5 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
             z = _two_stage_null(gram, residual_fn)
         frame = base @ z
         fibers.append(Subspace(d**n, frame, prev.tol_used))
-    return SubproductSystem(
-        d, depth, tuple(fibers), {"kind": "fibers", "prescribed_levels": k}
-    )
+    return tuple(fibers)
 

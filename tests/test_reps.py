@@ -8,7 +8,7 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.reps import RepTuple
 from spsys.subproduct import SubshiftSpec
 
-from conftest import dense_frame_copy, random_commuting_pair, random_row_contraction
+from conftest import random_commuting_pair, random_row_contraction
 from oracles import full_word_maps, word_map_piece
 
 
@@ -63,8 +63,6 @@ def _tilde_test_systems(symmetric2_6, golden_6):
         (golden_6, 3),
         (subproduct.from_qmatrix(q, 4), 3),
         (fibers, 3),
-        # dense frames built by hand: the letter-block route
-        (dense_frame_copy(fibers), 3),
         (subproduct.from_ideal(ncpoly.commutator_gens(2), 4), 31),
         (subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5), 33),
         # full-shift levels, where the complement C_n is empty
@@ -230,16 +228,13 @@ def test_poisson_kernel_r_one_boundary_is_tolerant(symmetric2_6):
         reps.poisson_kernel(symmetric2_6, edge, r=1.0)
 
 
-@pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12),
-                                     ("mixed", 2)])
+@pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12)])
 def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
-    # word indices, cores (the fibers spec too), and the letter blocks of frames
-    # built by hand, which the kernel builds and counts; isometry_defect runs
+    # word indices and cores (the fibers spec too); isometry_defect runs
     # inside the estimate
     make = {"golden": lambda: _golden(9),
             "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
-            "fibers": lambda: _symmetric_fibers_system(7),
-            "mixed": lambda: _golden_dense_top(11)}[kind]
+            "fibers": lambda: _symmetric_fibers_system(7)}[kind]
     rep = random_row_contraction(np.random.default_rng(25), 2, h, 0.9)
 
     def run(budget=None):
@@ -253,7 +248,7 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert ("letter_blocks" in vars(system)) == (kind == "mixed")
+        assert "letter_blocks" not in vars(system)
         return peak
 
     peak = run()
@@ -540,20 +535,10 @@ def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
         reps.maximal_piece(golden, rep, budget=3 << 20)
 
 
-def _golden_dense_top(depth):
-    """Golden with its top fiber as a dense frame: that level reads the letter
-    blocks, which are then built, 0/1 and dense, for every level."""
-    fibers = _golden(depth).fibers
-    top = fibers[-1]
-    return subproduct.SubproductSystem(
-        2, depth, fibers[:-1] + (linalg.Subspace(top.ambient_dim, top.frame, top.tol_used),))
-
-
 BUDGET_SYSTEMS = {
     "full": subproduct.from_full,
     "golden": lambda d, depth: _golden(depth),
     "commutator": lambda d, depth: subproduct.from_ideal(ncpoly.commutator_gens(d), depth),
-    "mixed": lambda d, depth: _golden_dense_top(depth),
 }
 
 
@@ -564,7 +549,6 @@ BUDGET_SYSTEMS = {
     pytest.param("full", 2, 1, 4, id="2-1-4"),
     pytest.param("golden", 2, 9, 5, id="golden-9-5"),
     pytest.param("commutator", 3, 4, 2, id="commutator3-4-2"),
-    pytest.param("mixed", 2, 11, 2, id="mixed-11-2"),
 ])
 def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
     system = BUDGET_SYSTEMS[kind](d, depth)
@@ -577,10 +561,9 @@ def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # any budget the estimate accepts covers the measured peak; a fresh system,
-    # as the call above cached the letter blocks of the mixed one
+    # any budget the estimate accepts covers the measured peak
     with pytest.raises(subproduct.MemoryBudgetError):
-        reps.maximal_piece(BUDGET_SYSTEMS[kind](d, depth), rep, budget=peak - 1)
+        reps.maximal_piece(system, rep, budget=peak - 1)
 
 
 @pytest.mark.parametrize("kind, d, depth, h_depth", [

@@ -8,10 +8,10 @@ from spsys import linalg, ncpoly, subproduct
 from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import MemoryBudgetError, SubshiftSpec
 
-from conftest import dense_frame_copy, random_homogeneous_poly
+from conftest import random_homogeneous_poly
 from oracles import (
     dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
-    homogeneous_component,
+    homogeneous_component, zero_space,
 )
 
 
@@ -212,9 +212,9 @@ def test_qmatrix_and_quadratic_match_maximal_with_fibers():
             np.column_stack([g.eval_on_basis() for g in gens.gens])))
         dense = dense_maximal_with_fibers(d, [linalg.full_space(d), level2], 6)
         assert system.kind in ("qmatrix", "quadratic")
-        assert system.dims() == dense.dims()
+        assert system.dims() == [f.dim for f in dense]
         for n in range(7):
-            assert linalg.subspace_distance(system.fiber(n), dense.fiber(n)) <= 1e-10
+            assert linalg.subspace_distance(system.fiber(n), dense[n]) <= 1e-10
 
 
 def test_commutator_three_letters_depth_twelve_on_cores_in_small_memory():
@@ -337,7 +337,7 @@ FIBERS_CASES = {
     "no-21-4": (2, lambda: _one_complement_chain([0, 0, 1.0, 0]), 4, [1, 2, 3, 4, 5]),
     "full-level1-2": (2, lambda: [linalg.full_space(2)], 2, [1, 2, 4]),
     # a zero prescribed level: nothing is left to constrain above it
-    "dead-level2-4": (2, lambda: [linalg.span(np.array([[1.0], [0.0]])), linalg.zero_space(4)],
+    "dead-level2-4": (2, lambda: [linalg.span(np.array([[1.0], [0.0]])), zero_space(4)],
                       4, [1, 1, 0, 0, 0]),
 }
 
@@ -348,12 +348,12 @@ def test_maximal_with_fibers_matches_the_dense_completion(case):
     prescribed = chain()
     system = subproduct.maximal_with_fibers(d, prescribed, depth)
     # a core chain, with no frame built above the prescribed levels
-    assert all(system.level_route(n) == "core" for n in range(1, depth + 1))
+    assert system.route == "core"
     assert all("frame" not in vars(f) for f in system.fibers[len(prescribed) + 1:])
     ref = dense_maximal_with_fibers(d, prescribed, depth)
-    assert system.dims() == ref.dims() == dims
+    assert system.dims() == [f.dim for f in ref] == dims
     for n in range(depth + 1):
-        assert linalg.subspace_distance(system.fiber(n), ref.fiber(n)) <= 1e-12
+        assert linalg.subspace_distance(system.fiber(n), ref[n]) <= 1e-12
     # the prescribed levels keep their frames, so `build --out` writes them back
     for n, f in enumerate(prescribed, 1):
         assert np.max(np.abs(system.fiber(n).frame - f.frame), initial=0.0) <= 1e-12
@@ -374,9 +374,7 @@ def test_letter_blocks_rebuild_the_frames(symmetric2_6, golden_6):
     # X(n) ⊆ E ⊗ X(n-1): the letter-i rows of F_n are F_{n-1} B_{n,i}†
     level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
     fibers = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5)
-    frames = dense_frame_copy(fibers)  # every level on the frame branch
-    assert {frames.level_route(n) for n in range(1, 6)} == {"frames"}
-    for system in (symmetric2_6, golden_6, fibers, frames):
+    for system in (symmetric2_6, golden_6, fibers):
         blocks = system.letter_blocks
         assert len(blocks) == system.depth + 1
         for n in range(1, system.depth + 1):
@@ -478,17 +476,28 @@ def test_coordinate_axioms_are_index_inclusions_equal_to_the_dense_oracle():
     assert not rep["ok"]
 
 
-def test_mixed_coordinate_and_dense_fibers_take_the_dense_route():
+def test_dense_and_mixed_levels_are_refused():
+    # a system holds word indices on every level or a core over the level
+    # below on every level above 0; hand-made frames go through the completion
     level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))
-    mixed = subproduct.SubproductSystem(
-        2, 2, (linalg.CoordinateSubspace(1, [0]), linalg.full_space(2), level2))
-    rep = subproduct.verify_axioms(mixed)
-    assert rep["ok"]
-    assert rep["residuals"] == dense_axiom_residuals(mixed)
-    v = np.array([1.0, 2.0j])
-    assert np.allclose(subproduct.verify_unit(mixed, v)["residuals"],
-                       dense_unit_residuals(mixed, v), rtol=0, atol=1e-12)
-    assert "frame" in vars(mixed.fiber(1))  # the coordinate level-1 frame was built
+    golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 3)
+    symmetric = subproduct.from_ideal(ncpoly.commutator_gens(2), 3)
+    cases = {
+        2: golden.fibers[:2] + (level2,),  # a dense level over word indices
+        1: golden.fibers[:1] + (linalg.span(np.eye(2)),),  # a dense level 1
+        3: symmetric.fibers[:3] + (golden.fibers[3],),  # word indices over cores
+    }
+    for level, fibers in cases.items():
+        with pytest.raises(ValueError, match=rf"fiber {level} breaks the system's form.*"
+                                             r"maximal_with_fibers\(d, frames, len\(frames\)\)"):
+            subproduct.SubproductSystem(2, len(fibers) - 1, tuple(fibers))
+    # a core chain needs each core over the very fiber below it
+    copy = linalg.CoreSubspace(2, symmetric.fiber(0), symmetric.fiber(1).core)
+    with pytest.raises(ValueError, match="fiber 2 breaks"):
+        subproduct.SubproductSystem(2, 2, (symmetric.fiber(0), copy, symmetric.fiber(2)))
+    # the way in for hand-made frames
+    system = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 2)
+    assert system.route == "core" and system.dims() == [1, 2, 3]
 
 
 def _perturbed_core_chain():
@@ -541,8 +550,7 @@ def test_core_axioms_and_units_match_the_dense_oracles(case):
     lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 12),
     lambda: subproduct.from_qmatrix(Q3, 7),
     lambda: subproduct.maximal_with_fibers(2, _symmetric_chain(2), 9),
-    lambda: dense_frame_copy(subproduct.from_ideal(ncpoly.commutator_gens(2), 9)),
-], ids=["commutator3-12", "qmatrix3-7", "symmetric-fibers-9", "symmetric-frames-9"])
+], ids=["commutator3-12", "qmatrix3-7", "symmetric-fibers-9"])
 def test_axiom_budget_bounds_the_traced_peak(build):
     system = build()
     tracemalloc.start()
@@ -573,9 +581,9 @@ def test_maximal_completion_of_a_generic_level_one_keeps_every_level(kind, seed)
         m = m + 1j * rng.normal(size=(3, 2))
     system = subproduct.maximal_with_fibers(3, [linalg.span(m)], 4)
     ref = dense_maximal_with_fibers(3, [linalg.span(m)], 4)
-    assert system.dims() == ref.dims() == [1, 2, 4, 8, 16]
+    assert system.dims() == [f.dim for f in ref] == [1, 2, 4, 8, 16]
     for n in range(5):
-        assert linalg.subspace_distance(system.fiber(n), ref.fiber(n)) <= 1e-12
+        assert linalg.subspace_distance(system.fiber(n), ref[n]) <= 1e-12
 
 
 def test_recovered_ideal_level_two_of_symmetric(symmetric2_6):
@@ -596,6 +604,50 @@ def test_ideal_round_trip_fixed_instances():
             subproduct.recover_ideal_gens(sys_), 6)
         for n in range(7):
             assert linalg.subspace_distance(sys_.fiber(n), back.fiber(n)) < 1e-8
+
+
+def test_recovered_generators_come_from_the_complement_cores():
+    # level n adds d·r_{n-1} - r_n generators, where its whole complement has
+    # d^n - r_n (0, 3, 17, 66, 222, 701 for the commutators at d=3)
+    cases = [(subproduct.from_ideal(ncpoly.commutator_gens(3), 6), [0, 3, 8, 15, 24, 35]),
+             (subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 6), [0, 1, 1, 2, 3, 5])]
+    for system, expected in cases:
+        gens = subproduct.recover_ideal_gens(system).gens
+        dims, d = system.dims(), system.d
+        assert [sum(g.degree() == n for g in gens) for n in range(1, 7)] == expected
+        assert expected == [d * dims[n - 1] - dims[n] for n in range(1, 7)]
+        back = subproduct.from_ideal(IdealGens(d, gens), 6)
+        for n in range(7):
+            assert linalg.subspace_distance(system.fiber(n), back.fiber(n)) <= 1e-12
+    assert all(len(g.terms) == 1 for g in gens)  # golden: monomials ending in 22
+
+
+def test_units_on_word_indices_match_the_dense_oracle():
+    rng = np.random.default_rng(29)
+    for system in _coordinate_systems():
+        vectors = [np.eye(system.d)[-1], rng.normal(size=system.d) + 1j * rng.normal(size=system.d)]
+        units = [subproduct.verify_unit(system, v)["residuals"] for v in vectors]
+        assert all("frame" not in vars(f) for f in system.fibers)  # decided on the indices
+        for v, got in zip(vectors, units):
+            assert np.allclose(got, dense_unit_residuals(system, v), rtol=0, atol=1e-12)
+    # a level outside E ⊗ X(n-1) is refused, as the tildes refuse it
+    fibers = (linalg.CoordinateSubspace(1, [0]), linalg.CoordinateSubspace(2, [0]),
+              linalg.CoordinateSubspace(4, [ncpoly.word_index((2, 2), 2)]))
+    with pytest.raises(ValueError, match=r"X\(2\) is not inside"):
+        subproduct.verify_unit(subproduct.SubproductSystem(2, 2, fibers), np.ones(2))
+
+
+def test_golden_depth_twenty_units_in_small_memory():
+    system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20)
+    tracemalloc.start()
+    try:
+        units = [subproduct.verify_unit(system, v) for v in np.eye(2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert units[0]["unital"] and units[0]["residuals"] == [0.0] * 20
+    assert units[1]["residuals"] == [0.0] + [1.0] * 19  # 2·2 is forbidden
+    assert peak < 1 << 20
 
 
 def test_unit_vectors_of_golden_mean(golden_6):

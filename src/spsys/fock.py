@@ -7,10 +7,12 @@ block B_{n+1,i} (shape r_{n+1} × r_n), and the outflow of the top level is
 dropped. Products of at most N shifts applied to the vacuum are therefore
 exact.
 
-A shift tuple is held as these blocks. S_i†S_j, the follower sums S^a S^{a†}
-and the defect recursion are block-diagonal, so every check here runs level
-by level; the dense total × total matrices are a view built on demand, for
-export and for operator norms that need them.
+A shift tuple is held as its level maps (`subproduct._split`): word indices
+on a coordinate system, Z_n† on a core chain. S_i†S_j, the follower sums
+S^a S^{a†} and the defect recursion are block-diagonal, so every check here
+runs level by level, on word indices exactly, as 0/1 diagonals held as
+vectors. Dense letter blocks and total × total matrices are views built on
+demand, for export and for operator norms that need them.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from spsys import linalg
+from spsys import linalg, ncpoly
 from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly
-from spsys.subproduct import SubproductSystem
+from spsys.subproduct import SubproductSystem, _rows, _split, _split_bytes
 
-ROW_CONTRACTION_TOL = 1e-10
 DEFECT_TOL = 1e-10
-VACUUM_AGREEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,35 +65,64 @@ class TruncatedFock:
 
 @dataclass(frozen=True)
 class ShiftSet:
-    """The d shifts on a truncated Fock space, held as their letter blocks.
+    """The d shifts on a truncated Fock space, held as their level maps.
 
-    blocks[n][i] = B_{n,i} (r_n × r_{n-1}) is S_{i+1} from level n-1 to level
-    n, for n = 1..depth; blocks[0] has no columns. `matrices` is the dense
-    view, checked against `budget` before it is assembled.
+    maps[n] = `_split(system, n, False)[0]` (n = 1..depth; maps[0] is None)
+    acts on the rows (letter i, word k of level n-1) of C^d ⊗ X(n-1), so S_i
+    from level n-1 to level n is the letter block B_{n,i}: on word indices the
+    1s at (j, k) with maps[n][j] = (i-1)·r_{n-1} + k, on a core chain the
+    letter-i columns of Z_n†. `matrices` is checked against `budget`.
     """
 
     fock: TruncatedFock
-    blocks: tuple[np.ndarray, ...]
+    maps: tuple
     budget: Optional[int] = None
 
     @property
     def d(self) -> int:
         return self.fock.system.d
 
+    def _letters(self, n: int):
+        """Level n's letter blocks: on a core chain a d × r_n × r_{n-1} view of
+        Z_n†; on word indices the pair (letter, previous word) of each word."""
+        op, r_prev = self.maps[n], self.fock.offsets[n] - self.fock.offsets[n - 1]
+        if op.dtype.kind == "i":
+            return np.divmod(op, r_prev)
+        return op.reshape(op.shape[0], self.d, r_prev).transpose(1, 0, 2)
+
+    def _fill(self, out: np.ndarray, n: int, rows: slice, cols: slice) -> None:
+        """Write level n's letter blocks into out[:, rows, cols]: the core view,
+        or the 1s of the word indices."""
+        letters = self._letters(n)
+        if isinstance(letters, tuple):
+            letter, prev = letters
+            words = rows.start + np.arange(letter.size)
+            np.put(out, np.ravel_multi_index((letter, words, cols.start + prev), out.shape), 1.0)
+        else:
+            out[:, rows, cols] = letters
+
+    def blocks(self, n: int) -> np.ndarray:
+        """The dense letter blocks B_{n,i} of level n, d × r_n × r_{n-1}."""
+        dims = self.fock.level_dims()
+        out = np.zeros((self.d, dims[n], dims[n - 1]), dtype=complex)
+        self._fill(out, n, slice(0, dims[n]), slice(0, dims[n - 1]))
+        return out
+
     def matrix_bytes(self) -> int:
-        """Bytes of the dense view: the d arrays, their headers and the views that fill them."""
+        """Bytes of the dense view: the d arrays, their headers and the views
+        that fill them; on word indices also a level's positions of the 1s."""
         d, total = self.d, self.fock.total_dim
-        return 16 * d * total * total + 256 * d + 1024
+        scatter = 48 * max(self.fock.level_dims()) + 1024 if self.fock.system.route == "coordinate" else 0
+        return 16 * d * total * total + 256 * d + 1024 + scatter
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, ...]:
-        """The d dense total × total shift matrices."""
+        """The d dense total × total shift matrices, filled straight from the maps."""
         fock, d, total = self.fock, self.d, self.fock.total_dim
         check_budget(self.matrix_bytes(), self.budget, "shift matrices")
-        mats = [np.zeros((total, total), dtype=complex) for _ in range(d)]
+        mats = np.zeros((d, total, total), dtype=complex)
         for n in range(1, fock.depth + 1):
-            for m, b in zip(mats, self.blocks[n]):
-                m[fock.level_slice(n), fock.level_slice(n - 1)] = b
+            self._fill(mats, n, fock.level_slice(n), fock.level_slice(n - 1))
         return tuple(mats)
 
     @cached_property
@@ -104,7 +133,7 @@ class ShiftSet:
     @property
     def row_norm(self) -> float:
         """||[S_1 ... S_d]|| = ||Σ_i S_i S_i†||^{1/2}, the largest over the level blocks of A_1."""
-        return max(linalg.opnorm(a) for a in _word_sums(self, 1)) ** 0.5
+        return max(_block_norm(a) for a in _word_sums(self, 1)) ** 0.5
 
 
 def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> TruncatedFock:
@@ -118,38 +147,60 @@ def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> Truncat
 
 
 def build_shifts(fock: TruncatedFock, budget: Optional[int] = None) -> ShiftSet:
-    """The shift tuple from the letter blocks B_{n,i} = F_n[i-th block]† F_{n-1}.
+    """The shift tuple from the level maps of `subproduct._split`.
 
-    `budget` bounds the letter blocks here and the dense view later.
+    `budget` bounds the maps here and the dense view later.
     """
     system = fock.system
-    check_budget(system.letter_block_bytes(), budget, "letter blocks")
-    return ShiftSet(fock, system.letter_blocks[:fock.depth + 1], budget)
+    check_budget(_split_bytes(system, fock.depth), budget, "level maps")
+    maps = [_split(system, n, False)[0] for n in range(1, fock.depth + 1)]
+    return ShiftSet(fock, (None, *maps), budget)
 
 
 def _word_sums(shifts: ShiftSet, k: int) -> list[np.ndarray]:
     """Level blocks of A_k = sum_{|w|=k} S^w S^{w†}, cached on the shift set.
 
-    A_k is block-diagonal: A_k[0] = 0, A_1[n+1] = sum_i B_{n+1,i} B_{n+1,i}† and
-    A_k[n+1] = sum_i B_{n+1,i} A_{k-1}[n] B_{n+1,i}†, so each A_k is one step on
-    the cached A_{k-1}, and a defect of every order is computed once per tuple.
+    A_k[0] = 0 and A_k[n] = Z_n† (I_d ⊗ A_{k-1}[n-1]) Z_n with A_0 = I, one step
+    on the cached A_{k-1}. On word indices the blocks are 0/1 diagonals, held as
+    vectors: A_k[n] is A_{k-1}[n-1] at the previous words of level n.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     sums = shifts._sums
-    adj = [b.conj().transpose(0, 2, 1) for b in shifts.blocks[1:]] if len(sums) < k else []
+    if len(sums) >= k:
+        return sums[k - 1]
+    letters = [shifts._letters(n) for n in range(1, shifts.fock.depth + 1)]
+    if shifts.fock.system.route == "coordinate":
+        below = sums[-1] if sums else [np.ones(r) for r in shifts.fock.level_dims()]
+        while len(sums) < k:
+            below = [np.zeros(1)] + [a[prev] for a, (_, prev) in zip(below, letters)]
+            sums.append(below)
+        return sums[k - 1]
+    adj = [b.conj().transpose(0, 2, 1) for b in letters]
     while len(sums) < k:
         if sums:
-            level = [(b @ a @ bh).sum(axis=0) for a, b, bh in zip(sums[-1], shifts.blocks[1:], adj)]
+            level = [(b @ a @ bh).sum(axis=0) for a, b, bh in zip(sums[-1], letters, adj)]
         else:
-            level = [(b @ bh).sum(axis=0) for b, bh in zip(shifts.blocks[1:], adj)]
+            level = [(b @ bh).sum(axis=0) for b, bh in zip(letters, adj)]
         sums.append([np.zeros((1, 1), dtype=complex)] + level)
     return sums[k - 1]
 
 
+def _eye(block: np.ndarray) -> np.ndarray:
+    """The identity in the form of `block`, a vector for a diagonal held as one."""
+    return np.ones(len(block)) if block.ndim == 1 else np.eye(len(block))
+
+
+def _block_norm(block: np.ndarray) -> float:
+    """Operator norm of a level block; a diagonal held as a vector gives its largest entry."""
+    if block.ndim == 1:
+        return float(np.abs(block).max(initial=0.0))
+    return linalg.opnorm(block)
+
+
 def _defect_blocks(shifts: ShiftSet, k: int) -> list[np.ndarray]:
     """Level blocks of I - sum_{|w|=k} S^w S^{w†}."""
-    return [np.eye(len(a)) - a for a in _word_sums(shifts, k)]
+    return [_eye(a) - a for a in _word_sums(shifts, k)]
 
 
 def defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:
@@ -160,7 +211,7 @@ def defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:
     fock = shifts.fock
     out = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
     for n, block in enumerate(_defect_blocks(shifts, k)):
-        out[fock.level_slice(n), fock.level_slice(n)] = block
+        out[fock.level_slice(n), fock.level_slice(n)] = np.diag(block) if block.ndim == 1 else block
     return out
 
 
@@ -170,7 +221,7 @@ def defect_residual(shifts: ShiftSet, k: int) -> float:
     Both are block-diagonal, so this is the largest level-block norm.
     """
     blocks = _defect_blocks(shifts, k)[:max(shifts.fock.depth - k, 0) + 1]
-    return max(linalg.opnorm(b - np.eye(len(b)) * (n < k)) for n, b in enumerate(blocks))
+    return max(_block_norm(b - _eye(b) * (n < k)) for n, b in enumerate(blocks))
 
 
 def annihilation_check(shifts: ShiftSet, p: NCPoly, tol: float = 1e-9) -> dict:
@@ -191,12 +242,11 @@ def annihilation_check(shifts: ShiftSet, p: NCPoly, tol: float = 1e-9) -> dict:
     projected_norm = float(np.linalg.norm(proj))
     # p(S)Ω from the vacuum outward: x holds, for each prefix of the words,
     # the sum over their suffixes s of c_{prefix·s} S^s Ω, at level |s|; the
-    # innermost letter is the last, so each step contracts one letter with
-    # the blocks B_{m+1,i} into level m+1
+    # innermost letter is the last, so each step takes the columns (letter,
+    # word of level m-1) of the prefixes one letter shorter through maps[m]
     x = pvec.reshape(-1, 1)
-    for b in shifts.blocks[1:n + 1]:
-        d, r_next, r = b.shape
-        x = x.reshape(x.shape[0] // d, d * r) @ b.transpose(0, 2, 1).reshape(d * r, r_next)
+    for m in range(1, n + 1):
+        x = _rows(shifts.maps[m], x.reshape(x.shape[0] // shifts.d, -1).T).T
     residual = float(np.linalg.norm(x))
     return {
         "degree": n,
@@ -206,21 +256,6 @@ def annihilation_check(shifts: ShiftSet, p: NCPoly, tol: float = 1e-9) -> dict:
         "agreement": abs(projected_norm - residual),
         "tol": tol,
     }
-
-
-def _follower_sum(up: tuple, followers: list, n: int) -> np.ndarray:
-    """sum_a S^a S^{a†} on level n >= |a|.
-
-    S^a from level n-|a| to level n is B_{n,a_1} ... B_{n-|a|+1,a_|a|}.
-    """
-    dim = up[n].shape[2]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for a in followers:
-        c = up[n - 1][a[0] - 1] if a else np.eye(dim)
-        for j, letter in enumerate(a[1:], start=2):
-            c = c @ up[n - j][letter - 1]
-        acc += c @ c.conj().T
-    return acc
 
 
 def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
@@ -234,69 +269,45 @@ def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
     * completeness: I - sum_i S_i S_i^† is the vacuum projection on levels
       <= depth-1.
 
-    Every operator here is block-diagonal, so each relation is checked level
-    by level: norms are the largest block norm and ranks sum over blocks.
+    On word indices each operator is a 0/1 diagonal per level: S_i†S_i on
+    level n marks the previous words of the letter-i words of level n+1, and
+    the follower sum the words whose first k letters follow i. Ranks are counts
+    and norms largest entries. S_i†S_j = 0 for i != j exactly, since each row
+    of a level map is one (letter, previous word) pair.
     """
-    fock = shifts.fock
-    system = fock.system
+    fock, system = shifts.fock, shifts.fock.system
     if system.kind != "subshift":
         raise ValueError("relations are defined for subshift systems")
+    if system.route != "coordinate":
+        raise ValueError("subshift relations need a system of word indices")
     spec = system.provenance["spec"]
-    d, n_depth = system.d, fock.depth
+    d, n_depth, dims = system.d, fock.depth, fock.level_dims()
     k = spec.step
-    up = shifts.blocks[1:]  # up[n][i]: S_{i+1} from level n to level n+1
-
-    ortho = 0.0
-    for b in up:
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    ortho = max(ortho, linalg.opnorm(b[i].conj().T @ b[j]))
 
     per_letter = []
     top = max(n_depth - k - 1, 0)  # the window is levels 0..top
+    ups = [shifts._letters(n + 1) for n in range(top + 1)]
     for i in range(1, d + 1):
         followers = spec.followers(i, k)
+        heads = [ncpoly.word_index(a, d) for a in followers]
         rank, outside = 0, 0.0
-        for n in range(top + 1):
-            b = up[n][i - 1]
-            diff = b.conj().T @ b
+        for n, (letter, prev) in enumerate(ups):
+            diff = np.zeros(dims[n])
+            diff[prev[letter == i - 1]] = 1.0  # S_i†S_i
             if n >= k:
-                diff -= _follower_sum(up, followers, n)
-            sing = np.linalg.svd(diff, compute_uv=False) if diff.size else np.zeros(1)
-            rank += int(np.sum(sing > tol))
-            if n >= k:  # levels below k carry the expected projection
-                outside = max(outside, float(sing.max()))
+                diff -= np.isin(system.fiber(n).index // d ** (n - k), heads)
+                outside = max(outside, float(np.abs(diff).max(initial=0.0)))
+            rank += int(np.count_nonzero(np.abs(diff) > tol))
         visible_levels = min(k, max(n_depth - k, 0))
-        expected_rank = sum(
-            1
-            for m in range(visible_levels)
-            for w in spec.legal_words(m)
-            if spec.is_legal((i,) + w)
-        )
-        per_letter.append(
-            {
-                "letter": i,
-                "followers": len(followers),
-                "rank": rank,
-                "expected_rank": expected_rank,
-                "support_residual": outside,
-                "ok": rank == expected_rank and outside <= tol,
-            }
-        )
-
+        expected_rank = sum(1 for m in range(visible_levels) for w in spec.legal_words(m)
+                            if spec.is_legal((i,) + w))
+        per_letter.append({"letter": i, "followers": len(followers), "rank": rank,
+                           "expected_rank": expected_rank, "support_residual": outside,
+                           "ok": rank == expected_rank and outside <= tol})
     completeness = defect_residual(shifts, 1)
-
-    return {
-        "orthogonality": ortho,
-        "per_letter": per_letter,
-        "completeness_residual": completeness,
-        "step": k,
-        "ok": ortho <= tol
-        and completeness <= tol
-        and all(e["ok"] for e in per_letter),
-        "tol": tol,
-    }
+    return {"orthogonality": 0.0, "per_letter": per_letter,
+            "completeness_residual": completeness, "step": k,
+            "ok": completeness <= tol and all(e["ok"] for e in per_letter), "tol": tol}
 
 
 def export_shifts(shifts: ShiftSet, out_dir) -> list:

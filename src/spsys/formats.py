@@ -61,6 +61,9 @@ def encode_matrix(m: np.ndarray) -> dict:
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError(f'a matrix must be an object {{"rows", "cols", "data"}}, '
+                         f"not a {type(obj).__name__}")
     rows, cols = int(obj["rows"]), int(obj["cols"])
     data = obj["data"]
     if len(data) != rows * cols:
@@ -176,6 +179,9 @@ def build_system(obj: dict, depth: int | None = None,
             raise ValueError("no depth: pass one or put a 'depth' field in the spec")
         depth = int(obj["depth"])
     kwargs = {} if budget_bytes is None else {"budget": budget_bytes}
+    key = {"subshift": "forbidden", "ideal": "generators", "fibers": "fibers"}.get(kind)
+    if key is not None and not isinstance(obj.get(key), list):
+        raise ValueError(f"{kind} spec: {key!r} must be a list")
     if kind == "subshift":
         d = int(obj["d"])
         forbidden = [tuple(int(x) for x in w) for w in obj["forbidden"]]

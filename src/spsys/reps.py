@@ -17,8 +17,9 @@ Tildes, Poisson kernels and the roots behind the piece and the complement
 residuals come from one recursion per level: C^d ⊗ X(n-1) is split by the
 stacked core Z_n and its orthonormal complement C_n (`subproduct._split`),
 read off the word indices of a coordinate system or the cores of a core
-chain. Poisson transforms and the model check go through the shift tuple's
-letter blocks. No routine enumerates the d^n words of a level.
+chain. Poisson transforms and the model check lower the kernel through the
+adjoints of the same level maps, which the shift tuple holds. No routine
+enumerates the d^n words of a level.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from spsys import linalg
 from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly
-from spsys.subproduct import SubproductSystem, _rows, _split
+from spsys.subproduct import SubproductSystem, _cols, _rows, _split, _split_bytes
 from spsys import fock as fock_mod
 
 REP_TOL = 1e-8
@@ -311,14 +312,16 @@ def poisson_kernel(system: SubproductSystem, rep: RepTuple, r: float,
     return PoissonKernel(system, rep, r, depth, budget)
 
 
-def _lower(blocks: tuple, levels: list, word) -> list:
-    """(S^{w†} ⊗ I) on level blocks: S_i† takes level m+1 to level m through B_{m+1,i}†.
+def _lower(shifts: fock_mod.ShiftSet, levels: list, word) -> list:
+    """(S^{w†} ⊗ I) on level blocks: S_i† takes level m+1 to level m as the
+    letter-i rows of `_cols` of the level map, rows (letter, word of level m).
 
     S^{w†} = S_{w_k}† ... S_{w_1}† applies S_{w_1}† first; each letter drops
     the top level.
     """
     for a in word:
-        levels = [blocks[m + 1][a - 1].conj().T @ x for m, x in enumerate(levels[1:])]
+        levels = [_cols(shifts.maps[m + 1], x, shifts.d * len(y))[(a - 1) * len(y):a * len(y)]
+                  for m, (y, x) in enumerate(zip(levels, levels[1:]))]
     return levels
 
 
@@ -333,9 +336,9 @@ def poisson_transform(kernel: PoissonKernel, alpha, beta) -> dict:
     if max(len(alpha), len(beta)) > n_depth:
         raise ValueError("word longer than the truncation depth")
     # K† (S^a S^{b†} ⊗ I) K = ((S^{a†} ⊗ I) K)† (S^{b†} ⊗ I) K, level by level
-    blocks, levels, h = kernel.shifts().blocks, kernel.levels(), kernel.h
+    shifts, levels, h = kernel.shifts(), kernel.levels(), kernel.h
     value = sum(x.reshape(-1, h).conj().T @ y.reshape(-1, h) for x, y in zip(
-        _lower(blocks, levels, alpha), _lower(blocks, levels, beta)))
+        _lower(shifts, levels, alpha), _lower(shifts, levels, beta)))
     s = len(alpha) + len(beta)
     t = kernel.rep
     target = kernel.r**s * (t.word(alpha) @ t.word(beta).conj().T)
@@ -371,12 +374,12 @@ def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
         )
     kernel = PoissonKernel(system, w, 1.0, depth)
     n_depth = kernel.depth
-    blocks, levels, k = kernel.shifts().blocks, kernel.levels(), kernel.matrix
+    shifts, levels, k = kernel.shifts(), kernel.levels(), kernel.matrix
     residuals = []
     for i in range(rep.d):
         diff = k @ w.matrices[i].conj().T
         # (S_i† ⊗ I) K on levels 0..depth-1; nothing comes down into the top level
-        lhs = np.vstack(_lower(blocks, levels, (i + 1,))).reshape(-1, kernel.h)
+        lhs = np.vstack(_lower(shifts, levels, (i + 1,))).reshape(-1, kernel.h)
         diff[:lhs.shape[0]] -= lhs
         residuals.append(linalg.opnorm(diff))
     rho = kernel.row_norm_w
@@ -412,13 +415,14 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     )
     fk = fock_mod.build_fock(system, depth)
     total, below = fk.total_dim, fk.offsets[depth]
-    # Held at once next to the letter blocks and the d dense shifts: p(S) while
-    # q(S) is evaluated, where eval_on_tuple holds its sum, a word product and
-    # the next one (or p(S), q(S), a conjugate and their product); then the
-    # operator norm's copy of the window; and 16 KiB of headers and small arrays.
-    words = (system.d + 4) * total**2 + below**2
-    check_budget(16 * words + system.letter_block_bytes() + (16 << 10), None,
-                 f"vN shift operators on {total} Fock dimensions")
+    # Held next to the d dense shifts: the level maps while the shifts are
+    # filled; later p(S) while q(S) is evaluated, where eval_on_tuple holds its
+    # sum, a word product and the next one (or p(S), q(S), a conjugate and
+    # their product), then the operator norm's copy of the window; and 16 KiB
+    # of headers and small arrays.
+    later = 16 * (4 * total**2 + below**2)
+    check_budget(16 * system.d * total**2 + max(_split_bytes(system, depth), later) + (16 << 10),
+                 None, f"vN shift operators on {total} Fock dimensions")
     mats = fock_mod.build_shifts(fk).matrices
     op = p.eval_on_tuple(mats) @ q.eval_on_tuple(mats).conj().T
     # Depth - 1 is the window onto levels 0..depth-1: each S^a S^{b†} lowers

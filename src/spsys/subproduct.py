@@ -18,7 +18,6 @@ constructor returns a coordinate chain or a core chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -164,52 +163,6 @@ class SubproductSystem:
         """Bytes the frames of every level take that are not built yet."""
         return _unbuilt_frame_bytes(self.fibers)
 
-    def letter_block_bytes(self) -> int:
-        """Bytes `letter_blocks` still has to allocate, or 0 once cached:
-        the blocks, 16·d·sum r_n r_{n-1}, with headers."""
-        if "letter_blocks" in vars(self):
-            return 0
-        dims = self.dims()
-        return sum(16 * self.d * a * b for a, b in zip(dims, dims[1:])) + 2048 * self.depth
-
-    @cached_property
-    def letter_blocks(self) -> tuple[np.ndarray, ...]:
-        """blocks[n][i] = F_n[i-th block of d^{n-1} rows]† F_{n-1}, shape r_n × r_{n-1}.
-
-        Since X(n) ⊆ E ⊗ X(n-1), the letter-i rows of F_n are F_{n-1} B_{n,i}†,
-        so these d blocks per level (the left-orthonormal tensor-train cores)
-        carry everything shifts need: B_{n,i} is the letter-i shift from level
-        n-1 to level n. There is no level -1, so blocks[0] has no columns.
-        Between coordinate fibers the blocks are read off the indices, and a
-        core fiber gives them as its conjugate-transposed core; neither builds
-        a frame.
-        """
-        d = self.d
-        blocks = [np.zeros((d, 1, 0), dtype=complex)]
-        for n in range(1, self.depth + 1):
-            fib, prev = self.fibers[n], self.fibers[n - 1]
-            if self.route == "coordinate":
-                blocks.append(_coordinate_letter_blocks(fib.index, prev.index, d, d ** (n - 1)))
-            else:
-                blocks.append(fib.letter_cores().conj().transpose(0, 2, 1))
-        return tuple(blocks)
-
-
-def _coordinate_letter_blocks(index: np.ndarray, prev: np.ndarray, d: int,
-                              dn: int) -> np.ndarray:
-    """Letter blocks between coordinate fibers with indices `index` and `prev`.
-
-    Word j of level n (row index[j] of C^{d^n}) is the letter i followed by
-    the word with row index[j] mod dn of level n-1; block i has its 1 at
-    (j, k) when that word is word k of the previous level.
-    """
-    letter, tail = np.divmod(index, dn)
-    out = np.zeros((d, index.size, prev.size), dtype=complex)
-    k, hit = _positions(prev, tail)
-    rows = np.flatnonzero(hit)
-    out[letter[rows], rows, k[rows]] = 1.0
-    return out
-
 
 def _positions(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each value would sit in the strictly increasing `index`, and whether it is there."""
@@ -252,9 +205,30 @@ def _split(system: SubproductSystem, n: int, complement: bool) -> tuple:
     return zh, q[:, fib.dim:].T
 
 
+def _split_bytes(system: SubproductSystem, depth: int) -> int:
+    """Bytes of `_split(system, n, False)[0]` for n = 1..depth with headers: the
+    copies of Z_n†, or 8 bytes a word plus 7 int64 arrays of r_n while a level is made."""
+    dims, d = system.dims()[:depth + 1], system.d
+    if system.route == "coordinate":
+        held = 8 * sum(dims[1:]) + 56 * max(dims[1:])
+    else:
+        held = sum(16 * d * a * b for a, b in zip(dims, dims[1:]))
+    return held + 256 * depth + 1024
+
+
 def _rows(op: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Apply a `_split` map to the rows of u: a gather for indices, else a product."""
     return u[op] if op.dtype.kind == "i" else op @ u
+
+
+def _cols(op: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
+    """The adjoint of `_rows`: y's rows scattered into `size` zero rows for
+    indices, else op† y."""
+    if op.dtype.kind != "i":
+        return op.conj().T @ y
+    out = np.zeros((size,) + y.shape[1:], dtype=y.dtype)
+    out[op] = y
+    return out
 
 
 def _scalar_fiber() -> CoordinateSubspace:

@@ -1,14 +1,14 @@
 """Brute-force oracles used only by the tests.
 
 Each enumerates what the package computes another way, so it stays out of
-`src/`: the placements of generators in an ideal component, the shift by a
-whole fiber vector assembled from dense frames, the dense total × total
-forms of the shift-side checks that the package runs level by level, the
-pair projections, pair inclusions and unit residuals on dense frames, the
-Gram ranks behind the strong-commutation support counts, the maps over all
-d^n words behind the maximal piece and the complement residuals, and the
-maximal completion of a prescribed chain by the pair products of its dense
-frames.
+`src/`: the placements of generators in an ideal component, the letter
+blocks and the shift by a whole fiber vector assembled from dense frames,
+the dense total × total forms of the shift-side checks that the package
+runs level by level, the pair projections, pair inclusions and unit
+residuals on dense frames, the Gram ranks behind the strong-commutation
+support counts, the maps over all d^n words behind the maximal piece and
+the complement residuals, and the maximal completion of a prescribed chain
+by the pair products of its dense frames.
 """
 
 from typing import Optional
@@ -90,6 +90,14 @@ def homogeneous_component(gens: IdealGens, n: int) -> list[np.ndarray]:
                     eb[ib] = 1.0
                     out.append(np.kron(mid, eb))
     return out
+
+
+def frame_letter_blocks(system, n: int) -> np.ndarray:
+    """B_{n,i} = F_n[letter-i rows]† F_{n-1}, straight from the frames."""
+    f_n, f_prev = system.fiber(n).frame, system.fiber(n - 1).frame
+    dn = system.d ** (n - 1)
+    return np.stack([f_n[i * dn:(i + 1) * dn].conj().T @ f_prev
+                     for i in range(system.d)])
 
 
 def shift_of_vector(shifts: ShiftSet, xi: np.ndarray, n: int) -> np.ndarray:

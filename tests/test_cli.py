@@ -83,6 +83,24 @@ def test_fibers_spec_that_breaks_an_inclusion_exits_3(capsys, tmp_path):
     assert "prescribed fiber X(2) is not inside" in err and "residual 1.000e+00" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "qmatrix", "d": 2, "depth": 4, "q": [[1, 0], [2, 0], [0.5, 0], [1, 0]]},
+     'a matrix must be an object {"rows", "cols", "data"}, not a list'),
+    ({"kind": "subshift", "d": 2, "depth": 4, "forbidden": 5},
+     "subshift spec: 'forbidden' must be a list"),
+    ({"kind": "ideal", "d": 2, "depth": 4, "generators": {"word": [1, 2]}},
+     "ideal spec: 'generators' must be a list"),
+    ({"kind": "fibers", "d": 2, "depth": 4, "fibers": None},
+     "fibers spec: 'fibers' must be a list"),
+])
+def test_malformed_spec_values_exit_3_without_a_traceback(capsys, tmp_path, spec, message):
+    path = tmp_path / "malformed.json"
+    formats.dump_json(spec, path)
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path), "--checks", "axioms,unit")
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_all_checks_pass(capsys, golden_spec):
     code, out, err = run_cli(
         capsys, "verify", "--spec", golden_spec, "--depth", "6",
@@ -122,7 +140,7 @@ def test_shift_exports_matrices(capsys, tmp_path, golden_spec):
 
 
 def test_verify_fits_a_budget_below_the_dense_shifts(capsys, tmp_path):
-    # golden depth 12: the two dense shifts need 30 MiB, the letter blocks 2 MiB
+    # golden depth 12: the two dense shifts need 30 MiB, the level maps 8 KiB
     spec = tmp_path / "golden12.json"
     formats.dump_json({"kind": "subshift", "d": 2, "depth": 12, "forbidden": [[2, 2]]}, spec)
     code, out, _ = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "16",

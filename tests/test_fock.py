@@ -5,7 +5,7 @@ import pytest
 
 from spsys import fock, linalg, ncpoly, reps, subproduct
 from spsys.linalg import MemoryBudgetError
-from spsys.ncpoly import NCPoly
+from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import SubshiftSpec
 
 from conftest import random_homogeneous_poly, random_row_contraction
@@ -290,6 +290,47 @@ def test_level_local_checks_match_dense_oracles(name):
     assert np.allclose(model["residuals"], oracle, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE_SYSTEMS
+                                         if not n.startswith(("commutator", "qmatrix"))))
+def test_word_index_checks_equal_dense_oracles_exactly(name):
+    # on word indices every level block is a 0/1 diagonal: counts and largest
+    # entries give the dense oracles' ranks and norms bit for bit
+    system = ORACLE_SYSTEMS[name]()
+    assert system.route == "coordinate"
+    sh = fock.build_shifts(fock.build_fock(system))
+    for k in range(1, 4):
+        assert fock.defect_residual(sh, k) == dense_defect_residual(sh, k)
+    assert sh.row_norm == linalg.opnorm(np.hstack(sh.matrices))
+    if system.kind == "subshift":
+        rel, oracle = fock.subshift_relations(sh), dense_subshift_relations(sh)
+        assert rel["orthogonality"] == oracle["orthogonality"]
+        assert rel["completeness_residual"] == oracle["completeness_residual"]
+        for got, want in zip(rel["per_letter"], oracle["per_letter"], strict=True):
+            assert (got["rank"], got["followers"], got["support_residual"]) == (
+                want["rank"], want["followers"], want["support_residual"])
+
+
+def test_subshift_relations_refuse_a_core_chain():
+    # golden as a monomial ideal: the same fibers, held as cores
+    cores = subproduct.from_ideal(IdealGens(2, [NCPoly.monomial(2, (2, 2))]), 4)
+    system = subproduct.SubproductSystem(2, 4, cores.fibers, {
+        "kind": "subshift", "spec": SubshiftSpec(2, ((2, 2),))})
+    with pytest.raises(ValueError, match="word indices"):
+        fock.subshift_relations(fock.build_shifts(fock.build_fock(system)))
+
+
+def test_golden_depth_eighteen_shift_checks_under_one_mib():
+    # the dense 0/1 letter blocks alone would need 1397 MiB at this depth
+    fk = fock.build_fock(subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 18))
+
+    def run():
+        sh = fock.build_shifts(fk)
+        assert fock.defect_residual(sh, 1) == fock.defect_residual(sh, 2) == 0.0
+        assert fock.subshift_relations(sh)["ok"]
+
+    assert _traced_peak(run) < 1 << 20
+
+
 def test_coordinate_checks_build_no_dense_shift_or_frame(monkeypatch):
     def refuse(self):
         raise AssertionError("dense object built")
@@ -324,22 +365,24 @@ def _traced_peak(fn) -> int:
 
 
 def test_dense_shift_view_budget_bounds_the_traced_peak():
-    system = subproduct.from_ideal(ncpoly.commutator_gens(3), 7)
-    fk = fock.build_fock(system)
-    blocks = fock.build_shifts(fk).blocks  # the letter blocks are cached from here on
-    peak = _traced_peak(lambda: fock.build_shifts(fk).matrices)
-    refused = fock.build_shifts(fk, budget=peak - 1)
+    # cores (a view per letter block) and word indices (a scatter per letter)
+    for system in (subproduct.from_ideal(ncpoly.commutator_gens(3), 7),
+                   subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 8)):
+        fk = fock.build_fock(system)
+        maps = fock.build_shifts(fk).maps  # the level maps are held from here on
+        peak = _traced_peak(lambda: fock.ShiftSet(fk, maps).matrices)
+        refused = fock.ShiftSet(fk, maps, budget=peak - 1)
 
-    def refuse():
-        with pytest.raises(MemoryBudgetError, match="shift matrices"):
-            refused.matrices
+        def refuse():
+            with pytest.raises(MemoryBudgetError, match="shift matrices"):
+                refused.matrices
 
-    assert _traced_peak(refuse) < peak // 100  # refused before anything is assembled
-    # the estimate is the arrays and a header allowance: within 2 KiB of the peak
-    accepted = fock.build_shifts(fk, budget=peak + 2048).matrices
-    for n in range(1, fk.depth + 1):
-        for s, b in zip(accepted, blocks[n]):
-            assert np.array_equal(s[fk.level_slice(n), fk.level_slice(n - 1)], b)
+        assert _traced_peak(refuse) < peak // 100  # refused before anything is assembled
+        # the estimate is the arrays and a header allowance: within 2 KiB of the peak
+        accepted = fock.ShiftSet(fk, maps, budget=peak + 2048).matrices
+        for n in range(1, fk.depth + 1):
+            for s, b in zip(accepted, fock.ShiftSet(fk, maps).blocks(n)):
+                assert np.array_equal(s[fk.level_slice(n), fk.level_slice(n - 1)], b)
 
 
 def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10, monkeypatch):
@@ -350,7 +393,6 @@ def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10, monkeypatch)
     def run():
         return reps.vn_inequality_check(symmetric3_10, rep, p, q, depth=8)
 
-    symmetric3_10.letter_blocks
     peak = _traced_peak(run)
     monkeypatch.setattr(linalg, "DEFAULT_BUDGET_BYTES", peak - 1)
 

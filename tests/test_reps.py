@@ -238,17 +238,18 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
     rep = random_row_contraction(np.random.default_rng(25), 2, h, 0.9)
 
     def run(budget=None):
-        system = make()  # fresh, so the blocks of every run are still to build
+        system = make()  # fresh for every run
         for n in range(system.depth + 1):
             system.fiber(n).frame
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            reps.PoissonKernel(system, rep, 0.9, budget=budget).isometry_defect()
+            kernel = reps.PoissonKernel(system, rep, 0.9, budget=budget)
+            kernel.isometry_defect()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert "letter_blocks" not in vars(system)
+        assert kernel._shifts is None  # the tildes need no level maps of the shifts
         return peak
 
     peak = run()
@@ -515,8 +516,6 @@ def test_piece_and_complement_build_no_fiber_frame():
         # the complement route, which is_representation skips when there are generators
         reps._complement_roots(system, rep, None, piece=False)
         assert all("frame" not in vars(f) for f in system.fibers)
-        # word indices and cores split the levels: no dense letter block is built
-        assert "letter_blocks" not in vars(system)
 
 
 def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):

@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spsys import linalg, ncpoly, subproduct
+from spsys import fock, linalg, ncpoly, subproduct
 from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import MemoryBudgetError, SubshiftSpec
 
 from conftest import random_homogeneous_poly
 from oracles import (
     dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
-    homogeneous_component, zero_space,
+    frame_letter_blocks, homogeneous_component, zero_space,
 )
 
 
@@ -221,7 +221,7 @@ def test_commutator_three_letters_depth_twelve_on_cores_in_small_memory():
     tracemalloc.start()
     try:
         system = subproduct.from_ideal(ncpoly.commutator_gens(3), 12)
-        system.letter_blocks
+        fock.build_shifts(fock.build_fock(system))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -371,25 +371,22 @@ def test_maximal_with_fibers_rejects_bad_inclusion():
 # axioms, recovery, units
 
 def test_letter_blocks_rebuild_the_frames(symmetric2_6, golden_6):
-    # X(n) ⊆ E ⊗ X(n-1): the letter-i rows of F_n are F_{n-1} B_{n,i}†
+    # X(n) ⊆ E ⊗ X(n-1): the letter-i rows of F_n are F_{n-1} B_{n,i}†; the
+    # dense view of the shift tuple's level maps gives those blocks
     level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
     fibers = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5)
-    for system in (symmetric2_6, golden_6, fibers):
-        blocks = system.letter_blocks
-        assert len(blocks) == system.depth + 1
+    q = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
+    for system in (symmetric2_6, golden_6, fibers, subproduct.from_qmatrix(q, 4)):
+        shifts = fock.build_shifts(fock.build_fock(system))
+        assert len(shifts.maps) == system.depth + 1
         for n in range(1, system.depth + 1):
+            blocks = shifts.blocks(n)
             f_n, f_prev = system.fiber(n).frame, system.fiber(n - 1).frame
-            assert blocks[n].shape == (system.d, system.dim(n), system.dim(n - 1))
-            rebuilt = np.vstack([f_prev @ b.conj().T for b in blocks[n]])
+            assert blocks.shape == (system.d, system.dim(n), system.dim(n - 1))
+            rebuilt = np.vstack([f_prev @ b.conj().T for b in blocks])
             assert np.max(np.abs(rebuilt - f_n), initial=0.0) <= 1e-12
-
-
-def _frame_letter_blocks(system, n):
-    """B_{n,i} = F_n[letter-i rows]† F_{n-1}, straight from the frames."""
-    f_n, f_prev = system.fiber(n).frame, system.fiber(n - 1).frame
-    dn = system.d ** (n - 1)
-    return np.stack([f_n[i * dn:(i + 1) * dn].conj().T @ f_prev
-                     for i in range(system.d)])
+            reference = frame_letter_blocks(system, n)
+            assert np.max(np.abs(blocks - reference), initial=0.0) <= 1e-12
 
 
 def _coordinate_systems():
@@ -403,10 +400,12 @@ def _coordinate_systems():
 
 def test_coordinate_letter_blocks_equal_frame_blocks():
     for system in _coordinate_systems():
-        blocks = system.letter_blocks  # read off the indices, before any frame
+        shifts = fock.build_shifts(fock.build_fock(system))
+        # read off the word indices, before any frame
+        blocks = [shifts.blocks(n) for n in range(1, system.depth + 1)]
         assert all("frame" not in vars(f) for f in system.fibers)
-        for n in range(1, system.depth + 1):
-            assert np.array_equal(blocks[n], _frame_letter_blocks(system, n))
+        for n, b in enumerate(blocks, start=1):
+            assert np.array_equal(b, frame_letter_blocks(system, n))
 
 
 def test_coordinate_frames_equal_dense_frames():

@@ -274,7 +274,3 @@ class CharacterSet:
         if np.linalg.norm(z) > 1 + tol:
             return False
         return all(abs(z[i - 1] * z[j - 1]) <= tol for i, j in self.edges)
-
-
-def character_set_descriptor(q: np.ndarray, tol: float = 1e-12) -> CharacterSet:
-    return CharacterSet(q, tol)

@@ -102,14 +102,10 @@ def _emit(command: str, inputs: dict[str, Path], checks: list[dict],
     return 0
 
 
-def _budget_bytes(args) -> int:
-    return int(getattr(args, "budget_mb", 2048)) << 20
-
-
 def _build_system(args):
     obj, path = _load_json(args.spec)
     try:
-        system = formats.build_system(obj, args.depth, _budget_bytes(args))
+        system = formats.build_system(obj, args.depth)
     except KeyError as e:
         raise CLIError(f"{args.spec}: missing key {e}") from e
     return system, path
@@ -117,7 +113,7 @@ def _build_system(args):
 
 def cmd_build(args) -> int:
     system, path = _build_system(args)
-    ax = subproduct.verify_axioms(system, tol=args.tol or 1e-9, budget=_budget_bytes(args))
+    ax = subproduct.verify_axioms(system, tol=args.tol or 1e-9)
     checks = [check("build-axioms", (0, system.depth), ax["max_residual"], ax["tol"])]
     extras = {"d": system.d, "depth": system.depth, "kind": system.kind,
               "dims": system.dims()}
@@ -127,7 +123,7 @@ def cmd_build(args) -> int:
             "depth": system.depth,
             "kind": "fibers",
             "dims": system.dims(),
-            "fibers": formats.encode_fibers(system, _budget_bytes(args)),
+            "fibers": formats.encode_fibers(system),
         }
         formats.dump_json(built, args.out)
         extras["out"] = args.out
@@ -174,13 +170,12 @@ def cmd_verify(args) -> int:
     def get_shifts():
         nonlocal shifts
         if shifts is None:
-            shifts = fock.build_shifts(fock.build_fock(system),
-                                       budget=_budget_bytes(args))
+            shifts = fock.build_shifts(fock.build_fock(system))
         return shifts
 
     if "axioms" in wanted:
         tol = args.tol or 1e-9
-        ax = subproduct.verify_axioms(system, tol=tol, budget=_budget_bytes(args))
+        ax = subproduct.verify_axioms(system, tol=tol)
         checks.append(check("axioms", (0, n_depth), ax["max_residual"], tol))
     if "defect" in wanted:
         tol = args.tol or 1e-10
@@ -214,7 +209,7 @@ def cmd_verify(args) -> int:
 
 def cmd_shift(args) -> int:
     system, path = _build_system(args)
-    sh = fock.build_shifts(fock.build_fock(system), budget=_budget_bytes(args))
+    sh = fock.build_shifts(fock.build_fock(system))
     files = fock.export_shifts(sh, args.out)
     row_norm = sh.row_norm
     checks = [
@@ -252,7 +247,7 @@ def cmd_check_rep(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = args.tol or 1e-8
-    res = reps.is_representation(system, rep, tol=tol, budget=_budget_bytes(args))
+    res = reps.is_representation(system, rep, tol=tol)
     verdict = "pass" if res["ok"] else "fail"
     checks = [check("representation", (0, system.depth),
                     res["max_residual"], tol, verdict)]
@@ -265,8 +260,7 @@ def cmd_poisson(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = args.tol or 1e-9
-    kernel = reps.poisson_kernel(system, rep, args.r, depth=args.depth,
-                                 budget=_budget_bytes(args))
+    kernel = reps.PoissonKernel(system, rep, args.r, depth=args.depth)
     defect = kernel.isometry_defect()
     bound = kernel.tail_bound()
     checks = [check("kernel-isometry", (0, kernel.depth), defect, bound + tol)]
@@ -279,7 +273,7 @@ def cmd_piece(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = args.tol or 1e-9
-    res = reps.maximal_piece(system, rep, tol=tol, budget=_budget_bytes(args))
+    res = reps.maximal_piece(system, rep, tol=tol)
     checks = [check("piece-fixed-point", (0, system.depth), res["residual"], tol)]
     extras = {"dim": res["dim"], "iterations": res["iterations"],
               "frame": res["subspace"].frame, "h": rep.h}
@@ -444,11 +438,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    # --budget-mb sets the process budget for this one command
+    saved = linalg.BUDGET_BYTES
+    if hasattr(args, "budget_mb"):
+        linalg.BUDGET_BYTES = args.budget_mb << 20
     try:
         return args.func(args)
     except (CLIError, MemoryBudgetError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        linalg.BUDGET_BYTES = saved
 
 
 if __name__ == "__main__":

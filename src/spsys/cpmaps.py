@@ -51,26 +51,15 @@ class KrausChannel:
         return sum(np.kron(k.conj(), k) for k in self.kraus)
 
 
-def _unvec(v: np.ndarray, h: int) -> np.ndarray:
-    return v.reshape(h, h, order="F")
-
-
-def _vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x).reshape(-1, order="F")
-
-
 def choi_matrix(channel: KrausChannel, power: int = 1) -> np.ndarray:
-    """sum_ab E_ab ⊗ Θ^power(E_ab), with iterates via superoperator powers."""
+    """sum_ab E_ab ⊗ Θ^power(E_ab), with iterates via superoperator powers.
+
+    Θ(E_ab)[i, j] is the entry (i + h·j, a + h·b) of the column-stacking
+    superoperator S, so the Choi matrix is a reshuffle of S's entries.
+    """
     h = channel.h
     s = np.linalg.matrix_power(channel.superop(), power)
-    out = np.zeros((h * h, h * h), dtype=complex)
-    for a in range(h):
-        for b in range(h):
-            e_ab = np.zeros((h, h), dtype=complex)
-            e_ab[a, b] = 1.0
-            img = _unvec(s @ _vec(e_ab), h)
-            out[a * h:(a + 1) * h, b * h:(b + 1) * h] = img
-    return out
+    return s.reshape(h, h, h, h).transpose(3, 1, 2, 0).reshape(h * h, h * h)
 
 
 def choi_rank(channel: KrausChannel, power: int = 1,

@@ -71,12 +71,11 @@ class ShiftSet:
     acts on the rows (letter i, word k of level n-1) of C^d ⊗ X(n-1), so S_i
     from level n-1 to level n is the letter block B_{n,i}: on word indices the
     1s at (j, k) with maps[n][j] = (i-1)·r_{n-1} + k, on a core chain the
-    letter-i columns of Z_n†. `matrices` is checked against `budget`.
+    letter-i columns of Z_n†. `matrices` checks the budget when it builds.
     """
 
     fock: TruncatedFock
     maps: tuple
-    budget: Optional[int] = None
 
     @property
     def d(self) -> int:
@@ -119,7 +118,7 @@ class ShiftSet:
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The d dense total × total shift matrices, filled straight from the maps."""
         fock, d, total = self.fock, self.d, self.fock.total_dim
-        check_budget(self.matrix_bytes(), self.budget, "shift matrices")
+        check_budget(self.matrix_bytes(), "shift matrices")
         mats = np.zeros((d, total, total), dtype=complex)
         for n in range(1, fock.depth + 1):
             self._fill(mats, n, fock.level_slice(n), fock.level_slice(n - 1))
@@ -146,15 +145,13 @@ def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> Truncat
     return TruncatedFock(system, depth, tuple(offsets))
 
 
-def build_shifts(fock: TruncatedFock, budget: Optional[int] = None) -> ShiftSet:
-    """The shift tuple from the level maps of `subproduct._split`.
-
-    `budget` bounds the maps here and the dense view later.
-    """
+def build_shifts(fock: TruncatedFock) -> ShiftSet:
+    """The shift tuple from the level maps of `subproduct._split`, after a
+    budget check of the maps."""
     system = fock.system
-    check_budget(_split_bytes(system, fock.depth), budget, "level maps")
+    check_budget(_split_bytes(system, fock.depth), "level maps")
     maps = [_split(system, n, False)[0] for n in range(1, fock.depth + 1)]
-    return ShiftSet(fock, (None, *maps), budget)
+    return ShiftSet(fock, (None, *maps))
 
 
 def _word_sums(shifts: ShiftSet, k: int) -> list[np.ndarray]:
@@ -313,7 +310,7 @@ def subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
 def export_shifts(shifts: ShiftSet, out_dir) -> list:
     """Write shift matrices and the level-offset table as JSON files.
 
-    One estimate is checked against the shifts' budget before anything is
+    One estimate is checked against the budget before anything is
     written: the dense view and the JSON encoding of one matrix (the files are
     written one at a time).
     """
@@ -323,7 +320,7 @@ def export_shifts(shifts: ShiftSet, out_dir) -> list:
 
     total = shifts.fock.total_dim
     check_budget(shifts.matrix_bytes() + formats.encoding_bytes([total * total]),
-                 shifts.budget, "shift matrices and their JSON encoding")
+                 "shift matrices and their JSON encoding")
     mats = shifts.matrices
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -39,6 +39,35 @@ from spsys.subproduct import SubproductSystem, SubshiftSpec
 from spsys.reps import RepTuple
 
 
+# The decoders refuse a value of the wrong JSON type with a ValueError that
+# names the field, the way every other input error is refused.
+def _json_type(value) -> str:
+    names = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+             list: "a list", dict: "an object", type(None): "null"}
+    return names.get(type(value), f"a {type(value).__name__}")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, not {_json_type(value)}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {_json_type(value)}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, str)):  # a fraction, infinity or NaN too
+        shown = value if isinstance(value, float) else _json_type(value)
+        raise ValueError(f"{what} must be an integer, not {shown}")
+    return int(value)
+
+
 def encode_complex(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -47,6 +76,9 @@ def encode_complex(z: complex) -> list[float]:
 def decode_complex(pair) -> complex:
     if isinstance(pair, (int, float)):
         return complex(pair)
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, (int, float)) for x in pair)):
+        raise ValueError(f"a complex scalar must be a number or [re, im], not {pair!r:.40}")
     re, im = pair
     return complex(re, im)
 
@@ -63,9 +95,9 @@ def encode_matrix(m: np.ndarray) -> dict:
 def decode_matrix(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError(f'a matrix must be an object {{"rows", "cols", "data"}}, '
-                         f"not a {type(obj).__name__}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+                         f"not {_json_type(obj)}")
+    rows, cols = _integer(obj["rows"], "matrix rows"), _integer(obj["cols"], "matrix cols")
+    data = _list(obj["data"], "matrix data")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != {rows}x{cols}")
     try:
@@ -115,8 +147,9 @@ def encode_poly(p: NCPoly) -> list[dict]:
 
 def decode_poly(term_list: list, d: int) -> NCPoly:
     terms: dict[tuple[int, ...], complex] = {}
-    for t in term_list:
-        w = tuple(int(x) for x in t["word"])
+    for t in _list(term_list, "a polynomial"):
+        t = _object(t, "a polynomial term")
+        w = tuple(_integer(x, "a letter") for x in _list(t["word"], "a word"))
         terms[w] = terms.get(w, 0.0) + decode_complex(t["coeff"])
     return NCPoly(d, terms)
 
@@ -156,53 +189,49 @@ def encode_system_spec(system: SubproductSystem) -> dict:
     return {**base, "kind": "fibers", "fibers": encode_fibers(system)}
 
 
-def encode_fibers(system: SubproductSystem, budget: int | None = None) -> list[dict]:
+def encode_fibers(system: SubproductSystem) -> list[dict]:
     """The frames of X(1..depth), encoded.
 
-    One estimate is checked against `budget` first: the frames not built yet
-    and `encoding_bytes` of all of them, so that writing the result with
+    One estimate is checked against the budget first: the frames not built
+    yet and `encoding_bytes` of all of them, so that writing the result with
     `dump_json` fits too.
     """
     levels = range(1, system.depth + 1)
     entries = [system.d**n * system.dim(n) for n in levels]
-    check_budget(system.unbuilt_frame_bytes() + encoding_bytes(entries), budget,
+    check_budget(subproduct._unbuilt_frame_bytes(system.fibers) + encoding_bytes(entries),
                  "fiber frames and their JSON encoding")
     return [encode_matrix(system.fiber(n).frame) for n in levels]
 
 
-def build_system(obj: dict, depth: int | None = None,
-                 budget_bytes: int | None = None) -> SubproductSystem:
+def build_system(obj: dict, depth: int | None = None) -> SubproductSystem:
     """Materialize a system description to the requested depth."""
-    kind = obj.get("kind")
+    kind = _object(obj, "a system spec").get("kind")
     if depth is None:
         if "depth" not in obj:
             raise ValueError("no depth: pass one or put a 'depth' field in the spec")
-        depth = int(obj["depth"])
-    kwargs = {} if budget_bytes is None else {"budget": budget_bytes}
+        depth = _integer(obj["depth"], "depth")
     key = {"subshift": "forbidden", "ideal": "generators", "fibers": "fibers"}.get(kind)
     if key is not None and not isinstance(obj.get(key), list):
         raise ValueError(f"{kind} spec: {key!r} must be a list")
+    d = _integer(obj["d"], "d") if kind in ("subshift", "ideal", "full", "fibers") else None
     if kind == "subshift":
-        d = int(obj["d"])
-        forbidden = [tuple(int(x) for x in w) for w in obj["forbidden"]]
-        return subproduct.from_subshift(SubshiftSpec(d, tuple(forbidden)),
-                                        depth, **kwargs)
+        forbidden = [tuple(_integer(x, "a letter") for x in _list(w, "a forbidden word"))
+                     for w in obj["forbidden"]]
+        return subproduct.from_subshift(SubshiftSpec(d, tuple(forbidden)), depth)
     if kind == "ideal":
-        d = int(obj["d"])
         polys = [decode_poly(t, d) for t in obj["generators"]]
-        return subproduct.from_ideal(IdealGens(d, polys), depth, **kwargs)
+        return subproduct.from_ideal(IdealGens(d, polys), depth)
     if kind == "qmatrix":
-        return subproduct.from_qmatrix(decode_matrix(obj["q"]), depth, **kwargs)
+        return subproduct.from_qmatrix(decode_matrix(obj["q"]), depth)
     if kind == "quadratic":
         key = "A" if "A" in obj else "a"
-        return subproduct.from_quadratic(decode_matrix(obj[key]), depth, **kwargs)
+        return subproduct.from_quadratic(decode_matrix(obj[key]), depth)
     if kind == "full":
-        return subproduct.from_full(int(obj["d"]), depth, **kwargs)
+        return subproduct.from_full(d, depth)
     if kind == "fibers":
-        d = int(obj["d"])
         fibers = [decode_subspace(f, d ** (n + 1))
                   for n, f in enumerate(obj["fibers"])]
-        return subproduct.maximal_with_fibers(d, fibers, depth, **kwargs)
+        return subproduct.maximal_with_fibers(d, fibers, depth)
     raise ValueError(f"unknown system kind {kind!r}")
 
 
@@ -212,11 +241,11 @@ def encode_rep(rep: RepTuple) -> dict:
 
 
 def decode_rep(obj: dict) -> RepTuple:
-    mats = [decode_matrix(m) for m in obj["matrices"]]
+    mats = [decode_matrix(m) for m in _list(_object(obj, "a tuple")["matrices"], "matrices")]
     rep = RepTuple(tuple(mats))
-    if "d" in obj and rep.d != int(obj["d"]):
+    if "d" in obj and rep.d != _integer(obj["d"], "d"):
         raise ValueError("tuple length does not match declared d")
-    if "h" in obj and rep.h != int(obj["h"]):
+    if "h" in obj and rep.h != _integer(obj["h"], "h"):
         raise ValueError("matrix size does not match declared h")
     return rep
 
@@ -228,10 +257,10 @@ def encode_kraus(kraus) -> dict:
 
 
 def decode_kraus(obj: dict) -> tuple[np.ndarray, ...]:
-    mats = tuple(decode_matrix(m) for m in obj["kraus"])
+    mats = tuple(decode_matrix(m) for m in _list(_object(obj, "a channel")["kraus"], "kraus"))
     if not mats:
         raise ValueError("channel needs at least one Kraus operator")
-    h = int(obj.get("h", mats[0].shape[0]))
+    h = _integer(obj.get("h", mats[0].shape[0]), "h")
     for m in mats:
         if m.shape != (h, h):
             raise ValueError(f"Kraus operator shape {m.shape} != ({h}, {h})")

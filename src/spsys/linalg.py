@@ -25,19 +25,21 @@ RANK_ABS_FLOOR = 1e-12
 # Frames are orthonormal to this accuracy by construction.
 FRAME_ORTHO_TOL = 1e-10
 
-DEFAULT_BUDGET_BYTES = 2 << 30
+# The one memory budget of the process. Every estimate is checked against it
+# by `check_budget`, which reads it at call time; the CLI sets it from
+# --budget-mb for one command, and library callers may set it directly.
+BUDGET_BYTES = 2 << 30
 
 
 class MemoryBudgetError(RuntimeError):
     pass
 
 
-def check_budget(bytes_needed: int, budget: Optional[int], what: str) -> None:
-    budget = DEFAULT_BUDGET_BYTES if budget is None else budget
-    if bytes_needed > budget:
+def check_budget(bytes_needed: int, what: str) -> None:
+    if bytes_needed > BUDGET_BYTES:
         raise MemoryBudgetError(
             f"{what} needs about {bytes_needed / 2 ** 20:.0f} MiB, "
-            f"budget is {budget / 2 ** 20:.0f} MiB"
+            f"budget is {BUDGET_BYTES / 2 ** 20:.0f} MiB"
         )
 
 
@@ -79,10 +81,10 @@ class CoordinateSubspace(Subspace):
 
     Distinct unit vectors are orthonormal exactly, so the index check replaces
     the Gram check. ``frame`` is the D x r 0/1 matrix, built on first access
-    after a budget check against the budget the subspace was made with.
+    after a budget check.
     """
 
-    def __init__(self, ambient_dim: int, index, budget: Optional[int] = None):
+    def __init__(self, ambient_dim: int, index):
         if ambient_dim > np.iinfo(np.int64).max:
             raise ValueError(f"ambient dimension {ambient_dim} exceeds int64 indices")
         index = np.asarray(index, dtype=np.int64)
@@ -95,7 +97,6 @@ class CoordinateSubspace(Subspace):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "tol_used", RANK_ABS_FLOOR)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "budget", budget)
 
     @property
     def dim(self) -> int:
@@ -104,7 +105,7 @@ class CoordinateSubspace(Subspace):
     @cached_property
     def frame(self) -> np.ndarray:
         d, r = self.ambient_dim, self.index.size
-        check_budget(16 * d * r, self.budget, f"coordinate frame of {d} x {r}")
+        check_budget(16 * d * r, f"coordinate frame of {d} x {r}")
         frame = np.zeros((d, r), dtype=complex)
         frame[self.index, np.arange(r)] = 1.0
         return frame
@@ -115,19 +116,17 @@ class CoreSubspace(Subspace):
 
     `core` holds z as a subspace of C^{d·r_prev}; I_d ⊗ F_prev is an isometry,
     so z's frame check is the only Gram check. ``frame`` is built on first
-    access, with every lower frame not built yet, after a budget check of all
-    of them against the budget the subspace was made with.
+    access, with every lower frame not built yet, after one budget check of
+    all of them.
     """
 
-    def __init__(self, d: int, prev: Subspace, core: Subspace,
-                 budget: Optional[int] = None):
+    def __init__(self, d: int, prev: Subspace, core: Subspace):
         if core.ambient_dim != d * prev.dim:
             raise ValueError(f"a core in C^{core.ambient_dim} does not fit C^{d} ⊗ C^{prev.dim}")
         object.__setattr__(self, "ambient_dim", d * prev.ambient_dim)
         object.__setattr__(self, "tol_used", core.tol_used)
         object.__setattr__(self, "prev", prev)
         object.__setattr__(self, "core", core)
-        object.__setattr__(self, "budget", budget)
 
     @property
     def dim(self) -> int:
@@ -145,8 +144,7 @@ class CoreSubspace(Subspace):
         while s is not None and "frame" not in vars(s):
             needed += 16 * s.ambient_dim * s.dim
             s = getattr(s, "prev", None)
-        check_budget(needed, self.budget,
-                     f"fiber frame of {dim} x {r} with the lower frames it builds")
+        check_budget(needed, f"fiber frame of {dim} x {r} with the lower frames it builds")
         return np.matmul(self.prev.frame, self.letter_cores()).reshape(dim, r)
 
 
@@ -179,8 +177,8 @@ def span(vectors, rel_tol: float = RANK_REL_TOL, ambient_dim: int | None = None)
     return Subspace(d, u[:, :r].copy(), cutoff)
 
 
-def full_space(dim: int, budget: Optional[int] = None) -> CoordinateSubspace:
-    return CoordinateSubspace(dim, np.arange(dim), budget)
+def full_space(dim: int) -> CoordinateSubspace:
+    return CoordinateSubspace(dim, np.arange(dim))
 
 
 def projector(s: Subspace) -> np.ndarray:

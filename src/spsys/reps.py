@@ -166,7 +166,7 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = N
     return [np.ascontiguousarray(a.conj().T) for a, _ in _tilde_levels(system, rep, depth)]
 
 
-def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[int],
+def _complement_roots(system: SubproductSystem, rep: RepTuple,
                       piece: bool) -> tuple[list, list]:
     """With `piece` the T̃_n†, and the roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†.
 
@@ -187,7 +187,7 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[
     # the roots, their stack and its QR copy, a few h × h blocks and array headers
     words += 3 * len(dims) * hh + 8 * hh + 64 * len(dims) + 1024
     what = "piece constraints" if piece else "complement residuals"
-    check_budget(16 * words, budget, f"{what} up to level {system.depth}")
+    check_budget(16 * words, f"{what} up to level {system.depth}")
     adjoints, roots = [], []
     for adj, root in _tilde_levels(system, rep, system.depth, roots=True):
         if piece:
@@ -197,8 +197,7 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, budget: Optional[
 
 
 def is_representation(system: SubproductSystem, rep: RepTuple,
-                      tol: float = REP_TOL,
-                      budget: Optional[int] = None) -> dict:
+                      tol: float = REP_TOL) -> dict:
     """Residuals of the annihilation conditions, level by level.
 
     For systems whose constructor recorded a generating set in
@@ -221,7 +220,7 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
             residuals.append(max((r for k, r in norms if k <= n), default=0.0))
         route = "generators"
     else:
-        _, roots = _complement_roots(system, rep, budget, piece=False)
+        _, roots = _complement_roots(system, rep, piece=False)
         residuals = [linalg.opnorm(r) for r in roots[1:]]
         route = "complement"
     return {
@@ -244,7 +243,7 @@ class PoissonKernel:
     """
 
     def __init__(self, system: SubproductSystem, rep: RepTuple, r: float,
-                 depth: Optional[int] = None, budget: Optional[int] = None):
+                 depth: Optional[int] = None):
         if rep.d != system.d:
             raise ValueError("tuple size does not match the system")
         if not 0 < r <= 1:
@@ -262,11 +261,10 @@ class PoissonKernel:
         # conjugate copy isometry_defect takes; a few h × h blocks and headers
         words = rows * hh + max(_level_words(system, h, self.depth, roots=False),
                                 rows * hh + hh) + 8 * hh + 64 * self.depth + 1024
-        check_budget(16 * words, budget, f"Poisson kernel up to level {self.depth}")
+        check_budget(16 * words, f"Poisson kernel up to level {self.depth}")
         self.system = system
         self.rep = rep
         self.r = float(r)
-        self.budget = budget
         scaled = rep.scaled(self.r)
         self.row_norm_w = min(scaled.row_norm, 1 - 1e-15)
         delta = np.eye(h, dtype=complex)
@@ -289,7 +287,7 @@ class PoissonKernel:
     def shifts(self) -> fock_mod.ShiftSet:
         if self._shifts is None:
             fk = fock_mod.build_fock(self.system, self.depth)
-            self._shifts = fock_mod.build_shifts(fk, self.budget)
+            self._shifts = fock_mod.build_shifts(fk)
         return self._shifts
 
     def levels(self) -> list[np.ndarray]:
@@ -304,12 +302,6 @@ class PoissonKernel:
     def tail_bound(self) -> float:
         rho = self.row_norm_w
         return rho ** (2 * (self.depth + 1)) / (1 - rho**2)
-
-
-def poisson_kernel(system: SubproductSystem, rep: RepTuple, r: float,
-                   depth: Optional[int] = None,
-                   budget: Optional[int] = None) -> PoissonKernel:
-    return PoissonKernel(system, rep, r, depth, budget)
 
 
 def _lower(shifts: fock_mod.ShiftSet, levels: list, word) -> list:
@@ -405,7 +397,7 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     from one depth lower): well above it is a failure, within a few gaps of
     it the truncation is still moving and the comparison is inconclusive.
     This check needs the dense shifts: one estimate of everything it holds is
-    checked against the default budget before anything is allocated.
+    checked against the budget before anything is allocated.
     """
     depth = system.depth if depth is None else depth
     if depth < 2:
@@ -422,7 +414,7 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     # of headers and small arrays.
     later = 16 * (4 * total**2 + below**2)
     check_budget(16 * system.d * total**2 + max(_split_bytes(system, depth), later) + (16 << 10),
-                 None, f"vN shift operators on {total} Fock dimensions")
+                 f"vN shift operators on {total} Fock dimensions")
     mats = fock_mod.build_shifts(fk).matrices
     op = p.eval_on_tuple(mats) @ q.eval_on_tuple(mats).conj().T
     # Depth - 1 is the window onto levels 0..depth-1: each S^a S^{b†} lowers
@@ -448,7 +440,7 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
 
 
 def maximal_piece(system: SubproductSystem, rep: RepTuple,
-                  tol: float = 1e-9, budget: Optional[int] = None) -> dict:
+                  tol: float = 1e-9) -> dict:
     """Largest subspace on which the tuple compresses to an X-representation.
 
     Shrinks from the full space: at each step keep the vectors whose
@@ -474,7 +466,7 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
     h = rep.h
-    adjoints, roots = _complement_roots(system, rep, budget, piece=True)
+    adjoints, roots = _complement_roots(system, rep, piece=True)
     # V = C^h at the first step, where every (I ⊗ P_V^⊥) T̃_n† row is zero
     first, perp = linalg.nullspace(np.vstack(roots), with_complement=True)
     frame, cutoff, iterations = first.frame, first.tol_used, 1
@@ -513,7 +505,11 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
 
 
 class CPSemigroup:
-    """The discrete semigroup Θ_n(a) = T̃_n (I ⊗ a) T̃_n† on B(C^h)."""
+    """The discrete semigroup Θ_n(a) = T̃_n (I ⊗ a) T̃_n† on B(C^h).
+
+    Every T̃_n (h × r_n·h) is held; one estimate, of the tildes next to a step
+    of the tilde recursion, is checked against the budget before any is made.
+    """
 
     def __init__(self, system: SubproductSystem, rep: RepTuple,
                  depth: Optional[int] = None):
@@ -522,6 +518,15 @@ class CPSemigroup:
         self.system = system
         self.rep = rep
         self.depth = system.depth if depth is None else depth
+        if self.depth > system.depth:
+            raise ValueError("depth exceeds the system depth")
+        h = rep.h
+        # the tildes; a recursion step, or the conjugate copy behind a new
+        # tilde; a few h × h blocks and array headers
+        words = (h * h * sum(system.dims()[:self.depth + 1])
+                 + _level_words(system, h, self.depth, roots=False)
+                 + 8 * h * h + 64 * self.depth + 1024)
+        check_budget(16 * words, f"CP semigroup tildes up to level {self.depth}")
         self.tildes = rep_tildes(system, rep, self.depth)
 
     @property
@@ -545,15 +550,17 @@ class CPSemigroup:
         return linalg.opnorm(composed - direct)
 
     def choi(self, n: int) -> np.ndarray:
-        """sum_ab E_ab ⊗ Θ_n(E_ab); positive semidefinite for a CP map."""
+        """sum_ab E_ab ⊗ Θ_n(E_ab); positive semidefinite for a CP map.
+
+        With T_w the h × h blocks of T̃_n, the entry ((a, i), (b, j)) is
+        sum_w T_w[i, a] conj(T_w[j, b]): the Gram K^T conj(K) of the rows
+        K[w, (a, i)] = T_w[i, a].
+        """
+        if not 0 <= n <= self.depth:
+            raise ValueError("step out of range")
         h = self.h
-        out = np.zeros((h * h, h * h), dtype=complex)
-        for a in range(h):
-            for b in range(h):
-                e_ab = np.zeros((h, h), dtype=complex)
-                e_ab[a, b] = 1.0
-                out[a * h:(a + 1) * h, b * h:(b + 1) * h] = self.theta(n, e_ab)
-        return out
+        k = self.tildes[n].reshape(h, -1, h).transpose(1, 2, 0).reshape(-1, h * h)
+        return k.T @ k.conj()
 
     def choi_min_eig(self, n: int) -> float:
         c = self.choi(n)
@@ -563,7 +570,3 @@ class CPSemigroup:
     def unital_residual(self, n: int) -> float:
         return linalg.opnorm(self.theta(n, np.eye(self.h)) - np.eye(self.h))
 
-
-def induced_cp_semigroup(system: SubproductSystem, rep: RepTuple,
-                         depth: Optional[int] = None) -> CPSemigroup:
-    return CPSemigroup(system, rep, depth)

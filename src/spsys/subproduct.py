@@ -23,10 +23,7 @@ from typing import Optional
 import numpy as np
 
 from spsys import linalg
-from spsys.linalg import (  # noqa: F401  (the budget names are re-exported)
-    DEFAULT_BUDGET_BYTES, CoordinateSubspace, CoreSubspace, MemoryBudgetError,
-    Subspace, check_budget,
-)
+from spsys.linalg import CoordinateSubspace, CoreSubspace, Subspace, check_budget
 from spsys import ncpoly
 from spsys.ncpoly import IdealGens, NCPoly
 
@@ -159,10 +156,6 @@ class SubproductSystem:
         or "core" (a core over the fiber below)."""
         return "coordinate" if isinstance(self.fibers[1], CoordinateSubspace) else "core"
 
-    def unbuilt_frame_bytes(self) -> int:
-        """Bytes the frames of every level take that are not built yet."""
-        return _unbuilt_frame_bytes(self.fibers)
-
 
 def _positions(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each value would sit in the strictly increasing `index`, and whether it is there."""
@@ -235,7 +228,7 @@ def _scalar_fiber() -> CoordinateSubspace:
     return CoordinateSubspace(1, [0])
 
 
-def from_ideal(gens: IdealGens, depth: int, budget: Optional[int] = None) -> SubproductSystem:
+def from_ideal(gens: IdealGens, depth: int) -> SubproductSystem:
     """System whose level n is the complement of the degree-n ideal component.
 
     A vector of degree n is orthogonal to the ideal iff it lies in E ⊗ X(n-1)
@@ -251,8 +244,8 @@ def from_ideal(gens: IdealGens, depth: int, budget: Optional[int] = None) -> Sub
     coeffs = {k: np.conj(b) for k, b in batches.items()}
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        null = _null_core(coeffs, fibers, d, budget, "ideal fiber")
-        fibers.append(CoreSubspace(d, fibers[-1], null, budget))
+        null = _null_core(coeffs, fibers, d, "ideal fiber")
+        fibers.append(CoreSubspace(d, fibers[-1], null))
     return SubproductSystem(d, depth, tuple(fibers), {"kind": "ideal", "gens": gens})
 
 
@@ -262,8 +255,7 @@ def _held_words(coeffs: dict, dims: list[int], d: int) -> int:
             + sum(c.size for c in coeffs.values()))
 
 
-def _null_core(coeffs: dict, fibers: list, d: int, budget: Optional[int],
-               what: str) -> Subspace:
+def _null_core(coeffs: dict, fibers: list, d: int, what: str) -> Subspace:
     """The core z of level n = len(fibers) of an ideal system (see `from_ideal`).
 
     `coeffs` maps each degree k to the rows conj(g(e)) of its generators.
@@ -282,7 +274,7 @@ def _null_core(coeffs: dict, fibers: list, d: int, budget: Optional[int],
                  for k, c in batches.items() for t in range(1, k)), default=0)
     check_budget(16 * (_held_words(coeffs, dims, d) + rows * cols
                        + max(2 * inter, rows * cols + 3 * cols * cols)),
-                 budget, f"{what} at level {n}")
+                 f"{what} at level {n}")
     stack = np.vstack([np.zeros((0, cols), dtype=complex)] + [
         _generator_rows(c, [f.letter_cores() for f in fibers[n - k + 1:n]], d, dims[-1])
         for k, c in sorted(batches.items())
@@ -311,7 +303,7 @@ def _generator_rows(coeffs: np.ndarray, chain: list, d: int, r_prev: int) -> np.
     return acc.reshape(-1, d, ra, r_prev).transpose(0, 2, 1, 3).reshape(-1, d * r_prev)
 
 
-def from_subshift(spec: SubshiftSpec, depth: int, budget: Optional[int] = None) -> SubproductSystem:
+def from_subshift(spec: SubshiftSpec, depth: int) -> SubproductSystem:
     """Coordinate system spanned by the legal words of the subshift.
 
     Level n keeps the row indices of its legal words (`SubshiftSpec.extend_index`).
@@ -322,10 +314,10 @@ def from_subshift(spec: SubshiftSpec, depth: int, budget: Optional[int] = None) 
     for n in range(1, depth + 1):
         # the candidates, one remainder and the new index (8 bytes each), and
         # two masks (1 byte each), next to the indices already held
-        check_budget(sum(f.index.nbytes for f in fibers) + 26 * d * index.size, budget,
+        check_budget(sum(f.index.nbytes for f in fibers) + 26 * d * index.size,
                      f"subshift word indices up to level {n}")
         index = spec.extend_index(index, n)
-        fibers.append(CoordinateSubspace(d**n, index, budget))
+        fibers.append(CoordinateSubspace(d**n, index))
     dead_from = next((n for n, f in enumerate(fibers) if not f.dim), None)
     return SubproductSystem(
         d, depth, tuple(fibers),
@@ -350,7 +342,7 @@ def is_admissible(q: np.ndarray, tol: float = ADMISSIBLE_TOL):
     return True, None
 
 
-def from_qmatrix(q: np.ndarray, depth: int, budget: Optional[int] = None) -> SubproductSystem:
+def from_qmatrix(q: np.ndarray, depth: int) -> SubproductSystem:
     """Maximal system with full level 1 and the q-commutation level 2, as an ideal system."""
     q = np.asarray(q, dtype=complex)
     d = q.shape[0]
@@ -361,38 +353,37 @@ def from_qmatrix(q: np.ndarray, depth: int, budget: Optional[int] = None) -> Sub
         raise ValueError(
             f"q is not admissible at pair {pair}: need nonzero q_ij = 1/q_ji"
         )
-    system = from_ideal(ncpoly.q_relation_gens(q), depth, budget)
+    system = from_ideal(ncpoly.q_relation_gens(q), depth)
     return replace(system, provenance={**system.provenance, "kind": "qmatrix",
                                        "q": q.copy()})
 
 
-def from_quadratic(a: np.ndarray, depth: int, budget: Optional[int] = None) -> SubproductSystem:
+def from_quadratic(a: np.ndarray, depth: int) -> SubproductSystem:
     """Maximal two-letter system with one quadratic relation sum a_ij x_i x_j (an ideal system)."""
     a = np.asarray(a, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError("quadratic systems are two-letter: a must be 2x2")
     if np.all(a == 0):
-        system = from_full(2, depth, budget=budget)
+        system = from_full(2, depth)
     else:
         relation = NCPoly.from_vector(a.ravel(), 2, 2)
-        system = from_ideal(IdealGens(2, [relation]), depth, budget)
+        system = from_ideal(IdealGens(2, [relation]), depth)
     return replace(system, provenance={**system.provenance, "kind": "quadratic",
                                        "a": a.copy()})
 
 
-def from_full(d: int, depth: int, budget: Optional[int] = None) -> SubproductSystem:
+def from_full(d: int, depth: int) -> SubproductSystem:
     """The full system: every fiber is all of (C^d)^{⊗n}, indexed by every word."""
-    check_budget(8 * sum(d**n for n in range(1, depth + 1)), budget,
+    check_budget(8 * sum(d**n for n in range(1, depth + 1)),
                  f"full word indices up to level {depth}")
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        fibers.append(linalg.full_space(d**n, budget))
+        fibers.append(linalg.full_space(d**n))
     return SubproductSystem(d, depth, tuple(fibers),
                             {"kind": "full", "gens": IdealGens(d, [])})
 
 
-def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
-                        budget: Optional[int] = None) -> SubproductSystem:
+def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int) -> SubproductSystem:
     """Largest system extending the prescribed fibers X(1..k).
 
     Every subproduct system over N is the system of a homogeneous ideal
@@ -416,18 +407,18 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
     coeffs: dict[int, np.ndarray] = {}
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        core = _null_core(coeffs, fibers, d, budget, "maximal fiber")
+        core = _null_core(coeffs, fibers, d, "maximal fiber")
         if n <= k:
             held = _held_words(coeffs, [f.dim for f in fibers], d)
-            core, coeffs[n] = _prescribed_core(core, given[n], given[n - 1], n, held, budget)
-        fibers.append(CoreSubspace(d, fibers[-1], core, budget))
+            core, coeffs[n] = _prescribed_core(core, given[n], given[n - 1], n, held)
+        fibers.append(CoreSubspace(d, fibers[-1], core))
     return SubproductSystem(
         d, depth, tuple(fibers), {"kind": "fibers", "prescribed_levels": k}
     )
 
 
 def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
-                     held: int, budget: Optional[int]) -> tuple[Subspace, np.ndarray]:
+                     held: int) -> tuple[Subspace, np.ndarray]:
     """The core of the prescribed level n inside N_n, and N_n ⊖ F_n as generator rows.
 
     `null` is N_n in the coordinates of E ⊗ X(n-1), with frame Z; `below`
@@ -445,7 +436,7 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     # norm's copy of it, or the new generator rows); with the prescribed
     # frames not built yet.
     words = held + below.ambient_dim * rp + 4 * cols * m + 3 * m * m + 3 * size * m
-    check_budget(16 * words + _unbuilt_frame_bytes([fiber, below]), budget,
+    check_budget(16 * words + _unbuilt_frame_bytes([fiber, below]),
                  f"prescribed fiber at level {n}")
     f, gh, z = fiber.frame, below.frame.conj().T, null.frame
     c = (gh @ f.reshape(d, below.ambient_dim, r)).reshape(cols, r)
@@ -537,25 +528,24 @@ def _unbuilt_frame_bytes(read: list) -> int:
     return sum(lazy.values())
 
 
-def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL,
-                  budget: Optional[int] = None) -> dict:
+def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     """Residuals of X(m+n) ⊆ X(m) ⊗ X(n) for every split of every level.
 
     A core chain (ideal, q-matrix, quadratic and `fibers` systems) is
     decided on its cores, coordinate fibers on their word indices; neither
-    builds a frame. One estimate of the whole check is held against
-    `budget` before anything is allocated.
+    builds a frame. One estimate of the whole check is checked against the
+    budget before anything is allocated.
     """
     splits = [(i, total - i) for total in range(2, system.depth + 1) for i in range(1, total)]
     # the two residual dicts, their keys and values, and array headers
     small = 256 * system.depth**2 + 4096
     if system.route == "core":
-        check_budget(16 * _core_axiom_words(system.dims(), system.d) + small, budget,
+        check_budget(16 * _core_axiom_words(system.dims(), system.d) + small,
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
     else:
         # a split holds a few index arrays of its top level
-        check_budget(48 * max(system.dims()[2:], default=0) + small, budget,
+        check_budget(48 * max(system.dims()[2:], default=0) + small,
                      f"axiom residuals on the word indices up to level {system.depth}")
         found = {s: _index_axiom_residual(system.fibers, system.d, *s) for s in splits}
     residuals = {s: found[s] for s in splits}
@@ -566,13 +556,6 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL,
         "ok": worst <= tol,
         "tol": tol,
     }
-
-
-def recover_ideal(system: SubproductSystem, n: int) -> Subspace:
-    """Degree-n component of the vanishing ideal: the complement of X(n)."""
-    if not 1 <= n <= system.depth:
-        raise ValueError("level out of range")
-    return linalg.complement(system.fiber(n))
 
 
 def recover_ideal_gens(system: SubproductSystem, max_level: Optional[int] = None) -> IdealGens:

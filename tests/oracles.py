@@ -11,7 +11,6 @@ the complement residuals, and the maximal completion of a prescribed chain
 by the pair products of its dense frames.
 """
 
-from typing import Optional
 
 import numpy as np
 
@@ -329,8 +328,7 @@ def _two_stage_null(gram: np.ndarray, residual_fn) -> np.ndarray:
 
 
 def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
-                              tol: float = INCLUSION_TOL,
-                              budget: Optional[int] = None) -> tuple[Subspace, ...]:
+                              tol: float = INCLUSION_TOL) -> tuple[Subspace, ...]:
     """The fibers X(0..depth) of the largest system extending the prescribed
     X(1..k), as dense frames.
 
@@ -361,8 +359,7 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
         if prev.dim == 0 or fibers[1].dim == 0:
             fibers.append(zero_space(d**n))
             continue
-        check_budget(16 * d**n * fibers[1].dim * prev.dim, budget,
-                     f"maximal fiber at level {n}")
+        check_budget(16 * d**n * fibers[1].dim * prev.dim, f"maximal fiber at level {n}")
         base = np.kron(fibers[1].frame, prev.frame)
         m = base.shape[1]
         gram = np.zeros((m, m), dtype=complex)

@@ -133,7 +133,7 @@ def test_07_poisson_transform_commuting_pair(symmetric2_10):
     rng = np.random.default_rng(7)
     rep = random_commuting_pair(rng, 3, 0.95)
     r = 0.6
-    kernel = reps.poisson_kernel(symmetric2_10, rep, r=r, depth=10)
+    kernel = reps.PoissonKernel(symmetric2_10, rep, r=r, depth=10)
 
     def ceiling(s):
         return 0.6 ** (2 * (11 - s)) / 0.64 + 1e-10
@@ -205,7 +205,7 @@ def test_11_induced_semigroup_law_and_choi_positivity(symmetric2_6):
     rng = np.random.default_rng(11)
     for _ in range(20):
         rep = random_commuting_pair(rng, 3, float(rng.uniform(0.3, 1.0)))
-        semi = reps.induced_cp_semigroup(symmetric2_6, rep)
+        semi = reps.CPSemigroup(symmetric2_6, rep)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         for m in range(7):
             for n in range(7 - m):

@@ -207,7 +207,7 @@ def test_quad_mixed_invariant_separates():
 # character sets
 
 def test_character_set_ball():
-    cs = classify.character_set_descriptor(np.ones((3, 3), dtype=complex))
+    cs = classify.CharacterSet(np.ones((3, 3), dtype=complex))
     assert cs.kind == "ball"
     assert cs.contains([0.5, 0.5, 0.5])
     assert not cs.contains([0.9, 0.9, 0.0])  # outside the unit ball
@@ -215,7 +215,7 @@ def test_character_set_ball():
 
 def test_character_set_glued_discs():
     q = planted_q(np.random.default_rng(5), 3)
-    cs = classify.character_set_descriptor(q)
+    cs = classify.CharacterSet(q)
     assert cs.kind == "glued-discs"
     assert cs.contains([0.9, 0, 0])
     assert not cs.contains([0.5, 0.5, 0])
@@ -225,7 +225,7 @@ def test_character_set_independent_sets():
     q = np.ones((3, 3), dtype=complex)
     q[0, 1] = 2.0
     q[1, 0] = 0.5
-    cs = classify.character_set_descriptor(q)
+    cs = classify.CharacterSet(q)
     assert cs.kind == "independent-sets"
     assert cs.edges == [(1, 2)]
     assert cs.contains([0.5, 0, 0.5])

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spsys import cli, formats
+from spsys import cli, formats, linalg, subproduct
+from spsys.linalg import MemoryBudgetError
 
 
 @pytest.fixture()
@@ -99,6 +100,36 @@ def test_malformed_spec_values_exit_3_without_a_traceback(capsys, tmp_path, spec
     code, out, err = run_cli(capsys, "verify", "--spec", str(path), "--checks", "axioms,unit")
     assert code == 3 and out == ""
     assert err == f"error: {message}\n"
+
+
+_PAIR = {"d": 2, "h": 1, "matrices": [{"rows": 1, "cols": 1, "data": [[0.1, 0]]}] * 2}
+
+
+@pytest.mark.parametrize("command, files", [
+    (["verify", "--spec", "{spec}", "--checks", "axioms"],
+     {"spec": {"kind": "subshift", "d": 2, "depth": 4, "forbidden": [5]}}),
+    (["verify", "--spec", "{spec}", "--checks", "axioms"],
+     {"spec": {"kind": "ideal", "d": 2, "depth": 4, "generators": [5]}}),
+    (["verify", "--spec", "{spec}", "--checks", "axioms"],
+     {"spec": {"kind": "qmatrix", "d": 2, "depth": 4, "q": {"rows": 2, "cols": 2, "data": 7}}}),
+    (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3}, "rep": {**_PAIR, "matrices": 5}}),
+    (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3},
+      "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [["a", 0]]}] * 2}}),
+    (["cp", "as-dims", "{kraus}"], {"kraus": {"h": 2, "kraus": 3}}),
+    (["dims", "--spec", "{spec}"], {"spec": {"kind": "full", "d": 2, "depth": float("inf")}}),
+], ids=["forbidden-entry", "generator-entry", "matrix-data", "rep-matrices",
+        "matrix-entry", "kraus-list", "depth-infinity"])
+def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, command, files):
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))  # Infinity stays in the file
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in command))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_all_checks_pass(capsys, golden_spec):
@@ -327,12 +358,17 @@ def test_out_budget_counts_the_json_encoding(capsys, tmp_path, monkeypatch):
             shutil.rmtree(out)
         else:
             out.unlink()
-        monkeypatch.setattr(cli, "_budget_bytes", lambda args: peak - 1)
-        code, report, err = run_cli(capsys, *argv)
-        assert code == 3 and "and their JSON encoding" in err and report == ""
+        # a budget finer than the MiB of --budget-mb: run the command on its
+        # parsed arguments under the process budget
+        args = cli.make_parser().parse_args(argv)
+        monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+        with pytest.raises(MemoryBudgetError, match="and their JSON encoding"):
+            args.func(args)
+        assert capsys.readouterr().out == ""
         assert not out.exists()  # refused before anything is written
-        monkeypatch.setattr(cli, "_budget_bytes", lambda args: 2 * peak)
-        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
+        assert args.func(args) == 0
+        capsys.readouterr()
 
 
 def test_classify_quad_leaves_scipy_unloaded(tmp_path):
@@ -446,6 +482,22 @@ def test_budget_flag_trips_guard(capsys, golden_spec):
         capsys, "dims", "--spec", golden_spec, "--budget-mb", "0")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_budget_flag_holds_for_one_command(capsys, golden_spec, tmp_path):
+    # --budget-mb sets the process budget for its command and no longer
+    code, _, err = run_cli(capsys, "dims", "--spec", golden_spec, "--budget-mb", "0")
+    assert code == 3 and "budget is 0 MiB" in err
+    assert linalg.BUDGET_BYTES == 2 << 30
+    assert subproduct.from_full(2, 3).dims() == [1, 2, 4, 8]  # needs 112 bytes
+    code, out, _ = run_cli(capsys, "dims", "--spec", golden_spec, "--budget-mb", "3")
+    assert code == 0 and out.split()[-1] == "34"
+    assert linalg.BUDGET_BYTES == 2 << 30
+    # a command without the flag runs under the process budget
+    kraus = tmp_path / "kraus.json"
+    formats.dump_json(formats.encode_kraus([np.eye(2)]), kraus)
+    assert run_cli(capsys, "cp", "as-dims", str(kraus), "--n", "2")[0] == 0
+    assert linalg.BUDGET_BYTES == 2 << 30
 
 
 def test_dims_golden_depth_twenty(capsys, golden_spec):

@@ -136,6 +136,8 @@ def test_choi_rank_matches_matrix_unit_oracle():
                 row.append(apply_power(e, n))
             blocks.append(row)
         choi = np.block(blocks)
+        got = cpmaps.choi_matrix(chan, power=n)
+        assert np.max(np.abs(got - choi)) <= 1e-12 * max(1.0, np.max(np.abs(choi)))
         w = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
         oracle = int(np.sum(w > 1e-9 * max(w[-1], 1e-30)))
         assert cpmaps.choi_rank(chan, power=n) == oracle

@@ -364,22 +364,24 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_dense_shift_view_budget_bounds_the_traced_peak():
+def test_dense_shift_view_budget_bounds_the_traced_peak(monkeypatch):
     # cores (a view per letter block) and word indices (a scatter per letter)
     for system in (subproduct.from_ideal(ncpoly.commutator_gens(3), 7),
                    subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 8)):
         fk = fock.build_fock(system)
         maps = fock.build_shifts(fk).maps  # the level maps are held from here on
         peak = _traced_peak(lambda: fock.ShiftSet(fk, maps).matrices)
-        refused = fock.ShiftSet(fk, maps, budget=peak - 1)
+        monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
 
         def refuse():
             with pytest.raises(MemoryBudgetError, match="shift matrices"):
-                refused.matrices
+                fock.ShiftSet(fk, maps).matrices
 
         assert _traced_peak(refuse) < peak // 100  # refused before anything is assembled
         # the estimate is the arrays and a header allowance: within 2 KiB of the peak
-        accepted = fock.ShiftSet(fk, maps, budget=peak + 2048).matrices
+        monkeypatch.setattr(linalg, "BUDGET_BYTES", peak + 2048)
+        accepted = fock.ShiftSet(fk, maps).matrices
+        monkeypatch.undo()
         for n in range(1, fk.depth + 1):
             for s, b in zip(accepted, fock.ShiftSet(fk, maps).blocks(n)):
                 assert np.array_equal(s[fk.level_slice(n), fk.level_slice(n - 1)], b)
@@ -394,7 +396,7 @@ def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10, monkeypatch)
         return reps.vn_inequality_check(symmetric3_10, rep, p, q, depth=8)
 
     peak = _traced_peak(run)
-    monkeypatch.setattr(linalg, "DEFAULT_BUDGET_BYTES", peak - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
 
     def refuse():
         with pytest.raises(MemoryBudgetError, match="vN shift operators"):
@@ -402,5 +404,5 @@ def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10, monkeypatch)
 
     assert _traced_peak(refuse) < peak // 100  # refused before anything is allocated
     # the estimate is within 10% of the peak here
-    monkeypatch.setattr(linalg, "DEFAULT_BUDGET_BYTES", int(1.1 * peak))
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", int(1.1 * peak))
     assert run()["verdict"] in ("pass", "inconclusive")

@@ -154,28 +154,32 @@ def test_coordinate_subspace_rejects_bad_indices(index, message):
         linalg.CoordinateSubspace(6, index)
 
 
-def test_coordinate_subspace_frame_is_unit_columns_on_demand():
-    s = linalg.CoordinateSubspace(6, [0, 2, 5], budget=16 * 6 * 3)
+def test_coordinate_subspace_frame_is_unit_columns_on_demand(monkeypatch):
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 6 * 3)
+    s = linalg.CoordinateSubspace(6, [0, 2, 5])
     assert s.dim == 3 and "frame" not in vars(s)
     assert np.array_equal(s.frame, np.eye(6, dtype=complex)[:, [0, 2, 5]])
     assert s.frame is s.frame
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 6 * 3 - 1)
     with pytest.raises(linalg.MemoryBudgetError, match="coordinate frame"):
-        linalg.CoordinateSubspace(6, [0, 2, 5], budget=16 * 6 * 3 - 1).frame
+        linalg.CoordinateSubspace(6, [0, 2, 5]).frame
     assert np.array_equal(linalg.full_space(4).frame, np.eye(4, dtype=complex))
 
 
-def test_core_subspace_frame_is_core_over_previous_frame_on_demand():
+def test_core_subspace_frame_is_core_over_previous_frame_on_demand(monkeypatch):
     rng = np.random.default_rng(9)
     prev = random_subspace(rng, 5, 3)
     core = random_subspace(rng, 2 * 3, 4)
-    s = linalg.CoreSubspace(2, prev, core, budget=16 * 10 * 4)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 10 * 4)
+    s = linalg.CoreSubspace(2, prev, core)
     assert (s.ambient_dim, s.dim) == (10, 4) and "frame" not in vars(s)
     expected = np.kron(np.eye(2), prev.frame) @ core.frame
     assert np.max(np.abs(s.frame - expected)) <= 1e-14
     assert s.frame is s.frame
     assert np.array_equal(prev.frame @ s.letter_cores()[1], s.frame[5:])
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 10 * 4 - 1)
     with pytest.raises(linalg.MemoryBudgetError, match="fiber frame"):
-        linalg.CoreSubspace(2, prev, core, budget=16 * 10 * 4 - 1).frame
+        linalg.CoreSubspace(2, prev, core).frame
     with pytest.raises(ValueError, match="does not fit"):
         linalg.CoreSubspace(3, prev, core)
 

@@ -160,11 +160,12 @@ def test_is_representation_complement_matches_kron_formula():
         assert abs(out["residuals"][n - 1] - expected) <= 1e-12
 
 
-def test_is_representation_complement_fits_a_small_budget_at_depth():
+def test_is_representation_complement_fits_a_small_budget_at_depth(monkeypatch):
     # the top level has 8192 words; the roots keep the route at fiber size
     sys_ = _symmetric_fibers_system(13)
     rep = random_row_contraction(np.random.default_rng(24), 2, 16, 0.8)
-    out = reps.is_representation(sys_, rep, budget=8 << 20)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 8 << 20)
+    out = reps.is_representation(sys_, rep)
     assert out["route"] == "complement"
     assert not out["ok"]
 
@@ -181,7 +182,8 @@ def _dead_level_system(depth):
     pytest.param(_symmetric_fibers_system, 8, 8, id="8-8"),
     pytest.param(_dead_level_system, 5, 16, id="dead-5-16"),
 ])
-def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth, h):
+def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth, h,
+                                                                   monkeypatch):
     sys_ = make(depth)
     rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
     for n in range(depth + 1):
@@ -193,14 +195,15 @@ def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth,
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    with pytest.raises(subproduct.MemoryBudgetError, match="complement residuals"):
-        reps.is_representation(sys_, rep, budget=peak - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    with pytest.raises(linalg.MemoryBudgetError, match="complement residuals"):
+        reps.is_representation(sys_, rep)
 
 
 def test_poisson_kernel_isometry_defect_within_tail(symmetric2_6):
     rng = np.random.default_rng(6)
     rep = random_commuting_pair(rng, 3, 0.9)
-    k = reps.poisson_kernel(symmetric2_6, rep, r=0.9)
+    k = reps.PoissonKernel(symmetric2_6, rep, r=0.9)
     assert k.isometry_defect() <= k.tail_bound() + 1e-10
 
 
@@ -208,10 +211,10 @@ def test_poisson_kernel_r_validation(symmetric2_6):
     rng = np.random.default_rng(7)
     rep = random_commuting_pair(rng, 3, 1.0)
     with pytest.raises(ValueError):
-        reps.poisson_kernel(symmetric2_6, rep, r=1.0)
+        reps.PoissonKernel(symmetric2_6, rep, r=1.0)
     with pytest.raises(ValueError):
-        reps.poisson_kernel(symmetric2_6, rep, r=1.2)
-    reps.poisson_kernel(symmetric2_6, rep, r=0.9)  # fine below 1
+        reps.PoissonKernel(symmetric2_6, rep, r=1.2)
+    reps.PoissonKernel(symmetric2_6, rep, r=0.9)  # fine below 1
 
 
 def test_poisson_kernel_r_one_boundary_is_tolerant(symmetric2_6):
@@ -219,17 +222,17 @@ def test_poisson_kernel_r_one_boundary_is_tolerant(symmetric2_6):
     # well inside the unit ball builds, one within the slack of 1 is refused
     rng = np.random.default_rng(7)
     inside = random_commuting_pair(rng, 3, 1 - 1e-6)
-    kernel = reps.poisson_kernel(symmetric2_6, inside, r=1.0)
+    kernel = reps.PoissonKernel(symmetric2_6, inside, r=1.0)
     assert np.isfinite(kernel.tail_bound())
     assert kernel.tail_bound() < 1e6
     rng = np.random.default_rng(7)
     edge = random_commuting_pair(rng, 3, 1 - 1e-12)
     with pytest.raises(ValueError, match="strictly below 1"):
-        reps.poisson_kernel(symmetric2_6, edge, r=1.0)
+        reps.PoissonKernel(symmetric2_6, edge, r=1.0)
 
 
 @pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12)])
-def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
+def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h, monkeypatch):
     # word indices and cores (the fibers spec too); isometry_defect runs
     # inside the estimate
     make = {"golden": lambda: _golden(9),
@@ -237,14 +240,14 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
             "fibers": lambda: _symmetric_fibers_system(7)}[kind]
     rep = random_row_contraction(np.random.default_rng(25), 2, h, 0.9)
 
-    def run(budget=None):
+    def run():
         system = make()  # fresh for every run
         for n in range(system.depth + 1):
             system.fiber(n).frame
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            kernel = reps.PoissonKernel(system, rep, 0.9, budget=budget)
+            kernel = reps.PoissonKernel(system, rep, 0.9)
             kernel.isometry_defect()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -253,9 +256,40 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h):
         return peak
 
     peak = run()
-    with pytest.raises(subproduct.MemoryBudgetError, match="Poisson kernel"):
-        run(budget=peak - 1)
-    run(budget=2 * peak)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    with pytest.raises(linalg.MemoryBudgetError, match="Poisson kernel"):
+        run()
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
+    run()
+
+
+@pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12)])
+def test_cp_semigroup_budget_bounds_the_traced_peak(kind, h, monkeypatch):
+    # every tilde is held; the estimate is checked before the first is made
+    make = {"golden": lambda: _golden(9),
+            "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
+            "fibers": lambda: _symmetric_fibers_system(7)}[kind]
+    rep = random_row_contraction(np.random.default_rng(26), 2, h, 0.9)
+
+    def run():
+        system = make()  # fresh for every run
+        for n in range(system.depth + 1):
+            system.fiber(n).frame
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reps.CPSemigroup(system, rep)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    peak = run()
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    with pytest.raises(linalg.MemoryBudgetError, match="CP semigroup tildes"):
+        run()
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
+    run()
 
 
 def test_model_intertwining_r_at_row_norm_is_refused(symmetric2_6):
@@ -269,7 +303,7 @@ def test_model_intertwining_r_at_row_norm_is_refused(symmetric2_6):
 def test_poisson_transform_identity_word(symmetric2_6):
     rng = np.random.default_rng(8)
     rep = random_commuting_pair(rng, 3, 0.8)
-    k = reps.poisson_kernel(symmetric2_6, rep, r=0.7)
+    k = reps.PoissonKernel(symmetric2_6, rep, r=0.7)
     out = reps.poisson_transform(k, (), ())
     assert out["ok"]
     assert np.allclose(out["target"], np.eye(3))
@@ -280,7 +314,7 @@ def test_poisson_transform_short_words(symmetric2_6):
     rng = np.random.default_rng(9)
     rep = random_commuting_pair(rng, 3, 0.9)
     r = 0.6
-    k = reps.poisson_kernel(symmetric2_6, rep, r=r)
+    k = reps.PoissonKernel(symmetric2_6, rep, r=r)
     t1, t2 = rep.matrices
     out = reps.poisson_transform(k, (1,), (2,))
     assert out["residual"] <= out["bound"] + 1e-10
@@ -514,7 +548,7 @@ def test_piece_and_complement_build_no_fiber_frame():
         reps.maximal_piece(system, rep)
         reps.is_representation(system, rep)
         # the complement route, which is_representation skips when there are generators
-        reps._complement_roots(system, rep, None, piece=False)
+        reps._complement_roots(system, rep, piece=False)
         assert all("frame" not in vars(f) for f in system.fibers)
 
 
@@ -530,8 +564,9 @@ def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
         raise AssertionError("tildes allocated before the budget check")
 
     monkeypatch.setattr(reps, "_tilde_levels", never)
-    with pytest.raises(subproduct.MemoryBudgetError, match="piece constraints"):
-        reps.maximal_piece(golden, rep, budget=3 << 20)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 3 << 20)
+    with pytest.raises(linalg.MemoryBudgetError, match="piece constraints"):
+        reps.maximal_piece(golden, rep)
 
 
 BUDGET_SYSTEMS = {
@@ -549,7 +584,7 @@ BUDGET_SYSTEMS = {
     pytest.param("golden", 2, 9, 5, id="golden-9-5"),
     pytest.param("commutator", 3, 4, 2, id="commutator3-4-2"),
 ])
-def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
+def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth, monkeypatch):
     system = BUDGET_SYSTEMS[kind](d, depth)
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, h_depth), h_depth))
     rep = RepTuple(tuple(sh.matrices))
@@ -561,8 +596,9 @@ def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth):
     finally:
         tracemalloc.stop()
     # any budget the estimate accepts covers the measured peak
-    with pytest.raises(subproduct.MemoryBudgetError):
-        reps.maximal_piece(system, rep, budget=peak - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    with pytest.raises(linalg.MemoryBudgetError):
+        reps.maximal_piece(system, rep)
 
 
 @pytest.mark.parametrize("kind, d, depth, h_depth", [
@@ -616,7 +652,7 @@ def test_maximal_piece_with_zero_fibers_is_joint_kernel():
 def test_cp_semigroup_law_and_choi(symmetric2_6):
     rng = np.random.default_rng(15)
     rep = random_commuting_pair(rng, 3, 0.9)
-    semi = reps.induced_cp_semigroup(symmetric2_6, rep)
+    semi = reps.CPSemigroup(symmetric2_6, rep)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     for m in range(4):
         for n in range(4 - m):
@@ -625,10 +661,26 @@ def test_cp_semigroup_law_and_choi(symmetric2_6):
         assert semi.choi_min_eig(n) > -1e-10
 
 
+def test_cp_semigroup_choi_is_the_sum_over_matrix_units():
+    # against sum_ab E_ab ⊗ Θ_n(E_ab), on cores and on word indices
+    rng = np.random.default_rng(16)
+    for system in (subproduct.from_ideal(ncpoly.commutator_gens(2), 5), _golden(5)):
+        rep = random_row_contraction(rng, 2, 3, 0.9)
+        semi = reps.CPSemigroup(system, rep)
+        for n in range(system.depth + 1):
+            expected = np.zeros((9, 9), dtype=complex)
+            for a in range(3):
+                for b in range(3):
+                    e_ab = np.zeros((3, 3), dtype=complex)
+                    e_ab[a, b] = 1.0
+                    expected += np.kron(e_ab, semi.theta(n, e_ab))
+            assert np.max(np.abs(semi.choi(n) - expected)) <= 1e-14
+
+
 def test_cp_semigroup_unital_for_coisometric_row(symmetric2_6):
     t1 = np.array([[1.0, 0], [0, 0]], dtype=complex)
     t2 = np.array([[0, 0], [0, 1.0]], dtype=complex)
     rep = RepTuple((t1, t2))
-    semi = reps.induced_cp_semigroup(symmetric2_6, rep)
+    semi = reps.CPSemigroup(symmetric2_6, rep)
     assert semi.unital_residual(1) < 1e-12
     assert semi.unital_residual(2) < 1e-12

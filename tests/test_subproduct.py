@@ -6,7 +6,8 @@ import pytest
 
 from spsys import fock, linalg, ncpoly, subproduct
 from spsys.ncpoly import IdealGens, NCPoly
-from spsys.subproduct import MemoryBudgetError, SubshiftSpec
+from spsys.linalg import MemoryBudgetError
+from spsys.subproduct import SubshiftSpec
 
 from conftest import random_homogeneous_poly
 from oracles import (
@@ -230,8 +231,9 @@ def test_commutator_three_letters_depth_twelve_on_cores_in_small_memory():
     assert peak < 64 << 20
 
 
-def test_core_frame_beyond_budget_is_refused_without_building():
-    system = subproduct.from_ideal(ncpoly.commutator_gens(3), 10, budget=8 << 20)
+def test_core_frame_beyond_budget_is_refused_without_building(monkeypatch):
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 8 << 20)
+    system = subproduct.from_ideal(ncpoly.commutator_gens(3), 10)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetError, match="fiber frame"):
@@ -243,21 +245,23 @@ def test_core_frame_beyond_budget_is_refused_without_building():
     assert peak < 1 << 20
 
 
-def test_core_frame_budget_counts_the_lower_frames_it_builds():
+def test_core_frame_budget_counts_the_lower_frames_it_builds(monkeypatch):
     # the top frame is half of the traced peak: every lower frame is built too
-    def top_fiber(budget):
-        return subproduct.from_ideal(ncpoly.commutator_gens(2), 14, budget=budget).fiber(14)
+    def top_fiber():
+        return subproduct.from_ideal(ncpoly.commutator_gens(2), 14).fiber(14)
 
-    fiber = top_fiber(None)
+    fiber = top_fiber()
     tracemalloc.start()
     try:
         fiber.frame
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert top_fiber(peak).frame.shape == fiber.frame.shape
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak)
+    assert top_fiber().frame.shape == fiber.frame.shape
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", int(peak * 0.999))
     with pytest.raises(MemoryBudgetError, match="fiber frame"):
-        top_fiber(int(peak * 0.999)).frame
+        top_fiber().frame
 
 
 def _golden_chain(k):
@@ -272,26 +276,28 @@ def _symmetric_chain(d):
 
 
 @pytest.mark.parametrize("build", [
-    lambda budget: subproduct.from_ideal(ncpoly.commutator_gens(3), 12, budget=budget),
-    lambda budget: subproduct.from_qmatrix(Q3, 8, budget=budget),
-    lambda budget: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20, budget=budget),
-    lambda budget: subproduct.maximal_with_fibers(2, _golden_chain(3), 12, budget=budget),
-    lambda budget: subproduct.maximal_with_fibers(3, _symmetric_chain(3), 9, budget=budget),
+    lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 12),
+    lambda: subproduct.from_qmatrix(Q3, 8),
+    lambda: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20),
+    lambda: subproduct.maximal_with_fibers(2, _golden_chain(3), 12),
+    lambda: subproduct.maximal_with_fibers(3, _symmetric_chain(3), 9),
 ], ids=["commutator3-12", "qmatrix3-8", "golden-20", "golden123-fibers-12",
         "symmetric3-fibers-9"])
-def test_construction_budget_bounds_the_traced_peak(build):
+def test_construction_budget_bounds_the_traced_peak(build, monkeypatch):
     tracemalloc.start()
     try:
-        build(None)
+        build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
     with pytest.raises(MemoryBudgetError):
-        build(peak - 1)
-    build(2 * peak)
+        build()
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
+    build()
 
 
-def test_prescribed_level_budget_bounds_the_traced_peak():
+def test_prescribed_level_budget_bounds_the_traced_peak(monkeypatch):
     # a `build --out` file read back: every level is prescribed as a dense
     # frame, and the top prescribed step holds the largest estimate
     chain = [linalg.Subspace(f.ambient_dim, f.frame, f.tol_used) for f in _golden_chain(10)]
@@ -301,9 +307,11 @@ def test_prescribed_level_budget_bounds_the_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
     with pytest.raises(MemoryBudgetError, match="prescribed fiber at level 10"):
-        subproduct.maximal_with_fibers(2, chain, 10, budget=peak - 1)
-    subproduct.maximal_with_fibers(2, chain, 10, budget=2 * peak)
+        subproduct.maximal_with_fibers(2, chain, 10)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
+    subproduct.maximal_with_fibers(2, chain, 10)
 
 
 def test_maximal_with_fibers_reproduces_step_one_subshift(golden_6):
@@ -421,11 +429,11 @@ def test_coordinate_frames_equal_dense_frames():
             assert np.array_equal(system.fiber(n).frame, dense)
 
 
-def test_subshift_frame_beyond_budget_is_refused_without_building():
+def test_subshift_frame_beyond_budget_is_refused_without_building(monkeypatch):
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 14,
-                                          budget=1 << 20)
+        system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 14)
         assert system.dim(14) == 987
         with pytest.raises(MemoryBudgetError, match="coordinate frame"):
             system.fiber(14).frame  # 2^14 x 987 complex is about 247 MiB
@@ -550,7 +558,7 @@ def test_core_axioms_and_units_match_the_dense_oracles(case):
     lambda: subproduct.from_qmatrix(Q3, 7),
     lambda: subproduct.maximal_with_fibers(2, _symmetric_chain(2), 9),
 ], ids=["commutator3-12", "qmatrix3-7", "symmetric-fibers-9"])
-def test_axiom_budget_bounds_the_traced_peak(build):
+def test_axiom_budget_bounds_the_traced_peak(build, monkeypatch):
     system = build()
     tracemalloc.start()
     try:
@@ -559,13 +567,15 @@ def test_axiom_budget_bounds_the_traced_peak(build):
         peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
+        monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
         with pytest.raises(MemoryBudgetError, match="axiom residuals"):
-            subproduct.verify_axioms(system, budget=peak - 1)
+            subproduct.verify_axioms(system)
         refused = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert refused < 16 << 10  # refused before anything level-sized is allocated
-    assert subproduct.verify_axioms(system, budget=2 * peak)["ok"]
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
+    assert subproduct.verify_axioms(system)["ok"]
     assert all("frame" not in vars(f) for f in system.fibers[1:]
                if isinstance(f, linalg.CoreSubspace))
 
@@ -586,7 +596,7 @@ def test_maximal_completion_of_a_generic_level_one_keeps_every_level(kind, seed)
 
 
 def test_recovered_ideal_level_two_of_symmetric(symmetric2_6):
-    comp = subproduct.recover_ideal(symmetric2_6, 2)
+    comp = linalg.complement(symmetric2_6.fiber(2))
     target = np.zeros((4, 1), dtype=complex)
     target[ncpoly.word_index((1, 2), 2), 0] = 1.0
     target[ncpoly.word_index((2, 1), 2), 0] = -1.0
@@ -666,13 +676,16 @@ def test_every_direction_is_a_unit_for_symmetric(symmetric2_6):
     assert rep2["unital"]
 
 
-def test_budget_guard_trips():
+def test_budget_guard_trips(monkeypatch):
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 1000)
     with pytest.raises(MemoryBudgetError):
-        subproduct.from_ideal(ncpoly.commutator_gens(3), 6, budget=1000)
+        subproduct.from_ideal(ncpoly.commutator_gens(3), 6)
     # the full system's word indices are 8 bytes each, 8·(2 + 4 + 8) in all
-    assert subproduct.from_full(2, 3, budget=8 * 14).dims() == [1, 2, 4, 8]
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 8 * 14)
+    assert subproduct.from_full(2, 3).dims() == [1, 2, 4, 8]
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 8 * 14 - 1)
     with pytest.raises(MemoryBudgetError, match="full word indices"):
-        subproduct.from_full(2, 3, budget=8 * 14 - 1)
+        subproduct.from_full(2, 3)
 
 
 def test_provenance_kinds(symmetric2_6, golden_6, full2_6):

@@ -22,7 +22,7 @@ if _threads:
     ):
         _os.environ.setdefault(_var, _threads)
 
-from spsys.linalg import Subspace, span, complement, intersect, opnorm
+from spsys.linalg import Subspace, span, complement, opnorm
 from spsys.ncpoly import NCPoly, Word, IdealGens
 from spsys.subproduct import SubproductSystem, SubshiftSpec
 from spsys.fock import TruncatedFock, ShiftSet, build_fock, build_shifts
@@ -34,7 +34,6 @@ __all__ = [
     "Subspace",
     "span",
     "complement",
-    "intersect",
     "opnorm",
     "NCPoly",
     "Word",

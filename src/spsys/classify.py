@@ -134,8 +134,9 @@ def _canonical_data(a: np.ndarray):
 
 
 def _polish_witness(a: np.ndarray, b: np.ndarray, lam0: complex,
-                    u0: np.ndarray, iters: int = 200) -> tuple[complex, np.ndarray, float]:
-    """Local refinement of B ≈ λ Uᵗ A U around a seed, over U(2) x C."""
+                    u0: np.ndarray) -> tuple[complex, np.ndarray, float]:
+    """Local refinement of B ≈ λ Uᵗ A U around a seed, over U(2) x C, in at
+    most 200 Nelder-Mead iterations."""
     import scipy.linalg
     import scipy.optimize
 
@@ -153,15 +154,13 @@ def _polish_witness(a: np.ndarray, b: np.ndarray, lam0: complex,
 
     res = scipy.optimize.minimize(
         objective, np.zeros(6), method="Nelder-Mead",
-        options={"maxiter": iters, "xatol": 1e-12, "fatol": 1e-14},
+        options={"maxiter": 200, "xatol": 1e-12, "fatol": 1e-14},
     )
     lam, u = unpack(res.x)
     return lam, u, objective(res.x)
 
 
-def quad_equivalent(a: np.ndarray, b: np.ndarray,
-                    witness_tol: float = WITNESS_TOL,
-                    inv_tol: float = INVARIANT_TOL) -> dict:
+def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_TOL) -> dict:
     """Decide B = λ Uᵗ A U for 2x2 complex A, B, with an explicit witness."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -199,7 +198,7 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray,
     if rank_a == 1:
         qa, qb = abs(c0a) / sa[0], abs(c0b) / sb[0]
         inv["q"] = (qa, qb)
-        if abs(qa - qb) > inv_tol * max(1.0, qa, qb):
+        if abs(qa - qb) > INVARIANT_TOL * max(1.0, qa, qb):
             return {**report, "invariants": inv}
         if abs(c0a) <= 1e-14 * sa[0]:
             gauge = np.eye(2, dtype=complex)
@@ -215,7 +214,7 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray,
     phase_b = (c0b / sb[0]) ** 2
     inv["s_ratio"] = (float(ratio_a), float(ratio_b))
     inv["antisym_sq"] = (complex(phase_a), complex(phase_b))
-    if abs(ratio_a - ratio_b) > inv_tol or abs(phase_a - phase_b) > inv_tol * max(
+    if abs(ratio_a - ratio_b) > INVARIANT_TOL or abs(phase_a - phase_b) > INVARIANT_TOL * max(
         1.0, abs(phase_a)
     ):
         return {**report, "invariants": inv}

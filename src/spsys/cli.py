@@ -260,7 +260,7 @@ def cmd_poisson(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = args.tol or 1e-9
-    kernel = reps.PoissonKernel(system, rep, args.r, depth=args.depth)
+    kernel = reps.PoissonKernel(system, rep, args.r)
     defect = kernel.isometry_defect()
     bound = kernel.tail_bound()
     checks = [check("kernel-isometry", (0, kernel.depth), defect, bound + tol)]
@@ -355,10 +355,10 @@ def cmd_cp(args) -> int:
     return _emit("cp", {"kraus": path}, checks, extras)
 
 
-def _add_common(p, *, rep=False, r=False, out=None, depth_default=None):
+def _add_common(p, *, rep=False, r=False, out=None):
     p.add_argument("--spec", required=True, help="system spec JSON file")
-    p.add_argument("--depth", type=int, default=depth_default,
-                   help="truncation depth (default: the spec file's)")
+    p.add_argument("--depth", type=int, default=None,
+                   help="depth to build the system at (default: the spec file's)")
     p.add_argument("--tol", type=float, default=None,
                    help="override the per-check default tolerance")
     p.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",

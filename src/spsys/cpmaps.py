@@ -62,13 +62,13 @@ def choi_matrix(channel: KrausChannel, power: int = 1) -> np.ndarray:
     return s.reshape(h, h, h, h).transpose(3, 1, 2, 0).reshape(h * h, h * h)
 
 
-def choi_rank(channel: KrausChannel, power: int = 1,
-              rel_tol: float = 1e-9) -> int:
-    """Rank of the Choi matrix; equals the minimal Kraus number."""
+def choi_rank(channel: KrausChannel, power: int = 1) -> int:
+    """Rank of the Choi matrix (eigenvalues above 1e-9 of the largest); equals
+    the minimal Kraus number."""
     c = choi_matrix(channel, power)
     w = np.linalg.eigvalsh((c + c.conj().T) / 2)
     wmax = w[-1] if w.size else 0.0
-    cutoff = max(rel_tol * max(wmax, 0.0), 1e-12)
+    cutoff = max(1e-9 * max(wmax, 0.0), 1e-12)
     return int(np.sum(w > cutoff))
 
 

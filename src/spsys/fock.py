@@ -1,11 +1,11 @@
 """Truncated Fock spaces and shift tuples for a subproduct system.
 
-The Fock space keeps levels 0..N of the system in fiber coordinates, so the
-ambient dimension is the sum of the fiber dimensions, not d^N. Shifts act
-block-superdiagonally: S_i sends level n to level n+1 through the letter
-block B_{n+1,i} (shape r_{n+1} × r_n), and the outflow of the top level is
-dropped. Products of at most N shifts applied to the vacuum are therefore
-exact.
+The Fock space keeps every level 0..N of a depth-N system in fiber
+coordinates, so the ambient dimension is the sum of the fiber dimensions,
+not d^N. Shifts act block-superdiagonally: S_i sends level n to level n+1
+through the letter block B_{n+1,i} (shape r_{n+1} × r_n), and the outflow
+of the top level is dropped. Products of at most N shifts applied to the
+vacuum are therefore exact.
 
 A shift tuple is held as its level maps (`subproduct._split`): word indices
 on a coordinate system, Z_n† on a core chain. S_i†S_j, the follower sums
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,29 +33,28 @@ DEFECT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TruncatedFock:
-    """Levels 0..depth of a system, concatenated in fiber coordinates."""
+    """Every level 0..system.depth of a system, concatenated in fiber coordinates."""
 
     system: SubproductSystem
-    depth: int
     offsets: tuple[int, ...]  # offsets[n] = start of level n; last = total_dim
+
+    @property
+    def depth(self) -> int:
+        return self.system.depth
 
     @property
     def total_dim(self) -> int:
         return self.offsets[-1]
 
-    @property
-    def vacuum_index(self) -> int:
-        return 0
-
     def level_slice(self, n: int) -> slice:
         return slice(self.offsets[n], self.offsets[n + 1])
 
     def level_dims(self) -> list[int]:
-        return [self.offsets[n + 1] - self.offsets[n] for n in range(self.depth + 1)]
+        return self.system.dims()
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.total_dim, dtype=complex)
-        v[self.vacuum_index] = 1.0
+        v[0] = 1.0
         return v
 
     def window(self, top_level: int) -> slice:
@@ -135,21 +134,17 @@ class ShiftSet:
         return max(_block_norm(a) for a in _word_sums(self, 1)) ** 0.5
 
 
-def build_fock(system: SubproductSystem, depth: Optional[int] = None) -> TruncatedFock:
-    depth = system.depth if depth is None else depth
-    if not 1 <= depth <= system.depth:
-        raise ValueError("depth must be between 1 and the system depth")
-    offsets = [0]
-    for n in range(depth + 1):
-        offsets.append(offsets[-1] + system.dim(n))
-    return TruncatedFock(system, depth, tuple(offsets))
+def build_fock(system: SubproductSystem) -> TruncatedFock:
+    """The Fock space of every level of the system; to truncate lower, build
+    the system at the lower depth."""
+    return TruncatedFock(system, tuple(accumulate(system.dims(), initial=0)))
 
 
 def build_shifts(fock: TruncatedFock) -> ShiftSet:
     """The shift tuple from the level maps of `subproduct._split`, after a
     budget check of the maps."""
     system = fock.system
-    check_budget(_split_bytes(system, fock.depth), "level maps")
+    check_budget(_split_bytes(system), "level maps")
     maps = [_split(system, n, False)[0] for n in range(1, fock.depth + 1)]
     return ShiftSet(fock, (None, *maps))
 

@@ -75,12 +75,16 @@ def encode_complex(z: complex) -> list[float]:
 
 def decode_complex(pair) -> complex:
     if isinstance(pair, (int, float)):
-        return complex(pair)
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair)):
+        parts = [pair]
+    elif (isinstance(pair, list) and len(pair) == 2
+          and all(isinstance(x, (int, float)) for x in pair)):
+        parts = pair
+    else:
         raise ValueError(f"a complex scalar must be a number or [re, im], not {pair!r:.40}")
-    re, im = pair
-    return complex(re, im)
+    try:
+        return complex(*parts)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"a complex scalar must fit a float, not {pair!r:.40}") from None
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -198,7 +202,7 @@ def encode_fibers(system: SubproductSystem) -> list[dict]:
     """
     levels = range(1, system.depth + 1)
     entries = [system.d**n * system.dim(n) for n in levels]
-    check_budget(subproduct._unbuilt_frame_bytes(system.fibers) + encoding_bytes(entries),
+    check_budget(linalg.unbuilt_frame_bytes(system.fibers) + encoding_bytes(entries),
                  "fiber frames and their JSON encoding")
     return [encode_matrix(system.fiber(n).frame) for n in levels]
 

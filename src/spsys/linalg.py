@@ -11,6 +11,7 @@ previous fiber and an orthonormal core that carries it one letter further.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -35,12 +36,30 @@ class MemoryBudgetError(RuntimeError):
     pass
 
 
+def _mib(n: int) -> str:
+    """n bytes in whole MiB, or as a power of ten for an int too large for a float."""
+    try:
+        return f"{n / 2 ** 20:.0f}"
+    except OverflowError:
+        return f"10^{round(math.log10(n) - 20 * math.log10(2))}"
+
+
 def check_budget(bytes_needed: int, what: str) -> None:
     if bytes_needed > BUDGET_BYTES:
         raise MemoryBudgetError(
-            f"{what} needs about {bytes_needed / 2 ** 20:.0f} MiB, "
-            f"budget is {BUDGET_BYTES / 2 ** 20:.0f} MiB"
+            f"{what} needs about {_mib(bytes_needed)} MiB, budget is {_mib(BUDGET_BYTES)} MiB"
         )
+
+
+def unbuilt_frame_bytes(subspaces) -> int:
+    """Bytes of the lazy frames of `subspaces` not built yet, with the lower
+    frames a core frame builds down its `prev` chain."""
+    lazy = {}
+    for s in subspaces:
+        while s is not None and "frame" not in vars(s):
+            lazy[id(s)] = 16 * s.ambient_dim * s.dim
+            s = getattr(s, "prev", None)
+    return sum(lazy.values())
 
 
 @dataclass(frozen=True)
@@ -140,11 +159,8 @@ class CoreSubspace(Subspace):
     @cached_property
     def frame(self) -> np.ndarray:
         dim, r = self.ambient_dim, self.dim
-        needed, s = 0, self
-        while s is not None and "frame" not in vars(s):
-            needed += 16 * s.ambient_dim * s.dim
-            s = getattr(s, "prev", None)
-        check_budget(needed, f"fiber frame of {dim} x {r} with the lower frames it builds")
+        check_budget(unbuilt_frame_bytes([self]),
+                     f"fiber frame of {dim} x {r} with the lower frames it builds")
         return np.matmul(self.prev.frame, self.letter_cores()).reshape(dim, r)
 
 
@@ -159,10 +175,10 @@ def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
     return m
 
 
-def span(vectors, rel_tol: float = RANK_REL_TOL, ambient_dim: int | None = None) -> Subspace:
+def span(vectors, ambient_dim: int | None = None) -> Subspace:
     """Orthonormalize the columns of `vectors` into a Subspace.
 
-    Rank = number of singular values above rel_tol * sigma_max, with an
+    Rank = number of singular values above RANK_REL_TOL * sigma_max, with an
     absolute floor of RANK_ABS_FLOOR when the input is (numerically) zero.
     """
     m = _as_matrix(vectors, ambient_dim)
@@ -171,7 +187,7 @@ def span(vectors, rel_tol: float = RANK_REL_TOL, ambient_dim: int | None = None)
         return Subspace(d, np.zeros((d, 0), dtype=complex), RANK_ABS_FLOOR)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    cutoff = rel_tol * smax if smax > 0 else RANK_ABS_FLOOR
+    cutoff = RANK_REL_TOL * smax if smax > 0 else RANK_ABS_FLOOR
     cutoff = max(cutoff, RANK_ABS_FLOOR)
     r = int(np.sum(s > cutoff))
     return Subspace(d, u[:, :r].copy(), cutoff)
@@ -207,35 +223,6 @@ def complement(s: Subspace) -> Subspace:
     return Subspace(d, u[:, r:].copy(), s.tol_used)
 
 
-def intersect(*subspaces: Subspace) -> Subspace:
-    """Intersection, folded pairwise left to right.
-
-    Each pairwise step goes through complements: meet(A, B) is the complement
-    of span(complement(A) | complement(B)).
-    """
-    if not subspaces:
-        raise ValueError("need at least one subspace")
-    acc = subspaces[0]
-    for other in subspaces[1:]:
-        if other.ambient_dim != acc.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        ca, cb = complement(acc), complement(other)
-        joined = np.hstack([ca.frame, cb.frame])
-        acc = complement(span(joined, ambient_dim=acc.ambient_dim))
-    return acc
-
-
-def tensor(a: Subspace, b: Subspace) -> Subspace:
-    """Tensor product subspace; the Kronecker frame stays orthonormal."""
-    frame = np.kron(a.frame, b.frame)
-    return Subspace(a.ambient_dim * b.ambient_dim, frame, max(a.tol_used, b.tol_used))
-
-
-def contains(a: Subspace, b: Subspace, tol: float = 1e-9) -> bool:
-    """Whether b is contained in a, up to `tol` in operator norm."""
-    return inclusion_residual(a, b) <= tol
-
-
 def inclusion_residual(a: Subspace, b: Subspace) -> float:
     """|| (I - P_a) frame_b ||, zero iff b is contained in a."""
     if b.dim == 0:
@@ -249,8 +236,7 @@ def subspace_distance(a: Subspace, b: Subspace) -> float:
     return opnorm(projector(a) - projector(b))
 
 
-def nullspace(m: np.ndarray, rel_tol: float = RANK_REL_TOL, cutoff: Optional[float] = None,
-              with_complement: bool = False):
+def nullspace(m: np.ndarray, cutoff: Optional[float] = None, with_complement: bool = False):
     """Orthonormal basis of the right null space, with span() rank semantics.
 
     A given `cutoff` replaces the relative one: singular values above it count.
@@ -270,7 +256,7 @@ def nullspace(m: np.ndarray, rel_tol: float = RANK_REL_TOL, cutoff: Optional[flo
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     if cutoff is None:
         smax = s[0] if s.size else 0.0
-        cutoff = max(rel_tol * smax, RANK_ABS_FLOOR)
+        cutoff = max(RANK_REL_TOL * smax, RANK_ABS_FLOOR)
     r = int(np.sum(s > cutoff))
     null = np.conjugate(vh[r:].T, out=np.empty((cols, cols - r), dtype=complex))
     comp = np.conjugate(vh[:r].T) if with_complement else None
@@ -287,17 +273,18 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def psd_sqrt(m: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Square root of a Hermitian PSD matrix via eigendecomposition.
 
-    Eigenvalues below -clamp raise; small negatives are clamped to zero.
+    Eigenvalues below -1e-12 (or a relative 1e-9) raise; small negatives are
+    clamped to zero.
     """
     m = np.asarray(m, dtype=complex)
     herm_defect = opnorm(m - m.conj().T)
     if herm_defect > 1e-9 * max(1.0, opnorm(m)):
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if w.size and w[0] < -max(clamp, 1e-9 * max(1.0, abs(w[-1]))):
+    if w.size and w[0] < -max(1e-12, 1e-9 * max(1.0, abs(w[-1]))):
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from spsys.subproduct import SubproductSystem, _cols, _rows, _split, _split_byte
 from spsys import fock as fock_mod
 
 REP_TOL = 1e-8
-EIG_CLAMP = 1e-12
 # A row norm within this of 1 counts as 1, on both sides of the boundary: above
 # it a tuple is not a row contraction, below it r = 1 needs a strict one.
 ROW_NORM_SLACK = 1e-10
@@ -85,8 +83,8 @@ class RepTuple:
         return out
 
 
-def _tilde_levels(system: SubproductSystem, rep: RepTuple, depth: int, roots: bool = False):
-    """Yield (T̃_n†, R_n) for n = 0..depth, holding only the level before.
+def _tilde_levels(system: SubproductSystem, rep: RepTuple, roots: bool = False):
+    """Yield (T̃_n†, R_n) for n = 0..system.depth, holding only the level before.
 
     T̃_n† is (r_n·h) × h, rows (word, v). One step per level: U_n = [T̃_{n-1}† T_i†]_i,
     d GEMMs held as d·r_{n-1} rows (letter, previous word) of h·h, is split by
@@ -99,7 +97,7 @@ def _tilde_levels(system: SubproductSystem, rep: RepTuple, depth: int, roots: bo
     letters = np.stack([t.conj().T for t in rep.matrices])  # T_i†
     adj, root = np.eye(h, dtype=complex), np.zeros((0, h), dtype=complex) if roots else None
     yield adj, root
-    for n in range(1, depth + 1):
+    for n in range(1, system.depth + 1):
         u = np.matmul(adj, letters).reshape(-1, h * h)
         zh, ch = _split(system, n, roots)
         adj = _rows(zh, u).reshape(-1, h)
@@ -110,7 +108,7 @@ def _tilde_levels(system: SubproductSystem, rep: RepTuple, depth: int, roots: bo
         yield adj, root
 
 
-def _level_words(system: SubproductSystem, h: int, depth: int, roots: bool) -> int:
+def _level_words(system: SubproductSystem, h: int, roots: bool) -> int:
     """Complex words one step of `_tilde_levels` holds at once, at its largest level.
 
     The level before, U_n and the new T̃_n†; the split (a few index arrays, or
@@ -120,7 +118,7 @@ def _level_words(system: SubproductSystem, h: int, depth: int, roots: bool) -> i
     """
     d, dims, hh = system.d, system.dims(), h * h
     words = 0
-    for n in range(1, depth + 1):
+    for n in range(1, system.depth + 1):
         a, b = dims[n - 1], dims[n]
         rows = d * a
         if system.route == "coordinate":
@@ -152,25 +150,22 @@ def _shrink_words(dims: list, h: int) -> int:
     return int(np.maximum(levels, (3 * n + 6) * m * m).max()) + 3 * h * h
 
 
-def rep_tildes(system: SubproductSystem, rep: RepTuple, depth: Optional[int] = None) -> list[np.ndarray]:
-    """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..depth.
+def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
+    """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..system.depth.
 
     The adjoints of `_tilde_levels`: T̃_n = U_n† (Z_n ⊗ I_h), with
     U_n† = [T_i T̃_{n-1}]_i, so the cost follows the fiber dimensions.
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    depth = system.depth if depth is None else depth
-    if depth > system.depth:
-        raise ValueError("depth exceeds the system depth")
-    return [np.ascontiguousarray(a.conj().T) for a, _ in _tilde_levels(system, rep, depth)]
+    return [np.ascontiguousarray(a.conj().T) for a, _ in _tilde_levels(system, rep)]
 
 
 def _complement_roots(system: SubproductSystem, rep: RepTuple,
                       piece: bool) -> tuple[list, list]:
     """With `piece` the T̃_n†, and the roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†.
 
-    n = 0..depth, and W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is
+    n = 0..system.depth, and W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is
     I_d ⊗ (I - P_{n-1}) plus (I_d ⊗ F_{n-1}) C_n C_n† (I_d ⊗ F_{n-1})†, C_n the
     orthonormal complement of the stacked core Z_n. The first gives the rows
     R_{n-1} T_i†, the second the (d·r_{n-1} - r_n)·h complement rows of
@@ -181,7 +176,7 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple,
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
     total = sum(dims) * hh  # the T̃_n†
-    level = _level_words(system, h, system.depth, roots=True)
+    level = _level_words(system, h, roots=True)
     # next to the tildes, with `piece`: a recursion step or a shrink step
     words = total + max(level, _shrink_words(dims[1:], h)) if piece else level
     # the roots, their stack and its QR copy, a few h × h blocks and array headers
@@ -189,7 +184,7 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple,
     what = "piece constraints" if piece else "complement residuals"
     check_budget(16 * words, f"{what} up to level {system.depth}")
     adjoints, roots = [], []
-    for adj, root in _tilde_levels(system, rep, system.depth, roots=True):
+    for adj, root in _tilde_levels(system, rep, roots=True):
         if piece:
             adjoints.append(adj)
         roots.append(root)
@@ -237,13 +232,12 @@ class PoissonKernel:
 
     The level-n block is (I ⊗ Δ(rT)^{1/2}) (rT)~_n† with
     Δ(W) = I - sum_i W_i W_i†. For a representation with row norm below 1/r
-    this is an isometry up to a geometric tail in the truncation depth. At
+    this is an isometry up to a geometric tail in the system's depth. At
     r = 1 the row norm must lie below 1 - ROW_NORM_SLACK, since at row norm 1
     the tail does not shrink.
     """
 
-    def __init__(self, system: SubproductSystem, rep: RepTuple, r: float,
-                 depth: Optional[int] = None):
+    def __init__(self, system: SubproductSystem, rep: RepTuple, r: float):
         if rep.d != system.d:
             raise ValueError("tuple size does not match the system")
         if not 0 < r <= 1:
@@ -252,14 +246,12 @@ class PoissonKernel:
             raise ValueError(f"row norm {rep.row_norm:.6f} exceeds 1")
         if r == 1 and rep.row_norm >= 1 - ROW_NORM_SLACK:
             raise ValueError("r = 1 requires row norm strictly below 1")
-        self.depth = system.depth if depth is None else depth
-        if self.depth > system.depth:
-            raise ValueError("depth exceeds the system depth")
+        self.depth = system.depth
         h = rep.h
-        hh, rows = h * h, sum(system.dims()[:self.depth + 1])
+        hh, rows = h * h, sum(system.dims())
         # the kernel matrix, next to a step of the tilde recursion or to the
         # conjugate copy isometry_defect takes; a few h × h blocks and headers
-        words = rows * hh + max(_level_words(system, h, self.depth, roots=False),
+        words = rows * hh + max(_level_words(system, h, roots=False),
                                 rows * hh + hh) + 8 * hh + 64 * self.depth + 1024
         check_budget(16 * words, f"Poisson kernel up to level {self.depth}")
         self.system = system
@@ -270,11 +262,11 @@ class PoissonKernel:
         delta = np.eye(h, dtype=complex)
         for w in scaled.matrices:
             delta -= w @ w.conj().T
-        self.delta_sqrt = linalg.psd_sqrt(delta, clamp=EIG_CLAMP)
+        self.delta_sqrt = linalg.psd_sqrt(delta)
         # level n is (I_{r_n} ⊗ Δ^{1/2}) T̃_n†, written in place level by level
         self.matrix = np.empty((rows * h, h), dtype=complex)
         start = 0
-        for adj, _ in _tilde_levels(system, scaled, self.depth):
+        for adj, _ in _tilde_levels(system, scaled):
             block = self.matrix[start:start + adj.shape[0]]
             np.matmul(self.delta_sqrt, adj.reshape(-1, h, h), out=block.reshape(-1, h, h))
             start += adj.shape[0]
@@ -286,13 +278,12 @@ class PoissonKernel:
 
     def shifts(self) -> fock_mod.ShiftSet:
         if self._shifts is None:
-            fk = fock_mod.build_fock(self.system, self.depth)
-            self._shifts = fock_mod.build_shifts(fk)
+            self._shifts = fock_mod.build_shifts(fock_mod.build_fock(self.system))
         return self._shifts
 
     def levels(self) -> list[np.ndarray]:
         """The level blocks K_n as views of shape (r_n, h·h): rows in level n, columns (h, h)."""
-        cuts = np.cumsum(self.system.dims()[:self.depth])
+        cuts = np.cumsum(self.system.dims()[:-1])
         return np.split(self.matrix.reshape(-1, self.h * self.h), cuts)
 
     def isometry_defect(self) -> float:
@@ -350,7 +341,6 @@ def poisson_transform(kernel: PoissonKernel, alpha, beta) -> dict:
 
 
 def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
-                             depth: Optional[int] = None,
                              tol: float = 1e-9) -> dict:
     """Check that T is a piece of the shift: (S_i ⊗ I)† K = K W_i† for W = T/r.
 
@@ -364,7 +354,7 @@ def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
         raise ValueError(
             f"need r > row norm ({rep.row_norm:.6f}) for the rescaled model"
         )
-    kernel = PoissonKernel(system, w, 1.0, depth)
+    kernel = PoissonKernel(system, w, 1.0)
     n_depth = kernel.depth
     shifts, levels, k = kernel.shifts(), kernel.levels(), kernel.matrix
     residuals = []
@@ -387,8 +377,7 @@ def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
 
 
 def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
-                        p: NCPoly, q: NCPoly,
-                        depth: Optional[int] = None) -> dict:
+                        p: NCPoly, q: NCPoly) -> dict:
     """Compare ||p(T) q(T)†|| against the same expression in the shifts.
 
     The truncated shift norm increases with the depth toward its limit, so
@@ -399,13 +388,13 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     This check needs the dense shifts: one estimate of everything it holds is
     checked against the budget before anything is allocated.
     """
-    depth = system.depth if depth is None else depth
+    depth = system.depth
     if depth < 2:
         raise ValueError("need depth >= 2 for a stabilization gap")
     lhs = linalg.opnorm(
         p.eval_on_tuple(rep.matrices) @ q.eval_on_tuple(rep.matrices).conj().T
     )
-    fk = fock_mod.build_fock(system, depth)
+    fk = fock_mod.build_fock(system)
     total, below = fk.total_dim, fk.offsets[depth]
     # Held next to the d dense shifts: the level maps while the shifts are
     # filled; later p(S) while q(S) is evaluated, where eval_on_tuple holds its
@@ -413,7 +402,7 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     # their product), then the operator norm's copy of the window; and 16 KiB
     # of headers and small arrays.
     later = 16 * (4 * total**2 + below**2)
-    check_budget(16 * system.d * total**2 + max(_split_bytes(system, depth), later) + (16 << 10),
+    check_budget(16 * system.d * total**2 + max(_split_bytes(system), later) + (16 << 10),
                  f"vN shift operators on {total} Fock dimensions")
     mats = fock_mod.build_shifts(fk).matrices
     op = p.eval_on_tuple(mats) @ q.eval_on_tuple(mats).conj().T
@@ -511,23 +500,19 @@ class CPSemigroup:
     of the tilde recursion, is checked against the budget before any is made.
     """
 
-    def __init__(self, system: SubproductSystem, rep: RepTuple,
-                 depth: Optional[int] = None):
+    def __init__(self, system: SubproductSystem, rep: RepTuple):
         if rep.d != system.d:
             raise ValueError("tuple size does not match the system")
         self.system = system
         self.rep = rep
-        self.depth = system.depth if depth is None else depth
-        if self.depth > system.depth:
-            raise ValueError("depth exceeds the system depth")
+        self.depth = system.depth
         h = rep.h
         # the tildes; a recursion step, or the conjugate copy behind a new
         # tilde; a few h × h blocks and array headers
-        words = (h * h * sum(system.dims()[:self.depth + 1])
-                 + _level_words(system, h, self.depth, roots=False)
+        words = (h * h * sum(system.dims()) + _level_words(system, h, roots=False)
                  + 8 * h * h + 64 * self.depth + 1024)
         check_budget(16 * words, f"CP semigroup tildes up to level {self.depth}")
-        self.tildes = rep_tildes(system, rep, self.depth)
+        self.tildes = rep_tildes(system, rep)
 
     @property
     def h(self) -> int:

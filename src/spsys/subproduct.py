@@ -18,7 +18,6 @@ constructor returns a coordinate chain or a core chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -198,15 +197,15 @@ def _split(system: SubproductSystem, n: int, complement: bool) -> tuple:
     return zh, q[:, fib.dim:].T
 
 
-def _split_bytes(system: SubproductSystem, depth: int) -> int:
+def _split_bytes(system: SubproductSystem) -> int:
     """Bytes of `_split(system, n, False)[0]` for n = 1..depth with headers: the
     copies of Z_n†, or 8 bytes a word plus 7 int64 arrays of r_n while a level is made."""
-    dims, d = system.dims()[:depth + 1], system.d
+    dims, d = system.dims(), system.d
     if system.route == "coordinate":
         held = 8 * sum(dims[1:]) + 56 * max(dims[1:])
     else:
         held = sum(16 * d * a * b for a, b in zip(dims, dims[1:]))
-    return held + 256 * depth + 1024
+    return held + 256 * system.depth + 1024
 
 
 def _rows(op: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -436,7 +435,7 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     # norm's copy of it, or the new generator rows); with the prescribed
     # frames not built yet.
     words = held + below.ambient_dim * rp + 4 * cols * m + 3 * m * m + 3 * size * m
-    check_budget(16 * words + _unbuilt_frame_bytes([fiber, below]),
+    check_budget(16 * words + linalg.unbuilt_frame_bytes([fiber, below]),
                  f"prescribed fiber at level {n}")
     f, gh, z = fiber.frame, below.frame.conj().T, null.frame
     c = (gh @ f.reshape(d, below.ambient_dim, r)).reshape(cols, r)
@@ -518,16 +517,6 @@ def _core_axiom_residuals(system: SubproductSystem) -> dict:
     return out
 
 
-def _unbuilt_frame_bytes(read: list) -> int:
-    """Bytes of the lazy frames of `read` not built yet, with the lower frames a core frame builds."""
-    lazy = {}
-    for f in read:
-        while isinstance(f, (CoordinateSubspace, CoreSubspace)) and "frame" not in vars(f):
-            lazy[id(f)] = 16 * f.ambient_dim * f.dim
-            f = getattr(f, "prev", None)
-    return sum(lazy.values())
-
-
 def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     """Residuals of X(m+n) ⊆ X(m) ⊗ X(n) for every split of every level.
 
@@ -558,8 +547,8 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     }
 
 
-def recover_ideal_gens(system: SubproductSystem, max_level: Optional[int] = None) -> IdealGens:
-    """Generators of the vanishing ideal, from the complement cores of levels 1..max_level.
+def recover_ideal_gens(system: SubproductSystem) -> IdealGens:
+    """Generators of the vanishing ideal, from the complement cores of levels 1..depth.
 
     As X(n) ⊆ E ⊗ X(n-1), X(n)^⊥ = E ⊗ X(n-1)^⊥ ⊕ (I_d ⊗ F_{n-1}) C_n, C_n the
     orthonormal complement of the stacked core (`_split`). The first part lies
@@ -567,11 +556,8 @@ def recover_ideal_gens(system: SubproductSystem, max_level: Optional[int] = None
     columns of (I_d ⊗ F_{n-1}) C_n: on a coordinate level, the monomials of the
     missed (letter, previous word) pairs.
     """
-    top = system.depth if max_level is None else max_level
-    if top > system.depth:
-        raise ValueError("level out of range")
     d, gens = system.d, []
-    for n in range(1, top + 1):
+    for n in range(1, system.depth + 1):
         prev = system.fiber(n - 1)
         _, ch = _split(system, n, complement=True)
         if system.route == "coordinate":

@@ -29,11 +29,6 @@ def symmetric2_12():
 
 
 @pytest.fixture(scope="session")
-def symmetric3_10():
-    return subproduct.from_ideal(ncpoly.commutator_gens(3), 10)
-
-
-@pytest.fixture(scope="session")
 def golden_6():
     return subproduct.from_subshift(subproduct.SubshiftSpec(2, ((2, 2),)), 6)
 

@@ -76,7 +76,7 @@ def test_03_ideal_round_trip_twenty_random_instances():
 def test_04_shift_defects_are_particle_projections(
         full2_6, symmetric2_6, golden_6):
     for sys_ in (full2_6, symmetric2_6, golden_6):
-        sh = fock.build_shifts(fock.build_fock(sys_, 6))
+        sh = fock.build_shifts(fock.build_fock(sys_))
         f = sh.fock
         defect = fock.defect_projection(sh, 1)
         win = f.window(5)
@@ -93,7 +93,7 @@ def test_04_shift_defects_are_particle_projections(
 def test_05_annihilation_routes_agree_on_fifty_polynomials(
         symmetric2_6, golden_6):
     rng = np.random.default_rng(5)
-    shift_sets = [fock.build_shifts(fock.build_fock(s, 6))
+    shift_sets = [fock.build_shifts(fock.build_fock(s))
                   for s in (symmetric2_6, golden_6)]
     for _ in range(50):
         p = random_homogeneous_poly(rng, 2, int(rng.integers(1, 5)))
@@ -105,7 +105,7 @@ def test_05_annihilation_routes_agree_on_fifty_polynomials(
 
 
 def test_06_subshift_relations_golden_and_cuntz(golden_6, full2_6):
-    sh = fock.build_shifts(fock.build_fock(golden_6, 6))
+    sh = fock.build_shifts(fock.build_fock(golden_6))
     f = sh.fock
     s1, s2 = sh.matrices
     assert linalg.opnorm(s1.conj().T @ s2) <= 1e-12
@@ -121,7 +121,7 @@ def test_06_subshift_relations_golden_and_cuntz(golden_6, full2_6):
     sing = np.linalg.svd(d2[win, win], compute_uv=False)
     assert int(np.sum(sing > 1e-10)) == 1
 
-    shf = fock.build_shifts(fock.build_fock(full2_6, 6))
+    shf = fock.build_shifts(fock.build_fock(full2_6))
     cuntz = np.eye(shf.fock.total_dim) - sum(
         s @ s.conj().T for s in shf.matrices)
     winf = shf.fock.window(5)
@@ -133,7 +133,7 @@ def test_07_poisson_transform_commuting_pair(symmetric2_10):
     rng = np.random.default_rng(7)
     rep = random_commuting_pair(rng, 3, 0.95)
     r = 0.6
-    kernel = reps.PoissonKernel(symmetric2_10, rep, r=r, depth=10)
+    kernel = reps.PoissonKernel(symmetric2_10, rep, r=r)
 
     def ceiling(s):
         return 0.6 ** (2 * (11 - s)) / 0.64 + 1e-10
@@ -155,7 +155,7 @@ def test_08_model_intertwining_twenty_representations(symmetric2_12):
     for _ in range(20):
         rep = random_commuting_pair(rng, 3, float(rng.uniform(0.3, 0.8)))
         out = reps.model_intertwining_check(
-            symmetric2_12, rep, r=0.9, depth=12)
+            symmetric2_12, rep, r=0.9)
         assert max(out["residuals"]) <= out["bound"] + 1e-9
 
 
@@ -178,7 +178,7 @@ def test_09_vn_inequality_hundred_commuting_pairs(symmetric2_10):
                                     float(rng.uniform(0.2, 0.98)))
         p = random_low_degree_poly(rng, 2, 3)
         q = random_low_degree_poly(rng, 2, 3)
-        out = reps.vn_inequality_check(symmetric2_10, rep, p, q, depth=10)
+        out = reps.vn_inequality_check(symmetric2_10, rep, p, q)
         outcomes[out["verdict"]] += 1
     assert outcomes["fail"] == 0
     assert outcomes["inconclusive"] <= 10
@@ -186,7 +186,7 @@ def test_09_vn_inequality_hundred_commuting_pairs(symmetric2_10):
 
 def test_10_maximal_piece_recovers_legal_coordinates(golden_6):
     full = subproduct.from_full(2, 6)
-    sh = fock.build_shifts(fock.build_fock(full, 6))
+    sh = fock.build_shifts(fock.build_fock(full))
     rep = RepTuple(tuple(sh.matrices))
     out = reps.maximal_piece(golden_6, rep)
     f = sh.fock

@@ -103,6 +103,7 @@ def test_malformed_spec_values_exit_3_without_a_traceback(capsys, tmp_path, spec
 
 
 _PAIR = {"d": 2, "h": 1, "matrices": [{"rows": 1, "cols": 1, "data": [[0.1, 0]]}] * 2}
+_HUGE = 10 ** 400  # 401 digits, beyond the largest float
 
 
 @pytest.mark.parametrize("command, files", [
@@ -119,8 +120,22 @@ _PAIR = {"d": 2, "h": 1, "matrices": [{"rows": 1, "cols": 1, "data": [[0.1, 0]]}
       "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [["a", 0]]}] * 2}}),
     (["cp", "as-dims", "{kraus}"], {"kraus": {"h": 2, "kraus": 3}}),
     (["dims", "--spec", "{spec}"], {"spec": {"kind": "full", "d": 2, "depth": float("inf")}}),
+    # integers too large for a float
+    (["dims", "--spec", "{spec}"], {"spec": {"kind": "full", "d": _HUGE, "depth": 3}}),
+    (["dims", "--spec", "{spec}"],
+     {"spec": {"kind": "subshift", "d": _HUGE, "depth": 3, "forbidden": []}}),
+    (["dims", "--spec", "{spec}"],
+     {"spec": {"kind": "qmatrix", "d": 2, "depth": 3,
+               "q": {"rows": 2, "cols": 2, "data": [[1, 0], [_HUGE, 0], [0.5, 0], [1, 0]]}}}),
+    (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3},
+      "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [_HUGE]}] * 2}}),
+    (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3},
+      "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [[0, _HUGE]]}] * 2}}),
 ], ids=["forbidden-entry", "generator-entry", "matrix-data", "rep-matrices",
-        "matrix-entry", "kraus-list", "depth-infinity"])
+        "matrix-entry", "kraus-list", "depth-infinity", "full-huge-d", "subshift-huge-d",
+        "q-huge-entry", "rep-huge-entry", "rep-huge-pair"])
 def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, command, files):
     paths = {}
     for name, obj in files.items():
@@ -248,7 +263,7 @@ def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     from spsys import fock, reps, subproduct
     spec = tmp_path / "golden5.json"
     formats.dump_json({"kind": "subshift", "d": 2, "depth": 5, "forbidden": [[2, 2]]}, spec)
-    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 5), 5))
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 5)))
     rep = tmp_path / "full5.json"
     formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
 

@@ -18,21 +18,21 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def golden_shifts(golden_6):
-    return fock.build_shifts(fock.build_fock(golden_6, 6))
+    return fock.build_shifts(fock.build_fock(golden_6))
 
 
 @pytest.fixture(scope="module")
 def sym_shifts(symmetric2_6):
-    return fock.build_shifts(fock.build_fock(symmetric2_6, 6))
+    return fock.build_shifts(fock.build_fock(symmetric2_6))
 
 
 @pytest.fixture(scope="module")
 def full_shifts(full2_6):
-    return fock.build_shifts(fock.build_fock(full2_6, 6))
+    return fock.build_shifts(fock.build_fock(full2_6))
 
 
 def test_fock_offsets_and_total_dim(golden_6):
-    f = fock.build_fock(golden_6, 6)
+    f = fock.build_fock(golden_6)
     dims = golden_6.dims()
     assert f.level_dims() == dims
     assert f.total_dim == sum(dims)
@@ -41,15 +41,8 @@ def test_fock_offsets_and_total_dim(golden_6):
         assert sl.stop - sl.start == dims[n]
 
 
-def test_fock_depth_can_truncate_below_system_depth(golden_6):
-    f = fock.build_fock(golden_6, 3)
-    assert f.level_dims() == [1, 2, 3, 5]
-    with pytest.raises(ValueError):
-        fock.build_fock(golden_6, 7)
-
-
 def test_vacuum_is_unit_vector(golden_6):
-    f = fock.build_fock(golden_6, 6)
+    f = fock.build_fock(golden_6)
     v = f.vacuum()
     assert v[0] == 1.0
     assert np.linalg.norm(v) == 1.0
@@ -121,7 +114,7 @@ def test_graded_element_keeps_vector_norm(golden_6, golden_shifts):
 
 def test_constant_dim_letter_two_is_partial_isometry():
     sys_ = subproduct.from_subshift(SubshiftSpec(2, ((1, 2), (2, 2))), 6)
-    sh = fock.build_shifts(fock.build_fock(sys_, 6))
+    sh = fock.build_shifts(fock.build_fock(sys_))
     s2 = sh.matrices[1]
     # s2^† s2 is a projection: partial isometry with one-dimensional kernel
     # per level (the word ending in a letter that 2 cannot follow)
@@ -197,7 +190,7 @@ def test_subshift_relations_golden(golden_shifts):
 
 def test_subshift_relations_full_shift():
     sys_ = subproduct.from_subshift(SubshiftSpec(2, ()), 5)
-    sh = fock.build_shifts(fock.build_fock(sys_, 5))
+    sh = fock.build_shifts(fock.build_fock(sys_))
     rep = fock.subshift_relations(sh)
     assert rep["ok"]
     # step 0: the range identity has no visible correction at all
@@ -387,13 +380,14 @@ def test_dense_shift_view_budget_bounds_the_traced_peak(monkeypatch):
                 assert np.array_equal(s[fk.level_slice(n), fk.level_slice(n - 1)], b)
 
 
-def test_vn_inequality_budget_bounds_the_traced_peak(symmetric3_10, monkeypatch):
+def test_vn_inequality_budget_bounds_the_traced_peak(monkeypatch):
+    system = subproduct.from_ideal(ncpoly.commutator_gens(3), 8)
     x = [NCPoly.monomial(3, (i,)) for i in (1, 2, 3)]
     p, q = x[0] + x[1] * x[2], x[1] - x[0] * x[2]
     rep = random_row_contraction(np.random.default_rng(4), 3, 3, 0.5)
 
     def run():
-        return reps.vn_inequality_check(symmetric3_10, rep, p, q, depth=8)
+        return reps.vn_inequality_check(system, rep, p, q)
 
     peak = _traced_peak(run)
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)

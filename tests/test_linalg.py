@@ -47,34 +47,6 @@ def test_complement_dimensions_and_orthogonality():
     assert np.linalg.norm(s.frame.conj().T @ c.frame) < 1e-12
 
 
-def test_intersect_of_generic_subspaces():
-    rng = np.random.default_rng(3)
-    # two 5-dim subspaces of C^8 intersect generically in dimension 2
-    a = random_subspace(rng, 8, 5)
-    b = random_subspace(rng, 8, 5)
-    cap = linalg.intersect(a, b)
-    assert cap.dim == 2
-    assert linalg.inclusion_residual(a, cap) < 1e-9
-    assert linalg.inclusion_residual(b, cap) < 1e-9
-
-
-def test_intersect_contained_subspace():
-    rng = np.random.default_rng(4)
-    a = random_subspace(rng, 6, 2)
-    full = linalg.full_space(6)
-    cap = linalg.intersect(a, full)
-    assert linalg.subspace_distance(cap, a) < 1e-12
-
-
-def test_tensor_dimension_multiplies():
-    rng = np.random.default_rng(5)
-    a = random_subspace(rng, 3, 2)
-    b = random_subspace(rng, 4, 3)
-    t = linalg.tensor(a, b)
-    assert t.ambient_dim == 12
-    assert t.dim == 6
-
-
 def test_nullspace_matches_svd_rank():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(5, 8))
@@ -244,11 +216,3 @@ def test_subspace_distance_symmetry_and_zero():
     d_ab = linalg.subspace_distance(a, b)
     assert d_ab == pytest.approx(linalg.subspace_distance(b, a))
     assert d_ab == pytest.approx(1.0)  # different dimensions force distance 1
-
-
-def test_contains_detects_inclusion():
-    rng = np.random.default_rng(12)
-    big = random_subspace(rng, 7, 4)
-    small = linalg.span(big.frame[:, :2])
-    assert linalg.contains(big, small)
-    assert not linalg.contains(small, big)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,13 +46,6 @@ def test_full_word_maps_collect_all_products():
     for idx, w in enumerate(ncpoly.all_words(2, 2)):
         col = w2[:, idx * 2:(idx + 1) * 2]
         assert np.allclose(col, rep.word(w))
-
-
-def test_rep_tildes_depth_guard(symmetric2_6):
-    rng = np.random.default_rng(2)
-    rep = random_commuting_pair(rng, 3, 0.8)
-    with pytest.raises(ValueError):
-        reps.rep_tildes(symmetric2_6, rep, depth=7)
 
 
 def _tilde_test_systems(symmetric2_6, golden_6):
@@ -120,7 +114,7 @@ def test_is_representation_rejects_noncommuting(symmetric2_6):
 def test_is_representation_subshift_monomials(golden_6):
     # shifts of the system itself annihilate the forbidden monomial
     from spsys import fock
-    sh = fock.build_shifts(fock.build_fock(golden_6, 6))
+    sh = fock.build_shifts(fock.build_fock(golden_6))
     # compress to the fock space: the shift tuple is a representation
     rep = RepTuple(tuple(sh.matrices))
     out = reps.is_representation(golden_6, rep)
@@ -341,7 +335,7 @@ def test_vn_inequality_commuting_pair(symmetric2_10):
     rep = random_commuting_pair(rng, 3, 0.9)
     p = NCPoly(2, {(1,): 1.0, (2, 2): 0.5})
     q = NCPoly(2, {(2,): 1.0, (1, 1): -0.25})
-    out = reps.vn_inequality_check(symmetric2_10, rep, p, q, depth=10)
+    out = reps.vn_inequality_check(symmetric2_10, rep, p, q)
     assert out["verdict"] == "pass"
     assert out["lhs"] <= out["rhs"] + out["margin"]
 
@@ -353,7 +347,7 @@ def test_vn_inequality_detects_violation(symmetric2_6):
     rep = random_row_contraction(rng, 2, 3, 0.9)
     p = NCPoly(2, {(1, 2): 1.0, (2, 1): -1.0})
     one = NCPoly(2, {(): 1.0})
-    out = reps.vn_inequality_check(symmetric2_6, rep, p, one, depth=6)
+    out = reps.vn_inequality_check(symmetric2_6, rep, p, one)
     assert out["rhs"] < 1e-12
     assert out["verdict"] == "fail"
 
@@ -364,42 +358,44 @@ def test_vn_inequality_inconclusive_when_truncation_moves():
     # truncated norm then stays in the gray zone
     sym2 = subproduct.from_ideal(ncpoly.commutator_gens(2), 2)
     from spsys import fock
-    sh = fock.build_shifts(fock.build_fock(sym2, 2))
+    sh = fock.build_shifts(fock.build_fock(sym2))
     scale = 2.0 ** 0.25
     rep = RepTuple(tuple(scale * s for s in sh.matrices))
     p = NCPoly(2, {(1, 2): 1.0, (2, 1): 1.0})
-    out = reps.vn_inequality_check(sym2, rep, p, p, depth=2)
+    out = reps.vn_inequality_check(sym2, rep, p, p)
     assert out["gap"] == pytest.approx(out["rhs"])
     assert out["verdict"] == "inconclusive"
 
 
-def test_vn_inequality_rhs_prev_is_depth_minus_one_rebuild(symmetric2_6, golden_6):
+def test_vn_inequality_rhs_prev_is_depth_minus_one_rebuild():
     # mixed degrees, constant terms included, so that terms both raise and
     # lower the level
     rng = np.random.default_rng(22)
     p = NCPoly(2, {(): 0.5, (1,): 1.0, (2, 1): -0.7j, (1, 2, 2): 0.3})
     q = NCPoly(2, {(2,): 1.0, (1, 1): 0.4, (2, 1, 2): 1.0 + 0.5j})
-    for system in (symmetric2_6, golden_6):
+    for build in (lambda n: subproduct.from_ideal(ncpoly.commutator_gens(2), n),
+                  lambda n: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), n)):
         rep = random_row_contraction(rng, 2, 3, 0.9)
-        for depth in range(3, system.depth + 1):
-            out = reps.vn_inequality_check(system, rep, p, q, depth=depth)
-            lower = reps.vn_inequality_check(system, rep, p, q, depth=depth - 1)
+        for depth in range(3, 7):
+            out = reps.vn_inequality_check(build(depth), rep, p, q)
+            lower = reps.vn_inequality_check(build(depth - 1), rep, p, q)
             assert abs(out["rhs_prev"] - lower["rhs"]) <= 1e-12
 
 
-def test_vn_inequality_depth_guard(symmetric2_6):
+def test_vn_inequality_depth_guard():
     rng = np.random.default_rng(13)
     rep = random_commuting_pair(rng, 3, 0.5)
     p = NCPoly(2, {(1,): 1.0})
-    with pytest.raises(ValueError):
-        reps.vn_inequality_check(symmetric2_6, rep, p, p, depth=1)
+    system = subproduct.from_ideal(ncpoly.commutator_gens(2), 1)
+    with pytest.raises(ValueError, match="need depth >= 2"):
+        reps.vn_inequality_check(system, rep, p, p)
 
 
 def test_maximal_piece_of_golden_inside_full():
     golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5)
     full = subproduct.from_full(2, 5)
     from spsys import fock
-    sh = fock.build_shifts(fock.build_fock(full, 5))
+    sh = fock.build_shifts(fock.build_fock(full))
     rep = RepTuple(tuple(sh.matrices))
     out = reps.maximal_piece(golden, rep)
     legal_cols = []
@@ -417,7 +413,7 @@ def test_maximal_piece_of_golden_inside_full():
 
 def conjugated_full_shift(depth, seed, d=2):
     """The full shift on words of length <= depth, conjugated by a unitary."""
-    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, depth), depth))
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, depth)))
     h = sh.fock.total_dim
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
@@ -446,7 +442,7 @@ def _golden(depth):
 
 
 def _shift_tuple(d, depth):
-    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, depth), depth))
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, depth)))
     return RepTuple(tuple(sh.matrices))
 
 
@@ -586,7 +582,7 @@ BUDGET_SYSTEMS = {
 ])
 def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth, monkeypatch):
     system = BUDGET_SYSTEMS[kind](d, depth)
-    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, h_depth), h_depth))
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, h_depth)))
     rep = RepTuple(tuple(sh.matrices))
     tracemalloc.start()
     try:
@@ -684,3 +680,35 @@ def test_cp_semigroup_unital_for_coisometric_row(symmetric2_6):
     semi = reps.CPSemigroup(symmetric2_6, rep)
     assert semi.unital_residual(1) < 1e-12
     assert semi.unital_residual(2) < 1e-12
+
+
+_Q3 = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
+_LEVEL2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
+_BUILDS = {
+    "subshift": lambda n: subproduct.from_subshift(SubshiftSpec(3, ((1, 1), (2, 3, 1))), n),
+    "full": lambda n: subproduct.from_full(2, n),
+    "ideal": lambda n: subproduct.from_ideal(ncpoly.commutator_gens(3), n),
+    "qmatrix": lambda n: subproduct.from_qmatrix(_Q3, n),
+    "quadratic": lambda n: subproduct.from_quadratic(np.array([[1, 2 - 1j], [0.3j, -0.7]]), n),
+    "fibers": lambda n: subproduct.maximal_with_fibers(2, [linalg.full_space(2), _LEVEL2], n),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BUILDS))
+def test_a_lower_depth_system_is_the_prefix_of_a_higher_one(kind):
+    # level n depends only on the levels below, so building at depth 3 gives
+    # the first four fibers of the depth-5 system bit for bit, and whatever is
+    # derived from them agrees with the depth-5 system cut to those fibers
+    low, high = _BUILDS[kind](3), _BUILDS[kind](5)
+    for a, b in zip(low.fibers, high.fibers):
+        if isinstance(a, linalg.CoordinateSubspace):
+            assert np.array_equal(a.index, b.index)
+        else:
+            assert np.array_equal(a.core.frame, b.core.frame)
+    cut = replace(high, depth=3, fibers=high.fibers[:4])
+    rep = random_row_contraction(np.random.default_rng(30), low.d, 2, 0.5)
+    assert np.array_equal(reps.PoissonKernel(low, rep, 0.9).matrix,
+                          reps.PoissonKernel(cut, rep, 0.9).matrix)
+    p = NCPoly(low.d, {(1,): 1.0, (2, 1): 0.5})
+    q = NCPoly(low.d, {(): 1.0, (1, 2): -0.3j})
+    assert reps.vn_inequality_check(low, rep, p, q) == reps.vn_inequality_check(cut, rep, p, q)

@@ -2,7 +2,8 @@
 
 Every command reads JSON inputs, writes a JSON report to stdout and a short
 human summary to stderr. Exit codes: 0 all checks pass, 1 some check fails,
-2 no failure but some check inconclusive, 3 input error.
+2 no failure but some check inconclusive, 3 input error (usage errors
+included).
 
 The `dims` command is the one exception to the JSON rule: it prints the
 dimension sequence as a plain space-separated line.
@@ -25,6 +26,29 @@ from spsys.linalg import MemoryBudgetError
 
 class CLIError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the input-error code (argparse's own 2 means inconclusive here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text}")
+    return value
+
+
+def _tol(args, default: float) -> float:
+    """--tol when it is given, else the check's default."""
+    return default if args.tol is None else args.tol
 
 
 def _digest(path: Path) -> str:
@@ -113,7 +137,7 @@ def _build_system(args):
 
 def cmd_build(args) -> int:
     system, path = _build_system(args)
-    ax = subproduct.verify_axioms(system, tol=args.tol or 1e-9)
+    ax = subproduct.verify_axioms(system, tol=_tol(args, 1e-9))
     checks = [check("build-axioms", (0, system.depth), ax["max_residual"], ax["tol"])]
     extras = {"d": system.d, "depth": system.depth, "kind": system.kind,
               "dims": system.dims()}
@@ -174,11 +198,11 @@ def cmd_verify(args) -> int:
         return shifts
 
     if "axioms" in wanted:
-        tol = args.tol or 1e-9
+        tol = _tol(args, 1e-9)
         ax = subproduct.verify_axioms(system, tol=tol)
         checks.append(check("axioms", (0, n_depth), ax["max_residual"], tol))
     if "defect" in wanted:
-        tol = args.tol or 1e-10
+        tol = _tol(args, 1e-10)
         sh = get_shifts()
         for k in (1, 2):
             if k > n_depth:
@@ -188,7 +212,7 @@ def cmd_verify(args) -> int:
     if "subshift" in wanted:
         if system.kind != "subshift":
             raise CLIError("the subshift check needs a system of kind subshift")
-        tol = args.tol or 1e-10
+        tol = _tol(args, 1e-10)
         rep = fock.subshift_relations(get_shifts(), tol=tol)
         step = rep["step"]
         residual = max(
@@ -200,7 +224,7 @@ def cmd_verify(args) -> int:
                             residual, tol, verdict))
         extras["subshift_report"] = rep
     if "unit" in wanted:
-        tol = args.tol or 1e-9
+        tol = _tol(args, 1e-9)
         c, confirmed = _verify_unit_check(system, tol)
         checks.append(c)
         extras["unit_basis_vectors"] = confirmed
@@ -246,7 +270,7 @@ def _load_rep(args) -> tuple[reps.RepTuple, Path]:
 def cmd_check_rep(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
-    tol = args.tol or 1e-8
+    tol = _tol(args, 1e-8)
     res = reps.is_representation(system, rep, tol=tol)
     verdict = "pass" if res["ok"] else "fail"
     checks = [check("representation", (0, system.depth),
@@ -259,7 +283,7 @@ def cmd_check_rep(args) -> int:
 def cmd_poisson(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
-    tol = args.tol or 1e-9
+    tol = _tol(args, 1e-9)
     kernel = reps.PoissonKernel(system, rep, args.r)
     defect = kernel.isometry_defect()
     bound = kernel.tail_bound()
@@ -272,7 +296,7 @@ def cmd_poisson(args) -> int:
 def cmd_piece(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
-    tol = args.tol or 1e-9
+    tol = _tol(args, 1e-9)
     res = reps.maximal_piece(system, rep, tol=tol)
     checks = [check("piece-fixed-point", (0, system.depth), res["residual"], tol)]
     extras = {"dim": res["dim"], "iterations": res["iterations"],
@@ -290,7 +314,7 @@ def cmd_classify(args) -> int:
         raise CLIError(f"matrix file missing key {e}") from e
     inputs = {"a": path_a, "b": path_b}
     if args.kind == "qmat":
-        tol = args.tol or 1e-10
+        tol = _tol(args, 1e-10)
         res = classify.q_equivalent(mat_a, mat_b, tol=tol)
         # the check asserts the decision is clean: a witness permutation with a
         # tiny residual, or no permutation anywhere near the tolerance; a
@@ -306,7 +330,7 @@ def cmd_classify(args) -> int:
                   "residual": res["residual"],
                   "closest_perm": res.get("closest_perm")}
         return _emit("classify", inputs, checks, extras)
-    tol = args.tol or 1e-8
+    tol = _tol(args, 1e-8)
     res = classify.quad_equivalent(mat_a, mat_b, witness_tol=tol)
     verdict = "pass" if res["verdict"] in ("yes", "no") else "inconclusive"
     residual = res["residual"] if res["residual"] is not None else 0.0
@@ -328,7 +352,7 @@ def _load_stochastic(path: str) -> tuple[np.ndarray, Path]:
 
 def cmd_cp(args) -> int:
     if args.cp_command == "strong-commute":
-        tol = args.tol or 1e-12
+        tol = _tol(args, 1e-12)
         p, p_path = _load_stochastic(args.p)
         q, q_path = _load_stochastic(args.q)
         res = cpmaps.strong_commute_stochastic(p, q, tol=tol)
@@ -359,8 +383,8 @@ def _add_common(p, *, rep=False, r=False, out=None):
     p.add_argument("--spec", required=True, help="system spec JSON file")
     p.add_argument("--depth", type=int, default=None,
                    help="depth to build the system at (default: the spec file's)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the per-check default tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None,
+                   help="override the per-check default tolerance (a finite number >= 0)")
     p.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",
                    help="memory budget in MiB (default 2048)")
     if rep:
@@ -374,7 +398,7 @@ def _add_common(p, *, rep=False, r=False, out=None):
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spsys",
         description="Build subproduct systems, verify shift identities, "
                     "and run classification and CP-map tools.",
@@ -417,7 +441,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["qmat", "quad"])
     p.add_argument("a", help="first matrix JSON file")
     p.add_argument("b", help="second matrix JSON file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("cp", help="CP-map tools")
@@ -426,12 +450,11 @@ def make_parser() -> argparse.ArgumentParser:
                           help="strong commutation of stochastic matrices")
     q.add_argument("p", help="first stochastic matrix (.csv or matrix .json)")
     q.add_argument("q", help="second stochastic matrix (.csv or matrix .json)")
-    q.add_argument("--tol", type=float, default=None)
+    q.add_argument("--tol", type=_tolerance, default=None)
     q.set_defaults(func=cmd_cp)
     q = cp_sub.add_parser("as-dims", help="Choi ranks of channel powers")
     q.add_argument("kraus", help="Kraus channel JSON file")
     q.add_argument("--n", type=int, default=5, help="highest power (default 5)")
-    q.add_argument("--tol", type=float, default=None)
     q.set_defaults(func=cmd_cp)
     return parser
 

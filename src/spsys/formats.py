@@ -59,10 +59,16 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _number(value) -> bool:
+    """A JSON number: a bool is an int in Python, but true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integer(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, (int, str)):  # a fraction, infinity or NaN too
+    # a boolean, a fraction, infinity or NaN too
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         shown = value if isinstance(value, float) else _json_type(value)
         raise ValueError(f"{what} must be an integer, not {shown}")
     return int(value)
@@ -74,10 +80,9 @@ def encode_complex(z: complex) -> list[float]:
 
 
 def decode_complex(pair) -> complex:
-    if isinstance(pair, (int, float)):
+    if _number(pair):
         parts = [pair]
-    elif (isinstance(pair, list) and len(pair) == 2
-          and all(isinstance(x, (int, float)) for x in pair)):
+    elif isinstance(pair, list) and len(pair) == 2 and all(map(_number, pair)):
         parts = pair
     else:
         raise ValueError(f"a complex scalar must be a number or [re, im], not {pair!r:.40}")
@@ -108,7 +113,9 @@ def decode_matrix(obj: dict) -> np.ndarray:
         values = np.asarray(data)
     except ValueError:  # bare reals mixed with [re, im] pairs
         values = None
-    if values is None or values.dtype.kind not in "biuf" or values.shape[1:] not in ((), (2,)):
+    # float data goes through whole; integer data is read entry by entry, as
+    # numpy would read a JSON true among integers as 1
+    if values is None or values.dtype.kind != "f" or values.shape[1:] not in ((), (2,)):
         values = np.array([decode_complex(p) for p in data], dtype=complex)
     elif values.ndim == 2:
         values = np.ascontiguousarray(values, dtype=float).view(complex)

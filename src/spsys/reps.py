@@ -14,12 +14,13 @@ on X annihilates T. The dilation-side machinery lives here:
   representation.
 
 Tildes, Poisson kernels and the roots behind the piece and the complement
-residuals come from one recursion per level: C^d ⊗ X(n-1) is split by the
-stacked core Z_n and its orthonormal complement C_n (`subproduct._split`),
-read off the word indices of a coordinate system or the cores of a core
-chain. Poisson transforms and the model check lower the kernel through the
-adjoints of the same level maps, which the shift tuple holds. No routine
-enumerates the d^n words of a level.
+residuals come from one recursion per level, `subproduct._level_recursion`
+on the letters T_i† (the core axiom check runs it on the system's own
+cores): C^d ⊗ X(n-1) is split by the stacked core Z_n and its orthonormal
+complement C_n (`subproduct._split`), read off the word indices of a
+coordinate system or the cores of a core chain. Poisson transforms and the
+model check lower the kernel through the adjoints of the same level maps,
+which the shift tuple holds. No routine enumerates the d^n words of a level.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 from spsys import linalg
 from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly
-from spsys.subproduct import SubproductSystem, _cols, _rows, _split, _split_bytes
+from spsys.subproduct import (SubproductSystem, _cols, _level_recursion, _recursion_words,
+                              _split_bytes)
 from spsys import fock as fock_mod
 
 REP_TOL = 1e-8
@@ -76,60 +78,17 @@ class RepTuple:
     def scaled(self, factor: float) -> "RepTuple":
         return RepTuple(tuple(factor * m for m in self.matrices))
 
+    @property
+    def adjoints(self) -> np.ndarray:
+        """T_i† stacked as d × h × h, the letters of every level of the tilde
+        recursion; a new array on each call, so the tuple holds no copy."""
+        return np.stack([m.conj().T for m in self.matrices])
+
     def word(self, letters) -> np.ndarray:
         out = np.eye(self.h, dtype=complex)
         for a in letters:
             out = out @ self.matrices[a - 1]
         return out
-
-
-def _tilde_levels(system: SubproductSystem, rep: RepTuple, roots: bool = False):
-    """Yield (T̃_n†, R_n) for n = 0..system.depth, holding only the level before.
-
-    T̃_n† is (r_n·h) × h, rows (word, v). One step per level: U_n = [T̃_{n-1}† T_i†]_i,
-    d GEMMs held as d·r_{n-1} rows (letter, previous word) of h·h, is split by
-    [Z_n | C_n] (`_split`). T̃_n† = (Z_n† ⊗ I_h) U_n, and the complement rows
-    (C_n† ⊗ I_h) U_n have the Gram U_n† ((I - Z_n Z_n†) ⊗ I_h) U_n. With `roots`,
-    R_n is the R factor of the rows R_{n-1} T_i† over the complement rows (at
-    most h × h, see `_complement_roots`); without, it is None.
-    """
-    h = rep.h
-    letters = np.stack([t.conj().T for t in rep.matrices])  # T_i†
-    adj, root = np.eye(h, dtype=complex), np.zeros((0, h), dtype=complex) if roots else None
-    yield adj, root
-    for n in range(1, system.depth + 1):
-        u = np.matmul(adj, letters).reshape(-1, h * h)
-        zh, ch = _split(system, n, roots)
-        adj = _rows(zh, u).reshape(-1, h)
-        if roots:
-            root = np.linalg.qr(np.vstack([np.matmul(root, letters).reshape(-1, h),
-                                           _rows(ch, u).reshape(-1, h)]), mode="r")
-        del u  # not held while the caller works on the level
-        yield adj, root
-
-
-def _level_words(system: SubproductSystem, h: int, roots: bool) -> int:
-    """Complex words one step of `_tilde_levels` holds at once, at its largest level.
-
-    The level before, U_n and the new T̃_n†; the split (a few index arrays, or
-    Z_n† and, with `roots`, the complete-QR factor and its R); with `roots`,
-    the complement rows, the stack with the root products, and the QR copy of
-    the stack.
-    """
-    d, dims, hh = system.d, system.dims(), h * h
-    words = 0
-    for n in range(1, system.depth + 1):
-        a, b = dims[n - 1], dims[n]
-        rows = d * a
-        if system.route == "coordinate":
-            split = 3 * b + rows
-        else:  # Z_n†, and for the roots the complete-QR factor and its R
-            split = rows * b + roots * rows * (rows + 2 * b)
-        step = (a + rows + b) * hh + split
-        if roots:
-            step += 3 * (rows - b + d) * hh
-        words = max(words, step)
-    return words
 
 
 def _shrink_words(dims: list, h: int) -> int:
@@ -153,12 +112,22 @@ def _shrink_words(dims: list, h: int) -> int:
 def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..system.depth.
 
-    The adjoints of `_tilde_levels`: T̃_n = U_n† (Z_n ⊗ I_h), with
-    U_n† = [T_i T̃_{n-1}]_i, so the cost follows the fiber dimensions.
+    T̃_n† ((r_n·h) × h, rows (word, v)) is A_n of `_level_recursion` with the
+    letters T_i† at every level: T̃_n = U_n† (Z_n ⊗ I_h), with U_n† = [T_i T̃_{n-1}]_i,
+    so the cost follows the fiber dimensions. Every tilde is held; one estimate,
+    of the tildes next to a recursion step, is checked against the budget
+    before any is made.
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    return [np.ascontiguousarray(a.conj().T) for a, _ in _tilde_levels(system, rep)]
+    h = rep.h
+    # the tildes; a recursion step, or the conjugate copy behind a new tilde;
+    # a few h × h blocks and array headers
+    words = (h * h * sum(system.dims()) + _recursion_words(system, [h] * (system.depth + 1), False)
+             + 8 * h * h + 64 * system.depth + 1024)
+    check_budget(16 * words, f"tildes up to level {system.depth}")
+    return [np.ascontiguousarray(a.conj().T)
+            for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
 
 
 def _complement_roots(system: SubproductSystem, rep: RepTuple,
@@ -169,14 +138,14 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple,
     I_d ⊗ (I - P_{n-1}) plus (I_d ⊗ F_{n-1}) C_n C_n† (I_d ⊗ F_{n-1})†, C_n the
     orthonormal complement of the stacked core Z_n. The first gives the rows
     R_{n-1} T_i†, the second the (d·r_{n-1} - r_n)·h complement rows of
-    `_tilde_levels`. A QR keeps h rows per level: no singular value is squared,
+    `_level_recursion`. A QR keeps h rows per level: no singular value is squared,
     nothing has d^n rows. One budget check, before anything is allocated,
     covers the whole call and, with `piece`, the shrink steps of
     `maximal_piece`.
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
     total = sum(dims) * hh  # the T̃_n†
-    level = _level_words(system, h, roots=True)
+    level = _recursion_words(system, [h] * len(dims), roots=True)
     # next to the tildes, with `piece`: a recursion step or a shrink step
     words = total + max(level, _shrink_words(dims[1:], h)) if piece else level
     # the roots, their stack and its QR copy, a few h × h blocks and array headers
@@ -184,7 +153,7 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple,
     what = "piece constraints" if piece else "complement residuals"
     check_budget(16 * words, f"{what} up to level {system.depth}")
     adjoints, roots = [], []
-    for adj, root in _tilde_levels(system, rep, roots=True):
+    for adj, root in _level_recursion(system, [rep.adjoints] * system.depth, roots=True):
         if piece:
             adjoints.append(adj)
         roots.append(root)
@@ -251,7 +220,7 @@ class PoissonKernel:
         hh, rows = h * h, sum(system.dims())
         # the kernel matrix, next to a step of the tilde recursion or to the
         # conjugate copy isometry_defect takes; a few h × h blocks and headers
-        words = rows * hh + max(_level_words(system, h, roots=False),
+        words = rows * hh + max(_recursion_words(system, [h] * (self.depth + 1), False),
                                 rows * hh + hh) + 8 * hh + 64 * self.depth + 1024
         check_budget(16 * words, f"Poisson kernel up to level {self.depth}")
         self.system = system
@@ -266,7 +235,7 @@ class PoissonKernel:
         # level n is (I_{r_n} ⊗ Δ^{1/2}) T̃_n†, written in place level by level
         self.matrix = np.empty((rows * h, h), dtype=complex)
         start = 0
-        for adj, _ in _tilde_levels(system, scaled):
+        for adj, _ in _level_recursion(system, [scaled.adjoints] * self.depth):
             block = self.matrix[start:start + adj.shape[0]]
             np.matmul(self.delta_sqrt, adj.reshape(-1, h, h), out=block.reshape(-1, h, h))
             start += adj.shape[0]
@@ -494,11 +463,8 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
 
 
 class CPSemigroup:
-    """The discrete semigroup Θ_n(a) = T̃_n (I ⊗ a) T̃_n† on B(C^h).
-
-    Every T̃_n (h × r_n·h) is held; one estimate, of the tildes next to a step
-    of the tilde recursion, is checked against the budget before any is made.
-    """
+    """The discrete semigroup Θ_n(a) = T̃_n (I ⊗ a) T̃_n† on B(C^h), with every
+    T̃_n (h × r_n·h) held (`rep_tildes`)."""
 
     def __init__(self, system: SubproductSystem, rep: RepTuple):
         if rep.d != system.d:
@@ -506,12 +472,6 @@ class CPSemigroup:
         self.system = system
         self.rep = rep
         self.depth = system.depth
-        h = rep.h
-        # the tildes; a recursion step, or the conjugate copy behind a new
-        # tilde; a few h × h blocks and array headers
-        words = (h * h * sum(system.dims()) + _level_words(system, h, roots=False)
-                 + 8 * h * h + 64 * self.depth + 1024)
-        check_budget(16 * words, f"CP semigroup tildes up to level {self.depth}")
         self.tildes = rep_tildes(system, rep)
 
     @property

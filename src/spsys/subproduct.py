@@ -223,6 +223,59 @@ def _cols(op: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _level_recursion(system: SubproductSystem, stacks, roots: bool = False):
+    """Yield (A_k, R_k) for k = 0..len(stacks), holding only the level before.
+
+    stacks[k-1] holds d letters L_{k,i} of shape w_{k-1} × w_k. With M_k the
+    products L_{1,a_k} ⋯ L_{k,a_1} stacked on the rows (word a, w_0) of
+    C^{d^k} ⊗ C^{w_0}, A_k = (F_k† ⊗ I) M_k ((r_k·w_0) × w_k, A_0 = I_{w_0}) and
+    R_k† R_k = M_k† ((I - P_k) ⊗ I) M_k. One step per level: U_k = [A_{k-1} L_{k,i}]_i,
+    d GEMMs held as d·r_{k-1} rows (letter, previous word) of w_0·w_k, is split
+    by [Z_k | C_k] (`_split`): A_k = (Z_k† ⊗ I) U_k, and R_k is the R factor of
+    the rows R_{k-1} L_{k,i} over the complement rows (C_k† ⊗ I) U_k, as I - P_k
+    is I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1}) C_k C_k† (I_d ⊗ F_{k-1})†. A QR
+    keeps at most w_k rows. Without `roots`, R_k is None. Every width is positive.
+    """
+    w0 = stacks[0].shape[1]
+    a = np.eye(w0, dtype=complex)
+    root = np.zeros((0, w0), dtype=complex) if roots else None
+    yield a, root
+    for k, letters in enumerate(stacks, 1):
+        w = letters.shape[2]
+        u = np.matmul(a, letters).reshape(-1, w0 * w)
+        zh, ch = _split(system, k, roots)
+        a = _rows(zh, u).reshape(-1, w)
+        if roots:
+            root = np.linalg.qr(np.vstack([np.matmul(root, letters).reshape(-1, w),
+                                           _rows(ch, u).reshape(-1, w)]), mode="r")
+        del u  # not held while the caller works on the level
+        yield a, root
+
+
+def _recursion_words(system: SubproductSystem, widths: list[int], roots: bool) -> int:
+    """Complex words one step of `_level_recursion` holds at once, at its largest level.
+
+    `widths` are w_0..w_K. A_{k-1}, U_k and A_k; the split (a few index arrays, or
+    Z_k† and, with `roots`, the complete-QR factor and its R); with `roots`, the
+    complement rows and the root products next to their stack, or the stack next
+    to its QR copy.
+    """
+    d, dims, w0 = system.d, system.dims(), widths[0]
+    words = 0
+    for k in range(1, len(widths)):
+        a, b, wp, w = dims[k - 1], dims[k], widths[k - 1], widths[k]
+        rows = d * a
+        if system.route == "coordinate":
+            split = 3 * b + rows
+        else:  # Z_k†, and for the roots the complete-QR factor and its R
+            split = rows * b + roots * rows * (rows + 2 * b)
+        step = (a * wp + (rows + b) * w) * w0 + split
+        if roots:
+            step += 2 * ((rows - b) * w0 + d * wp) * w
+        words = max(words, step)
+    return words
+
+
 def _scalar_fiber() -> CoordinateSubspace:
     return CoordinateSubspace(1, [0])
 
@@ -373,8 +426,9 @@ def from_quadratic(a: np.ndarray, depth: int) -> SubproductSystem:
 
 def from_full(d: int, depth: int) -> SubproductSystem:
     """The full system: every fiber is all of (C^d)^{⊗n}, indexed by every word."""
-    check_budget(8 * sum(d**n for n in range(1, depth + 1)),
-                 f"full word indices up to level {depth}")
+    # 8 bytes for each of the d + d^2 + ... + d^depth word indices, summed in closed form
+    words = (d ** (depth + 1) - d) // (d - 1) if d != 1 else depth
+    check_budget(8 * words, f"full word indices up to level {depth}")
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
         fibers.append(linalg.full_space(d**n))
@@ -463,57 +517,25 @@ def _index_axiom_residual(fibers, d: int, i: int, j: int) -> float:
     return 0.0 if kept.all() else 1.0
 
 
-def _core_axiom_words(dims: list[int], d: int) -> int:
-    """Complex words `_core_axiom_residuals` holds at once, at its largest split.
-
-    For right leg n and left leg k: W_{k-1}; the products U and, next to them,
-    W_k and (Z_k ⊗ I) W_k; the stack of the previous root's products and the
-    complement rows, its QR copy, and the new root.
-    """
-    words = 0
-    for n in range(1, len(dims) - 1):
-        for k in range(1, len(dims) - n):
-            p, below, top = dims[k - 1] * dims[n], dims[n + k - 1], dims[n + k]
-            stack = d * (below + p) * top
-            words = max(words, p * below + 2 * d * p * top + dims[k] * dims[n] * top
-                        + 2 * stack + top * top)
-    return words
-
-
 def _core_axiom_residuals(system: SubproductSystem) -> dict:
     """|| (I - P_k ⊗ P_n) F_{k+n} || for every split of a core chain, without a frame.
 
     The letter-a_1 rows of F_{k+n} are those of F_{k+n-1} times Z_{k+n,a_1}, so
-    X(k+n) = (I_{d^k} ⊗ F_n) C_k with C_0 = I_{r_n} and the letter-a block of C_k
-    equal to C_{k-1} Z_{n+k,a}; as C_k already lies in C^{d^k} ⊗ X(n), the
-    residual is || ((I - P_k) ⊗ I_{r_n}) C_k ||. As X(k) ⊆ E ⊗ X(k-1), I - P_k is
-    I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1})(I - Z_k Z_k†)(I_d ⊗ F_{k-1})†, so a
-    root R_k of C_k† ((I - P_k) ⊗ I) C_k stacks the rows R_{k-1} Z_{n+k,a} on
-    U_a - (Z_{k,a} ⊗ I) W_k, where W_k = (F_k† ⊗ I) C_k = sum_a (Z_{k,a}† ⊗ I) U_a
-    and U_a = W_{k-1} Z_{n+k,a}; a QR keeps at most r_{n+k} rows. One pass over
-    k serves every split with right leg n, and nothing has d^n rows.
+    X(k+n) = (I_{d^k} ⊗ F_n) M_k, where M_k stacks the products
+    Z_{n+1,a_k} ⋯ Z_{n+k,a_1}; as M_k lies in C^{d^k} ⊗ X(n), the residual is
+    || ((I - P_k) ⊗ I_{r_n}) M_k ||, the norm of the root R_k of
+    `_level_recursion` on the letters Z_{n+1..depth}. One pass over k serves
+    every split with right leg n, and nothing has d^n rows. From the first zero
+    level on, every level is zero and so is every residual into it.
     """
-    d, depth, dims = system.d, system.depth, system.dims()
+    depth, dims = system.depth, system.dims()
     cores = [None] + [f.letter_cores() for f in system.fibers[1:]]  # cores[m][a] = Z_{m,a}
-    out = {}
-    for n in range(1, depth):
-        rn = dims[n]
-        w = np.eye(rn, dtype=complex)  # W_0: rows (r_0, r_n)
-        root = np.zeros((0, rn), dtype=complex)
-        for k in range(1, depth - n + 1):
-            top = dims[n + k]
-            if top == 0:  # every higher level is zero too
-                out.update({(j, n): 0.0 for j in range(k, depth - n + 1)})
-                break
-            zk = cores[k].reshape(-1, dims[k])  # the stacked Z_k, rows (letter, r_{k-1})
-            # letter blocks U_a, as rows (a, r_{k-1}) and columns (r_n, r_{n+k})
-            u = (w @ cores[n + k]).reshape(-1, rn * top)
-            w = zk.conj().T @ u
-            u -= zk @ w
-            stack = np.vstack([(root @ cores[n + k]).reshape(-1, top), u.reshape(-1, top)])
-            root = np.linalg.qr(stack, mode="r")
-            w = w.reshape(-1, top)
-            out[(k, n)] = linalg.opnorm(root)
+    live = dims.index(0) if 0 in dims else depth + 1
+    out = {(k, n): 0.0 for n in range(1, depth) for k in range(1, depth - n + 1)}
+    for n in range(1, live - 1):
+        for k, (_, root) in enumerate(_level_recursion(system, cores[n + 1:live], roots=True)):
+            if k:
+                out[(k, n)] = linalg.opnorm(root)
     return out
 
 
@@ -529,7 +551,12 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     # the two residual dicts, their keys and values, and array headers
     small = 256 * system.depth**2 + 4096
     if system.route == "core":
-        check_budget(16 * _core_axiom_words(system.dims(), system.d) + small,
+        # a recursion step for every right leg n, next to the root before, the
+        # new root and the norm's copy of it
+        dims = system.dims()
+        step = max((_recursion_words(system, dims[n:], roots=True)
+                    for n in range(1, system.depth)), default=0)
+        check_budget(16 * (step + 3 * max(dims) ** 2) + small,
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
     else:

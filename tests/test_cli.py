@@ -133,9 +133,18 @@ _HUGE = 10 ** 400  # 401 digits, beyond the largest float
     (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
      {"spec": {"kind": "full", "d": 2, "depth": 3},
       "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [[0, _HUGE]]}] * 2}}),
+    # JSON booleans are not numbers
+    (["dims", "--spec", "{spec}"], {"spec": {"kind": "full", "d": True, "depth": 3}}),
+    (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3},
+      "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [True]}] * 2}}),
+    (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3},
+      "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [[True, 0]]}] * 2}}),
 ], ids=["forbidden-entry", "generator-entry", "matrix-data", "rep-matrices",
         "matrix-entry", "kraus-list", "depth-infinity", "full-huge-d", "subshift-huge-d",
-        "q-huge-entry", "rep-huge-entry", "rep-huge-pair"])
+        "q-huge-entry", "rep-huge-entry", "rep-huge-pair", "boolean-d", "boolean-entry",
+        "boolean-pair"])
 def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, command, files):
     paths = {}
     for name, obj in files.items():
@@ -145,6 +154,54 @@ def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, comm
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["dims"], ["bogus"], ["cp"], ["verify", "--spec"],
+    ["dims", "--spec", "x", "--depth", "two"],
+    ["verify", "--spec", "x", "--tol", "-1"], ["verify", "--spec", "x", "--tol", "nan"],
+    ["piece", "--spec", "x", "--rep", "y", "--tol", "inf"],
+    ["classify", "qmat", "a", "b", "--tol", "x"], ["cp", "as-dims", "k", "--tol", "1e-9"],
+], ids=["no-command", "no-spec", "unknown-command", "no-cp-command", "spec-without-value",
+        "depth-not-integer", "tol-negative", "tol-nan", "tol-infinite", "tol-not-number",
+        "as-dims-tol"])
+def test_usage_errors_exit_3_with_the_usage_and_one_error_line(capsys, argv):
+    # argparse would exit 2, which means inconclusive here
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 3 and captured.out == ""
+    assert captured.err.startswith("usage: spsys")
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and errors[0].startswith("spsys")
+    assert captured.err.endswith(errors[0] + "\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"],
+                                  ["cp", "as-dims", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_tol_is_taken_as_given(capsys, golden_spec, commuting_spec):
+    # --tol 0 is a threshold of 0, not the default
+    code, out, _ = run_cli(capsys, "verify", "--spec", golden_spec, "--depth", "5",
+                           "--checks", "axioms,defect,unit", "--tol", "0")
+    assert code == 0
+    assert [c["threshold"] for c in json.loads(out)["checks"]] == [0.0] * 4
+    # on a core chain the axiom residuals are roundoff, above a zero threshold
+    code, out, _ = run_cli(capsys, "verify", "--spec", commuting_spec, "--checks", "axioms",
+                           "--tol", "0")
+    check_ = json.loads(out)["checks"][0]
+    assert check_["threshold"] == 0.0
+    assert code == (1 if check_["residual"] > 0 else 0)
+    # the defaults stay the same without --tol
+    code, out, _ = run_cli(capsys, "verify", "--spec", golden_spec, "--depth", "5",
+                           "--checks", "axioms,defect,unit")
+    assert [c["threshold"] for c in json.loads(out)["checks"]] == [1e-9, 1e-10, 1e-10, 1e-9]
 
 
 def test_verify_all_checks_pass(capsys, golden_spec):
@@ -270,7 +327,7 @@ def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("tildes allocated before the budget check")
 
-    monkeypatch.setattr(reps, "_tilde_levels", never)
+    monkeypatch.setattr(reps, "_level_recursion", never)
     code, out, err = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
                              "--budget-mb", "3")
     assert code == 3
@@ -306,7 +363,7 @@ def test_poisson_budget_refuses_before_the_tildes(capsys, tmp_path, golden_spec,
     def never(*args, **kwargs):
         raise AssertionError("tildes allocated before the budget check")
 
-    monkeypatch.setattr(reps, "_tilde_levels", never)
+    monkeypatch.setattr(reps, "_level_recursion", never)
     code, out, err = run_cli(capsys, "poisson", "--spec", golden_spec, "--depth", "16",
                              "--rep", _seeded_pair_file(tmp_path, 16), "--budget-mb", "8")
     assert code == 3
@@ -565,6 +622,19 @@ def test_verify_runs_each_defect_recursion_once(capsys, golden_spec, monkeypatch
                          "--checks", "axioms,defect,subshift")
     assert code == 0
     assert built == [1, 2]
+
+
+def test_deep_full_spec_is_refused_at_once():
+    # the budget estimate of the full system's word indices is a closed form,
+    # so depth 200000 is refused without summing 200000 powers of 2
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from spsys import linalg, subproduct\n"
+         "try:\n    subproduct.from_full(2, 200_000)\n"
+         "except linalg.MemoryBudgetError as e:\n    print(str(e)[:60])"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("full word indices up to level 200000 needs about")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -39,10 +39,11 @@ def test_matrix_decode_takes_bare_reals_and_mixed_lists():
     bare = formats.decode_matrix({"rows": 1, "cols": 3, "data": [1, -0.0, 5e-324]})
     assert np.array_equal(_bits(bare), _bits([[complex(1), complex(-0.0), complex(5e-324)]]))
     mixed = formats.decode_matrix(
-        {"rows": 2, "cols": 2, "data": [2, [0, -1e308], -0.0, [True, 0.5]]})
+        {"rows": 2, "cols": 2, "data": [2, [0, -1e308], -0.0, [1, 0.5]]})
     expected = [complex(2), complex(0, -1e308), complex(-0.0), complex(1, 0.5)]
     assert np.array_equal(_bits(mixed), _bits(np.reshape(expected, (2, 2))))
-    for data in ([["1", 0]], [[None, 0]], [[1, 2, 3]]):  # not numbers, or not pairs
+    # not numbers (JSON true is not 1), or not pairs
+    for data in ([["1", 0]], [[None, 0]], [[1, 2, 3]], [True], [[True, 0]]):
         with pytest.raises((TypeError, ValueError)):
             formats.decode_matrix({"rows": 1, "cols": 1, "data": data})
 

@@ -280,10 +280,35 @@ def test_cp_semigroup_budget_bounds_the_traced_peak(kind, h, monkeypatch):
 
     peak = run()
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
-    with pytest.raises(linalg.MemoryBudgetError, match="CP semigroup tildes"):
+    with pytest.raises(linalg.MemoryBudgetError, match="tildes up to level"):
         run()
     monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
     run()
+
+
+@pytest.mark.parametrize("kind", ["golden", "commutator"])
+def test_rep_tildes_refuses_one_byte_below_its_estimate_before_any_tilde(kind, monkeypatch):
+    system = {"golden": lambda: _golden(9),
+              "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6)}[kind]()
+    rep = random_row_contraction(np.random.default_rng(27), 2, 5, 0.9)
+    seen = []
+    check = reps.check_budget
+
+    def spy(needed, what):
+        seen.append(needed)
+        return check(needed, what)
+
+    monkeypatch.setattr(reps, "check_budget", spy)
+    reps.rep_tildes(system, rep)
+    assert len(seen) == 1  # one estimate covers the whole call
+
+    def never(*args, **kwargs):
+        raise AssertionError("tildes allocated before the budget check")
+
+    monkeypatch.setattr(reps, "_level_recursion", never)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", seen[0] - 1)
+    with pytest.raises(linalg.MemoryBudgetError, match=f"tildes up to level {system.depth}"):
+        reps.rep_tildes(system, rep)
 
 
 def test_model_intertwining_r_at_row_norm_is_refused(symmetric2_6):
@@ -559,7 +584,7 @@ def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("tildes allocated before the budget check")
 
-    monkeypatch.setattr(reps, "_tilde_levels", never)
+    monkeypatch.setattr(reps, "_level_recursion", never)
     monkeypatch.setattr(linalg, "BUDGET_BYTES", 3 << 20)
     with pytest.raises(linalg.MemoryBudgetError, match="piece constraints"):
         reps.maximal_piece(golden, rep)

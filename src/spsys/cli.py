@@ -46,6 +46,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _power(text: str) -> int:
+    if not text.isdecimal():  # a sign, a fraction or no number
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text}")
+    return int(text)
+
+
 def _tol(args, default: float) -> float:
     """--tol when it is given, else the check's default."""
     return default if args.tol is None else args.tol
@@ -452,9 +458,11 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("q", help="second stochastic matrix (.csv or matrix .json)")
     q.add_argument("--tol", type=_tolerance, default=None)
     q.set_defaults(func=cmd_cp)
-    q = cp_sub.add_parser("as-dims", help="Choi ranks of channel powers")
+    q = cp_sub.add_parser("as-dims", help="dimensions of the channel's subproduct system")
     q.add_argument("kraus", help="Kraus channel JSON file")
-    q.add_argument("--n", type=int, default=5, help="highest power (default 5)")
+    q.add_argument("--n", type=_power, default=5, help="highest power, >= 0 (default 5)")
+    q.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",
+                   help="memory budget in MiB (default 2048)")
     q.set_defaults(func=cmd_cp)
     return parser
 

@@ -1,9 +1,10 @@
-"""Completely positive maps: Choi ranks, iterate dimensions, and the
+"""Completely positive maps: the dimensions of a channel's powers, and the
 combinatorial strong-commutation test for stochastic matrix pairs.
 
-The dimension sequence attached to a CP map is the Choi rank of its powers;
-it is submultiplicative because a Kraus family for a composition is the set
-of products of the factors' families. For a pair of commuting stochastic
+The dimension sequence attached to a CP map is the Choi rank of its powers,
+the dimension of the span of the Kraus products of each length; it is
+submultiplicative because a Kraus family for a composition is the set of
+products of the factors' families. For a pair of commuting stochastic
 matrices, strong commutation of the associated CP maps reduces to a support
 count: for every pair of states (i, k), the number of intermediate states j
 with q_kj p_ji != 0 must match the number with p_kj q_ji != 0.
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from spsys.linalg import check_budget
 
 NONZERO_TOL = 1e-12
 ROWSUM_TOL = 1e-12
@@ -27,16 +30,12 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.kraus:
+        mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        if not mats:
             raise ValueError("need at least one Kraus operator")
-        h = self.kraus[0].shape[0]
-        mats = []
-        for k in self.kraus:
-            k = np.asarray(k, dtype=complex)
-            if k.shape != (h, h):
-                raise ValueError("Kraus operators must be square, equal size")
-            mats.append(k)
-        object.__setattr__(self, "kraus", tuple(mats))
+        if any(k.shape != (len(mats[0]),) * 2 for k in mats):
+            raise ValueError("Kraus operators must be square, equal size")
+        object.__setattr__(self, "kraus", mats)
 
     @property
     def h(self) -> int:
@@ -46,35 +45,37 @@ class KrausChannel:
         x = np.asarray(x, dtype=complex)
         return sum(k @ x @ k.conj().T for k in self.kraus)
 
-    def superop(self) -> np.ndarray:
-        """Column-stacking superoperator: vec(Θ(x)) = S vec(x)."""
-        return sum(np.kron(k.conj(), k) for k in self.kraus)
-
-
-def choi_matrix(channel: KrausChannel, power: int = 1) -> np.ndarray:
-    """sum_ab E_ab ⊗ Θ^power(E_ab), with iterates via superoperator powers.
-
-    Θ(E_ab)[i, j] is the entry (i + h·j, a + h·b) of the column-stacking
-    superoperator S, so the Choi matrix is a reshuffle of S's entries.
-    """
-    h = channel.h
-    s = np.linalg.matrix_power(channel.superop(), power)
-    return s.reshape(h, h, h, h).transpose(3, 1, 2, 0).reshape(h * h, h * h)
-
-
-def choi_rank(channel: KrausChannel, power: int = 1) -> int:
-    """Rank of the Choi matrix (eigenvalues above 1e-9 of the largest); equals
-    the minimal Kraus number."""
-    c = choi_matrix(channel, power)
-    w = np.linalg.eigvalsh((c + c.conj().T) / 2)
-    wmax = w[-1] if w.size else 0.0
-    cutoff = max(1e-9 * max(wmax, 0.0), 1e-12)
-    return int(np.sum(w > cutoff))
-
 
 def as_fiber_dims(channel: KrausChannel, n_max: int) -> list[int]:
-    """Choi ranks of Θ^0, Θ^1, ..., Θ^{n_max}."""
-    return [choi_rank(channel, power=n) for n in range(n_max + 1)]
+    """dim span{V^w : |w| = n}, n = 0..n_max: the Choi ranks of Θ^n and the levels
+    of X_V, the system of the ideal of polynomials that vanish on V.
+
+    Level n keeps r_n rows L_n of h² entries, L_n† L_n = K_n† K_n for the rows
+    vec(V^w)ᵀ of K_n. Level n+1 is one thin SVD of the rows vec(V_i M)ᵀ, M a row
+    of L_n as h × h, cut at the Choi matrix's σ² > max(1e-9·σ_max², 1e-12), after
+    one budget check: the Kraus stack, the stack, its thin SVD factors and the
+    next factor, never all held at once.
+    """
+    if n_max < 0:
+        raise ValueError(f"the highest power must be >= 0, not {n_max}")
+    h, d, hh = channel.h, len(channel.kraus), channel.h ** 2
+    kraus = np.stack(channel.kraus)[:, None]  # d × 1 × h × h, against r × h × h
+    factor, dims = np.eye(h, dtype=complex).reshape(1, hh), [1]
+    for n in range(1, n_max + 1):
+        r = len(factor)
+        if r:  # from a zero level on, every level is zero
+            k = min(d * r, hh)
+            check_budget(16 * (d * hh + d * r * (hh + k) + k * (2 * hh + 1)) + 4096,
+                         f"channel level {n} of {h} x {h}")
+            stack = np.matmul(kraus, factor.reshape(r, h, h)).reshape(d * r, hh)
+            del factor  # one level's rows at a time
+            s, wh = np.linalg.svd(stack, full_matrices=False)[1:]
+            del stack
+            r = int(np.sum(s * s > max(1e-9 * s[0] ** 2, 1e-12)))
+            factor = s[:r, None] * wh[:r]
+            del wh
+        dims.append(r)
+    return dims
 
 
 def dims_submultiplicative(dims: list[int]) -> bool:

@@ -28,6 +28,7 @@ indented layout.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -113,10 +114,12 @@ def decode_matrix(obj: dict) -> np.ndarray:
         values = np.asarray(data)
     except ValueError:  # bare reals mixed with [re, im] pairs
         values = None
-    # float data goes through whole; integer data is read entry by entry, as
-    # numpy would read a JSON true among integers as 1
+    # float data goes through whole after one pass over its entry types (numpy
+    # reads a JSON true among floats as 1.0); other data is read entry by entry
     if values is None or values.dtype.kind != "f" or values.shape[1:] not in ((), (2,)):
         values = np.array([decode_complex(p) for p in data], dtype=complex)
+    elif bool in set(map(type, chain.from_iterable(data) if values.ndim == 2 else data)):
+        raise ValueError("matrix data must hold numbers, not a boolean")
     elif values.ndim == 2:
         values = np.ascontiguousarray(values, dtype=float).view(complex)
     return values.astype(complex, copy=False).reshape(rows, cols)

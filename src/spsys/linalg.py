@@ -197,11 +197,6 @@ def full_space(dim: int) -> CoordinateSubspace:
     return CoordinateSubspace(dim, np.arange(dim))
 
 
-def projector(s: Subspace) -> np.ndarray:
-    """Orthogonal projection onto `s` as a dense D x D matrix."""
-    return s.frame @ s.frame.conj().T
-
-
 def project(s: Subspace, v: np.ndarray) -> np.ndarray:
     """Apply the orthogonal projection onto `s` to a vector or matrix of columns.
 
@@ -221,19 +216,6 @@ def complement(s: Subspace) -> Subspace:
         return full_space(d)
     u, _, _ = np.linalg.svd(s.frame, full_matrices=True)
     return Subspace(d, u[:, r:].copy(), s.tol_used)
-
-
-def inclusion_residual(a: Subspace, b: Subspace) -> float:
-    """|| (I - P_a) frame_b ||, zero iff b is contained in a."""
-    if b.dim == 0:
-        return 0.0
-    rem = b.frame - project(a, b.frame)
-    return opnorm(rem)
-
-
-def subspace_distance(a: Subspace, b: Subspace) -> float:
-    """Operator-norm distance between the two orthogonal projections."""
-    return opnorm(projector(a) - projector(b))
 
 
 def nullspace(m: np.ndarray, cutoff: Optional[float] = None, with_complement: bool = False):

@@ -189,9 +189,6 @@ class IdealGens:
             if g.degree() < 1:
                 raise ValueError("generators must have degree >= 1")
 
-    def degrees(self) -> list[int]:
-        return [g.degree() for g in self.gens]
-
 
 def commutator_gens(d: int) -> IdealGens:
     """Generators x_i x_j - x_j x_i for i < j."""

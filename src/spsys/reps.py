@@ -169,14 +169,17 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
     level-n residual is the largest ||g(T)|| over generators of degree <= n;
     annihilating the generators annihilates the whole graded ideal, so for a
     contractive tuple this equals the residual over the full orthogonal
-    complement of the fiber. Without generators the level-n residual is the
-    root's norm ||R_n|| = ||W_n (G_n ⊗ I_h)||, G_n any frame of the complement
-    of X(n).
+    complement of the fiber, after one budget check. Without generators the
+    level-n residual is the root's norm ||R_n|| = ||W_n (G_n ⊗ I_h)||, G_n any
+    frame of the complement of X(n).
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
     gens = system.provenance.get("gens")
     if gens is not None:
+        # one g(T) at a time: its sum, two word products and the norm's copy
+        check_budget(64 * rep.h**2 + 128 * (len(gens.gens) + system.depth) + 4096,
+                     f"generator values on {rep.h} x {rep.h}")
         norms = [(g.degree(), linalg.opnorm(g.eval_on_tuple(rep.matrices)))
                  for g in gens.gens]
         residuals = []

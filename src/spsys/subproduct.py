@@ -223,7 +223,7 @@ def _cols(op: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _level_recursion(system: SubproductSystem, stacks, roots: bool = False):
+def _level_recursion(system: SubproductSystem, stacks, roots: bool = False, splits=None):
     """Yield (A_k, R_k) for k = 0..len(stacks), holding only the level before.
 
     stacks[k-1] holds d letters L_{k,i} of shape w_{k-1} × w_k. With M_k the
@@ -235,6 +235,7 @@ def _level_recursion(system: SubproductSystem, stacks, roots: bool = False):
     the rows R_{k-1} L_{k,i} over the complement rows (C_k† ⊗ I) U_k, as I - P_k
     is I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1}) C_k C_k† (I_d ⊗ F_{k-1})†. A QR
     keeps at most w_k rows. Without `roots`, R_k is None. Every width is positive.
+    `splits[k-1]`, if given, is `_split(system, k, roots)`, held by the caller.
     """
     w0 = stacks[0].shape[1]
     a = np.eye(w0, dtype=complex)
@@ -243,7 +244,7 @@ def _level_recursion(system: SubproductSystem, stacks, roots: bool = False):
     for k, letters in enumerate(stacks, 1):
         w = letters.shape[2]
         u = np.matmul(a, letters).reshape(-1, w0 * w)
-        zh, ch = _split(system, k, roots)
+        zh, ch = _split(system, k, roots) if splits is None else splits[k - 1]
         a = _rows(zh, u).reshape(-1, w)
         if roots:
             root = np.linalg.qr(np.vstack([np.matmul(root, letters).reshape(-1, w),
@@ -525,15 +526,17 @@ def _core_axiom_residuals(system: SubproductSystem) -> dict:
     Z_{n+1,a_k} ⋯ Z_{n+k,a_1}; as M_k lies in C^{d^k} ⊗ X(n), the residual is
     || ((I - P_k) ⊗ I_{r_n}) M_k ||, the norm of the root R_k of
     `_level_recursion` on the letters Z_{n+1..depth}. One pass over k serves
-    every split with right leg n, and nothing has d^n rows. From the first zero
+    every split with right leg n, and nothing has d^n rows. Each left level k is
+    split once (`_split`) and held for every right leg. From the first zero
     level on, every level is zero and so is every residual into it.
     """
     depth, dims = system.depth, system.dims()
     cores = [None] + [f.letter_cores() for f in system.fibers[1:]]  # cores[m][a] = Z_{m,a}
     live = dims.index(0) if 0 in dims else depth + 1
     out = {(k, n): 0.0 for n in range(1, depth) for k in range(1, depth - n + 1)}
+    splits = [_split(system, k, True) for k in range(1, live - 1)]
     for n in range(1, live - 1):
-        for k, (_, root) in enumerate(_level_recursion(system, cores[n + 1:live], roots=True)):
+        for k, (_, root) in enumerate(_level_recursion(system, cores[n + 1:live], True, splits)):
             if k:
                 out[(k, n)] = linalg.opnorm(root)
     return out
@@ -551,12 +554,14 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     # the two residual dicts, their keys and values, and array headers
     small = 256 * system.depth**2 + 4096
     if system.route == "core":
-        # a recursion step for every right leg n, next to the root before, the
-        # new root and the norm's copy of it
-        dims = system.dims()
+        # the splits of levels 1..depth-1, held for every right leg n (Z_k† and
+        # the complete QR behind C_k†); a recursion step, counted with a split,
+        # next to the root before, the new root and the norm's copy of it
+        dims, d = system.dims(), system.d
+        held = sum(d * a * (d * a + b) for a, b in zip(dims[:-2], dims[1:-1]))
         step = max((_recursion_words(system, dims[n:], roots=True)
                     for n in range(1, system.depth)), default=0)
-        check_budget(16 * (step + 3 * max(dims) ** 2) + small,
+        check_budget(16 * (held + step + 3 * max(dims) ** 2) + small,
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
     else:

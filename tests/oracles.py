@@ -1,12 +1,15 @@
 """Brute-force oracles used only by the tests.
 
 Each enumerates what the package computes another way, so it stays out of
-`src/`: the placements of generators in an ideal component, the letter
-blocks and the shift by a whole fiber vector assembled from dense frames,
-the dense total × total forms of the shift-side checks that the package
-runs level by level, the pair projections, pair inclusions and unit
+`src/`: dense projectors, their distances and inclusion residuals, the
+placements of generators in an ideal component, the letter blocks and the
+shift by a whole fiber vector assembled from dense frames, the dense
+total × total forms of the shift-side checks that the package runs level
+by level, the pair projections, pair inclusions and unit
 residuals on dense frames, the Gram ranks behind the strong-commutation
-support counts, the maps over all d^n words behind the maximal piece and
+support counts, the Choi ranks of a channel's powers through its
+superoperator, a channel's subproduct system from its dense Kraus-word
+stacks, the maps over all d^n words behind the maximal piece and
 the complement residuals, and the maximal completion of a prescribed chain
 by the pair products of its dense frames.
 """
@@ -16,14 +19,32 @@ import numpy as np
 
 from spsys import linalg
 from spsys.linalg import RANK_ABS_FLOOR, Subspace, check_budget
-from spsys.subproduct import INCLUSION_TOL, _scalar_fiber
-from spsys.cpmaps import NONZERO_TOL, StochasticMatrix
+from spsys.subproduct import INCLUSION_TOL, _scalar_fiber, maximal_with_fibers
+from spsys.cpmaps import NONZERO_TOL, KrausChannel, StochasticMatrix
 from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
 from spsys.ncpoly import IdealGens, NCPoly
 
 
 def zero_space(dim: int) -> Subspace:
     return Subspace(dim, np.zeros((dim, 0), dtype=complex), RANK_ABS_FLOOR)
+
+
+def projector(s: Subspace) -> np.ndarray:
+    """Orthogonal projection onto `s` as a dense D x D matrix."""
+    return s.frame @ s.frame.conj().T
+
+
+def subspace_distance(a: Subspace, b: Subspace) -> float:
+    """Operator-norm distance between the two orthogonal projections."""
+    return linalg.opnorm(projector(a) - projector(b))
+
+
+def inclusion_residual(a: Subspace, b: Subspace) -> float:
+    """|| (I - P_a) frame_b ||, zero iff b is contained in a."""
+    if b.dim == 0:
+        return 0.0
+    rem = b.frame - linalg.project(a, b.frame)
+    return linalg.opnorm(rem)
 
 
 def pair_coordinates(frame_a: np.ndarray, frame_b: np.ndarray, columns: np.ndarray,
@@ -249,6 +270,51 @@ def gram_dim_oracle(p, q, i: int, k: int,
     return r1, r2
 
 
+def superop(channel: KrausChannel) -> np.ndarray:
+    """Column-stacking superoperator: vec(Θ(x)) = S vec(x)."""
+    return sum(np.kron(k.conj(), k) for k in channel.kraus)
+
+
+def choi_matrix(channel: KrausChannel, power: int = 1) -> np.ndarray:
+    """sum_ab E_ab ⊗ Θ^power(E_ab), with iterates via superoperator powers.
+
+    Θ(E_ab)[i, j] is the entry (i + h·j, a + h·b) of the column-stacking
+    superoperator S, so the Choi matrix is a reshuffle of S's entries.
+    """
+    h = channel.h
+    s = np.linalg.matrix_power(superop(channel), power)
+    return s.reshape(h, h, h, h).transpose(3, 1, 2, 0).reshape(h * h, h * h)
+
+
+def choi_rank(channel: KrausChannel, power: int = 1) -> int:
+    """Rank of the Choi matrix (eigenvalues above 1e-9 of the largest); equals
+    the minimal Kraus number."""
+    c = choi_matrix(channel, power)
+    w = np.linalg.eigvalsh((c + c.conj().T) / 2)
+    wmax = w[-1] if w.size else 0.0
+    cutoff = max(1e-9 * max(wmax, 0.0), 1e-12)
+    return int(np.sum(w > cutoff))
+
+
+def kraus_word_stack(channel: KrausChannel, n: int) -> np.ndarray:
+    """K_n: the d^n rows vec(V^w)ᵀ, V^w = V_{w_1} ⋯ V_{w_n}, words in lexicographic order."""
+    h, kraus = channel.h, np.stack(channel.kraus)[:, None]
+    words = np.eye(h, dtype=complex)[None]
+    for _ in range(n):
+        words = np.matmul(kraus, words[None]).reshape(-1, h, h)  # rows (first letter, rest)
+    return words.reshape(-1, h * h)
+
+
+def kraus_word_system(channel: KrausChannel, depth: int):
+    """X_V to `depth`: level n is the orthogonal complement of the degree-n
+    polynomials p with p(V) = 0, the span of the columns of conj(K_n),
+    passed through `maximal_with_fibers`."""
+    d = len(channel.kraus)
+    frames = [linalg.span(kraus_word_stack(channel, n).conj(), ambient_dim=d**n)
+              for n in range(1, depth + 1)]
+    return maximal_with_fibers(d, frames, depth)
+
+
 def full_word_maps(rep, depth: int) -> list[np.ndarray]:
     """W_n: (C^d)^{⊗n} ⊗ C^h -> C^h, e_w ⊗ v -> T^w v, built recursively."""
     maps = [np.eye(rep.h, dtype=complex)]
@@ -271,7 +337,7 @@ def word_map_piece(system, rep) -> dict:
     iterations = 0
     while True:
         iterations += 1
-        blocks = [np.eye(h) - linalg.projector(current)]
+        blocks = [np.eye(h) - projector(current)]
         for n in range(1, depth + 1):
             m = adjoints[n]
             blocks.append(m - project_pair(

@@ -141,10 +141,13 @@ _HUGE = 10 ** 400  # 401 digits, beyond the largest float
     (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
      {"spec": {"kind": "full", "d": 2, "depth": 3},
       "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [[True, 0]]}] * 2}}),
+    (["check-rep", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3},
+      "rep": {**_PAIR, "matrices": [{"rows": 1, "cols": 1, "data": [[0.5, True]]}] * 2}}),
 ], ids=["forbidden-entry", "generator-entry", "matrix-data", "rep-matrices",
         "matrix-entry", "kraus-list", "depth-infinity", "full-huge-d", "subshift-huge-d",
         "q-huge-entry", "rep-huge-entry", "rep-huge-pair", "boolean-d", "boolean-entry",
-        "boolean-pair"])
+        "boolean-pair", "boolean-among-floats"])
 def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, command, files):
     paths = {}
     for name, obj in files.items():
@@ -162,9 +165,10 @@ def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, comm
     ["verify", "--spec", "x", "--tol", "-1"], ["verify", "--spec", "x", "--tol", "nan"],
     ["piece", "--spec", "x", "--rep", "y", "--tol", "inf"],
     ["classify", "qmat", "a", "b", "--tol", "x"], ["cp", "as-dims", "k", "--tol", "1e-9"],
+    ["cp", "as-dims", "k", "--n", "-1"],
 ], ids=["no-command", "no-spec", "unknown-command", "no-cp-command", "spec-without-value",
         "depth-not-integer", "tol-negative", "tol-nan", "tol-infinite", "tol-not-number",
-        "as-dims-tol"])
+        "as-dims-tol", "as-dims-negative-n"])
 def test_usage_errors_exit_3_with_the_usage_and_one_error_line(capsys, argv):
     # argparse would exit 2, which means inconclusive here
     with pytest.raises(SystemExit) as exit_info:
@@ -566,10 +570,42 @@ def test_budget_flag_holds_for_one_command(capsys, golden_spec, tmp_path):
     assert code == 0 and out.split()[-1] == "34"
     assert linalg.BUDGET_BYTES == 2 << 30
     # a command without the flag runs under the process budget
-    kraus = tmp_path / "kraus.json"
-    formats.dump_json(formats.encode_kraus([np.eye(2)]), kraus)
-    assert run_cli(capsys, "cp", "as-dims", str(kraus), "--n", "2")[0] == 0
+    uniform = tmp_path / "uniform.csv"
+    np.savetxt(uniform, np.full((2, 2), 0.5), delimiter=",")
+    assert run_cli(capsys, "cp", "strong-commute", str(uniform), str(uniform))[0] == 0
     assert linalg.BUDGET_BYTES == 2 << 30
+
+
+def _kraus_file(tmp_path, d, h, seed=0):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / f"kraus-{d}-{h}.json"
+    formats.dump_json(formats.encode_kraus(
+        [rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)) for _ in range(d)]), path)
+    return str(path)
+
+
+def test_cp_as_dims_refuses_a_negative_power(capsys, tmp_path):
+    kraus = _kraus_file(tmp_path, 2, 2)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["cp", "as-dims", kraus, "--n", "-1"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 3 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert errors == ["spsys cp as-dims: error: argument --n: must be an integer >= 0, not -1"]
+    code, out, _ = run_cli(capsys, "cp", "as-dims", kraus, "--n", "0")
+    assert code == 0 and json.loads(out)["dims"] == [1]
+
+
+def test_cp_as_dims_takes_the_budget(capsys, tmp_path):
+    # h = 32: level 6 holds a 64 × 1024 stack, its SVD factors and the next
+    # factor, about 3 MiB; levels 1-5 fit in 2 MiB
+    kraus = _kraus_file(tmp_path, 2, 32)
+    code, out, err = run_cli(capsys, "cp", "as-dims", kraus, "--n", "6", "--budget-mb", "2")
+    assert code == 3 and out == ""
+    assert err == "error: channel level 6 of 32 x 32 needs about 3 MiB, budget is 2 MiB\n"
+    assert linalg.BUDGET_BYTES == 2 << 30
+    code, out, _ = run_cli(capsys, "cp", "as-dims", kraus, "--n", "6", "--budget-mb", "4")
+    assert code == 0 and json.loads(out)["dims"] == [1, 2, 4, 8, 16, 32, 64]
 
 
 def test_dims_golden_depth_twenty(capsys, golden_spec):

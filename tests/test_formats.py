@@ -8,6 +8,8 @@ from spsys.cpmaps import KrausChannel
 from spsys.ncpoly import NCPoly
 from spsys.reps import RepTuple
 
+from oracles import subspace_distance
+
 
 def test_complex_and_matrix_round_trip():
     rng = np.random.default_rng(0)
@@ -48,6 +50,15 @@ def test_matrix_decode_takes_bare_reals_and_mixed_lists():
             formats.decode_matrix({"rows": 1, "cols": 1, "data": data})
 
 
+@pytest.mark.parametrize("data", [[[0.5, 0], [True, 0]], [[0.5, False], [1, 0]],
+                                  [0.5, True], [False, 0.25]],
+                         ids=["pair-re", "pair-im", "bare", "bare-first"])
+def test_matrix_decode_refuses_a_boolean_among_floats(data):
+    # numpy alone would read true as 1.0 and false as 0.0
+    with pytest.raises(ValueError, match="matrix data must hold numbers, not a boolean"):
+        formats.decode_matrix({"rows": 1, "cols": 2, "data": data})
+
+
 def test_matrix_data_length_checked():
     with pytest.raises(ValueError, match="matrix data length 1 != 2x2"):
         formats.decode_matrix({"rows": 2, "cols": 2, "data": [[1, 0]]})
@@ -70,7 +81,7 @@ def test_subspace_round_trip():
     rng = np.random.default_rng(1)
     s = linalg.span(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
     back = formats.decode_subspace(formats.encode_subspace(s), 6)
-    assert linalg.subspace_distance(s, back) < 1e-12
+    assert subspace_distance(s, back) < 1e-12
     with pytest.raises(ValueError):
         formats.decode_subspace(formats.encode_subspace(s), 5)
 
@@ -90,7 +101,7 @@ def test_system_spec_round_trip(spec):
     sys2 = formats.build_system(formats.encode_system_spec(sys1))
     assert sys1.dims() == sys2.dims()
     for n in range(sys1.depth + 1):
-        assert linalg.subspace_distance(sys1.fiber(n), sys2.fiber(n)) < 1e-9
+        assert subspace_distance(sys1.fiber(n), sys2.fiber(n)) < 1e-9
 
 
 def test_ideal_spec_round_trip():

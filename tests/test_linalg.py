@@ -3,7 +3,7 @@ import pytest
 
 from spsys import linalg
 
-from oracles import pair_coordinates, project_pair, zero_space
+from oracles import pair_coordinates, project_pair, projector, subspace_distance, zero_space
 
 
 def random_subspace(rng, ambient, dim):
@@ -34,7 +34,7 @@ def test_span_of_zero_matrix_is_zero_space():
 def test_projector_is_idempotent_and_hermitian():
     rng = np.random.default_rng(1)
     s = random_subspace(rng, 6, 2)
-    p = linalg.projector(s)
+    p = projector(s)
     assert np.linalg.norm(p @ p - p) < 1e-12
     assert np.linalg.norm(p - p.conj().T) < 1e-12
 
@@ -75,7 +75,7 @@ def test_nullspace_tall_complex_rank_deficient_matches_full_svd():
     z = linalg.nullspace(m)
     assert rank == 7
     assert z.dim == oracle.dim == 5
-    assert linalg.subspace_distance(z, oracle) <= 1e-12
+    assert subspace_distance(z, oracle) <= 1e-12
     assert np.linalg.norm(m @ z.frame) < 1e-9 * s[0]
 
 
@@ -89,7 +89,7 @@ def test_nullspace_complement_and_cutoff_from_one_svd(rows):
     assert z.dim == 6 and comp.shape == (9, 3)
     both = np.hstack([z.frame, comp])
     assert np.linalg.norm(both.conj().T @ both - np.eye(9)) < 1e-12
-    assert linalg.subspace_distance(linalg.span(m.conj().T), linalg.Subspace(9, comp, 0.0)) < 1e-9
+    assert subspace_distance(linalg.span(m.conj().T), linalg.Subspace(9, comp, 0.0)) < 1e-9
     # a given cutoff replaces the relative one: 1e-3 drops the small direction
     _, s, _ = np.linalg.svd(m)
     small = linalg.nullspace(m, cutoff=1e-3 * s[0])
@@ -178,7 +178,7 @@ def test_project_pair_matches_kron_projector():
     a = random_subspace(rng, 3, 2)
     b = random_subspace(rng, 4, 2)
     m = rng.normal(size=(12, 5)) + 1j * rng.normal(size=(12, 5))
-    direct = np.kron(linalg.projector(a), linalg.projector(b)) @ m
+    direct = np.kron(projector(a), projector(b)) @ m
     fast = project_pair(a.frame, b.frame, m, 3, 4)
     assert np.linalg.norm(direct - fast) < 1e-10
 
@@ -198,7 +198,7 @@ def test_project_pair_matches_kron_projector_on_shapes(dim_a, ra, dim_b, rb, r):
     b = random_subspace(rng, dim_b, rb) if rb else zero_space(dim_b)
     m = rng.normal(size=(dim_a * dim_b, r)) + 1j * rng.normal(size=(dim_a * dim_b, r))
     m[:, ::2] = 0  # zero columns must come back exactly zero
-    direct = np.kron(linalg.projector(a), linalg.projector(b)) @ m
+    direct = np.kron(projector(a), projector(b)) @ m
     fast = project_pair(a.frame, b.frame, m, dim_a, dim_b)
     assert fast.shape == (dim_a * dim_b, r)
     assert not fast[:, ::2].any()
@@ -212,7 +212,7 @@ def test_subspace_distance_symmetry_and_zero():
     rng = np.random.default_rng(11)
     a = random_subspace(rng, 5, 2)
     b = random_subspace(rng, 5, 3)
-    assert linalg.subspace_distance(a, a) < 1e-12
-    d_ab = linalg.subspace_distance(a, b)
-    assert d_ab == pytest.approx(linalg.subspace_distance(b, a))
+    assert subspace_distance(a, a) < 1e-12
+    d_ab = subspace_distance(a, b)
+    assert d_ab == pytest.approx(subspace_distance(b, a))
     assert d_ab == pytest.approx(1.0)  # different dimensions force distance 1

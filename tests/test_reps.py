@@ -10,7 +10,7 @@ from spsys.reps import RepTuple
 from spsys.subproduct import SubshiftSpec
 
 from conftest import random_commuting_pair, random_row_contraction
-from oracles import full_word_maps, word_map_piece
+from oracles import full_word_maps, subspace_distance, word_map_piece
 
 
 def test_rep_tuple_validation():
@@ -162,6 +162,59 @@ def test_is_representation_complement_fits_a_small_budget_at_depth(monkeypatch):
     out = reps.is_representation(sys_, rep)
     assert out["route"] == "complement"
     assert not out["ok"]
+
+
+GENERATOR_SYSTEMS = {
+    "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 4),
+    "golden": lambda: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 6),
+}
+
+
+def _generator_estimate(system, rep, monkeypatch):
+    """The one estimate `is_representation` checks on its generator route."""
+    seen = []
+    check = reps.check_budget
+
+    def spy(needed, what):
+        seen.append(needed)
+        return check(needed, what)
+
+    monkeypatch.setattr(reps, "check_budget", spy)
+    out = reps.is_representation(system, rep)
+    monkeypatch.setattr(reps, "check_budget", check)
+    assert out["route"] == "generators" and len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("kind", ["commutator", "golden"])
+def test_is_representation_generators_refuse_one_byte_below_the_estimate(kind, monkeypatch):
+    system = GENERATOR_SYSTEMS[kind]()
+    rep = random_row_contraction(np.random.default_rng(28), system.d, 12, 0.9)
+    needed = _generator_estimate(system, rep, monkeypatch)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a generator evaluated before the budget check")
+
+    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", needed - 1)
+    with pytest.raises(linalg.MemoryBudgetError, match="generator values on 12 x 12"):
+        reps.is_representation(system, rep)
+
+
+@pytest.mark.parametrize("kind, h", [("commutator", 64), ("golden", 48)])
+def test_is_representation_generator_estimate_is_within_twice_the_traced_peak(kind, h,
+                                                                             monkeypatch):
+    system = GENERATOR_SYSTEMS[kind]()
+    rep = random_row_contraction(np.random.default_rng(29), system.d, h, 0.9)
+    needed = _generator_estimate(system, rep, monkeypatch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reps.is_representation(system, rep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= needed <= 2 * peak
 
 
 def _dead_level_system(depth):
@@ -432,7 +485,7 @@ def test_maximal_piece_of_golden_inside_full():
         legal_cols.append(lift)
     target = linalg.span(np.hstack(legal_cols))
     assert out["dim"] == target.dim
-    assert linalg.subspace_distance(out["subspace"], target) < 1e-9
+    assert subspace_distance(out["subspace"], target) < 1e-9
     assert out["residual"] < 1e-9
 
 
@@ -459,7 +512,7 @@ def test_maximal_piece_fixed_point_is_pinned():
     assert out["iterations"] == 2
     assert out["residual"] <= 1e-9
     target = linalg.span(u[:, legal])
-    assert linalg.subspace_distance(out["subspace"], target) <= 1e-9
+    assert subspace_distance(out["subspace"], target) <= 1e-9
 
 
 def _golden(depth):
@@ -547,7 +600,7 @@ def test_maximal_piece_matches_word_map_oracle(case):
     ref = word_map_piece(system, rep)
     assert out["dim"] == ref["dim"]
     assert out["iterations"] == ref["iterations"]
-    assert linalg.subspace_distance(out["subspace"], ref["subspace"]) <= 1e-10
+    assert subspace_distance(out["subspace"], ref["subspace"]) <= 1e-10
     assert abs(out["residual"] - ref["residual"]) <= 1e-10
 
 
@@ -667,7 +720,7 @@ def test_maximal_piece_with_zero_fibers_is_joint_kernel():
     # X(n) = 0 forces T_i^† to vanish on the piece: rows 2 and 3 survive
     kernel = linalg.nullspace(np.vstack([t1.conj().T, t2.conj().T]))
     assert out["dim"] == kernel.dim == 2
-    assert linalg.subspace_distance(out["subspace"], kernel) < 1e-10
+    assert subspace_distance(out["subspace"], kernel) < 1e-10
 
 
 def test_cp_semigroup_law_and_choi(symmetric2_6):

@@ -12,7 +12,7 @@ from spsys.subproduct import SubshiftSpec
 from conftest import random_homogeneous_poly
 from oracles import (
     dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
-    frame_letter_blocks, homogeneous_component, zero_space,
+    frame_letter_blocks, homogeneous_component, subspace_distance, zero_space,
 )
 
 
@@ -119,13 +119,13 @@ def test_qmatrix_route_matches_ideal_route():
     via_q = subproduct.from_qmatrix(q, 6)
     via_ideal = subproduct.from_ideal(ncpoly.q_relation_gens(q), 6)
     for n in range(7):
-        assert linalg.subspace_distance(via_q.fiber(n), via_ideal.fiber(n)) < 1e-9
+        assert subspace_distance(via_q.fiber(n), via_ideal.fiber(n)) < 1e-9
 
 
 def test_qmatrix_all_ones_is_symmetric(symmetric2_6):
     sys_q = subproduct.from_qmatrix(np.ones((2, 2), dtype=complex), 6)
     for n in range(7):
-        assert linalg.subspace_distance(sys_q.fiber(n), symmetric2_6.fiber(n)) < 1e-9
+        assert subspace_distance(sys_q.fiber(n), symmetric2_6.fiber(n)) < 1e-9
 
 
 def test_qmatrix_rejects_inadmissible():
@@ -139,7 +139,7 @@ def test_quadratic_commutator_matrix_is_symmetric(symmetric2_6):
     a = np.array([[0, 1], [-1, 0]], dtype=complex)
     sys_a = subproduct.from_quadratic(a, 6)
     for n in range(7):
-        assert linalg.subspace_distance(sys_a.fiber(n), symmetric2_6.fiber(n)) < 1e-9
+        assert subspace_distance(sys_a.fiber(n), symmetric2_6.fiber(n)) < 1e-9
 
 
 def test_quadratic_zero_matrix_is_full(full2_6):
@@ -202,7 +202,7 @@ def test_generator_systems_match_the_ideal_component_oracle():
                 np.column_stack(vecs) if vecs else np.zeros((system.d**n, 0)),
                 ambient_dim=system.d**n))
             assert system.dim(n) == oracle.dim
-            assert linalg.subspace_distance(system.fiber(n), oracle) <= 1e-10
+            assert subspace_distance(system.fiber(n), oracle) <= 1e-10
 
 
 def test_qmatrix_and_quadratic_match_maximal_with_fibers():
@@ -215,7 +215,7 @@ def test_qmatrix_and_quadratic_match_maximal_with_fibers():
         assert system.kind in ("qmatrix", "quadratic")
         assert system.dims() == [f.dim for f in dense]
         for n in range(7):
-            assert linalg.subspace_distance(system.fiber(n), dense[n]) <= 1e-10
+            assert subspace_distance(system.fiber(n), dense[n]) <= 1e-10
 
 
 def test_commutator_three_letters_depth_twelve_on_cores_in_small_memory():
@@ -318,7 +318,7 @@ def test_maximal_with_fibers_reproduces_step_one_subshift(golden_6):
     prescribed = [golden_6.fiber(1), golden_6.fiber(2)]
     sys_ = subproduct.maximal_with_fibers(2, prescribed, 6)
     for n in range(7):
-        assert linalg.subspace_distance(sys_.fiber(n), golden_6.fiber(n)) < 1e-9
+        assert subspace_distance(sys_.fiber(n), golden_6.fiber(n)) < 1e-9
 
 
 def _random_level2_chain():
@@ -361,7 +361,7 @@ def test_maximal_with_fibers_matches_the_dense_completion(case):
     ref = dense_maximal_with_fibers(d, prescribed, depth)
     assert system.dims() == [f.dim for f in ref] == dims
     for n in range(depth + 1):
-        assert linalg.subspace_distance(system.fiber(n), ref[n]) <= 1e-12
+        assert subspace_distance(system.fiber(n), ref[n]) <= 1e-12
     # the prescribed levels keep their frames, so `build --out` writes them back
     for n, f in enumerate(prescribed, 1):
         assert np.max(np.abs(system.fiber(n).frame - f.frame), initial=0.0) <= 1e-12
@@ -592,7 +592,7 @@ def test_maximal_completion_of_a_generic_level_one_keeps_every_level(kind, seed)
     ref = dense_maximal_with_fibers(3, [linalg.span(m)], 4)
     assert system.dims() == [f.dim for f in ref] == [1, 2, 4, 8, 16]
     for n in range(5):
-        assert linalg.subspace_distance(system.fiber(n), ref[n]) <= 1e-12
+        assert subspace_distance(system.fiber(n), ref[n]) <= 1e-12
 
 
 def test_recovered_ideal_level_two_of_symmetric(symmetric2_6):
@@ -600,7 +600,7 @@ def test_recovered_ideal_level_two_of_symmetric(symmetric2_6):
     target = np.zeros((4, 1), dtype=complex)
     target[ncpoly.word_index((1, 2), 2), 0] = 1.0
     target[ncpoly.word_index((2, 1), 2), 0] = -1.0
-    assert linalg.subspace_distance(comp, linalg.span(target)) < 1e-12
+    assert subspace_distance(comp, linalg.span(target)) < 1e-12
 
 
 def test_ideal_round_trip_fixed_instances():
@@ -612,7 +612,7 @@ def test_ideal_round_trip_fixed_instances():
         back = subproduct.from_ideal(
             subproduct.recover_ideal_gens(sys_), 6)
         for n in range(7):
-            assert linalg.subspace_distance(sys_.fiber(n), back.fiber(n)) < 1e-8
+            assert subspace_distance(sys_.fiber(n), back.fiber(n)) < 1e-8
 
 
 def test_recovered_generators_come_from_the_complement_cores():
@@ -627,7 +627,7 @@ def test_recovered_generators_come_from_the_complement_cores():
         assert expected == [d * dims[n - 1] - dims[n] for n in range(1, 7)]
         back = subproduct.from_ideal(IdealGens(d, gens), 6)
         for n in range(7):
-            assert linalg.subspace_distance(system.fiber(n), back.fiber(n)) <= 1e-12
+            assert subspace_distance(system.fiber(n), back.fiber(n)) <= 1e-12
     assert all(len(g.terms) == 1 for g in gens)  # golden: monomials ending in 22
 
 

@@ -305,7 +305,7 @@ def cmd_piece(args) -> int:
     tol = _tol(args, 1e-9)
     res = reps.maximal_piece(system, rep, tol=tol)
     checks = [check("piece-fixed-point", (0, system.depth), res["residual"], tol)]
-    extras = {"dim": res["dim"], "iterations": res["iterations"],
+    extras = {"dim": res["dim"], "iterations": res["iterations"], "cutoff": res["cutoff"],
               "frame": res["subspace"].frame, "h": rep.h}
     return _emit("piece", {"spec": spec_path, "rep": rep_path}, checks, extras)
 

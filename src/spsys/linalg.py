@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -218,33 +217,23 @@ def complement(s: Subspace) -> Subspace:
     return Subspace(d, u[:, r:].copy(), s.tol_used)
 
 
-def nullspace(m: np.ndarray, cutoff: Optional[float] = None, with_complement: bool = False):
-    """Orthonormal basis of the right null space, with span() rank semantics.
-
-    A given `cutoff` replaces the relative one: singular values above it count.
-    With `with_complement` the result is the pair (null space, frame of its
-    orthogonal complement), both from the one SVD.
-    """
+def nullspace(m: np.ndarray) -> Subspace:
+    """Orthonormal basis of the right null space, with span() rank semantics."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        null = full_space(cols)
-        return (null, np.zeros((cols, 0), dtype=complex)) if with_complement else null
+        return full_space(cols)
     # full V is needed, U never is: a tall stack is first reduced to its
     # (cols x cols) R factor, which has the same singular values and right
     # singular vectors, and a wide one needs full_matrices for the whole V
     if rows > cols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    if cutoff is None:
-        smax = s[0] if s.size else 0.0
-        cutoff = max(RANK_REL_TOL * smax, RANK_ABS_FLOOR)
+    cutoff = max(RANK_REL_TOL * s[0], RANK_ABS_FLOOR)
     r = int(np.sum(s > cutoff))
     null = np.conjugate(vh[r:].T, out=np.empty((cols, cols - r), dtype=complex))
-    comp = np.conjugate(vh[:r].T) if with_complement else None
     del vh  # one copy of the null columns, and V freed before the frame check
-    null = Subspace(cols, null, cutoff)
-    return (null, comp) if with_complement else null
+    return Subspace(cols, null, cutoff)
 
 
 def opnorm(m: np.ndarray) -> float:

@@ -9,12 +9,12 @@ on X annihilates T. The dilation-side machinery lives here:
   norm (the finite-depth form of the co-model);
 * a two-depth von Neumann inequality check with a stabilization gap;
 * the largest subspace on which a tuple is an X-representation (maximal
-  X-piece), by fixed-point shrinking;
+  X-piece), whose complement is a closure of the ranges g(T) in C^h;
 * the discrete CP semigroup a -> T̃_n (I ⊗ a) T̃_n† induced by a
   representation.
 
-Tildes, Poisson kernels and the roots behind the piece and the complement
-residuals come from one recursion per level, `subproduct._level_recursion`
+Tildes, Poisson kernels and the roots behind the complement residuals
+come from one recursion per level, `subproduct._level_recursion`
 on the letters T_i† (the core axiom check runs it on the system's own
 cores): C^d ⊗ X(n-1) is split by the stacked core Z_n and its orthonormal
 complement C_n (`subproduct._split`), read off the word indices of a
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -91,24 +92,6 @@ class RepTuple:
         return out
 
 
-def _shrink_words(dims: list, h: int) -> int:
-    """Complex words a later step of `maximal_piece` holds next to the tildes.
-
-    The largest over m = dim V, with c = h - m, of: the level factors made so
-    far (m × m each) and one level's rows (at most (h + c·r_n) × m), next to
-    the larger of the level's product before its c rows are taken or the QR
-    copy of the rows; or the stacked factors with their QR copy and the SVD's
-    factors. Next to either, the frames of V and V^⊥ and their updates.
-    """
-    if h < 2:
-        return 0  # no later step: V = C^h or 0 after the first
-    m = np.arange(1, h)
-    c, top, n = h - m, max(dims, default=0), len(dims)
-    rows = (h + top * c) * m
-    levels = n * m * m + rows + np.maximum(top * h * np.minimum(m, c), rows + m * m)
-    return int(np.maximum(levels, (3 * n + 6) * m * m).max()) + 3 * h * h
-
-
 def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..system.depth.
 
@@ -130,34 +113,38 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
 
 
-def _complement_roots(system: SubproductSystem, rep: RepTuple,
-                      piece: bool) -> tuple[list, list]:
-    """With `piece` the T̃_n†, and the roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†.
+def _complement_roots(system: SubproductSystem, rep: RepTuple, extra: int = 0,
+                      what: str = "complement residuals") -> list:
+    """The roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†, n = 0..system.depth.
 
-    n = 0..system.depth, and W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is
+    W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is
     I_d ⊗ (I - P_{n-1}) plus (I_d ⊗ F_{n-1}) C_n C_n† (I_d ⊗ F_{n-1})†, C_n the
     orthonormal complement of the stacked core Z_n. The first gives the rows
     R_{n-1} T_i†, the second the (d·r_{n-1} - r_n)·h complement rows of
     `_level_recursion`. A QR keeps h rows per level: no singular value is squared,
     nothing has d^n rows. One budget check, before anything is allocated,
-    covers the whole call and, with `piece`, the shrink steps of
-    `maximal_piece`.
+    covers the call and `extra` complex words the caller holds next to the roots.
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
-    total = sum(dims) * hh  # the T̃_n†
-    level = _recursion_words(system, [h] * len(dims), roots=True)
-    # next to the tildes, with `piece`: a recursion step or a shrink step
-    words = total + max(level, _shrink_words(dims[1:], h)) if piece else level
-    # the roots, their stack and its QR copy, a few h × h blocks and array headers
-    words += 3 * len(dims) * hh + 8 * hh + 64 * len(dims) + 1024
-    what = "piece constraints" if piece else "complement residuals"
-    check_budget(16 * words, f"{what} up to level {system.depth}")
-    adjoints, roots = [], []
-    for adj, root in _level_recursion(system, [rep.adjoints] * system.depth, roots=True):
-        if piece:
-            adjoints.append(adj)
-        roots.append(root)
-    return adjoints, roots
+    # a recursion step; the roots, a few h × h blocks and array headers
+    words = (_recursion_words(system, [h] * len(dims), roots=True) + len(dims) * hh
+             + 4 * hh + 64 * len(dims) + 1024)
+    check_budget(16 * (words + extra), f"{what} up to level {system.depth}")
+    return [root for _, root in _level_recursion(system, [rep.adjoints] * system.depth,
+                                                 roots=True)]
+
+
+def _generator_values(system: SubproductSystem, rep: RepTuple, words: int | None = None,
+                      what: str | None = None):
+    """(deg g, g(T)) for the generators of degree <= depth, made as the caller takes
+    them, after one budget check of `words` complex words and headers: by default
+    one g(T) with its sum, two word products and a copy."""
+    h = rep.h
+    gens = [g for g in system.provenance["gens"].gens if g.degree() <= system.depth]
+    words = 4 * h * h if words is None else words
+    check_budget(16 * words + 128 * (len(gens) + system.depth) + 4096,
+                 what or f"generator values on {h} x {h}")
+    return ((g.degree(), g.eval_on_tuple(rep.matrices)) for g in gens)
 
 
 def is_representation(system: SubproductSystem, rep: RepTuple,
@@ -175,20 +162,13 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    gens = system.provenance.get("gens")
-    if gens is not None:
-        # one g(T) at a time: its sum, two word products and the norm's copy
-        check_budget(64 * rep.h**2 + 128 * (len(gens.gens) + system.depth) + 4096,
-                     f"generator values on {rep.h} x {rep.h}")
-        norms = [(g.degree(), linalg.opnorm(g.eval_on_tuple(rep.matrices)))
-                 for g in gens.gens]
-        residuals = []
-        for n in range(1, system.depth + 1):
-            residuals.append(max((r for k, r in norms if k <= n), default=0.0))
+    if system.provenance.get("gens") is not None:
+        norms = [(k, linalg.opnorm(v)) for k, v in _generator_values(system, rep)]
+        residuals = [max((r for k, r in norms if k <= n), default=0.0)
+                     for n in range(1, system.depth + 1)]
         route = "generators"
     else:
-        _, roots = _complement_roots(system, rep, piece=False)
-        residuals = [linalg.opnorm(r) for r in roots[1:]]
+        residuals = [linalg.opnorm(r) for r in _complement_roots(system, rep)[1:]]
         route = "complement"
     return {
         "residuals": residuals,
@@ -400,69 +380,98 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     }
 
 
+def _grow(basis: np.ndarray, weights: np.ndarray, c: int, blocks, cutoff: float) -> int:
+    """Append to the orthonormal basis[:, :c] the left singular vectors above `cutoff`
+    of each block projected off it twice, their singular values to `weights`; the SVD
+    is skipped when the Frobenius norm, which bounds them all, is at most `cutoff`."""
+    for cands in blocks:
+        if c == basis.shape[0]:
+            break
+        if c:
+            q = basis[:, :c]
+            cands = cands - q @ (q.conj().T @ cands)
+            cands -= q @ (q.conj().T @ cands)
+        if np.linalg.norm(cands) > cutoff:
+            u, s, _ = np.linalg.svd(cands, full_matrices=False)
+            r = int(np.sum(s > cutoff))
+            basis[:, c:c + r], weights[c:c + r] = u[:, :r], s[:r]
+            c += r
+    return c
+
+
+def _defect(frame: np.ndarray, perp: np.ndarray, blocks, mats) -> float:
+    """||Q† [G | T_1 Q⊥ | ... | T_d Q⊥]||, G the blocks side by side, as the root of the
+    largest eigenvalue of the m × m Gram summed part by part; squaring keeps the
+    largest singular value to working accuracy."""
+    fh = frame.conj().T
+    gram = np.zeros((fh.shape[0], fh.shape[0]), dtype=complex)
+    for part in chain(blocks, (t @ perp for t in mats)):
+        x = fh @ part
+        gram += x @ x.conj().T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def maximal_piece(system: SubproductSystem, rep: RepTuple,
                   tol: float = 1e-9) -> dict:
-    """Largest subspace on which the tuple compresses to an X-representation.
+    """Largest subspace V on which the tuple compresses to an X-representation.
 
-    Shrinks from the full space: at each step keep the vectors whose
-    backward orbit under every T̃_n† stays inside X(n) ⊗ (current subspace),
-    for all n up to the system depth. As I - P_n ⊗ P_V is (I - P_n) ⊗ I plus
-    the orthogonal P_n ⊗ P_V^⊥, the roots R_n and the (I ⊗ P_V^⊥) T̃_n† give
-    the Gram of the stacked (I - P_n ⊗ P_V) W_n†.
-
-    The first step, at V = C^h, is the null space of the roots alone. Every
-    later step works in the coordinates of V: with Q a frame of V (m columns)
-    and Q⊥ one of V^⊥ (c = h - m columns), its rows are, level by level,
-    R_n Q over the c-row blocks (I_{r_n} ⊗ Q⊥†) T̃_n† Q. Each level is
-    reduced to its m-column R factor as it is made, and one SVD of the
-    stacked factors gives the next frame and the directions V loses. A later
-    step counts singular values above max(RANK_REL_TOL · max(1, σ_max(base)),
-    RANK_ABS_FLOOR), base the stacked roots: a stack over all of C^h would
-    also hold the rows Q⊥†, whose singular values are 1, so this is never
-    above that stack's cutoff. At the fixed point the step's null space is
-    all of C^m and V is kept. The residual, the largest
-    ||(I - P_n ⊗ P_V) W_n† Q|| = ||[R_n Q; block_n]||, is the norm of that
-    step's level factors.
+    Step j keeps the v in V_{j-1} with (I - P_n ⊗ P_V) W_n† v = 0 for n <= depth.
+    X(n)^⊥ is spanned by the placements a·g·b of the generators, and
+    W_n (a·g·b ⊗ u) = T^a g(T) T^b u, so this is a closure in C^h, at a cost
+    that does not follow the fiber dimensions: V_1^⊥ = Σ_g Σ_{|a| <= depth - deg g}
+    T^a range g(T), in rounds from the largest left length down, each adding the
+    T_i times the directions new in the round before and the g(T) of its left
+    length (without generators, one round on the roots R_n† of `_complement_roots`);
+    then V_{j+1}^⊥ = V_j^⊥ + Σ_{1 <= |w| <= depth} T^w V_j^⊥, in depth such rounds
+    (the first of step 2 on all of V_1^⊥).
+    Each block goes through `_grow`: the first step weighs the new directions by
+    their singular values and keeps those above max(RANK_REL_TOL · max_g ||g(T)||,
+    RANK_ABS_FLOOR) (||R_n|| without generators), later steps those above
+    max(that, RANK_REL_TOL). A step that adds nothing is the fixed point; V is
+    the complement of the basis from one complete QR, and the residual the defect
+    ||Q† [G | T_1 Q⊥ | ... | T_d Q⊥]|| of the conditions (`_defect`).
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    h = rep.h
-    adjoints, roots = _complement_roots(system, rep, piece=True)
-    # V = C^h at the first step, where every (I ⊗ P_V^⊥) T̃_n† row is zero
-    first, perp = linalg.nullspace(np.vstack(roots), with_complement=True)
-    frame, cutoff, iterations = first.frame, first.tol_used, 1
-    # tol_used is max(RANK_REL_TOL · σ_max(base), RANK_ABS_FLOOR)
-    later = max(cutoff, linalg.RANK_REL_TOL)
-    factors = roots[1:]  # the level factors at V = C^h, up to the unitary frame
-    while 0 < frame.shape[1] < h:  # the dim drops at every step but the last
-        m, c = frame.shape[1], perp.shape[1]
-        perp_h, factors = perp.conj().T, []
-        for a, root in zip(adjoints[1:], roots[1:]):
-            k = len(root)
-            rows = np.empty((k + a.shape[0] // h * c, m), dtype=complex)
-            np.matmul(root, frame, out=rows[:k])
-            a, block = a.reshape(-1, h, h), rows[k:].reshape(-1, c, m)
-            # the smaller of Q⊥† and Q first: fewer flops and a smaller product
-            if c < m:
-                np.matmul(perp_h @ a, frame, out=block)
-            else:
-                np.matmul(perp_h, a @ frame, out=block)
-            factors.append(np.linalg.qr(rows, mode="r"))
-            del rows, block  # one level's rows at a time
-        step, lost = linalg.nullspace(np.vstack(factors), cutoff=later, with_complement=True)
-        cutoff, iterations = later, iterations + 1
-        if step.dim == m:
-            break  # the fixed point: V is kept, with this step's factors
-        frame, perp = frame @ step.frame, np.hstack([perp, frame @ lost])
-    residual = max(map(linalg.opnorm, factors), default=0.0) if frame.shape[1] else 0.0
+    h, hh, depth, mats = rep.h, rep.h ** 2, system.depth, rep.matrices
+    gens = system.provenance.get("gens")
+    k = sum(g.degree() <= depth for g in gens.gens) if gens else depth  # blocks of G
+    # G next to the largest of: a g(T) being made; the basis and a block with
+    # its projection or SVD factors; the complete QR; Q, Q† and the defect's
+    # Gram, a part and its product. With no block, Q = I and its frame check.
+    words = ((k + 6) * hh if k else 3 * hh) + 512
+    what = f"piece constraints up to level {depth}"
+    if gens is None:
+        blocks = [(0, r.conj().T) for r in _complement_roots(system, rep, words, what)[1:]]
+    else:
+        blocks = [(depth - deg, v) for deg, v in _generator_values(system, rep, words, what)]
+    cutoff = max(linalg.RANK_REL_TOL * max((linalg.opnorm(g) for _, g in blocks), default=0.0),
+                 linalg.RANK_ABS_FLOOR)
+    basis = np.empty((h, h if blocks else 0), dtype=complex)
+    weights = np.empty(basis.shape[1])
+    c = start = 0  # basis[:, start:c] are the directions new in the last round
+    for left in range(max((a for a, _ in blocks), default=-1), -1, -1):
+        new = basis[:, start:c] * weights[start:c]
+        c, start = _grow(basis, weights, c, chain((t @ new for t in mats),
+                                                  (g for a, g in blocks if a == left)),
+                         cutoff), c
+    # step 2 starts from all of V_1^⊥ at unit weight: the weights may have
+    # dropped T_i images of earlier rounds that count at unit weight
+    iterations, later, start = 1, max(cutoff, linalg.RANK_REL_TOL), 0
+    while 0 < c < h:
+        iterations, cutoff, grown = iterations + 1, later, c
+        for _ in range(depth):
+            new = basis[:, start:c]
+            c, start = _grow(basis, weights, c, (t @ new for t in mats), cutoff), c
+        if c == grown:
+            break  # the fixed point
+    q = np.linalg.qr(basis[:, :c], mode="complete")[0]
+    del basis
+    frame, perp = q[:, c:], q[:, :c]
+    residual = _defect(frame, perp, [g for _, g in blocks], mats) if c < h and blocks else 0.0
     current = linalg.Subspace(h, frame, cutoff)
-    return {
-        "subspace": current,
-        "dim": current.dim,
-        "iterations": iterations,
-        "residual": residual,
-        "tol": tol,
-    }
+    return {"subspace": current, "dim": current.dim, "iterations": iterations,
+            "cutoff": cutoff, "residual": residual, "tol": tol}
 
 
 class CPSemigroup:

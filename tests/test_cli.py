@@ -317,25 +317,46 @@ def test_piece_full_space_for_representation(capsys, commuting_spec, rep_file):
     assert report["dim"] == 3
 
 
+def test_piece_reports_its_rank_cutoff(capsys, tmp_path, commuting_spec, rep_file, golden_spec):
+    # a representation is decided in one step, at the absolute floor; the full
+    # shift on words of length <= 2 shrinks to golden's legal words in a later
+    # step, which keeps singular values above RANK_REL_TOL at least
+    from spsys import fock, reps
+    code, out, _ = run_cli(capsys, "piece", "--spec", commuting_spec, "--rep", rep_file)
+    assert code == 0
+    report = json.loads(out)
+    assert report["iterations"] == 1 and report["cutoff"] == linalg.RANK_ABS_FLOOR
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 2)))
+    rep = tmp_path / "full2.json"
+    formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
+    code, out, _ = run_cli(capsys, "piece", "--spec", golden_spec, "--rep", str(rep))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["dim"], report["iterations"]) == (6, 2)
+    assert report["cutoff"] == pytest.approx(linalg.RANK_REL_TOL)
+
+
 def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
-    # golden depth 5 against the full shift on words of length <= 5 (h=63):
-    # each level's tilde fits 3 MiB, the tildes, roots and a shrink step
-    # together do not, and the refusal comes before the first tilde
+    # golden depth 6 against the full shift on words of length <= 6 (h = 127):
+    # the piece's one estimate (the generator value, the basis, a block's
+    # projection and SVD factors, the final QR) is about 1.7 MiB, so 1 MiB
+    # refuses it before any generator value is evaluated
     from spsys import fock, reps, subproduct
-    spec = tmp_path / "golden5.json"
-    formats.dump_json({"kind": "subshift", "d": 2, "depth": 5, "forbidden": [[2, 2]]}, spec)
-    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 5)))
-    rep = tmp_path / "full5.json"
+    from spsys.ncpoly import NCPoly
+    spec = tmp_path / "golden6.json"
+    formats.dump_json({"kind": "subshift", "d": 2, "depth": 6, "forbidden": [[2, 2]]}, spec)
+    sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 6)))
+    rep = tmp_path / "full6.json"
     formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
 
     def never(*args, **kwargs):
-        raise AssertionError("tildes allocated before the budget check")
+        raise AssertionError("a generator evaluated before the budget check")
 
-    monkeypatch.setattr(reps, "_level_recursion", never)
+    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
     code, out, err = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
-                             "--budget-mb", "3")
+                             "--budget-mb", "1")
     assert code == 3
-    assert "piece constraints" in err
+    assert "piece constraints up to level 6" in err
     assert "pass" not in out + err
 
 

@@ -79,25 +79,6 @@ def test_nullspace_tall_complex_rank_deficient_matches_full_svd():
     assert np.linalg.norm(m @ z.frame) < 1e-9 * s[0]
 
 
-@pytest.mark.parametrize("rows", [3, 40])
-def test_nullspace_complement_and_cutoff_from_one_svd(rows):
-    # the complement is the row space: together with the null frame a unitary
-    rng = np.random.default_rng(17)
-    m = (rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))) @ np.diag([1, 1e-6, 1]) \
-        @ (rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9)))
-    z, comp = linalg.nullspace(m, with_complement=True)
-    assert z.dim == 6 and comp.shape == (9, 3)
-    both = np.hstack([z.frame, comp])
-    assert np.linalg.norm(both.conj().T @ both - np.eye(9)) < 1e-12
-    assert subspace_distance(linalg.span(m.conj().T), linalg.Subspace(9, comp, 0.0)) < 1e-9
-    # a given cutoff replaces the relative one: 1e-3 drops the small direction
-    _, s, _ = np.linalg.svd(m)
-    small = linalg.nullspace(m, cutoff=1e-3 * s[0])
-    assert small.dim == 7 and small.tol_used == 1e-3 * s[0]
-    empty, none = linalg.nullspace(np.zeros((0, 4)), with_complement=True)
-    assert empty.dim == 4 and none.shape == (4, 0)
-
-
 def test_frame_check_accepts_small_spectral_defect_with_large_frobenius():
     # gram - I is (1 + 4e-11)^2 - 1 ≈ 8e-11 on each of 100 diagonal entries:
     # spectral norm 8e-11, Frobenius norm 8e-10, and the spectral norm decides

@@ -247,6 +247,37 @@ def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth,
         reps.is_representation(sys_, rep)
 
 
+@pytest.mark.parametrize("make, depth, h", [
+    pytest.param(_symmetric_fibers_system, 7, 12, id="7-12"),
+    pytest.param(_symmetric_fibers_system, 8, 8, id="8-8"),
+    pytest.param(_dead_level_system, 5, 16, id="dead-5-16"),
+])
+def test_is_representation_complement_estimate_is_within_twice_the_traced_peak(make, depth, h,
+                                                                              monkeypatch):
+    # the roots' estimate counts a recursion step, the roots and headers, and
+    # nothing of the piece: a budget that would fit is not refused
+    sys_ = make(depth)
+    rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
+    for n in range(depth + 1):
+        sys_.fiber(n).frame
+    seen = []
+    check = reps.check_budget
+
+    def spy(needed, what):
+        seen.append(needed)
+        return check(needed, what)
+
+    monkeypatch.setattr(reps, "check_budget", spy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reps.is_representation(sys_, rep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 1 and peak <= seen[0] <= 2 * peak
+
+
 def test_poisson_kernel_isometry_defect_within_tail(symmetric2_6):
     rng = np.random.default_rng(6)
     rep = random_commuting_pair(rng, 3, 0.9)
@@ -593,8 +624,9 @@ PIECE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PIECE_CASES))
 def test_maximal_piece_matches_word_map_oracle(case):
-    # the roots and tildes give the Gram of the stacked (I - P_n ⊗ P_V) W_n†,
-    # so the shrink steps, the fixed point and its residual are the oracle's
+    # the closure of the ranges g(T) under the T_i is the complement of the
+    # null space of the stacked (I - P_n ⊗ P_V) W_n†, step by step, so the
+    # shrink steps and the fixed point are the oracle's, where both residuals vanish
     system, rep = PIECE_CASES[case]()
     out = reps.maximal_piece(system, rep)
     ref = word_map_piece(system, rep)
@@ -607,13 +639,135 @@ def test_maximal_piece_matches_word_map_oracle(case):
 @pytest.mark.parametrize("case, steps", [
     ("chain3-golden", 3), ("chain4-golden", 3), ("chain5-golden", 3), ("chain4-lead4-golden", 4)])
 def test_maximal_piece_shrinks_after_the_first_step(case, steps):
-    # the chains are the cases where later steps work in V's coordinates and
-    # lose directions: a plane survives after `steps` steps
+    # the chains are the cases where later steps add to V^⊥ the T^w images of
+    # what the step before added: a plane survives after `steps` steps
     system, rep = PIECE_CASES[case]()
     out = reps.maximal_piece(system, rep)
     assert out["iterations"] == steps
     assert out["dim"] == 2
     assert out["residual"] <= 1e-12
+
+
+def _commuting_tuple(rng, d, h):
+    """d polynomials in one random matrix, scaled to row norm 0.9: they commute exactly."""
+    a = rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))
+    a /= np.linalg.norm(a, 2)
+    mats = []
+    for _ in range(d):
+        c = rng.normal(size=3) + 1j * rng.normal(size=3)
+        mats.append(c[0] * np.eye(h) + c[1] * a + c[2] * a @ a)
+    return 0.9 / np.linalg.norm(np.hstack(mats), 2) * np.stack(mats)
+
+
+def _unitary(rng, h):
+    return np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))[0]
+
+
+def _q_commuting_pair(rng, h, q):
+    """T_1 = diag(q^k) and the shift e_k -> e_{k+1}, so T_1 T_2 = q T_2 T_1, conjugated."""
+    u = _unitary(rng, h)
+    mats = np.stack([np.diag(q ** np.arange(h)), np.eye(h, k=-1)]).astype(complex)
+    return 0.9 / np.linalg.norm(np.hstack(mats), 2) * (u @ mats @ u.conj().T)
+
+
+def _sweep_tuple(kind, d, h, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "commuting":
+        mats = _commuting_tuple(rng, d, h)
+    elif kind == "perturbed":  # commuting, moved by 1e-6
+        mats = _commuting_tuple(rng, d, h) + 1e-6 * (rng.normal(size=(d, h, h))
+                                                    + 1j * rng.normal(size=(d, h, h)))
+    elif kind == "generic":
+        return random_row_contraction(rng, d, h, 0.9)
+    elif kind in ("split", "moved-block"):
+        # a commuting block next to a generic one, or to a commuting one moved
+        # by 1e-6, conjugated by a unitary
+        m = h // 2
+        mats = np.zeros((d, h, h), dtype=complex)
+        mats[:, :m, :m] = _commuting_tuple(rng, d, m)
+        if kind == "split":
+            mats[:, m:, m:] = np.stack(random_row_contraction(rng, d, h - m, 0.9).matrices)
+        else:
+            mats[:, m:, m:] = _commuting_tuple(rng, d, h - m) + 1e-6 * (
+                rng.normal(size=(d, h - m, h - m)) + 1j * rng.normal(size=(d, h - m, h - m)))
+        u = _unitary(rng, h)
+        mats = u @ mats @ u.conj().T
+    elif kind == "qpair":
+        mats = _q_commuting_pair(rng, h, 0.5)
+    elif kind == "chain":
+        return _weighted_chain(h - 2, seed)[1]
+    else:  # "shift": a conjugated full shift on words of length <= h
+        return conjugated_full_shift(h, seed, d)[0]
+    return RepTuple(tuple(mats))
+
+
+SWEEP_SYSTEMS = {
+    "golden4": lambda: _golden(4),  # degree 2
+    "letter4": lambda: subproduct.from_subshift(SubshiftSpec(2, ((2,),)), 4),  # degree 1
+    "cubic-subshift4": lambda: subproduct.from_subshift(SubshiftSpec(2, ((1, 2, 1),)), 4),
+    "commutator2-4": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 4),
+    "qrel4": lambda: subproduct.from_qmatrix(np.array([[1, 0.5], [2, 1]]), 4),
+    "cubic-ideal4": lambda: subproduct.from_ideal(
+        IdealGens(2, [NCPoly(2, {(1, 2, 2): 1.0, (2, 2, 1): -1.0})]), 4),
+    "fibers4": lambda: _symmetric_fibers_system(4),
+    "commutator3-3": lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 3),
+    "subshift3-3": lambda: subproduct.from_subshift(SubshiftSpec(3, D3_FORBIDDEN), 3),
+}
+# (tuple kind, h or, for "shift" and "chain", the word length and chain depth + 2)
+SWEEP_TUPLES_D2 = [("commuting", 6), ("perturbed", 8), ("generic", 5), ("split", 10),
+                   ("qpair", 6), ("chain", 6), ("shift", 2)]
+SWEEP_TUPLES_D3 = [("commuting", 5), ("perturbed", 6), ("generic", 4), ("split", 8),
+                   ("shift", 1)]
+SWEEP_CASES = [(name, kind, h) for name in SWEEP_SYSTEMS
+               for kind, h in (SWEEP_TUPLES_D3 if name.endswith("3-3") else SWEEP_TUPLES_D2)]
+
+
+@pytest.mark.parametrize("name, kind, h", SWEEP_CASES,
+                         ids=[f"{n}-{k}" for n, k, _ in SWEEP_CASES])
+def test_maximal_piece_sweep_matches_word_map_oracle(name, kind, h):
+    # generator degrees 1 to 3, q-relations, commutators and a fibers system,
+    # against commuting, perturbed, generic, split, q-commuting, chain and
+    # shift tuples: the closure in C^h gives the oracle's shrink steps
+    system = SWEEP_SYSTEMS[name]()
+    rep = _sweep_tuple(kind, system.d, h, seed=1000 + SWEEP_CASES.index((name, kind, h)))
+    out = reps.maximal_piece(system, rep)
+    ref = word_map_piece(system, rep)
+    assert out["dim"] == ref["dim"]
+    assert out["iterations"] == ref["iterations"]
+    assert subspace_distance(out["subspace"], ref["subspace"]) <= 1e-10
+    assert out["residual"] <= 1e-12 and ref["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["commutator2-4", "cubic-ideal4", "fibers4", "commutator3-3"])
+def test_maximal_piece_keeps_the_exact_block_next_to_a_moved_one(name):
+    # the moved block's g(T) is about 1e-6, so its range is known to about
+    # 1e-16 / 1e-6 = 1e-10: the first step weighs its directions by their
+    # singular values, and the exact commuting block survives as the piece
+    system = SWEEP_SYSTEMS[name]()
+    rep = _sweep_tuple("moved-block", system.d, 8, seed=2000)
+    out = reps.maximal_piece(system, rep)
+    ref = word_map_piece(system, rep)
+    assert out["dim"] == ref["dim"] == 4
+    assert out["iterations"] == ref["iterations"] == 2
+    assert subspace_distance(out["subspace"], ref["subspace"]) <= 1e-8
+    assert out["residual"] <= 1e-8
+
+
+def test_maximal_piece_second_step_starts_from_all_of_the_first():
+    # a commuting pair moved by 1e-11: the first step weighs the T_i images of
+    # the g(T) directions at about 1e-11, so most fall under its cutoff, but at
+    # unit weight they count; the second step starts from all of V_1^⊥, and
+    # the piece is the oracle's, not a subspace that fails its own conditions
+    system = subproduct.from_ideal(ncpoly.commutator_gens(2), 4)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4))
+    a = a + a.T
+    t1, t2 = a / (2 * np.linalg.norm(a, 2)), a @ a / (2 * np.linalg.norm(a @ a, 2))
+    rep = RepTuple((t1 + 1e-11 * rng.normal(size=(4, 4)), t2))
+    out = reps.maximal_piece(system, rep)
+    ref = word_map_piece(system, rep)
+    assert (out["dim"], out["iterations"]) == (ref["dim"], ref["iterations"]) == (0, 2)
+    assert out["residual"] == 0.0
 
 
 def test_piece_and_complement_build_no_fiber_frame():
@@ -622,24 +776,33 @@ def test_piece_and_complement_build_no_fiber_frame():
         reps.maximal_piece(system, rep)
         reps.is_representation(system, rep)
         # the complement route, which is_representation skips when there are generators
-        reps._complement_roots(system, rep, piece=False)
+        reps._complement_roots(system, rep)
         assert all("frame" not in vars(f) for f in system.fibers)
 
 
 def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
-    # d=2, depth 5, h=63: one level's tilde is under 1 MB, the tildes, the
-    # roots and a shrink step together are several times that (6.7 MiB); a
-    # 3 MiB budget passes every level alone but not the whole
+    # golden depth 5 in the conjugated full shift (h = 63): one estimate covers
+    # the generator values, the basis, a block's projection and the final QR;
+    # one byte below it the piece is refused before any g(T) is evaluated
     golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5)
     rep, _, _ = conjugated_full_shift(5, seed=41)
-    assert 16 * golden.dim(5) * rep.h**2 < 3 << 20
+    seen = []
+    check = reps.check_budget
+
+    def spy(needed, what):
+        seen.append((needed, what))
+        return check(needed, what)
+
+    monkeypatch.setattr(reps, "check_budget", spy)
+    reps.maximal_piece(golden, rep)
+    assert [what for _, what in seen] == ["piece constraints up to level 5"]
 
     def never(*args, **kwargs):
-        raise AssertionError("tildes allocated before the budget check")
+        raise AssertionError("a generator evaluated before the budget check")
 
-    monkeypatch.setattr(reps, "_level_recursion", never)
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", 3 << 20)
-    with pytest.raises(linalg.MemoryBudgetError, match="piece constraints"):
+    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", seen[0][0] - 1)
+    with pytest.raises(linalg.MemoryBudgetError, match="piece constraints up to level 5"):
         reps.maximal_piece(golden, rep)
 
 
@@ -681,8 +844,9 @@ def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth, mo
 ])
 def test_maximal_piece_budget_is_at_most_twice_the_traced_peak(kind, d, depth, h_depth,
                                                                monkeypatch):
-    # where the tildes and a shrink step outweigh the headers and small blocks,
-    # the estimate stays close enough that a budget which would fit is not refused
+    # where the generator values, the basis and a block's projection outweigh
+    # the headers, the estimate stays close enough that a budget which would fit
+    # is not refused
     seen = []
     check = reps.check_budget
 

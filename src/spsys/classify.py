@@ -161,13 +161,14 @@ def _polish_witness(a: np.ndarray, b: np.ndarray, lam0: complex,
 
 
 def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_TOL) -> dict:
-    """Decide B = λ Uᵗ A U for 2x2 complex A, B, with an explicit witness."""
+    """Decide B = λ Uᵗ A U for 2x2 complex A, B, with a witness within `threshold`."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("quadratic relations are 2x2 matrices")
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    report = {"verdict": "no", "lam": None, "u": None, "residual": None}
+    report = {"verdict": "no", "lam": None, "u": None, "residual": None,
+              "threshold": witness_tol * max(1.0, nb)}
 
     if na == 0.0 and nb == 0.0:
         return {**report, "verdict": "yes", "lam": 1.0 + 0j,
@@ -191,7 +192,7 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
         # both purely antisymmetric and nonzero
         lam = cb / ca
         u = np.eye(2, dtype=complex)
-        return _with_witness(a, b, lam, u, witness_tol, inv)
+        return _with_witness(a, b, lam, u, report, inv)
 
     t = sb[0] / sa[0]
     u0a, u0b = wa.conj(), wb.conj()
@@ -206,7 +207,7 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
             psi = np.angle(c0b / (t * c0a))
             gauge = np.diag([1.0, np.exp(1j * psi)]).astype(complex)
         u = u0a @ gauge @ u0b.conj().T
-        return _with_witness(a, b, t, u, witness_tol, inv)
+        return _with_witness(a, b, t, u, report, inv)
 
     # rank 2: full invariants (s2/s1, (c0/s1)^2)
     ratio_a, ratio_b = sa[1] / sa[0], sb[1] / sb[0]
@@ -224,21 +225,19 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
         flip = np.real(c0b / (t * c0a)) < 0
         gauge = np.diag([1.0, -1.0]).astype(complex) if flip else np.eye(2, dtype=complex)
     u = u0a @ gauge @ u0b.conj().T
-    return _with_witness(a, b, t, u, witness_tol, inv)
+    return _with_witness(a, b, t, u, report, inv)
 
 
-def _with_witness(a, b, lam, u, witness_tol, inv) -> dict:
+def _with_witness(a, b, lam, u, report, inv) -> dict:
     residual = float(np.linalg.norm(_congruence(lam, u, a) - b))
-    scale = max(1.0, float(np.linalg.norm(b)))
-    if residual <= witness_tol * scale:
-        return {"verdict": "yes", "lam": complex(lam), "u": u,
+    if residual <= report["threshold"]:
+        return {**report, "verdict": "yes", "lam": complex(lam), "u": u,
                 "residual": residual, "invariants": inv}
     lam2, u2, res2 = _polish_witness(a, b, lam, u)
-    if res2 <= witness_tol * scale:
-        return {"verdict": "yes", "lam": complex(lam2), "u": u2,
+    if res2 <= report["threshold"]:
+        return {**report, "verdict": "yes", "lam": complex(lam2), "u": u2,
                 "residual": res2, "invariants": {**inv, "polished": True}}
-    return {"verdict": "inconclusive", "lam": None, "u": None,
-            "residual": min(residual, res2), "invariants": inv}
+    return {**report, "verdict": "inconclusive", "residual": min(residual, res2), "invariants": inv}
 
 
 class CharacterSet:

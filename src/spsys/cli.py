@@ -143,7 +143,7 @@ def _build_system(args):
 
 def cmd_build(args) -> int:
     system, path = _build_system(args)
-    ax = subproduct.verify_axioms(system, tol=_tol(args, 1e-9))
+    ax = subproduct.verify_axioms(system, tol=_tol(args, subproduct.INCLUSION_TOL))
     checks = [check("build-axioms", (0, system.depth), ax["max_residual"], ax["tol"])]
     extras = {"d": system.d, "depth": system.depth, "kind": system.kind,
               "dims": system.dims()}
@@ -204,11 +204,11 @@ def cmd_verify(args) -> int:
         return shifts
 
     if "axioms" in wanted:
-        tol = _tol(args, 1e-9)
+        tol = _tol(args, subproduct.INCLUSION_TOL)
         ax = subproduct.verify_axioms(system, tol=tol)
         checks.append(check("axioms", (0, n_depth), ax["max_residual"], tol))
     if "defect" in wanted:
-        tol = _tol(args, 1e-10)
+        tol = _tol(args, fock.DEFECT_TOL)
         sh = get_shifts()
         for k in (1, 2):
             if k > n_depth:
@@ -218,7 +218,7 @@ def cmd_verify(args) -> int:
     if "subshift" in wanted:
         if system.kind != "subshift":
             raise CLIError("the subshift check needs a system of kind subshift")
-        tol = _tol(args, 1e-10)
+        tol = _tol(args, fock.DEFECT_TOL)
         rep = fock.subshift_relations(get_shifts(), tol=tol)
         step = rep["step"]
         residual = max(
@@ -230,7 +230,7 @@ def cmd_verify(args) -> int:
                             residual, tol, verdict))
         extras["subshift_report"] = rep
     if "unit" in wanted:
-        tol = _tol(args, 1e-9)
+        tol = _tol(args, subproduct.UNIT_TOL)
         c, confirmed = _verify_unit_check(system, tol)
         checks.append(c)
         extras["unit_basis_vectors"] = confirmed
@@ -244,9 +244,9 @@ def cmd_shift(args) -> int:
     row_norm = sh.row_norm
     checks = [
         check("row-contraction", (0, system.depth),
-              max(row_norm - 1.0, 0.0), 1e-10),
+              max(row_norm - 1.0, 0.0), _tol(args, reps.ROW_NORM_SLACK)),
         check("block-structure", (0, system.depth),
-              _off_block_mass(sh), 1e-14),
+              _off_block_mass(sh), fock.BLOCK_TOL),
     ]
     extras = {"out": [str(f) for f in files], "dims": system.dims(),
               "total_dim": sh.fock.total_dim, "row_norm": row_norm}
@@ -276,7 +276,7 @@ def _load_rep(args) -> tuple[reps.RepTuple, Path]:
 def cmd_check_rep(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
-    tol = _tol(args, 1e-8)
+    tol = _tol(args, reps.REP_TOL)
     res = reps.is_representation(system, rep, tol=tol)
     verdict = "pass" if res["ok"] else "fail"
     checks = [check("representation", (0, system.depth),
@@ -289,7 +289,7 @@ def cmd_check_rep(args) -> int:
 def cmd_poisson(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
-    tol = _tol(args, 1e-9)
+    tol = _tol(args, reps.TAIL_TOL)
     kernel = reps.PoissonKernel(system, rep, args.r)
     defect = kernel.isometry_defect()
     bound = kernel.tail_bound()
@@ -302,10 +302,10 @@ def cmd_poisson(args) -> int:
 def cmd_piece(args) -> int:
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
-    tol = _tol(args, 1e-9)
+    tol = _tol(args, reps.PIECE_TOL)
     res = reps.maximal_piece(system, rep, tol=tol)
     checks = [check("piece-fixed-point", (0, system.depth), res["residual"], tol)]
-    extras = {"dim": res["dim"], "iterations": res["iterations"], "cutoff": res["cutoff"],
+    extras = {"dim": res["dim"], "iterations": res["iterations"],
               "frame": res["subspace"].frame, "h": rep.h}
     return _emit("piece", {"spec": spec_path, "rep": rep_path}, checks, extras)
 
@@ -320,7 +320,7 @@ def cmd_classify(args) -> int:
         raise CLIError(f"matrix file missing key {e}") from e
     inputs = {"a": path_a, "b": path_b}
     if args.kind == "qmat":
-        tol = _tol(args, 1e-10)
+        tol = _tol(args, classify.ENTRY_TOL)
         res = classify.q_equivalent(mat_a, mat_b, tol=tol)
         # the check asserts the decision is clean: a witness permutation with a
         # tiny residual, or no permutation anywhere near the tolerance; a
@@ -336,11 +336,10 @@ def cmd_classify(args) -> int:
                   "residual": res["residual"],
                   "closest_perm": res.get("closest_perm")}
         return _emit("classify", inputs, checks, extras)
-    tol = _tol(args, 1e-8)
-    res = classify.quad_equivalent(mat_a, mat_b, witness_tol=tol)
+    res = classify.quad_equivalent(mat_a, mat_b, witness_tol=_tol(args, classify.WITNESS_TOL))
     verdict = "pass" if res["verdict"] in ("yes", "no") else "inconclusive"
     residual = res["residual"] if res["residual"] is not None else 0.0
-    checks = [check("classify-quad", (0, 0), residual, tol, verdict)]
+    checks = [check("classify-quad", (0, 0), residual, res["threshold"], verdict)]
     extras = {"equivalent": {"yes": True, "no": False}.get(res["verdict"]),
               "lam": res["lam"], "u": res["u"], "invariants": res["invariants"]}
     return _emit("classify", inputs, checks, extras)
@@ -358,7 +357,7 @@ def _load_stochastic(path: str) -> tuple[np.ndarray, Path]:
 
 def cmd_cp(args) -> int:
     if args.cp_command == "strong-commute":
-        tol = _tol(args, 1e-12)
+        tol = _tol(args, cpmaps.NONZERO_TOL)
         p, p_path = _load_stochastic(args.p)
         q, q_path = _load_stochastic(args.q)
         res = cpmaps.strong_commute_stochastic(p, q, tol=tol)
@@ -366,8 +365,7 @@ def cmd_cp(args) -> int:
         # commutes, which is when the support-count criterion behind
         # "strong" applies; it does not say whether the pair strongly commutes
         verdict = "pass" if res["commute"] else "inconclusive"
-        checks = [check("commute", (0, 0),
-                        res["commute_residual"], max(tol, 1e-12), verdict)]
+        checks = [check("commute", (0, 0), res["commute_residual"], tol, verdict)]
         extras = {"commute": res["commute"], "strong": res["strong"],
                   "witnesses": res["witnesses"]}
         return _emit("cp", {"p": p_path, "q": q_path}, checks, extras)
@@ -385,12 +383,13 @@ def cmd_cp(args) -> int:
     return _emit("cp", {"kraus": path}, checks, extras)
 
 
-def _add_common(p, *, rep=False, r=False, out=None):
+def _add_common(p, *, tol=True, rep=False, r=False, out=None):
     p.add_argument("--spec", required=True, help="system spec JSON file")
     p.add_argument("--depth", type=int, default=None,
                    help="depth to build the system at (default: the spec file's)")
-    p.add_argument("--tol", type=_tolerance, default=None,
-                   help="override the per-check default tolerance (a finite number >= 0)")
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=None,
+                       help="override the per-check default tolerance (a finite number >= 0)")
     p.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",
                    help="memory budget in MiB (default 2048)")
     if rep:
@@ -418,7 +417,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("dims", help="print the dimension sequence")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", help="run verification checks on a system")

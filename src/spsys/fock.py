@@ -29,6 +29,7 @@ from spsys.ncpoly import NCPoly
 from spsys.subproduct import SubproductSystem, _rows, _split, _split_bytes
 
 DEFECT_TOL = 1e-10
+BLOCK_TOL = 1e-14  # entries of the dense view outside the level blocks
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,10 @@ from spsys.subproduct import (SubproductSystem, _cols, _level_recursion, _recurs
                               _split_bytes)
 from spsys import fock as fock_mod
 
-REP_TOL = 1e-8
+REP_TOL = 1e-8  # the annihilation residuals
+TAIL_TOL = 1e-9  # a residual above its tail bound
+PIECE_TOL = 1e-9  # the piece's rank decisions and its fixed point
+VN_TOL = 1e-8  # the von Neumann comparison
 # A row norm within this of 1 counts as 1, on both sides of the boundary: above
 # it a tuple is not a row contraction, below it r = 1 needs a strict one.
 ROW_NORM_SLACK = 1e-10
@@ -288,12 +291,12 @@ def poisson_transform(kernel: PoissonKernel, alpha, beta) -> dict:
         "target": target,
         "residual": residual,
         "bound": bound,
-        "ok": residual <= bound + 1e-9,
+        "ok": residual <= bound + TAIL_TOL,
     }
 
 
 def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
-                             tol: float = 1e-9) -> dict:
+                             tol: float = TAIL_TOL) -> dict:
     """Check that T is a piece of the shift: (S_i ⊗ I)† K = K W_i† for W = T/r.
 
     Requires r strictly above the row norm of T, so that W = T/r has row
@@ -363,8 +366,8 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     win = fk.window(depth - 1)
     rhs, rhs_prev = linalg.opnorm(op), linalg.opnorm(op[win, win])
     gap = abs(rhs - rhs_prev)
-    margin = max(1e-8, 10.0 * gap)
-    if lhs <= rhs + 1e-8:
+    margin = max(VN_TOL, 10.0 * gap)
+    if lhs <= rhs + VN_TOL:
         verdict = "pass"
     elif lhs > rhs + margin:
         verdict = "fail"
@@ -380,10 +383,10 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     }
 
 
-def _grow(basis: np.ndarray, weights: np.ndarray, c: int, blocks, cutoff: float) -> int:
-    """Append to the orthonormal basis[:, :c] the left singular vectors above `cutoff`
+def _grow(basis: np.ndarray, weights: np.ndarray, c: int, blocks, tol: float) -> int:
+    """Append to the orthonormal basis[:, :c] the left singular vectors above `tol`
     of each block projected off it twice, their singular values to `weights`; the SVD
-    is skipped when the Frobenius norm, which bounds them all, is at most `cutoff`."""
+    is skipped when the Frobenius norm, which bounds them all, is at most `tol`."""
     for cands in blocks:
         if c == basis.shape[0]:
             break
@@ -391,9 +394,9 @@ def _grow(basis: np.ndarray, weights: np.ndarray, c: int, blocks, cutoff: float)
             q = basis[:, :c]
             cands = cands - q @ (q.conj().T @ cands)
             cands -= q @ (q.conj().T @ cands)
-        if np.linalg.norm(cands) > cutoff:
+        if np.linalg.norm(cands) > tol:
             u, s, _ = np.linalg.svd(cands, full_matrices=False)
-            r = int(np.sum(s > cutoff))
+            r = int(np.sum(s > tol))
             basis[:, c:c + r], weights[c:c + r] = u[:, :r], s[:r]
             c += r
     return c
@@ -412,7 +415,7 @@ def _defect(frame: np.ndarray, perp: np.ndarray, blocks, mats) -> float:
 
 
 def maximal_piece(system: SubproductSystem, rep: RepTuple,
-                  tol: float = 1e-9) -> dict:
+                  tol: float = PIECE_TOL) -> dict:
     """Largest subspace V on which the tuple compresses to an X-representation.
 
     Step j keeps the v in V_{j-1} with (I - P_n ⊗ P_V) W_n† v = 0 for n <= depth.
@@ -424,12 +427,11 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     length (without generators, one round on the roots R_n† of `_complement_roots`);
     then V_{j+1}^⊥ = V_j^⊥ + Σ_{1 <= |w| <= depth} T^w V_j^⊥, in depth such rounds
     (the first of step 2 on all of V_1^⊥).
-    Each block goes through `_grow`: the first step weighs the new directions by
-    their singular values and keeps those above max(RANK_REL_TOL · max_g ||g(T)||,
-    RANK_ABS_FLOOR) (||R_n|| without generators), later steps those above
-    max(that, RANK_REL_TOL). A step that adds nothing is the fixed point; V is
-    the complement of the basis from one complete QR, and the residual the defect
-    ||Q† [G | T_1 Q⊥ | ... | T_d Q⊥]|| of the conditions (`_defect`).
+    Each block goes through `_grow`, which keeps the singular values above `tol`
+    (the first step weighs the new directions by them), so the piece is C^h exactly
+    when `is_representation` passes at `tol`. A step that adds nothing is the fixed
+    point; V is the complement of the basis from one complete QR, and the residual
+    the defect ||Q† [G | T_1 Q⊥ | ... | T_d Q⊥]|| of the conditions (`_defect`).
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
@@ -445,8 +447,6 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
         blocks = [(0, r.conj().T) for r in _complement_roots(system, rep, words, what)[1:]]
     else:
         blocks = [(depth - deg, v) for deg, v in _generator_values(system, rep, words, what)]
-    cutoff = max(linalg.RANK_REL_TOL * max((linalg.opnorm(g) for _, g in blocks), default=0.0),
-                 linalg.RANK_ABS_FLOOR)
     basis = np.empty((h, h if blocks else 0), dtype=complex)
     weights = np.empty(basis.shape[1])
     c = start = 0  # basis[:, start:c] are the directions new in the last round
@@ -454,24 +454,24 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
         new = basis[:, start:c] * weights[start:c]
         c, start = _grow(basis, weights, c, chain((t @ new for t in mats),
                                                   (g for a, g in blocks if a == left)),
-                         cutoff), c
+                         tol), c
     # step 2 starts from all of V_1^⊥ at unit weight: the weights may have
     # dropped T_i images of earlier rounds that count at unit weight
-    iterations, later, start = 1, max(cutoff, linalg.RANK_REL_TOL), 0
+    iterations, start = 1, 0
     while 0 < c < h:
-        iterations, cutoff, grown = iterations + 1, later, c
+        iterations, grown = iterations + 1, c
         for _ in range(depth):
             new = basis[:, start:c]
-            c, start = _grow(basis, weights, c, (t @ new for t in mats), cutoff), c
+            c, start = _grow(basis, weights, c, (t @ new for t in mats), tol), c
         if c == grown:
             break  # the fixed point
     q = np.linalg.qr(basis[:, :c], mode="complete")[0]
     del basis
     frame, perp = q[:, c:], q[:, :c]
     residual = _defect(frame, perp, [g for _, g in blocks], mats) if c < h and blocks else 0.0
-    current = linalg.Subspace(h, frame, cutoff)
+    current = linalg.Subspace(h, frame, tol)
     return {"subspace": current, "dim": current.dim, "iterations": iterations,
-            "cutoff": cutoff, "residual": residual, "tol": tol}
+            "residual": residual, "tol": tol}
 
 
 class CPSemigroup:

@@ -27,6 +27,7 @@ from spsys import ncpoly
 from spsys.ncpoly import IdealGens, NCPoly
 
 INCLUSION_TOL = 1e-9
+UNIT_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-12
 
 
@@ -602,7 +603,7 @@ def recover_ideal_gens(system: SubproductSystem) -> IdealGens:
     return IdealGens(d, gens)
 
 
-def verify_unit(system: SubproductSystem, v: np.ndarray, tol: float = 1e-9) -> dict:
+def verify_unit(system: SubproductSystem, v: np.ndarray, tol: float = UNIT_TOL) -> dict:
     """Check that v^{⊗n} survives every projection p_n.
 
     Tuples (v^{⊗n}) of that form are exactly the multiplicative units of the

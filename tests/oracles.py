@@ -22,6 +22,7 @@ from spsys.linalg import RANK_ABS_FLOOR, Subspace, check_budget
 from spsys.subproduct import INCLUSION_TOL, _scalar_fiber, maximal_with_fibers
 from spsys.cpmaps import NONZERO_TOL, KrausChannel, StochasticMatrix
 from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
+from spsys.reps import PIECE_TOL
 from spsys.ncpoly import IdealGens, NCPoly
 
 
@@ -324,12 +325,13 @@ def full_word_maps(rep, depth: int) -> list[np.ndarray]:
     return maps
 
 
-def word_map_piece(system, rep) -> dict:
+def word_map_piece(system, rep, tol: float = PIECE_TOL) -> dict:
     """The maximal piece from the stacked (I - P_n ⊗ P_V) W_n†, over all d^n words.
 
-    Shrinks from the full space until the null space of the stack keeps its
-    dimension; returns the subspace, the iteration count and the largest
-    ||(I - P_n ⊗ P_V) W_n† Q_V|| at the fixed point.
+    Shrinks from the full space until the null space of the stack, its right
+    singular vectors at singular values <= tol, keeps its dimension; returns the
+    subspace, the iteration count and the largest ||(I - P_n ⊗ P_V) W_n† Q_V||
+    at the fixed point.
     """
     d, depth, h = system.d, system.depth, rep.h
     adjoints = [m.conj().T for m in full_word_maps(rep, depth)]
@@ -342,7 +344,11 @@ def word_map_piece(system, rep) -> dict:
             m = adjoints[n]
             blocks.append(m - project_pair(
                 system.fiber(n).frame, current.frame, m, d**n, h))
-        nxt = linalg.nullspace(np.vstack(blocks))
+        # the stack has at least h rows (its first block); its R factor has
+        # the same singular values and right singular vectors
+        _, sing, vh = np.linalg.svd(np.linalg.qr(np.vstack(blocks), mode="r"))
+        rank = int(np.sum(sing > tol))
+        nxt = Subspace(h, vh[rank:].conj().T, tol)
         done = nxt.dim == current.dim
         current = nxt
         if done or current.dim == 0:

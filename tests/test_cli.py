@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spsys import cli, formats, linalg, subproduct
+from spsys import classify, cli, cpmaps, fock, formats, linalg, reps, subproduct
 from spsys.linalg import MemoryBudgetError
+
+from conftest import moved_commuting_pair
 
 
 @pytest.fixture()
@@ -165,10 +167,10 @@ def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, comm
     ["verify", "--spec", "x", "--tol", "-1"], ["verify", "--spec", "x", "--tol", "nan"],
     ["piece", "--spec", "x", "--rep", "y", "--tol", "inf"],
     ["classify", "qmat", "a", "b", "--tol", "x"], ["cp", "as-dims", "k", "--tol", "1e-9"],
-    ["cp", "as-dims", "k", "--n", "-1"],
+    ["cp", "as-dims", "k", "--n", "-1"], ["dims", "--spec", "x", "--tol", "123"],
 ], ids=["no-command", "no-spec", "unknown-command", "no-cp-command", "spec-without-value",
         "depth-not-integer", "tol-negative", "tol-nan", "tol-infinite", "tol-not-number",
-        "as-dims-tol", "as-dims-negative-n"])
+        "as-dims-tol", "as-dims-negative-n", "dims-tol"])
 def test_usage_errors_exit_3_with_the_usage_and_one_error_line(capsys, argv):
     # argparse would exit 2, which means inconclusive here
     with pytest.raises(SystemExit) as exit_info:
@@ -318,22 +320,103 @@ def test_piece_full_space_for_representation(capsys, commuting_spec, rep_file):
 
 
 def test_piece_reports_its_rank_cutoff(capsys, tmp_path, commuting_spec, rep_file, golden_spec):
-    # a representation is decided in one step, at the absolute floor; the full
-    # shift on words of length <= 2 shrinks to golden's legal words in a later
-    # step, which keeps singular values above RANK_REL_TOL at least
-    from spsys import fock, reps
+    # every rank decision of the piece is at tol, which the report states once,
+    # as the threshold of its check: a representation is decided in one step,
+    # and the full shift on words of length <= 2 shrinks to golden's legal words
     code, out, _ = run_cli(capsys, "piece", "--spec", commuting_spec, "--rep", rep_file)
     assert code == 0
     report = json.loads(out)
-    assert report["iterations"] == 1 and report["cutoff"] == linalg.RANK_ABS_FLOOR
+    assert report["iterations"] == 1 and "cutoff" not in report
+    assert report["checks"][0]["threshold"] == reps.PIECE_TOL
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 2)))
     rep = tmp_path / "full2.json"
     formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
-    code, out, _ = run_cli(capsys, "piece", "--spec", golden_spec, "--rep", str(rep))
+    for tol in ("1e-9", "1e-3"):
+        code, out, _ = run_cli(capsys, "piece", "--spec", golden_spec, "--rep", str(rep),
+                               "--tol", tol)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["dim"], report["iterations"]) == (6, 2)
+        assert report["checks"][0]["threshold"] == float(tol)
+
+
+def test_check_rep_and_piece_agree_at_one_tol(capsys, tmp_path):
+    # a commuting pair moved by 1e-11, generator residual about 4e-12: at
+    # --tol 1e-9 it is a representation and the piece is all of C^4; at
+    # --tol 1e-13 it is not, and the piece is 0
+    spec, rep = tmp_path / "commutator4.json", tmp_path / "moved.json"
+    formats.dump_json({"kind": "ideal", "d": 2, "depth": 4, "generators": [
+        [{"coeff": [1, 0], "word": [1, 2]}, {"coeff": [-1, 0], "word": [2, 1]}]]}, spec)
+    formats.dump_json(formats.encode_rep(moved_commuting_pair()), rep)
+    for tol, code, dim in (("1e-9", 0, 4), ("1e-13", 1, 0)):
+        got, out, _ = run_cli(capsys, "check-rep", "--spec", str(spec), "--rep", str(rep),
+                              "--tol", tol)
+        assert got == code
+        got, out, _ = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
+                              "--tol", tol)
+        assert got == 0 and json.loads(out)["dim"] == dim
+
+
+def _threshold_inputs(tmp_path, golden_spec, commuting_spec, rep_file):
+    """Names of the input files the default-threshold cases read."""
+    files = {"golden": golden_spec, "commuting": commuting_spec, "rep": rep_file,
+             "out": str(tmp_path / "shifts")}
+    mats = {"q1": [[1, 2.0], [0.5, 1]], "q2": [[1, 0.5], [2.0, 1]],
+            "a": [[0, 0.5], [-0.5, 0]], "b": [[0, 0.4j], [-0.4j, 0]]}
+    for name, m in mats.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        formats.dump_json(formats.encode_matrix(np.array(m, dtype=complex)), files[name])
+    files["p"], files["s"] = str(tmp_path / "p.csv"), str(tmp_path / "s.csv")
+    (tmp_path / "p.csv").write_text("0.5,0.5\n0.5,0.5\n")
+    (tmp_path / "s.csv").write_text("1,0\n0,1\n")
+    return files
+
+
+THRESHOLD_CASES = [
+    (subproduct, "INCLUSION_TOL", "build --spec {golden}", "build-axioms"),
+    (subproduct, "INCLUSION_TOL", "verify --spec {golden} --checks axioms", "axioms"),
+    (fock, "DEFECT_TOL", "verify --spec {golden} --checks defect", "defect-k2"),
+    (fock, "DEFECT_TOL", "verify --spec {golden} --checks subshift", "subshift"),
+    (subproduct, "UNIT_TOL", "verify --spec {golden} --checks unit", "unit"),
+    (reps, "ROW_NORM_SLACK", "shift --spec {golden} --out {out}", "row-contraction"),
+    (fock, "BLOCK_TOL", "shift --spec {golden} --out {out}", "block-structure"),
+    (reps, "REP_TOL", "check-rep --spec {commuting} --rep {rep}", "representation"),
+    (reps, "TAIL_TOL", "poisson --spec {commuting} --rep {rep}", "kernel-isometry"),
+    (reps, "PIECE_TOL", "piece --spec {commuting} --rep {rep}", "piece-fixed-point"),
+    (classify, "ENTRY_TOL", "classify qmat {q1} {q2}", "classify-qmat"),
+    (classify, "WITNESS_TOL", "classify quad {a} {b}", "classify-quad"),
+    (cpmaps, "NONZERO_TOL", "cp strong-commute {p} {s}", "commute"),
+]
+
+
+@pytest.mark.parametrize("module, name, argv, check_id", THRESHOLD_CASES,
+                         ids=[case[3] for case in THRESHOLD_CASES])
+def test_thresholds_follow_the_named_defaults(capsys, monkeypatch, tmp_path, golden_spec,
+                                              commuting_spec, rep_file, module, name, argv,
+                                              check_id):
+    # each default threshold is one name in the library, which the command
+    # reads at call time: the report states the named value, and a patched one
+    # (the kernel check adds the tail bound; the witness norm ||B|| is below 1)
+    argv = argv.format(**_threshold_inputs(tmp_path, golden_spec, commuting_spec,
+                                           rep_file)).split()
+
+    def threshold():
+        report = json.loads(run_cli(capsys, *argv)[1])
+        (c,) = [c for c in report["checks"] if c["check_id"] == check_id]
+        return c["threshold"] - report.get("tail_bound", 0.0)
+
+    assert threshold() == pytest.approx(getattr(module, name), rel=1e-9, abs=0)
+    monkeypatch.setattr(module, name, 3e-7)
+    assert threshold() == pytest.approx(3e-7, rel=1e-9, abs=0)
+
+
+def test_shift_row_contraction_reads_tol(capsys, tmp_path, golden_spec):
+    # --tol sets the row-contraction threshold; the block check keeps its own
+    code, out, _ = run_cli(capsys, "shift", "--spec", golden_spec, "--depth", "3",
+                           "--out", str(tmp_path / "shifts"), "--tol", "1e30")
     assert code == 0
-    report = json.loads(out)
-    assert (report["dim"], report["iterations"]) == (6, 2)
-    assert report["cutoff"] == pytest.approx(linalg.RANK_REL_TOL)
+    thresholds = {c["check_id"]: c["threshold"] for c in json.loads(out)["checks"]}
+    assert thresholds == {"row-contraction": 1e30, "block-structure": fock.BLOCK_TOL}
 
 
 def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
@@ -510,6 +593,38 @@ def test_classify_quad_yes_and_no(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "classify", "quad", str(a), str(z))
     assert code == 0
     assert json.loads(out)["equivalent"] is False
+
+
+def test_classify_quad_reports_the_threshold_it_decides_at(capsys, tmp_path):
+    # a witness passes at WITNESS_TOL · max(1, ||B||): with ||B|| about 2e8 the
+    # residual (about 1.7e-7) is above WITNESS_TOL but within that threshold
+    a = np.array([[1, 2 - 1j], [0.3j, -0.7]]) * 1e8
+    c, s = np.cos(0.4), np.sin(0.4)
+    u = np.array([[c, -s], [s, c]]) @ np.diag([1, 1j])
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for m, path in zip((a, 0.8j * u.T @ a @ u), paths):
+        formats.dump_json(formats.encode_matrix(m), path)
+    code, out, _ = run_cli(capsys, "classify", "quad", *map(str, paths))
+    assert code == 0
+    (c,) = json.loads(out)["checks"]
+    norm_b = np.linalg.norm(0.8j * u.T @ a @ u)
+    assert norm_b > 1e8 and c["threshold"] == pytest.approx(classify.WITNESS_TOL * norm_b)
+    assert classify.WITNESS_TOL < c["residual"] <= c["threshold"] and c["verdict"] == "pass"
+
+
+def test_cp_strong_commute_reports_the_threshold_it_decides_at(capsys, tmp_path):
+    # PQ - QP is 5.6e-17 in floating point: above --tol 0, so the pair does
+    # not commute at that tolerance, and the check says so at threshold 0
+    p_csv, q_csv = tmp_path / "p.csv", tmp_path / "q.csv"
+    p_csv.write_text("\n".join([",".join(["0.3333333333333333"] * 3)] * 3) + "\n")
+    q_csv.write_text("0.48,0.05,0.47\n0.28,0.28,0.44\n0.24,0.67,0.09\n")
+    code, out, _ = run_cli(capsys, "cp", "strong-commute", str(p_csv), str(q_csv), "--tol", "0")
+    (c,) = json.loads(out)["checks"]
+    assert (code, c["verdict"], c["threshold"]) == (2, "inconclusive", 0.0)
+    assert 0 < c["residual"] <= 1e-16
+    code, out, _ = run_cli(capsys, "cp", "strong-commute", str(p_csv), str(q_csv))
+    (c,) = json.loads(out)["checks"]
+    assert (code, c["verdict"], c["threshold"]) == (0, "pass", cpmaps.NONZERO_TOL)
 
 
 def test_cp_strong_commute_example(capsys, tmp_path):

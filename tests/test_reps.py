@@ -9,7 +9,7 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.reps import RepTuple
 from spsys.subproduct import SubshiftSpec
 
-from conftest import random_commuting_pair, random_row_contraction
+from conftest import moved_commuting_pair, random_commuting_pair, random_row_contraction
 from oracles import full_word_maps, subspace_distance, word_map_piece
 
 
@@ -754,20 +754,85 @@ def test_maximal_piece_keeps_the_exact_block_next_to_a_moved_one(name):
 
 
 def test_maximal_piece_second_step_starts_from_all_of_the_first():
-    # a commuting pair moved by 1e-11: the first step weighs the T_i images of
-    # the g(T) directions at about 1e-11, so most fall under its cutoff, but at
+    # at tol = 1e-12 the first step keeps the g(T) directions (about 4e-12)
+    # and weighs their T_i images by them, so most fall under tol, but at
     # unit weight they count; the second step starts from all of V_1^⊥, and
     # the piece is the oracle's, not a subspace that fails its own conditions
-    system = subproduct.from_ideal(ncpoly.commutator_gens(2), 4)
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 4))
-    a = a + a.T
-    t1, t2 = a / (2 * np.linalg.norm(a, 2)), a @ a / (2 * np.linalg.norm(a @ a, 2))
-    rep = RepTuple((t1 + 1e-11 * rng.normal(size=(4, 4)), t2))
-    out = reps.maximal_piece(system, rep)
-    ref = word_map_piece(system, rep)
+    system, rep = subproduct.from_ideal(ncpoly.commutator_gens(2), 4), moved_commuting_pair()
+    out = reps.maximal_piece(system, rep, tol=1e-12)
+    ref = word_map_piece(system, rep, tol=1e-12)
     assert (out["dim"], out["iterations"]) == (ref["dim"], ref["iterations"]) == (0, 2)
     assert out["residual"] == 0.0
+
+
+@pytest.mark.parametrize("tol, dim", [(1e-9, 4), (1e-11, 4), (1e-12, 0), (1e-13, 0)])
+def test_maximal_piece_decides_ranks_at_tol(tol, dim):
+    # the largest generator residual is about 4e-12: at a tol above it the pair
+    # is a representation and the piece is all of C^4, at a tol below it
+    # neither holds, and the word-map oracle at the same tol agrees
+    system, rep = subproduct.from_ideal(ncpoly.commutator_gens(2), 4), moved_commuting_pair()
+    assert reps.is_representation(system, rep, tol=tol)["ok"] == (dim == 4)
+    out = reps.maximal_piece(system, rep, tol=tol)
+    assert out["dim"] == word_map_piece(system, rep, tol=tol)["dim"] == dim
+    assert out["subspace"].tol_used == out["tol"] == tol and out["residual"] <= tol
+
+
+def _exact_rep(name, rng, h):
+    """A representation of the consistency system `name`: a commuting pair, or
+    for golden a pair with T_2 = x y†, y ⊥ x, so that T_2 T_2 = 0."""
+    if name != "golden4":
+        return np.stack(random_commuting_pair(rng, h, 0.9).matrices)
+    z = rng.normal(size=(h, h + 2)) + 1j * rng.normal(size=(h, h + 2))
+    x, y = z[:, h], z[:, h + 1]
+    y = y - np.vdot(x, y) / np.vdot(x, x) * x
+    mats = np.stack([z[:, :h], np.outer(x, y.conj())])
+    return 0.9 / np.linalg.norm(np.hstack(mats), 2) * mats
+
+
+CONSISTENCY_SYSTEMS = {
+    "commutator2-4": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 4),
+    "cubic-ideal4": SWEEP_SYSTEMS["cubic-ideal4"],
+    "golden4": lambda: _golden(4),
+    "fibers4": lambda: _symmetric_fibers_system(4),
+}
+# an exact representation, the same moved by a multiple of 1e-12, 1e-10 or 1e-8, or generic
+CONSISTENCY_TUPLES = {"exact": 0.0, "moved-1e-12": 1e-12, "moved-1e-10": 1e-10,
+                      "moved-1e-8": 1e-8, "generic": None}
+
+
+@pytest.mark.parametrize("name", sorted(CONSISTENCY_SYSTEMS))
+@pytest.mark.parametrize("kind", list(CONSISTENCY_TUPLES))
+def test_verdicts_agree_at_one_tolerance(name, kind):
+    # ideal, subshift and fibers systems against exact, near and generic
+    # tuples, at two tolerances each:
+    # - check-rep passes at tol iff the piece is all of C^h at tol;
+    # - then Θ_m Θ_n(a) - Θ_{m+n}(a) = R (I ⊗ a) R†, R the word map on the part
+    #   of X(m) ⊗ X(n) outside X(m+n), is second order in the residuals: within
+    #   1e-3 · tol for ||a|| = 1 (roundoff included);
+    # - and the Poisson kernel is an isometry within its tail bound plus tol
+    system, h = CONSISTENCY_SYSTEMS[name](), 4
+    rng = np.random.default_rng([3000, sorted(CONSISTENCY_SYSTEMS).index(name),
+                                 list(CONSISTENCY_TUPLES).index(kind)])
+    for _ in range(3):
+        eps = CONSISTENCY_TUPLES[kind]
+        if eps is None:
+            rep = random_row_contraction(rng, 2, h, 0.9)
+        else:
+            rep = RepTuple(tuple(_exact_rep(name, rng, h) + eps * (
+                rng.normal(size=(2, h, h)) + 1j * rng.normal(size=(2, h, h)))))
+        a = rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))
+        a /= np.linalg.norm(a, 2)
+        for tol in (1e-9, 1e-11):
+            ok = reps.is_representation(system, rep, tol=tol)["ok"]
+            assert ok == (reps.maximal_piece(system, rep, tol=tol)["dim"] == h)
+            if not ok:
+                continue
+            semi = reps.CPSemigroup(system, rep)
+            for m in range(1, system.depth):
+                for n in range(1, system.depth - m + 1):
+                    assert semi.semigroup_residual(m, n, a) <= 1e-3 * tol
+            kernel = reps.PoissonKernel(system, rep, 0.9)
+            assert kernel.isometry_defect() <= kernel.tail_bound() + tol
 
 
 def test_piece_and_complement_build_no_fiber_frame():

@@ -78,14 +78,18 @@ def as_fiber_dims(channel: KrausChannel, n_max: int) -> list[int]:
     return dims
 
 
+def submultiplicative_slack(dims: list[int]) -> int | None:
+    """The smallest dims[m] * dims[n] - dims[m + n] over m, n >= 1 wherever defined,
+    or None with no such pair; dims[0] = 1 makes every split with m or n = 0 exact."""
+    top = len(dims) - 1
+    return min((dims[m] * dims[n] - dims[m + n]
+                for m in range(1, top) for n in range(1, top + 1 - m)), default=None)
+
+
 def dims_submultiplicative(dims: list[int]) -> bool:
     """dims[m + n] <= dims[m] * dims[n] wherever defined."""
-    top = len(dims) - 1
-    for m in range(top + 1):
-        for n in range(top + 1 - m):
-            if dims[m + n] > dims[m] * dims[n]:
-                return False
-    return True
+    slack = submultiplicative_slack(dims)
+    return slack is None or slack >= 0
 
 
 @dataclass(frozen=True)

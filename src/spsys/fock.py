@@ -12,7 +12,8 @@ on a coordinate system, Z_n† on a core chain. S_i†S_j, the follower sums
 S^a S^{a†} and the defect recursion are block-diagonal, so every check here
 runs level by level, on word indices exactly, as 0/1 diagonals held as
 vectors. Dense letter blocks and total × total matrices are views built on
-demand, for export and for operator norms that need them.
+demand, for export and for operator norms that need them, in the system's
+dtype: float64 on word indices and real relations, else complex128.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from spsys.ncpoly import NCPoly
 from spsys.subproduct import SubproductSystem, _rows, _split, _split_bytes
 
 DEFECT_TOL = 1e-10
-BLOCK_TOL = 1e-14  # entries of the dense view outside the level blocks
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class TruncatedFock:
         return self.system.dims()
 
     def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.total_dim, dtype=complex)
+        v = np.zeros(self.total_dim, dtype=self.system.dtype)
         v[0] = 1.0
         return v
 
@@ -81,6 +81,10 @@ class ShiftSet:
     def d(self) -> int:
         return self.fock.system.d
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.fock.system.dtype
+
     def _letters(self, n: int):
         """Level n's letter blocks: on a core chain a d × r_n × r_{n-1} view of
         Z_n†; on word indices the pair (letter, previous word) of each word."""
@@ -103,7 +107,7 @@ class ShiftSet:
     def blocks(self, n: int) -> np.ndarray:
         """The dense letter blocks B_{n,i} of level n, d × r_n × r_{n-1}."""
         dims = self.fock.level_dims()
-        out = np.zeros((self.d, dims[n], dims[n - 1]), dtype=complex)
+        out = np.zeros((self.d, dims[n], dims[n - 1]), dtype=self.dtype)
         self._fill(out, n, slice(0, dims[n]), slice(0, dims[n - 1]))
         return out
 
@@ -112,14 +116,14 @@ class ShiftSet:
         that fill them; on word indices also a level's positions of the 1s."""
         d, total = self.d, self.fock.total_dim
         scatter = 48 * max(self.fock.level_dims()) + 1024 if self.fock.system.route == "coordinate" else 0
-        return 16 * d * total * total + 256 * d + 1024 + scatter
+        return self.dtype.itemsize * d * total * total + 256 * d + 1024 + scatter
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The d dense total × total shift matrices, filled straight from the maps."""
         fock, d, total = self.fock, self.d, self.fock.total_dim
         check_budget(self.matrix_bytes(), "shift matrices")
-        mats = np.zeros((d, total, total), dtype=complex)
+        mats = np.zeros((d, total, total), dtype=self.dtype)
         for n in range(1, fock.depth + 1):
             self._fill(mats, n, fock.level_slice(n), fock.level_slice(n - 1))
         return tuple(mats)
@@ -175,7 +179,7 @@ def _word_sums(shifts: ShiftSet, k: int) -> list[np.ndarray]:
             level = [(b @ a @ bh).sum(axis=0) for a, b, bh in zip(sums[-1], letters, adj)]
         else:
             level = [(b @ bh).sum(axis=0) for b, bh in zip(letters, adj)]
-        sums.append([np.zeros((1, 1), dtype=complex)] + level)
+        sums.append([np.zeros((1, 1), dtype=shifts.dtype)] + level)
     return sums[k - 1]
 
 
@@ -202,7 +206,7 @@ def defect_projection(shifts: ShiftSet, k: int) -> np.ndarray:
     Valid (equal to the projection onto levels < k) on levels <= depth - k.
     """
     fock = shifts.fock
-    out = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
+    out = np.zeros((fock.total_dim, fock.total_dim), dtype=shifts.dtype)
     for n, block in enumerate(_defect_blocks(shifts, k)):
         out[fock.level_slice(n), fock.level_slice(n)] = np.diag(block) if block.ndim == 1 else block
     return out
@@ -336,3 +340,30 @@ def export_shifts(shifts: ShiftSet, out_dir) -> list:
     formats.dump_json(offsets, path)
     written.append(path)
     return written
+
+
+def shift_files_residual(shifts: ShiftSet, paths) -> float:
+    """The largest entry by which the files `export_shifts` wrote for S_1..S_d
+    (`paths`, in letter order) differ from the level maps.
+
+    Each file is decoded, its block from level n-1 to level n less the letter
+    block B_{n,i}, and every entry outside the blocks is compared with 0. The
+    encoding is exact, so anything but 0 is a file that does not hold its
+    shift. One estimate is checked first: the dense view `export_shifts` keeps,
+    next to decoding one file, which takes no more than encoding it.
+    """
+    from spsys import formats
+
+    fk, total = shifts.fock, shifts.fock.total_dim
+    check_budget(shifts.matrix_bytes() + formats.encoding_bytes([total * total]),
+                 "shift files read back")
+    worst = 0.0
+    for i, path in enumerate(paths):
+        s = formats.decode_matrix(formats.load_json(path))
+        if s.shape != (total, total):
+            raise ValueError(f"{path} holds a {s.shape[0]} x {s.shape[1]} matrix, "
+                             f"not {total} x {total}")
+        for n in range(1, fk.depth + 1):
+            s[fk.level_slice(n), fk.level_slice(n - 1)] -= shifts.blocks(n)[i]
+        worst = max(worst, float(np.abs(s).max(initial=0.0)))
+    return worst

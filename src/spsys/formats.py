@@ -173,11 +173,14 @@ def encode_subspace(s: linalg.Subspace) -> dict:
 
 
 def decode_subspace(obj: dict, ambient_dim: int | None = None) -> linalg.Subspace:
+    """The span of a matrix's columns, real when every imaginary part read is 0."""
     frame = decode_matrix(obj)
     if ambient_dim is not None and frame.shape[0] != ambient_dim:
         raise ValueError(
             f"fiber frame has ambient dimension {frame.shape[0]}, expected {ambient_dim}"
         )
+    if not frame.imag.any():
+        frame = frame.real
     return linalg.span(frame, ambient_dim=frame.shape[0])
 
 

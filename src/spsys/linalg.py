@@ -1,6 +1,9 @@
 """Subspace arithmetic over C^D with explicit rank tolerances.
 
-Every subspace is carried around as an orthonormal column frame. Rank
+Every subspace is carried around as an orthonormal column frame, float64
+when its data is real and complex128 otherwise: nothing here casts a real
+input to complex, and a real matrix has the singular values of its complex
+form, so every cutoff is the same in either. Rank
 decisions are made once, inside ``span``, by thresholding singular values;
 the cutoff actually used is kept on the object so downstream checks can
 report it. Two forms build their frame only on first use: a coordinate
@@ -52,11 +55,11 @@ def check_budget(bytes_needed: int, what: str) -> None:
 
 def unbuilt_frame_bytes(subspaces) -> int:
     """Bytes of the lazy frames of `subspaces` not built yet, with the lower
-    frames a core frame builds down its `prev` chain."""
+    frames a core frame builds down its `prev` chain, and their headers."""
     lazy = {}
     for s in subspaces:
         while s is not None and "frame" not in vars(s):
-            lazy[id(s)] = 16 * s.ambient_dim * s.dim
+            lazy[id(s)] = s.dtype.itemsize * s.ambient_dim * s.dim + 256
             s = getattr(s, "prev", None)
     return sum(lazy.values())
 
@@ -72,6 +75,11 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.frame.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The frame's dtype, known without building a lazy frame."""
+        return self.frame.dtype
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(ambient_dim={self.ambient_dim}, dim={self.dim})"
@@ -98,8 +106,8 @@ class CoordinateSubspace(Subspace):
     """The span of the unit vectors e_k of C^D for k in a strictly increasing index.
 
     Distinct unit vectors are orthonormal exactly, so the index check replaces
-    the Gram check. ``frame`` is the D x r 0/1 matrix, built on first access
-    after a budget check.
+    the Gram check. ``frame`` is the real D x r 0/1 matrix, built on first
+    access after a budget check.
     """
 
     def __init__(self, ambient_dim: int, index):
@@ -120,11 +128,15 @@ class CoordinateSubspace(Subspace):
     def dim(self) -> int:
         return self.index.size
 
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(float)
+
     @cached_property
     def frame(self) -> np.ndarray:
         d, r = self.ambient_dim, self.index.size
-        check_budget(16 * d * r, f"coordinate frame of {d} x {r}")
-        frame = np.zeros((d, r), dtype=complex)
+        check_budget(8 * d * r, f"coordinate frame of {d} x {r}")
+        frame = np.zeros((d, r))
         frame[self.index, np.arange(r)] = 1.0
         return frame
 
@@ -145,10 +157,15 @@ class CoreSubspace(Subspace):
         object.__setattr__(self, "tol_used", core.tol_used)
         object.__setattr__(self, "prev", prev)
         object.__setattr__(self, "core", core)
+        object.__setattr__(self, "_dtype", np.result_type(prev.dtype, core.dtype))
 
     @property
     def dim(self) -> int:
         return self.core.dim
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._dtype
 
     def letter_cores(self) -> np.ndarray:
         """z as d blocks Z_i (r_prev × r): the letter-i rows of the frame are F_prev Z_i."""
@@ -163,8 +180,14 @@ class CoreSubspace(Subspace):
         return np.matmul(self.prev.frame, self.letter_cores()).reshape(dim, r)
 
 
+def _real_or_complex(m) -> np.ndarray:
+    """`m` as float64 when its dtype is real (or integer), else as complex128."""
+    m = np.asarray(m)
+    return m.astype(np.result_type(m, float), copy=False)
+
+
 def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
-    m = np.asarray(vectors, dtype=complex)
+    m = _real_or_complex(vectors)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.size == 0:
@@ -183,7 +206,7 @@ def span(vectors, ambient_dim: int | None = None) -> Subspace:
     m = _as_matrix(vectors, ambient_dim)
     d = m.shape[0]
     if m.shape[1] == 0:
-        return Subspace(d, np.zeros((d, 0), dtype=complex), RANK_ABS_FLOOR)
+        return Subspace(d, np.zeros((d, 0), dtype=m.dtype), RANK_ABS_FLOOR)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     smax = s[0] if s.size else 0.0
     cutoff = RANK_REL_TOL * smax if smax > 0 else RANK_ABS_FLOOR
@@ -202,7 +225,7 @@ def project(s: Subspace, v: np.ndarray) -> np.ndarray:
     A coordinate subspace keeps the rows of its index, without a frame.
     """
     if isinstance(s, CoordinateSubspace):
-        out = np.zeros(np.shape(v), dtype=complex)
+        out = np.zeros(np.shape(v), dtype=np.result_type(v, float))
         out[s.index] = v[s.index]
         return out
     return s.frame @ (s.frame.conj().T @ v)
@@ -218,11 +241,12 @@ def complement(s: Subspace) -> Subspace:
 
 
 def nullspace(m: np.ndarray) -> Subspace:
-    """Orthonormal basis of the right null space, with span() rank semantics."""
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    """Orthonormal basis of the right null space, with span() rank semantics,
+    in the dtype of `m`: with no rows the whole space, as an identity frame."""
+    m = np.atleast_2d(_real_or_complex(m))
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        return full_space(cols)
+        return Subspace(cols, np.eye(cols, dtype=m.dtype), RANK_ABS_FLOOR)
     # full V is needed, U never is: a tall stack is first reduced to its
     # (cols x cols) R factor, which has the same singular values and right
     # singular vectors, and a wide one needs full_matrices for the whole V
@@ -231,7 +255,7 @@ def nullspace(m: np.ndarray) -> Subspace:
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     cutoff = max(RANK_REL_TOL * s[0], RANK_ABS_FLOOR)
     r = int(np.sum(s > cutoff))
-    null = np.conjugate(vh[r:].T, out=np.empty((cols, cols - r), dtype=complex))
+    null = np.conjugate(vh[r:].T, out=np.empty((cols, cols - r), dtype=vh.dtype))
     del vh  # one copy of the null columns, and V freed before the frame check
     return Subspace(cols, null, cutoff)
 

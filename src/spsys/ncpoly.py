@@ -97,6 +97,10 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_real(self) -> bool:
+        """Whether every coefficient's imaginary part is exactly 0."""
+        return all(c.imag == 0 for c in self.terms.values())
+
     def __add__(self, other: "NCPoly") -> "NCPoly":
         if self.d != other.d:
             raise ValueError("letter counts differ")
@@ -139,35 +143,38 @@ class NCPoly:
     def eval_on_tuple(self, mats) -> np.ndarray:
         """Evaluate on a tuple of square matrices: sum of c_w * T^w.
 
-        The empty word contributes c * I.
+        The empty word contributes c * I. Real coefficients on real matrices
+        give a float64 result, anything else complex128.
         """
-        mats = [np.asarray(m, dtype=complex) for m in mats]
+        real = self.is_real()
+        mats = [np.asarray(m) for m in mats]
         if len(mats) != self.d:
             raise ValueError(f"expected {self.d} matrices, got {len(mats)}")
         h = mats[0].shape[0]
         for m in mats:
             if m.shape != (h, h):
                 raise ValueError("matrices must be square and of equal size")
-        out = np.zeros((h, h), dtype=complex)
+        out = np.zeros((h, h), dtype=np.result_type(float if real else complex, *mats))
         for w, c in self.terms.items():
             # a word's product starts at its first letter: I @ T equals T
-            acc = mats[w[0] - 1] if w else np.eye(h, dtype=complex)
+            acc = mats[w[0] - 1] if w else np.eye(h)
             for a in w[1:]:
                 acc = acc @ mats[a - 1]
-            out += c * acc
+            out += (c.real if real else c) * acc
         return out
 
     def eval_on_basis(self) -> np.ndarray:
         """Coordinates of p(e) in the lexicographic word basis of (C^d)^{⊗n}.
 
-        Requires p homogeneous of degree n ≥ 0.
+        Requires p homogeneous of degree n ≥ 0. Float64 when every coefficient
+        is real, else complex128.
         """
         if not self.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
-        n = self.degree()
-        vec = np.zeros(self.d**n, dtype=complex)
+        n, real = self.degree(), self.is_real()
+        vec = np.zeros(self.d**n, dtype=float if real else complex)
         for w, c in self.terms.items():
-            vec[word_index(w, self.d)] = c
+            vec[word_index(w, self.d)] = c.real if real else c
         return vec
 
 

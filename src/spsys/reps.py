@@ -34,13 +34,14 @@ import numpy as np
 from spsys import linalg
 from spsys.linalg import check_budget
 from spsys.ncpoly import NCPoly
-from spsys.subproduct import (SubproductSystem, _cols, _level_recursion, _recursion_words,
+from spsys.subproduct import (SubproductSystem, _cols, _level_recursion, _recursion_bytes,
                               _split_bytes)
 from spsys import fock as fock_mod
 
-REP_TOL = 1e-8  # the annihilation residuals
+# The annihilation residuals, and the piece's rank decisions and fixed point:
+# one default, so that `is_representation` passes exactly when the piece is C^h.
+REP_TOL = 1e-9
 TAIL_TOL = 1e-9  # a residual above its tail bound
-PIECE_TOL = 1e-9  # the piece's rank decisions and its fixed point
 VN_TOL = 1e-8  # the von Neumann comparison
 # A row norm within this of 1 counts as 1, on both sides of the boundary: above
 # it a tuple is not a row contraction, below it r = 1 needs a strict one.
@@ -109,9 +110,9 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     h = rep.h
     # the tildes; a recursion step, or the conjugate copy behind a new tilde;
     # a few h × h blocks and array headers
-    words = (h * h * sum(system.dims()) + _recursion_words(system, [h] * (system.depth + 1), False)
-             + 8 * h * h + 64 * system.depth + 1024)
-    check_budget(16 * words, f"tildes up to level {system.depth}")
+    words = h * h * sum(system.dims()) + 8 * h * h + 64 * system.depth + 1024
+    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), False, 16),
+                 f"tildes up to level {system.depth}")
     return [np.ascontiguousarray(a.conj().T)
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
 
@@ -130,9 +131,9 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, extra: int = 0,
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
     # a recursion step; the roots, a few h × h blocks and array headers
-    words = (_recursion_words(system, [h] * len(dims), roots=True) + len(dims) * hh
-             + 4 * hh + 64 * len(dims) + 1024)
-    check_budget(16 * (words + extra), f"{what} up to level {system.depth}")
+    words = len(dims) * hh + 4 * hh + 64 * len(dims) + 1024
+    check_budget(_recursion_bytes(system, [h] * len(dims), True, 16) + 16 * (words + extra),
+                 f"{what} up to level {system.depth}")
     return [root for _, root in _level_recursion(system, [rep.adjoints] * system.depth,
                                                  roots=True)]
 
@@ -206,9 +207,10 @@ class PoissonKernel:
         hh, rows = h * h, sum(system.dims())
         # the kernel matrix, next to a step of the tilde recursion or to the
         # conjugate copy isometry_defect takes; a few h × h blocks and headers
-        words = rows * hh + max(_recursion_words(system, [h] * (self.depth + 1), False),
-                                rows * hh + hh) + 8 * hh + 64 * self.depth + 1024
-        check_budget(16 * words, f"Poisson kernel up to level {self.depth}")
+        step = max(_recursion_bytes(system, [h] * (self.depth + 1), False, 16),
+                   16 * (rows * hh + hh))
+        check_budget(16 * (rows * hh + 8 * hh + 64 * self.depth + 1024) + step,
+                     f"Poisson kernel up to level {self.depth}")
         self.system = system
         self.rep = rep
         self.r = float(r)
@@ -340,8 +342,10 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     truncated rhs the verdict depends on the stabilization gap (the change
     from one depth lower): well above it is a failure, within a few gaps of
     it the truncation is still moving and the comparison is inconclusive.
-    This check needs the dense shifts: one estimate of everything it holds is
-    checked against the budget before anything is allocated.
+    This check needs the dense shifts, in the system's dtype (real relations
+    and real coefficients of p and q keep p(S) q(S)† real): one estimate of
+    everything it holds is checked against the budget before anything is
+    allocated.
     """
     depth = system.depth
     if depth < 2:
@@ -356,8 +360,11 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     # sum, a word product and the next one (or p(S), q(S), a conjugate and
     # their product), then the operator norm's copy of the window; and 16 KiB
     # of headers and small arrays.
-    later = 16 * (4 * total**2 + below**2)
-    check_budget(16 * system.d * total**2 + max(_split_bytes(system), later) + (16 << 10),
+    itemsize = np.result_type(system.dtype, float if p.is_real() and q.is_real()
+                              else complex).itemsize
+    later = itemsize * (4 * total**2 + below**2)
+    check_budget(system.dtype.itemsize * system.d * total**2 + max(_split_bytes(system), later)
+                 + (16 << 10),
                  f"vN shift operators on {total} Fock dimensions")
     mats = fock_mod.build_shifts(fk).matrices
     op = p.eval_on_tuple(mats) @ q.eval_on_tuple(mats).conj().T
@@ -415,7 +422,7 @@ def _defect(frame: np.ndarray, perp: np.ndarray, blocks, mats) -> float:
 
 
 def maximal_piece(system: SubproductSystem, rep: RepTuple,
-                  tol: float = PIECE_TOL) -> dict:
+                  tol: float = REP_TOL) -> dict:
     """Largest subspace V on which the tuple compresses to an X-representation.
 
     Step j keeps the v in V_{j-1} with (I - P_n ⊗ P_V) W_n† v = 0 for n <= depth.

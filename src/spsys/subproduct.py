@@ -13,6 +13,12 @@ each recording its generators in ``provenance["gens"]``, plus the maximal
 completion of an explicitly prescribed finite chain (`fibers` specs), which
 is `from_ideal` on generators derived from the prescribed levels. Every
 constructor returns a coordinate chain or a core chain.
+
+A system's dtype follows its defining data, decided once per constructor:
+word indices and relations whose coefficients are all exactly real give
+float64 cores, anything else complex128. Level maps, shifts and defects
+keep that dtype through numpy's type promotion; a complex tuple meeting a
+real map is promoted to complex.
 """
 
 from __future__ import annotations
@@ -151,6 +157,11 @@ class SubproductSystem:
         return self.provenance.get("kind", "fibers")
 
     @property
+    def dtype(self) -> np.dtype:
+        """float64 for word indices and real relations, else complex128."""
+        return self.fibers[-1].dtype
+
+    @property
     def route(self) -> str:
         """How every level sits over the one below: "coordinate" (word indices)
         or "core" (a core over the fiber below)."""
@@ -200,12 +211,13 @@ def _split(system: SubproductSystem, n: int, complement: bool) -> tuple:
 
 def _split_bytes(system: SubproductSystem) -> int:
     """Bytes of `_split(system, n, False)[0]` for n = 1..depth with headers: the
-    copies of Z_n†, or 8 bytes a word plus 7 int64 arrays of r_n while a level is made."""
+    copies of Z_n† (a real one is a view), or 8 bytes a word plus 7 int64 arrays
+    of r_n while a level is made."""
     dims, d = system.dims(), system.d
     if system.route == "coordinate":
         held = 8 * sum(dims[1:]) + 56 * max(dims[1:])
     else:
-        held = sum(16 * d * a * b for a, b in zip(dims, dims[1:]))
+        held = sum(system.dtype.itemsize * d * a * b for a, b in zip(dims, dims[1:]))
     return held + 256 * system.depth + 1024
 
 
@@ -237,10 +249,12 @@ def _level_recursion(system: SubproductSystem, stacks, roots: bool = False, spli
     is I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1}) C_k C_k† (I_d ⊗ F_{k-1})†. A QR
     keeps at most w_k rows. Without `roots`, R_k is None. Every width is positive.
     `splits[k-1]`, if given, is `_split(system, k, roots)`, held by the caller.
+    A_0 and R_0 take the letters' dtype, and each step numpy's promotion of it
+    with the split's.
     """
     w0 = stacks[0].shape[1]
-    a = np.eye(w0, dtype=complex)
-    root = np.zeros((0, w0), dtype=complex) if roots else None
+    a = np.eye(w0, dtype=stacks[0].dtype)
+    root = np.zeros((0, w0), dtype=stacks[0].dtype) if roots else None
     yield a, root
     for k, letters in enumerate(stacks, 1):
         w = letters.shape[2]
@@ -254,28 +268,39 @@ def _level_recursion(system: SubproductSystem, stacks, roots: bool = False, spli
         yield a, root
 
 
-def _recursion_words(system: SubproductSystem, widths: list[int], roots: bool) -> int:
-    """Complex words one step of `_level_recursion` holds at once, at its largest level.
+def _recursion_bytes(system: SubproductSystem, widths: list[int], roots: bool,
+                     itemsize: int) -> int:
+    """Bytes one step of `_level_recursion` holds at once, at its largest level,
+    on letters of `itemsize` bytes an entry.
 
     `widths` are w_0..w_K. A_{k-1}, U_k and A_k; the split (a few index arrays, or
     Z_k† and, with `roots`, the complete-QR factor and its R); with `roots`, the
     complement rows and the root products next to their stack, or the stack next
-    to its QR copy.
+    to its QR copy. numpy's complete QR holds about 2.4 rows² while it runs.
+    Products are in the wider of the letters' and the system's dtype; numpy
+    multiplies a real Z_k† (a view of the core) or C_k† into complex letters
+    through a complex copy of it, so Z_k† counts at that width either way, and
+    C_k†'s copy is held next to Q and R.
     """
     d, dims, w0 = system.d, system.dims(), widths[0]
-    words = 0
+    held = system.dtype.itemsize
+    work = max(itemsize, held)
+    most = 0
     for k in range(1, len(widths)):
         a, b, wp, w = dims[k - 1], dims[k], widths[k - 1], widths[k]
         rows = d * a
         if system.route == "coordinate":
-            split = 3 * b + rows
-        else:  # Z_k†, and for the roots the complete-QR factor and its R
-            split = rows * b + roots * rows * (rows + 2 * b)
-        step = (a * wp + (rows + b) * w) * w0 + split
+            split = work * (3 * b + rows)
+        else:  # Z_k†, and for the roots the complete QR, then Q, R and C_k†'s copy
+            qr = held * rows * (5 * rows + 4 * b) // 2
+            if work > held:
+                qr = max(qr, held * rows * (rows + 2 * b) + work * (rows - b) * rows)
+            split = work * rows * b + roots * qr
+        step = work * (a * wp + (rows + b) * w) * w0 + split
         if roots:
-            step += 2 * ((rows - b) * w0 + d * wp) * w
-        words = max(words, step)
-    return words
+            step += work * 2 * ((rows - b) * w0 + d * wp) * w
+        most = max(most, step)
+    return most
 
 
 def _scalar_fiber() -> CoordinateSubspace:
@@ -292,27 +317,29 @@ def from_ideal(gens: IdealGens, depth: int) -> SubproductSystem:
     size d^n is formed.
     """
     d = gens.d
+    dtype = np.dtype(float if all(g.is_real() for g in gens.gens) else complex)
     batches: dict[int, list] = {}
     for g in gens.gens:
         batches.setdefault(g.degree(), []).append(g.eval_on_basis())
-    coeffs = {k: np.conj(b) for k, b in batches.items()}
+    coeffs = {k: np.conj(np.array(b, dtype=dtype)) for k, b in batches.items()}
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        null = _null_core(coeffs, fibers, d, "ideal fiber")
+        null = _null_core(coeffs, fibers, d, "ideal fiber", dtype)
         fibers.append(CoreSubspace(d, fibers[-1], null))
     return SubproductSystem(d, depth, tuple(fibers), {"kind": "ideal", "gens": gens})
 
 
 def _held_words(coeffs: dict, dims: list[int], d: int) -> int:
-    """Complex words a level step keeps from the levels before: the cores and the generator rows."""
+    """Words a level step keeps from the levels before: the cores and the generator rows."""
     return (sum(d * a * b for a, b in zip(dims, dims[1:]))
             + sum(c.size for c in coeffs.values()))
 
 
-def _null_core(coeffs: dict, fibers: list, d: int, what: str) -> Subspace:
+def _null_core(coeffs: dict, fibers: list, d: int, what: str, dtype: np.dtype) -> Subspace:
     """The core z of level n = len(fibers) of an ideal system (see `from_ideal`).
 
-    `coeffs` maps each degree k to the rows conj(g(e)) of its generators.
+    `coeffs` maps each degree k to the rows conj(g(e)) of its generators, and
+    `dtype` is the system's: the core is float64 or complex128 with it.
     """
     n, dims = len(fibers), [f.dim for f in fibers]
     # nothing is left to constrain at r = 0
@@ -326,10 +353,10 @@ def _null_core(coeffs: dict, fibers: list, d: int, what: str) -> Subspace:
     # check's conjugate copy and Gram).
     inter = max((len(c) * d**(k - t) * dims[n - k] * dims[n - k + t]
                  for k, c in batches.items() for t in range(1, k)), default=0)
-    check_budget(16 * (_held_words(coeffs, dims, d) + rows * cols
-                       + max(2 * inter, rows * cols + 3 * cols * cols)),
+    check_budget(dtype.itemsize * (_held_words(coeffs, dims, d) + rows * cols
+                                   + max(2 * inter, rows * cols + 3 * cols * cols)),
                  f"{what} at level {n}")
-    stack = np.vstack([np.zeros((0, cols), dtype=complex)] + [
+    stack = np.vstack([np.zeros((0, cols), dtype=dtype)] + [
         _generator_rows(c, [f.letter_cores() for f in fibers[n - k + 1:n]], d, dims[-1])
         for k, c in sorted(batches.items())
     ])
@@ -448,7 +475,8 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int) -> Subpr
     level j, N_j is the largest level the generators of lower degree allow:
     the chain is refused unless F_j lies in N_j, N_j ⊖ F_j joins the
     generators as degree j, and F_j's coordinates are the level's core
-    (`_prescribed_core`). Levels above k are plain ideal levels.
+    (`_prescribed_core`). Levels above k are plain ideal levels. The system is
+    float64 when every prescribed frame is, else complex128.
     """
     k = len(prescribed)
     if k < 1:
@@ -459,12 +487,13 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int) -> Subpr
     for n, s in enumerate(given):
         if s.ambient_dim != d**n:
             raise ValueError(f"prescribed fiber {n} has wrong ambient dimension")
+    dtype = np.result_type(*(s.dtype for s in given))
     coeffs: dict[int, np.ndarray] = {}
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
-        core = _null_core(coeffs, fibers, d, "maximal fiber")
+        core = _null_core(coeffs, fibers, d, "maximal fiber", dtype)
         if n <= k:
-            held = _held_words(coeffs, [f.dim for f in fibers], d)
+            held = dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
             core, coeffs[n] = _prescribed_core(core, given[n], given[n - 1], n, held)
         fibers.append(CoreSubspace(d, fibers[-1], core))
     return SubproductSystem(
@@ -477,7 +506,8 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     """The core of the prescribed level n inside N_n, and N_n ⊖ F_n as generator rows.
 
     `null` is N_n in the coordinates of E ⊗ X(n-1), with frame Z; `below`
-    is the prescribed X(n-1), whose frame G the lower cores reproduce. With
+    is the prescribed X(n-1), whose frame G the lower cores reproduce; `held`
+    bytes are held next to the step. With
     c = (I_d ⊗ G)† F_n and y = Z† c, the residual of F_n in N_n is
     ||F_n - (I_d ⊗ G) Z y||. From the SVD y = U S V†, Z U_1 V† (U_1 the first
     r_n columns) is the orthonormal core closest to c, and Z U_2 spans
@@ -485,13 +515,14 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     """
     size, r, rp, m = fiber.ambient_dim, fiber.dim, below.dim, null.dim
     d, cols = size // below.ambient_dim, null.ambient_dim
-    # Held at once, next to `held` words: Z and G†; c, y and their products
+    # Held at once, next to `held` bytes: Z and G†; c, y and their products
     # (at most cols x m each); the SVD's factors and copies (3 m x m); and at
     # most three size x m arrays (the projection, the difference and the
     # norm's copy of it, or the new generator rows); with the prescribed
     # frames not built yet.
-    words = held + below.ambient_dim * rp + 4 * cols * m + 3 * m * m + 3 * size * m
-    check_budget(16 * words + linalg.unbuilt_frame_bytes([fiber, below]),
+    words = below.ambient_dim * rp + 4 * cols * m + 3 * m * m + 3 * size * m
+    itemsize = np.result_type(null.dtype, fiber.dtype, below.dtype).itemsize
+    check_budget(held + itemsize * words + linalg.unbuilt_frame_bytes([fiber, below]),
                  f"prescribed fiber at level {n}")
     f, gh, z = fiber.frame, below.frame.conj().T, null.frame
     c = (gh @ f.reshape(d, below.ambient_dim, r)).reshape(cols, r)
@@ -558,11 +589,11 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
         # the splits of levels 1..depth-1, held for every right leg n (Z_k† and
         # the complete QR behind C_k†); a recursion step, counted with a split,
         # next to the root before, the new root and the norm's copy of it
-        dims, d = system.dims(), system.d
+        dims, d, itemsize = system.dims(), system.d, system.dtype.itemsize
         held = sum(d * a * (d * a + b) for a, b in zip(dims[:-2], dims[1:-1]))
-        step = max((_recursion_words(system, dims[n:], roots=True)
+        step = max((_recursion_bytes(system, dims[n:], True, itemsize)
                     for n in range(1, system.depth)), default=0)
-        check_budget(16 * (held + step + 3 * max(dims) ** 2) + small,
+        check_budget(itemsize * (held + 3 * max(dims) ** 2) + step + small,
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
     else:

@@ -69,15 +69,15 @@ def random_commuting_pair(rng, h, row_norm):
     return RepTuple(tuple(scale * m for m in mats))
 
 
-def moved_commuting_pair() -> RepTuple:
+def moved_commuting_pair(move: float = 1e-11) -> RepTuple:
     """A commuting pair of symmetric 4 x 4 matrices (seed 3), the first moved by
-    1e-11: its commutator, the generator residual on the commutator ideal, is
-    about 4e-12."""
+    `move`: its commutator, the generator residual on the commutator ideal, is
+    about 4e-12 at the default 1e-11 (and 4.1e-9 at 1e-8)."""
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4))
     a = a + a.T
     t1, t2 = a / (2 * np.linalg.norm(a, 2)), a @ a / (2 * np.linalg.norm(a @ a, 2))
-    return RepTuple((t1 + 1e-11 * rng.normal(size=(4, 4)), t2))
+    return RepTuple((t1 + move * rng.normal(size=(4, 4)), t2))
 
 
 def random_row_contraction(rng, d, h, row_norm):

@@ -22,7 +22,7 @@ from spsys.linalg import RANK_ABS_FLOOR, Subspace, check_budget
 from spsys.subproduct import INCLUSION_TOL, _scalar_fiber, maximal_with_fibers
 from spsys.cpmaps import NONZERO_TOL, KrausChannel, StochasticMatrix
 from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
-from spsys.reps import PIECE_TOL
+from spsys.reps import REP_TOL
 from spsys.ncpoly import IdealGens, NCPoly
 
 
@@ -196,7 +196,7 @@ def dense_subshift_relations(shifts: ShiftSet, tol: float = DEFECT_TOL) -> dict:
     for i in range(1, d + 1):
         si = shifts.matrices[i - 1]
         followers = spec.followers(i, k)
-        acc = np.zeros_like(si)
+        acc = np.zeros_like(si, dtype=complex)
         for a in followers:
             sa = of_word(shifts, a)
             acc += sa @ sa.conj().T
@@ -325,7 +325,7 @@ def full_word_maps(rep, depth: int) -> list[np.ndarray]:
     return maps
 
 
-def word_map_piece(system, rep, tol: float = PIECE_TOL) -> dict:
+def word_map_piece(system, rep, tol: float = REP_TOL) -> dict:
     """The maximal piece from the stacked (I - P_n ⊗ P_V) W_n†, over all d^n words.
 
     Shrinks from the full space until the null space of the stack, its right

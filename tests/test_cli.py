@@ -327,7 +327,7 @@ def test_piece_reports_its_rank_cutoff(capsys, tmp_path, commuting_spec, rep_fil
     assert code == 0
     report = json.loads(out)
     assert report["iterations"] == 1 and "cutoff" not in report
-    assert report["checks"][0]["threshold"] == reps.PIECE_TOL
+    assert report["checks"][0]["threshold"] == reps.REP_TOL
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 2)))
     rep = tmp_path / "full2.json"
     formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
@@ -357,6 +357,21 @@ def test_check_rep_and_piece_agree_at_one_tol(capsys, tmp_path):
         assert got == 0 and json.loads(out)["dim"] == dim
 
 
+def test_check_rep_and_piece_agree_at_the_default_tol(capsys, tmp_path):
+    # the pair moved by 1e-8 has a generator residual of 4.1e-9, between the
+    # former defaults of check-rep (1e-8) and piece (1e-9), where check-rep said
+    # ok and the piece was 0; at the one default both refuse it
+    spec, rep = tmp_path / "commutator4.json", tmp_path / "moved.json"
+    formats.dump_json({"kind": "ideal", "d": 2, "depth": 4, "generators": [
+        [{"coeff": [1, 0], "word": [1, 2]}, {"coeff": [-1, 0], "word": [2, 1]}]]}, spec)
+    formats.dump_json(formats.encode_rep(moved_commuting_pair(1e-8)), rep)
+    code, out, _ = run_cli(capsys, "check-rep", "--spec", str(spec), "--rep", str(rep))
+    (c,) = json.loads(out)["checks"]
+    assert code == 1 and 1e-9 < c["residual"] < 1e-8 and c["threshold"] == reps.REP_TOL
+    code, out, _ = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep))
+    assert code == 0 and json.loads(out)["dim"] == 0
+
+
 def _threshold_inputs(tmp_path, golden_spec, commuting_spec, rep_file):
     """Names of the input files the default-threshold cases read."""
     files = {"golden": golden_spec, "commuting": commuting_spec, "rep": rep_file,
@@ -379,10 +394,9 @@ THRESHOLD_CASES = [
     (fock, "DEFECT_TOL", "verify --spec {golden} --checks subshift", "subshift"),
     (subproduct, "UNIT_TOL", "verify --spec {golden} --checks unit", "unit"),
     (reps, "ROW_NORM_SLACK", "shift --spec {golden} --out {out}", "row-contraction"),
-    (fock, "BLOCK_TOL", "shift --spec {golden} --out {out}", "block-structure"),
     (reps, "REP_TOL", "check-rep --spec {commuting} --rep {rep}", "representation"),
     (reps, "TAIL_TOL", "poisson --spec {commuting} --rep {rep}", "kernel-isometry"),
-    (reps, "PIECE_TOL", "piece --spec {commuting} --rep {rep}", "piece-fixed-point"),
+    (reps, "REP_TOL", "piece --spec {commuting} --rep {rep}", "piece-fixed-point"),
     (classify, "ENTRY_TOL", "classify qmat {q1} {q2}", "classify-qmat"),
     (classify, "WITNESS_TOL", "classify quad {a} {b}", "classify-quad"),
     (cpmaps, "NONZERO_TOL", "cp strong-commute {p} {s}", "commute"),
@@ -411,26 +425,29 @@ def test_thresholds_follow_the_named_defaults(capsys, monkeypatch, tmp_path, gol
 
 
 def test_shift_row_contraction_reads_tol(capsys, tmp_path, golden_spec):
-    # --tol sets the row-contraction threshold; the block check keeps its own
+    # --tol sets the row-contraction threshold; the exact round trip keeps 0
     code, out, _ = run_cli(capsys, "shift", "--spec", golden_spec, "--depth", "3",
                            "--out", str(tmp_path / "shifts"), "--tol", "1e30")
     assert code == 0
     thresholds = {c["check_id"]: c["threshold"] for c in json.loads(out)["checks"]}
-    assert thresholds == {"row-contraction": 1e30, "block-structure": fock.BLOCK_TOL}
+    assert thresholds == {"row-contraction": 1e30, "round-trip": 0.0}
 
 
 def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     # golden depth 6 against the full shift on words of length <= 6 (h = 127):
     # the piece's one estimate (the generator value, the basis, a block's
     # projection and SVD factors, the final QR) is about 1.7 MiB, so 1 MiB
-    # refuses it before any generator value is evaluated
-    from spsys import fock, reps, subproduct
+    # refuses it before any generator value is evaluated; the 0/1 entries are
+    # written as bare integers, so that reading the file fits in 1 MiB
+    from spsys import fock, subproduct
     from spsys.ncpoly import NCPoly
     spec = tmp_path / "golden6.json"
     formats.dump_json({"kind": "subshift", "d": 2, "depth": 6, "forbidden": [[2, 2]]}, spec)
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 6)))
     rep = tmp_path / "full6.json"
-    formats.dump_json(formats.encode_rep(reps.RepTuple(tuple(sh.matrices))), rep)
+    formats.dump_json({"d": 2, "h": 127, "matrices": [
+        {"rows": 127, "cols": 127, "data": s.astype(int).ravel().tolist()}
+        for s in sh.matrices]}, rep)
 
     def never(*args, **kwargs):
         raise AssertionError("a generator evaluated before the budget check")
@@ -674,6 +691,67 @@ def test_cp_as_dims(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["dims"] == [1, 2, 4, 4, 4]
+    # r_1·r_1 = r_2: no slack, and no excess at threshold 0
+    assert report["slack"] == 0
+    (c,) = report["checks"]
+    assert (c["residual"], c["threshold"], c["verdict"]) == (0.0, 0.0, "pass")
+
+
+def test_cp_as_dims_reports_the_excess_over_submultiplicativity(capsys, tmp_path, monkeypatch):
+    chan = tmp_path / "chan.json"
+    formats.dump_json({"h": 1, "kraus": [formats.encode_matrix(np.eye(1))]}, chan)
+    for dims, residual, slack, code in (([1, 2, 5, 7], 1.0, -1, 1), ([1, 3, 5, 9], 0.0, 4, 0),
+                                        ([1, 3], 0.0, None, 0)):
+        monkeypatch.setattr(cpmaps, "as_fiber_dims", lambda channel, n, dims=dims: dims)
+        got, out, _ = run_cli(capsys, "cp", "as-dims", str(chan), "--n", str(len(dims) - 1))
+        report = json.loads(out)
+        (c,) = report["checks"]
+        assert (got, c["residual"], report["slack"]) == (code, residual, slack)
+        assert c["verdict"] == ("pass" if code == 0 else "fail")
+
+
+def test_input_over_the_budget_exits_3_before_it_is_read(capsys, tmp_path, monkeypatch):
+    # a tuple of 2 x 64 x 64 random complex entries is about 330 kB of JSON; at
+    # 5.5 bytes per byte its estimate (1.7 MiB) exceeds 1 MiB
+    rep = cli.Path(_seeded_pair_file(tmp_path, 64))
+    spec = tmp_path / "golden.json"
+    formats.dump_json({"kind": "subshift", "d": 2, "depth": 3, "forbidden": [[2, 2]]}, spec)
+    code, _, _ = run_cli(capsys, "check-rep", "--spec", str(spec), "--rep", str(rep),
+                         "--budget-mb", "2")
+    assert code == 1  # read and checked: a random pair does not represent golden
+
+    def never(*args, **kwargs):
+        raise AssertionError("the input was read before the budget check")
+
+    real_read = cli.Path.read_text
+    monkeypatch.setattr(cli.Path, "read_text",
+                        lambda p, *a, **k: never() if p.name == rep.name else real_read(p, *a, **k))
+    code, out, err = run_cli(capsys, "check-rep", "--spec", str(spec), "--rep", str(rep),
+                             "--budget-mb", "1")
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert f"reading {rep} needs about 2 MiB, budget is 1 MiB" in err
+
+
+def test_shift_round_trip_fails_on_a_file_that_does_not_hold_its_shift(capsys, tmp_path,
+                                                                       golden_spec, monkeypatch):
+    # the check decodes every written shift file and compares it with the level
+    # maps at threshold 0; one entry moved by the smallest float fails it
+    dump = formats.dump_json
+
+    def moved(obj, path=None):
+        if path is not None and str(path).endswith("shift_2.json"):
+            obj = {**obj, "data": [[5e-324, 0.0]] + obj["data"][1:]}
+        return dump(obj, path)
+
+    out_dir = tmp_path / "shifts"
+    for patch, code, verdict in ((False, 0, "pass"), (True, 1, "fail")):
+        if patch:
+            monkeypatch.setattr(formats, "dump_json", moved)
+        got, out, _ = run_cli(capsys, "shift", "--spec", golden_spec, "--depth", "4",
+                              "--out", str(out_dir))
+        c = {c["check_id"]: c for c in json.loads(out)["checks"]}["round-trip"]
+        assert (got, c["verdict"], c["threshold"]) == (code, verdict, 0.0)
+        assert c["residual"] == (5e-324 if patch else 0.0)
 
 
 def test_malformed_spec_gives_context(capsys, tmp_path):
@@ -761,19 +839,19 @@ def test_dims_commutator_three_letters_depth_twelve_in_64_mib(capsys, tmp_path):
 
 
 def test_verify_ideal_axioms_and_units_on_cores_within_the_budget(capsys, tmp_path):
-    # d=3 commutator depth 12: the frames (the level-9 frame and the lower ones
-    # it builds need 17 MiB) do not fit in 16 MiB; the core check needs 13 MB
+    # d=3 commutator depth 12: the frames (the real level-9 frame and the lower
+    # ones it builds need 11 MiB) do not fit in 8 MiB; the core check needs 5.4 MiB
     from spsys import ncpoly
     spec = tmp_path / "commutator3.json"
     formats.dump_json({"kind": "ideal", "d": 3, "depth": 12, "generators": [
         formats.encode_poly(g) for g in ncpoly.commutator_gens(3).gens]}, spec)
-    code, out, _ = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "16",
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "8",
                            "--checks", "axioms,unit")
     assert code == 0
     checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
     assert checks["axioms"]["residual"] <= 1e-12 and checks["unit"]["verdict"] == "pass"
-    # the build fits in 8 MiB, the axiom check's one estimate does not
-    code, out, err = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "8",
+    # the build fits in 4 MiB, the axiom check's one estimate does not
+    code, out, err = run_cli(capsys, "verify", "--spec", str(spec), "--budget-mb", "4",
                              "--checks", "axioms")
     assert code == 3 and "axiom residuals" in err and out == ""
 

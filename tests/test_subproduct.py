@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spsys import fock, linalg, ncpoly, subproduct
+from spsys import fock, formats, linalg, ncpoly, reps, subproduct
 from spsys.ncpoly import IdealGens, NCPoly
 from spsys.linalg import MemoryBudgetError
 from spsys.subproduct import SubshiftSpec
@@ -12,7 +12,8 @@ from spsys.subproduct import SubshiftSpec
 from conftest import random_homogeneous_poly
 from oracles import (
     dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
-    frame_letter_blocks, homogeneous_component, subspace_distance, zero_space,
+    frame_letter_blocks, homogeneous_component, inclusion_residual, subspace_distance,
+    zero_space,
 )
 
 
@@ -422,7 +423,7 @@ def test_coordinate_frames_equal_dense_frames():
         forbidden = spec.forbidden if spec else ()
         for n in range(system.depth + 1):
             words = brute_legal_words(system.d, forbidden, n)
-            dense = np.zeros((system.d**n, len(words)), dtype=complex)
+            dense = np.zeros((system.d**n, len(words)))  # real 0/1 frames
             for j, w in enumerate(words):
                 dense[ncpoly.word_index(w, system.d), j] = 1.0
             assert system.fiber(n).frame.dtype == dense.dtype
@@ -546,7 +547,9 @@ def test_core_axioms_and_units_match_the_dense_oracles(case):
     assert list(rep["residuals"]) == list(ref)
     assert max(abs(rep["residuals"][s] - ref[s]) for s in ref) <= 1e-12
     for v, got in zip(vectors, units):
-        assert np.allclose(got, dense_unit_residuals(system, v), rtol=0, atol=1e-12)
+        # rounding noise on v^{⊗n}, whose norm is ||v||^n, is compared at that scale
+        scale = np.maximum(1.0, np.linalg.norm(v) ** np.arange(1, system.depth + 1))
+        assert np.all(np.abs(np.subtract(got, dense_unit_residuals(system, v))) <= 1e-12 * scale)
     # the perturbed level-3 core breaks X(3) ⊆ X(1) ⊗ X(2) and every level above
     assert rep["ok"] == (case != "perturbed-core-6")
     if case == "perturbed-core-6":
@@ -699,3 +702,83 @@ def test_provenance_kinds(symmetric2_6, golden_6, full2_6):
     assert full2_6.provenance["gens"].gens == []
     assert subproduct.from_quadratic(np.zeros((2, 2)), 3).provenance["gens"].gens == []
     assert "gens" not in subproduct.maximal_with_fibers(2, [linalg.full_space(2)], 2).provenance
+
+
+# ---------------------------------------------------------------------------
+# the dtype follows the defining data
+
+def _phase(gens: IdealGens, theta: float) -> IdealGens:
+    return IdealGens(gens.d, [complex(np.exp(1j * theta)) * g for g in gens.gens])
+
+
+REAL_SPECS = {
+    "golden": {"kind": "subshift", "d": 2, "forbidden": [[2, 2]]},
+    "full": {"kind": "full", "d": 2},
+    "commutator": {"kind": "ideal", "d": 3, "generators": [
+        [{"coeff": [1, 0], "word": [i, j]}, {"coeff": [-1, 0], "word": [j, i]}]
+        for i, j in ((1, 2), (1, 3), (2, 3))]},
+    "qmatrix-real": {"kind": "qmatrix", "q": formats.encode_matrix(
+        np.array([[1, 2, 0.5], [0.5, 1, -3], [2, -1 / 3, 1]]))},
+    "quadratic-commutator": {"kind": "quadratic", "A": formats.encode_matrix(QUAD_COMMUTATOR)},
+    "golden123-fibers": {"kind": "fibers", "d": 2, "fibers": [
+        formats.encode_subspace(f) for f in
+        subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 3).fibers[1:]]},
+}
+COMPLEX_SPECS = {
+    "qmatrix": {"kind": "qmatrix", "q": formats.encode_matrix(Q3)},
+    "quadratic-random": {"kind": "quadratic", "A": formats.encode_matrix(QUAD_RANDOM)},
+    "commutator-phase": {"kind": "ideal", "d": 3, "generators": [
+        formats.encode_poly(g) for g in _phase(ncpoly.commutator_gens(3), 0.7).gens]},
+    "level2-fibers": {"kind": "fibers", "d": 3, "fibers": [
+        formats.encode_subspace(f) for f in _random_level2_chain()]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SPECS) + sorted(COMPLEX_SPECS))
+def test_real_specs_hold_real_arrays_and_complex_specs_complex(name):
+    # decided on the values read from JSON, which decodes to complex arrays
+    real = name in REAL_SPECS
+    want = np.dtype(float if real else complex)
+    system = formats.build_system(REAL_SPECS.get(name) or COMPLEX_SPECS[name], 4)
+    assert system.dtype == want
+    if system.route == "core":
+        assert all(f.core.frame.dtype == want for f in system.fibers[1:])
+    sh = fock.build_shifts(fock.build_fock(system))
+    assert all(m.dtype.kind == "i" or m.dtype == want for m in sh.maps[1:])
+    assert all(sh.blocks(n).dtype == want for n in range(1, 5))
+    assert sh.matrices[0].dtype == want
+    assert all(fock.defect_projection(sh, k).dtype == want for k in (1, 2))
+    p = NCPoly.monomial(system.d, (1,)) + NCPoly.monomial(system.d, (2, 1))
+    assert p.eval_on_tuple(sh.matrices).dtype == want
+    # a complex tuple meeting the real maps is promoted to complex
+    rep = reps.RepTuple(tuple(0.3 * np.eye(2, dtype=complex) for _ in range(system.d)))
+    assert all(t.dtype == np.complex128 for t in reps.rep_tildes(system, rep))
+
+
+def test_phase_rotated_generators_give_the_same_system():
+    # g and e^{iθ} g generate the same ideal; the rotated one runs in complex
+    gens = ncpoly.commutator_gens(3)
+    real = subproduct.from_ideal(gens, 7)
+    rotated = subproduct.from_ideal(_phase(gens, 0.7), 7)
+    assert (real.dtype, rotated.dtype) == (np.float64, np.complex128)
+    assert real.dims() == rotated.dims()
+    # at equal dimensions, ||(I - P_a) F_b|| is the distance of the projections
+    assert max(inclusion_residual(real.fiber(n), rotated.fiber(n)) for n in range(8)) <= 1e-12
+    x = [NCPoly.monomial(3, (i,)) for i in (1, 2, 3)]
+    p, q = x[0] + x[1] * x[2], x[1] - x[0] * x[2]
+    rep = random_commuting_triple(np.random.default_rng(6))
+    a, b = (reps.vn_inequality_check(s, rep, p, q) for s in (real, rotated))
+    assert a["verdict"] == b["verdict"] == "pass"
+    assert max(abs(a[k] - b[k]) for k in ("lhs", "rhs", "rhs_prev")) <= 1e-12
+    for check in (subproduct.verify_axioms, lambda s: reps.is_representation(s, rep)):
+        c, r = check(real), check(rotated)
+        assert c["ok"] == r["ok"] is True and abs(c["max_residual"] - r["max_residual"]) <= 1e-12
+
+
+def random_commuting_triple(rng, h=3):
+    """Three commuting h x h matrices, polynomials in one, at joint row norm 0.8."""
+    a = rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))
+    mats = [c[0] * np.eye(h) + c[1] * a + c[2] * a @ a
+            for c in rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))]
+    scale = 0.8 / np.linalg.norm(np.hstack(mats), 2)
+    return reps.RepTuple(tuple(scale * m for m in mats))

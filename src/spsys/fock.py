@@ -346,11 +346,12 @@ def shift_files_residual(shifts: ShiftSet, paths) -> float:
     """The largest entry by which the files `export_shifts` wrote for S_1..S_d
     (`paths`, in letter order) differ from the level maps.
 
-    Each file is decoded, its block from level n-1 to level n less the letter
-    block B_{n,i}, and every entry outside the blocks is compared with 0. The
-    encoding is exact, so anything but 0 is a file that does not hold its
-    shift. One estimate is checked first: the dense view `export_shifts` keeps,
-    next to decoding one file, which takes no more than encoding it.
+    Each file is decoded and the letter block B_{n,i} is subtracted from its
+    block from level n-1 to level n; the residual is the largest entry left,
+    inside the blocks or outside them. The encoding is exact, so anything but 0
+    is a file that does not hold its shift. One estimate is checked first: the
+    dense view `export_shifts` keeps, next to decoding one file, which takes no
+    more than encoding it.
     """
     from spsys import formats
 

@@ -59,7 +59,7 @@ def unbuilt_frame_bytes(subspaces) -> int:
     lazy = {}
     for s in subspaces:
         while s is not None and "frame" not in vars(s):
-            lazy[id(s)] = s.dtype.itemsize * s.ambient_dim * s.dim + 256
+            lazy[id(s)] = s.dtype.itemsize * s.ambient_dim * s.dim + 160
             s = getattr(s, "prev", None)
     return sum(lazy.values())
 

@@ -124,15 +124,15 @@ def test_core_subspace_frame_is_core_over_previous_frame_on_demand(monkeypatch):
     rng = np.random.default_rng(9)
     prev = random_subspace(rng, 5, 3)
     core = random_subspace(rng, 2 * 3, 4)
-    # the complex frame and a 256-byte header allowance
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 10 * 4 + 256)
+    # the complex frame and a 160-byte header allowance
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 10 * 4 + 160)
     s = linalg.CoreSubspace(2, prev, core)
     assert (s.ambient_dim, s.dim) == (10, 4) and "frame" not in vars(s)
     expected = np.kron(np.eye(2), prev.frame) @ core.frame
     assert np.max(np.abs(s.frame - expected)) <= 1e-14
     assert s.frame is s.frame
     assert np.array_equal(prev.frame @ s.letter_cores()[1], s.frame[5:])
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 10 * 4 + 256 - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 16 * 10 * 4 + 160 - 1)
     with pytest.raises(linalg.MemoryBudgetError, match="fiber frame"):
         linalg.CoreSubspace(2, prev, core).frame
     with pytest.raises(ValueError, match="does not fit"):

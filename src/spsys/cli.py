@@ -61,17 +61,67 @@ def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# A JSON input is held as its text and then as Python lists and floats while it
-# is decoded. Reading a 23 MB tuple of random complex entries grew the process
-# by 4.76 bytes per byte of the file; this many are checked before reading.
-JSON_READ_BYTES_PER_BYTE = 5.5
+# A JSON input is counted in chunks, then held as its bytes and its text
+# while it is read, then as the text and the objects json.loads makes, then as
+# those objects and the arrays decoded from them. The objects are bounded by
+# the file's tokens (CPython's json, 64-bit): a list, with room for four items
+# and the rounding of a longer one; a dict with room for five keys; each key
+# with its string and its entry; each value a slot in its container with room
+# to grow, and each scalar at most a 32-byte number (an integer of at most 18
+# digits), or a string with 17 bytes more, counted per quote, and its
+# characters. A decoded number takes 24 bytes with numpy's temporary. The
+# allowance covers the file buffers and headers.
+JSON_CHUNK_BYTES = 1 << 14
+JSON_LIST_BYTES = 104
+JSON_DICT_BYTES = 192
+JSON_KEY_BYTES = 48
+JSON_SLOT_BYTES = 9
+JSON_SCALAR_BYTES = 32
+JSON_QUOTE_BYTES = 9
+JSON_DECODED_BYTES = 24
+JSON_ALLOWANCE_BYTES = 16 << 10
+
+
+def _json_read_bytes(p: Path) -> int:
+    """Bytes that reading the JSON file `p`, parsing and decoding it hold at
+    once, from its tokens, counted one chunk at a time.
+
+    Values are the commas and the containers (a nonempty container has one
+    more element than it has commas), scalars at most the commas and one. A
+    chunk that holds a quote, or starts inside a string, counts as string
+    characters; so does the whole file if it holds an escape, which hides
+    where strings end. A non-ASCII byte makes every character four bytes.
+    """
+    size = lists = dicts = commas = colons = quotes = inside = 0
+    in_string = escaped = wide = False
+    with p.open("rb") as f:
+        while chunk := f.read(JSON_CHUNK_BYTES):
+            size += len(chunk)
+            lists += chunk.count(b"[")
+            dicts += chunk.count(b"{")
+            commas += chunk.count(b",")
+            colons += chunk.count(b":")
+            quoted = chunk.count(b'"')
+            quotes += quoted
+            if quoted or in_string:
+                inside += len(chunk)
+            in_string ^= quoted % 2 == 1
+            escaped = escaped or b"\\" in chunk
+            wide = wide or not chunk.isascii()
+    char = 4 if wide else 1
+    text = char * size
+    scalars = commas + 1
+    objects = (JSON_LIST_BYTES * lists + JSON_DICT_BYTES * dicts + JSON_KEY_BYTES * colons
+               + JSON_SLOT_BYTES * (commas + lists + dicts) + JSON_SCALAR_BYTES * scalars
+               + JSON_QUOTE_BYTES * quotes + char * (size if escaped else inside))
+    return (max(JSON_CHUNK_BYTES, size + text, objects + max(text, JSON_DECODED_BYTES * scalars))
+            + JSON_ALLOWANCE_BYTES)
 
 
 def _load_json(path: str) -> tuple[dict, Path]:
     p = Path(path)
     try:
-        size = p.stat().st_size
-        check_budget(int(JSON_READ_BYTES_PER_BYTE * size), f"reading {path}")
+        check_budget(_json_read_bytes(p), f"reading {path}")
         text = p.read_text()
     except OSError as e:
         raise CLIError(f"{path}: {e.strerror or e}") from e

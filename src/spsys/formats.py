@@ -114,10 +114,11 @@ def decode_matrix(obj: dict) -> np.ndarray:
         values = np.asarray(data)
     except ValueError:  # bare reals mixed with [re, im] pairs
         values = None
-    # float data goes through whole after one pass over its entry types (numpy
-    # reads a JSON true among floats as 1.0); other data is read entry by entry
-    if values is None or values.dtype.kind != "f" or values.shape[1:] not in ((), (2,)):
-        values = np.array([decode_complex(p) for p in data], dtype=complex)
+    # numbers go through whole after one pass over their entry types (numpy
+    # reads a JSON true among numbers as a number); other data is read entry by
+    # entry, one complex at a time: no list of them is held
+    if values is None or values.dtype.kind not in "fiu" or values.shape[1:] not in ((), (2,)):
+        values = np.fromiter(map(decode_complex, data), dtype=complex, count=len(data))
     elif bool in set(map(type, chain.from_iterable(data) if values.ndim == 2 else data)):
         raise ValueError("matrix data must hold numbers, not a boolean")
     elif values.ndim == 2:

@@ -10,6 +10,12 @@ report it. Two forms build their frame only on first use: a coordinate
 subspace (the fibers of subshift and full systems) keeps the indices of its
 unit vectors, and a core subspace (the fibers of ideal systems) keeps the
 previous fiber and an orthonormal core that carries it one letter further.
+
+Largest singular values come from Gram eigenvalues (`gram_norm`): a Gram
+X†X or a sum of such, never a difference, has its largest eigenvalue to
+absolute O(ε·σ_max²), which gives σ_max to relative O(ε). Rank decisions
+read small singular values, which a Gram would square, so `span`,
+`complement` and `nullspace` keep the SVD (or a QR before it).
 """
 
 from __future__ import annotations
@@ -260,12 +266,58 @@ def nullspace(m: np.ndarray) -> Subspace:
     return Subspace(cols, null, cutoff)
 
 
+# opnorm keeps a Gram whose largest diagonal entry, which bounds every product
+# of two entries of m and is at most λ_max, lies within 2^±OPNORM_SAFE_EXP:
+# nothing in it overflowed, and what underflowed is below ε·λ_max by hundreds
+# of binary orders. Otherwise m is scaled by a power of two and the Gram formed
+# again.
+OPNORM_SAFE_EXP = 512
+
+
+def gram_norm(gram: np.ndarray) -> float:
+    """√λ_max of a Hermitian PSD Gram, from `eigvalsh` on its lower triangle;
+    0 for an empty Gram or a largest eigenvalue that roundoff left below 0."""
+    if gram.size == 0:
+        return 0.0
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def opnorm_bytes(rows: int, cols: int, itemsize: int) -> int:
+    """Bytes `opnorm` holds on a rows × cols matrix of `itemsize`-byte entries:
+    the scaled copy, and for a complex matrix the conjugate copy, the smaller Gram
+    and its eigenvalues, with headers."""
+    small = min(rows, cols)
+    copies = 1 + (itemsize > 8)
+    return itemsize * (copies * rows * cols + small * small) + 8 * small + 512
+
+
 def opnorm(m: np.ndarray) -> float:
-    """Largest singular value."""
-    m = np.atleast_2d(np.asarray(m))
+    """Largest singular value: the root of the largest eigenvalue of the smaller
+    Gram, m†m or m m† (`gram_norm`). When that Gram's diagonal leaves
+    2^±OPNORM_SAFE_EXP, m is first scaled by a power of two, exactly. NaN or inf
+    entries give nan, an empty matrix 0."""
+    m = _real_or_complex(np.atleast_2d(m))
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    if m.shape[0] < m.shape[1]:
+        m = m.T  # the same norm, and m m† is the smaller Gram
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the range test
+        gram = m.conj().T @ m
+    if 2.0 ** -OPNORM_SAFE_EXP <= gram.diagonal().real.max() <= 2.0 ** OPNORM_SAFE_EXP:
+        return gram_norm(gram)
+    del gram  # zero, not finite, or squares that may under- or overflow
+    # the largest |real or imaginary part|, within √2 of the largest entry,
+    # from views: no temporary of m's size
+    parts = (m.real, m.imag) if m.dtype.kind == "c" else (m,)
+    big = float(np.max([p.max() for p in parts] + [-p.min() for p in parts]))
+    if not math.isfinite(big):
+        return math.nan
+    if big == 0.0:
+        return 0.0
+    exp = math.frexp(big)[1]  # by 2^-exp in two exact steps: 2^-exp may not be a float
+    m = m * math.ldexp(1.0, -exp // 2)
+    m *= math.ldexp(1.0, -exp - (-exp // 2))
+    return math.ldexp(gram_norm(m.conj().T @ m), exp)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -111,7 +111,7 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     # the tildes; a recursion step, or the conjugate copy behind a new tilde;
     # a few h × h blocks and array headers
     words = h * h * sum(system.dims()) + 8 * h * h + 64 * system.depth + 1024
-    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), False, 16),
+    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), None, 16),
                  f"tildes up to level {system.depth}")
     return [np.ascontiguousarray(a.conj().T)
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
@@ -125,17 +125,19 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, extra: int = 0,
     I_d ⊗ (I - P_{n-1}) plus (I_d ⊗ F_{n-1}) C_n C_n† (I_d ⊗ F_{n-1})†, C_n the
     orthonormal complement of the stacked core Z_n. The first gives the rows
     R_{n-1} T_i†, the second the (d·r_{n-1} - r_n)·h complement rows of
-    `_level_recursion`. A QR keeps h rows per level: no singular value is squared,
-    nothing has d^n rows. One budget check, before anything is allocated,
-    covers the call and `extra` complex words the caller holds next to the roots.
+    `_level_recursion`, whose "qr" roots keep at most h rows per level and nothing
+    with d^n rows. The piece decides the small singular values of the R_n† at its
+    tolerance, so the roots come from a QR, not from a Gram that would square
+    them. One budget check, before anything is allocated, covers the call and
+    `extra` complex words the caller holds next to the roots.
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
     # a recursion step; the roots, a few h × h blocks and array headers
     words = len(dims) * hh + 4 * hh + 64 * len(dims) + 1024
-    check_budget(_recursion_bytes(system, [h] * len(dims), True, 16) + 16 * (words + extra),
+    check_budget(_recursion_bytes(system, [h] * len(dims), "qr", 16) + 16 * (words + extra),
                  f"{what} up to level {system.depth}")
     return [root for _, root in _level_recursion(system, [rep.adjoints] * system.depth,
-                                                 roots=True)]
+                                                 roots="qr")]
 
 
 def _generator_values(system: SubproductSystem, rep: RepTuple, words: int | None = None,
@@ -207,7 +209,7 @@ class PoissonKernel:
         hh, rows = h * h, sum(system.dims())
         # the kernel matrix, next to a step of the tilde recursion or to the
         # conjugate copy isometry_defect takes; a few h × h blocks and headers
-        step = max(_recursion_bytes(system, [h] * (self.depth + 1), False, 16),
+        step = max(_recursion_bytes(system, [h] * (self.depth + 1), None, 16),
                    16 * (rows * hh + hh))
         check_budget(16 * (rows * hh + 8 * hh + 64 * self.depth + 1024) + step,
                      f"Poisson kernel up to level {self.depth}")
@@ -354,15 +356,16 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
         p.eval_on_tuple(rep.matrices) @ q.eval_on_tuple(rep.matrices).conj().T
     )
     fk = fock_mod.build_fock(system)
-    total, below = fk.total_dim, fk.offsets[depth]
+    total = fk.total_dim
     # Held next to the d dense shifts: the level maps while the shifts are
     # filled; later p(S) while q(S) is evaluated, where eval_on_tuple holds its
     # sum, a word product and the next one (or p(S), q(S), a conjugate and
-    # their product), then the operator norm's copy of the window; and 16 KiB
-    # of headers and small arrays.
+    # their product), then p(S) q(S)† next to the working set of its operator
+    # norm, which covers its window's; and 16 KiB of headers and small arrays.
     itemsize = np.result_type(system.dtype, float if p.is_real() and q.is_real()
                               else complex).itemsize
-    later = itemsize * (4 * total**2 + below**2)
+    later = max(4 * itemsize * total**2,
+                itemsize * total**2 + linalg.opnorm_bytes(total, total, itemsize))
     check_budget(system.dtype.itemsize * system.d * total**2 + max(_split_bytes(system), later)
                  + (16 << 10),
                  f"vN shift operators on {total} Fock dimensions")
@@ -410,15 +413,14 @@ def _grow(basis: np.ndarray, weights: np.ndarray, c: int, blocks, tol: float) ->
 
 
 def _defect(frame: np.ndarray, perp: np.ndarray, blocks, mats) -> float:
-    """||Q† [G | T_1 Q⊥ | ... | T_d Q⊥]||, G the blocks side by side, as the root of the
-    largest eigenvalue of the m × m Gram summed part by part; squaring keeps the
-    largest singular value to working accuracy."""
+    """||Q† [G | T_1 Q⊥ | ... | T_d Q⊥]||, G the blocks side by side, from the m × m
+    Gram summed part by part (`linalg.gram_norm`)."""
     fh = frame.conj().T
     gram = np.zeros((fh.shape[0], fh.shape[0]), dtype=complex)
     for part in chain(blocks, (t @ perp for t in mats)):
         x = fh @ part
         gram += x @ x.conj().T
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return linalg.gram_norm(gram)
 
 
 def maximal_piece(system: SubproductSystem, rep: RepTuple,

@@ -236,7 +236,8 @@ def _cols(op: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _level_recursion(system: SubproductSystem, stacks, roots: bool = False, splits=None):
+def _level_recursion(system: SubproductSystem, stacks, roots: str | None = None,
+                     splits=None):
     """Yield (A_k, R_k) for k = 0..len(stacks), holding only the level before.
 
     stacks[k-1] holds d letters L_{k,i} of shape w_{k-1} × w_k. With M_k the
@@ -244,40 +245,52 @@ def _level_recursion(system: SubproductSystem, stacks, roots: bool = False, spli
     C^{d^k} ⊗ C^{w_0}, A_k = (F_k† ⊗ I) M_k ((r_k·w_0) × w_k, A_0 = I_{w_0}) and
     R_k† R_k = M_k† ((I - P_k) ⊗ I) M_k. One step per level: U_k = [A_{k-1} L_{k,i}]_i,
     d GEMMs held as d·r_{k-1} rows (letter, previous word) of w_0·w_k, is split
-    by [Z_k | C_k] (`_split`): A_k = (Z_k† ⊗ I) U_k, and R_k is the R factor of
-    the rows R_{k-1} L_{k,i} over the complement rows (C_k† ⊗ I) U_k, as I - P_k
-    is I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1}) C_k C_k† (I_d ⊗ F_{k-1})†. A QR
-    keeps at most w_k rows. Without `roots`, R_k is None. Every width is positive.
-    `splits[k-1]`, if given, is `_split(system, k, roots)`, held by the caller.
-    A_0 and R_0 take the letters' dtype, and each step numpy's promotion of it
-    with the split's.
+    by [Z_k | C_k] (`_split`): A_k = (Z_k† ⊗ I) U_k, and the complement rows
+    Y_k = (C_k† ⊗ I) U_k carry R_{k-1} one level up, as I - P_k is
+    I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1}) C_k C_k† (I_d ⊗ F_{k-1})†. With
+    `roots="qr"`, R_k is the R factor of the rows R_{k-1} L_{k,i} over Y_k, at most
+    w_k rows, whose small singular values are those of the level, unsquared. With
+    `roots="gram"`, R_k is the Gram G_k = R_k† R_k = Σ_i L_{k,i}† G_{k-1} L_{k,i}
+    + Y_k† Y_k (w_k × w_k): a sum of Grams, whose largest eigenvalue gives ||R_k||
+    to working accuracy (`linalg.gram_norm`), while its small ones are squared.
+    Without `roots`, R_k is None. Every width is positive. `splits[k-1]`, if
+    given, is `_split(system, k, True)`, held by the caller. A_0 and R_0 take the
+    letters' dtype, and each step numpy's promotion of it with the split's.
     """
     w0 = stacks[0].shape[1]
     a = np.eye(w0, dtype=stacks[0].dtype)
-    root = np.zeros((0, w0), dtype=stacks[0].dtype) if roots else None
+    root = (None if roots is None
+            else np.zeros((0 if roots == "qr" else w0, w0), dtype=stacks[0].dtype))
     yield a, root
     for k, letters in enumerate(stacks, 1):
         w = letters.shape[2]
         u = np.matmul(a, letters).reshape(-1, w0 * w)
-        zh, ch = _split(system, k, roots) if splits is None else splits[k - 1]
+        zh, ch = _split(system, k, roots is not None) if splits is None else splits[k - 1]
         a = _rows(zh, u).reshape(-1, w)
-        if roots:
+        if roots == "qr":
             root = np.linalg.qr(np.vstack([np.matmul(root, letters).reshape(-1, w),
                                            _rows(ch, u).reshape(-1, w)]), mode="r")
-        del u  # not held while the caller works on the level
+        elif roots == "gram":
+            y = _rows(ch, u).reshape(-1, w)
+            gram = y.conj().T @ y
+            del y  # freed before the lifted products are made
+            root = gram + letters.reshape(-1, w).conj().T @ np.matmul(root, letters).reshape(-1, w)
+        del u, zh, ch  # not held while the caller works on the level or makes the next split
         yield a, root
 
 
-def _recursion_bytes(system: SubproductSystem, widths: list[int], roots: bool,
+def _recursion_bytes(system: SubproductSystem, widths: list[int], roots: str | None,
                      itemsize: int) -> int:
     """Bytes one step of `_level_recursion` holds at once, at its largest level,
     on letters of `itemsize` bytes an entry.
 
     `widths` are w_0..w_K. A_{k-1}, U_k and A_k; the split (a few index arrays, or
-    Z_k† and, with `roots`, the complete-QR factor and its R); with `roots`, the
+    Z_k† and, with `roots`, the complete-QR factor and its R). With "qr", the
     complement rows and the root products next to their stack, or the stack next
-    to its QR copy. numpy's complete QR holds about 2.4 rows² while it runs.
-    Products are in the wider of the letters' and the system's dtype; numpy
+    to its QR copy. With "gram", the complement rows and the lifted products, each
+    with a conjugate copy when complex, next to G_{k-1}, two w_k × w_k products,
+    G_k and its eigenvalues. numpy's complete QR holds about 2.4 rows² while it
+    runs. Products are in the wider of the letters' and the system's dtype; numpy
     multiplies a real Z_k† (a view of the core) or C_k† into complex letters
     through a complex copy of it, so Z_k† counts at that width either way, and
     C_k†'s copy is held next to Q and R.
@@ -295,10 +308,13 @@ def _recursion_bytes(system: SubproductSystem, widths: list[int], roots: bool,
             qr = held * rows * (5 * rows + 4 * b) // 2
             if work > held:
                 qr = max(qr, held * rows * (rows + 2 * b) + work * (rows - b) * rows)
-            split = work * rows * b + roots * qr
+            split = work * rows * b + (roots is not None) * qr
         step = work * (a * wp + (rows + b) * w) * w0 + split
-        if roots:
-            step += work * 2 * ((rows - b) * w0 + d * wp) * w
+        stacked = ((rows - b) * w0 + d * wp) * w  # the complement rows and lifted products
+        if roots == "qr":
+            step += work * 2 * stacked
+        elif roots == "gram":
+            step += work * ((1 + (work > 8)) * stacked + wp * wp + 3 * w * w) + 8 * w
         most = max(most, step)
     return most
 
@@ -516,10 +532,10 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     size, r, rp, m = fiber.ambient_dim, fiber.dim, below.dim, null.dim
     d, cols = size // below.ambient_dim, null.ambient_dim
     # Held at once, next to `held` bytes: Z and G†; c, y and their products
-    # (at most cols x m each); the SVD's factors and copies (3 m x m); and at
-    # most three size x m arrays (the projection, the difference and the
-    # norm's copy of it, or the new generator rows); with the prescribed
-    # frames not built yet.
+    # (at most cols x m each); the SVD's factors and copies (3 m x m), or the
+    # norm's Gram (r x r); and at most three size x m arrays (the projection,
+    # the difference and the norm's conjugate copy of it, or the new generator
+    # rows); with the prescribed frames not built yet.
     words = below.ambient_dim * rp + 4 * cols * m + 3 * m * m + 3 * size * m
     itemsize = np.result_type(null.dtype, fiber.dtype, below.dtype).itemsize
     check_budget(held + itemsize * words + linalg.unbuilt_frame_bytes([fiber, below]),
@@ -557,7 +573,9 @@ def _core_axiom_residuals(system: SubproductSystem) -> dict:
     X(k+n) = (I_{d^k} ⊗ F_n) M_k, where M_k stacks the products
     Z_{n+1,a_k} ⋯ Z_{n+k,a_1}; as M_k lies in C^{d^k} ⊗ X(n), the residual is
     || ((I - P_k) ⊗ I_{r_n}) M_k ||, the norm of the root R_k of
-    `_level_recursion` on the letters Z_{n+1..depth}. One pass over k serves
+    `_level_recursion` on the letters Z_{n+1..depth}, read from its Gram: only the
+    largest singular value is read, and a Gram holds it to working accuracy
+    (`linalg.gram_norm`). One pass over k serves
     every split with right leg n, and nothing has d^n rows. Each left level k is
     split once (`_split`) and held for every right leg. From the first zero
     level on, every level is zero and so is every residual into it.
@@ -568,9 +586,10 @@ def _core_axiom_residuals(system: SubproductSystem) -> dict:
     out = {(k, n): 0.0 for n in range(1, depth) for k in range(1, depth - n + 1)}
     splits = [_split(system, k, True) for k in range(1, live - 1)]
     for n in range(1, live - 1):
-        for k, (_, root) in enumerate(_level_recursion(system, cores[n + 1:live], True, splits)):
+        for k, (_, gram) in enumerate(_level_recursion(system, cores[n + 1:live], "gram",
+                                                       splits)):
             if k:
-                out[(k, n)] = linalg.opnorm(root)
+                out[(k, n)] = linalg.gram_norm(gram)
     return out
 
 
@@ -587,13 +606,13 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     small = 256 * system.depth**2 + 4096
     if system.route == "core":
         # the splits of levels 1..depth-1, held for every right leg n (Z_k† and
-        # the complete QR behind C_k†); a recursion step, counted with a split,
-        # next to the root before, the new root and the norm's copy of it
+        # the complete QR behind C_k†); a Gram step of the recursion, counted
+        # with a split, which holds the Grams and the eigenvalues read from them
         dims, d, itemsize = system.dims(), system.d, system.dtype.itemsize
         held = sum(d * a * (d * a + b) for a, b in zip(dims[:-2], dims[1:-1]))
-        step = max((_recursion_bytes(system, dims[n:], True, itemsize)
+        step = max((_recursion_bytes(system, dims[n:], "gram", itemsize)
                     for n in range(1, system.depth)), default=0)
-        check_budget(itemsize * (held + 3 * max(dims) ** 2) + step + small,
+        check_budget(itemsize * held + step + small,
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
     else:

@@ -3,6 +3,9 @@
 Everything random is seeded, so the suite is deterministic run to run.
 """
 
+# spsys first: SPSYS_THREADS caps the BLAS threads only before numpy loads
+import spsys  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -3,11 +3,12 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spsys import classify, cli, cpmaps, fock, formats, linalg, reps, subproduct
+from spsys import classify, cli, cpmaps, fock, formats, linalg, ncpoly, reps, subproduct
 from spsys.linalg import MemoryBudgetError
 
 from conftest import moved_commuting_pair
@@ -434,15 +435,17 @@ def test_shift_row_contraction_reads_tol(capsys, tmp_path, golden_spec):
 
 
 def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
-    # golden depth 6 against the full shift on words of length <= 6 (h = 127):
-    # the piece's one estimate (the generator value, the basis, a block's
-    # projection and SVD factors, the final QR) is about 1.7 MiB, so 1 MiB
-    # refuses it before any generator value is evaluated; the 0/1 entries are
-    # written as bare integers, so that reading the file fits in 1 MiB
+    # golden depth 6, with six more forbidden words of length 6, against the
+    # full shift on words of length <= 6 (h = 127): the piece's one estimate
+    # (the 7 generator values, the basis, a block's projection and SVD factors,
+    # the final QR) is about 3.2 MiB, so 3 MiB refuses it before any generator
+    # value is evaluated; the 0/1 entries are written as bare integers, so that
+    # reading and decoding the file (an estimate of 2.0 MiB) fits in 3 MiB
     from spsys import fock, subproduct
     from spsys.ncpoly import NCPoly
     spec = tmp_path / "golden6.json"
-    formats.dump_json({"kind": "subshift", "d": 2, "depth": 6, "forbidden": [[2, 2]]}, spec)
+    forbidden = [[2, 2]] + [[1] * (5 - i) + [2] + [1] * i for i in range(5)] + [[1] * 6]
+    formats.dump_json({"kind": "subshift", "d": 2, "depth": 6, "forbidden": forbidden}, spec)
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(2, 6)))
     rep = tmp_path / "full6.json"
     formats.dump_json({"d": 2, "h": 127, "matrices": [
@@ -454,7 +457,7 @@ def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
     code, out, err = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
-                             "--budget-mb", "1")
+                             "--budget-mb", "3")
     assert code == 3
     assert "piece constraints up to level 6" in err
     assert "pass" not in out + err
@@ -710,9 +713,60 @@ def test_cp_as_dims_reports_the_excess_over_submultiplicativity(capsys, tmp_path
         assert c["verdict"] == ("pass" if code == 0 else "fail")
 
 
+def _json_input(capsys, tmp_path, kind):
+    """A JSON input of one kind, and whether it decodes as a matrix."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "shift-0/1":  # the file `spsys shift` writes: 0.0/1.0 pairs
+        spec = tmp_path / "golden9.json"
+        formats.dump_json({"kind": "subshift", "d": 2, "depth": 9, "forbidden": [[2, 2]]}, spec)
+        assert run_cli(capsys, "shift", "--spec", str(spec), "--out", str(tmp_path / "sh"))[0] == 0
+        return tmp_path / "sh" / "shift_1.json", True
+    if kind == "random-pair":
+        return Path(_seeded_pair_file(tmp_path, 48)), False
+    m = (np.random.default_rng(44).random((90, 90)) < 0.3).astype(int)
+    obj = {
+        "int-pairs": {"rows": 90, "cols": 90, "data": [[int(x), 0] for x in m.ravel()]},
+        "bare-ints": {"rows": 90, "cols": 90, "data": m.ravel().tolist()},
+        "generators": {"kind": "ideal", "d": 9, "depth": 2, "generators": [
+            formats.encode_poly(g) for g in ncpoly.commutator_gens(9).gens]},
+        "long-string": {"kind": "x" * 200000, "d": 2},
+        "short-strings": {"words": ["ab"] * 50000},
+        "non-ascii": {"note": "\u00e9" * 50000 + "\U0001f600"},
+        "escapes": {"note": 'a\\"b' * 20000},
+    }[kind]
+    path.write_text(json.dumps(obj, ensure_ascii=False))
+    return path, "rows" in obj
+
+
+@pytest.mark.parametrize("kind", ["shift-0/1", "random-pair", "int-pairs", "bare-ints",
+                                  "generators", "long-string", "short-strings", "non-ascii",
+                                  "escapes"])
+def test_json_read_estimate_bounds_reading_and_decoding(capsys, tmp_path, kind):
+    # the estimate counts the file's tokens in chunks before it is read; the
+    # traced peak of reading it, parsing and decoding it stays below
+    path, matrix = _json_input(capsys, tmp_path, kind)
+    needed = cli._json_read_bytes(path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        obj, _ = cli._load_json(str(path))
+        decoded = (formats.decode_matrix(obj) if matrix
+                   else formats.decode_rep(obj) if "matrices" in obj else None)
+        del obj, decoded
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= needed, (peak, needed)
+    if kind in ("shift-0/1", "random-pair"):
+        assert needed <= 2 * peak
+    if kind == "shift-0/1":
+        # short entries take about 19 bytes a byte, 4 times a random tuple's
+        assert peak > 15 * path.stat().st_size
+
+
 def test_input_over_the_budget_exits_3_before_it_is_read(capsys, tmp_path, monkeypatch):
-    # a tuple of 2 x 64 x 64 random complex entries is about 330 kB of JSON; at
-    # 5.5 bytes per byte its estimate (1.7 MiB) exceeds 1 MiB
+    # a tuple of 2 x 64 x 64 random complex entries is about 360 kB of JSON;
+    # its estimate from the file's tokens (1.9 MiB) exceeds 1 MiB
     rep = cli.Path(_seeded_pair_file(tmp_path, 64))
     spec = tmp_path / "golden.json"
     formats.dump_json({"kind": "subshift", "d": 2, "depth": 3, "forbidden": [[2, 2]]}, spec)

@@ -142,7 +142,70 @@ def test_core_subspace_frame_is_core_over_previous_frame_on_demand(monkeypatch):
 def test_opnorm_agrees_with_numpy():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    assert linalg.opnorm(m) == pytest.approx(np.linalg.norm(m, 2))
+    assert linalg.opnorm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0)
+
+
+def _opnorm_sweep():
+    """Seeded real and complex matrices, tall, wide and square, of full rank
+    and of rank 1, each as drawn and scaled by 1e-200 and 1e200."""
+    rng = np.random.default_rng(40)
+    for kind in ("real", "complex"):
+        def draw(*shape):
+            x = rng.normal(size=shape)
+            return x + 1j * rng.normal(size=shape) if kind == "complex" else x
+        for rows, cols in [(1, 1), (1, 9), (9, 1), (7, 3), (3, 7), (12, 12), (60, 5),
+                           (5, 60), (33, 33)]:
+            for rank, m in (("full", draw(rows, cols)), ("rank1", draw(rows, 1) @ draw(1, cols))):
+                for scale in (1.0, 1e-200, 1e200):
+                    yield f"{kind} {rows}x{cols} {rank} x{scale:g}", scale * m
+
+
+def test_opnorm_matches_numpy_on_a_seeded_sweep():
+    # the largest eigenvalue of a Gram holds sigma_max to working accuracy,
+    # also where the entries' squares would under- or overflow
+    worst = max((abs(linalg.opnorm(m) / np.linalg.norm(m, 2) - 1), name)
+                for name, m in _opnorm_sweep())
+    assert worst[0] <= 1e-13, worst
+
+
+@pytest.mark.parametrize("exp", [-1000, -700, 300, 700])
+def test_opnorm_scales_by_powers_of_two_exactly(exp):
+    # a scale of 2^exp moves no bit of the norm: inside the safe range the Gram
+    # is formed as it stands, outside it m is scaled back by a power of two
+    rng = np.random.default_rng(41)
+    for shape in [(5, 5), (7, 3), (3, 7), (40, 5)]:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert linalg.opnorm(m * 2.0**exp) == linalg.opnorm(m) * 2.0**exp
+
+
+def test_opnorm_of_zero_empty_and_one_dimensional_input():
+    for m in (np.zeros((4, 3)), np.zeros((3, 4), dtype=complex), np.zeros(5)):
+        assert linalg.opnorm(m) == 0.0
+    for m in (np.zeros((0, 5)), np.zeros((5, 0)), np.zeros(0), []):
+        assert linalg.opnorm(m) == 0.0
+    # a vector is a row: its norm is the Euclidean one
+    assert linalg.opnorm(np.array([3.0, 4.0])) == 5.0
+    v = np.random.default_rng(42).normal(size=17) * (1 + 2j)
+    assert linalg.opnorm(v) == pytest.approx(np.linalg.norm(v), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(np.inf, 1)])
+def test_opnorm_of_non_finite_input_is_nan(bad):
+    # NaN and inf entries both give nan (an SVD raised on NaN and gave nan for
+    # inf), so a residual that is not a number fails every `<=` threshold
+    m = np.eye(3, dtype=type(bad))
+    m[1, 2] = bad
+    assert np.isnan(linalg.opnorm(m))
+    assert np.isnan(linalg.opnorm(m.T))
+
+
+def test_gram_norm_reads_the_largest_eigenvalue():
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+    assert linalg.gram_norm(x.conj().T @ x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-13)
+    assert linalg.gram_norm(np.zeros((0, 0))) == 0.0
+    assert linalg.gram_norm(-1e-30 * np.eye(2)) == 0.0  # roundoff below 0 of a zero Gram
 
 
 def test_psd_sqrt_squares_back():

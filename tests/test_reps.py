@@ -309,19 +309,33 @@ def test_poisson_kernel_r_one_boundary_is_tolerant(symmetric2_6):
         reps.PoissonKernel(symmetric2_6, edge, r=1.0)
 
 
-@pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12)])
+KERNEL_Q3 = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]])
+
+
+@pytest.mark.parametrize("kind, h", [
+    ("golden", 12), ("commutator", 12), ("fibers", 12),
+    ("golden", 3), ("qmatrix3-7", 3), ("qmatrix3-7", 12), ("commutator3-8", 3),
+    ("commutator3-8", 12),
+])
 def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h, monkeypatch):
     # word indices and cores (the fibers spec too); isometry_defect runs
-    # inside the estimate
+    # inside the estimate. At h = 3 a step's level maps outweigh its tildes,
+    # and on the complex q-matrix cores each map is a conjugate copy of a core
     make = {"golden": lambda: _golden(9),
             "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
-            "fibers": lambda: _symmetric_fibers_system(7)}[kind]
-    rep = random_row_contraction(np.random.default_rng(25), 2, h, 0.9)
+            "fibers": lambda: _symmetric_fibers_system(7),
+            "qmatrix3-7": lambda: subproduct.from_qmatrix(KERNEL_Q3, 7),
+            "commutator3-8": lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 8)}[kind]
+    rep = random_row_contraction(np.random.default_rng(25), make().d, h, 0.9)
+    default = linalg.BUDGET_BYTES
 
-    def run():
-        system = make()  # fresh for every run
+    def run(budget=default):
+        # fresh for every run, with its frames built under the default budget
+        monkeypatch.setattr(linalg, "BUDGET_BYTES", default)
+        system = make()
         for n in range(system.depth + 1):
             system.fiber(n).frame
+        monkeypatch.setattr(linalg, "BUDGET_BYTES", budget)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -334,11 +348,9 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h, monkeypatch):
         return peak
 
     peak = run()
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
     with pytest.raises(linalg.MemoryBudgetError, match="Poisson kernel"):
-        run()
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
-    run()
+        run(peak - 1)
+    run(2 * peak)
 
 
 @pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12)])

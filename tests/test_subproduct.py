@@ -556,6 +556,50 @@ def test_core_axioms_and_units_match_the_dense_oracles(case):
         assert rep["max_residual"] > 0.5
 
 
+def _moved_core_chain(case, level, eps, seed):
+    """The core chain `case` with its level-`level` core moved by eps times a
+    seeded Gaussian and orthonormalized again, the cores above unchanged."""
+    system = CORE_CHAINS[case]()
+    rng = np.random.default_rng(seed)
+    core = system.fiber(level).core.frame
+    noise = rng.normal(size=core.shape)
+    if core.dtype.kind == "c":
+        noise = noise + 1j * rng.normal(size=core.shape)
+    fibers = list(system.fibers)
+    fibers[level] = linalg.CoreSubspace(system.d, fibers[level - 1],
+                                        linalg.span(core + eps * noise))
+    for n in range(level + 1, system.depth + 1):
+        fibers[n] = linalg.CoreSubspace(system.d, fibers[n - 1], system.fiber(n).core)
+    return subproduct.SubproductSystem(system.d, system.depth, tuple(fibers))
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("case", ["commutator3-6", "qmatrix3-7", "commutator2-7"])
+def test_moved_core_axiom_residuals_match_the_unsquared_routes(case, eps):
+    # the axiom residuals are read from Grams of the recursion's roots; a core
+    # moved by eps gives residuals of about eps on every split through its
+    # level, and none of them is lost to the squaring
+    system = _moved_core_chain(case, 3, eps, seed=11)
+    got = subproduct.verify_axioms(system)["residuals"]
+    ref = dense_axiom_residuals(system)
+    moved = {s for s, r in ref.items() if r > 0.1 * eps}
+    assert len(moved) >= 8
+    # the dense oracle subtracts a projection from the unit-norm frame, so it
+    # is exact to about 1e-16 absolute, which at eps = 1e-12 is above 1e-6
+    # relative; the splits the move leaves alone are at roundoff in both
+    for s in ref:
+        bound = max(1e-6 * ref[s], 1e-15) if s in moved else 1e-12
+        assert abs(got[s] - ref[s]) <= bound, (s, got[s], ref[s])
+    # the QR root of the same recursion has the residual as its largest
+    # singular value, unsquared: the two agree to working accuracy
+    cores = [None] + [f.letter_cores() for f in system.fibers[1:]]
+    for n in range(1, system.depth):
+        for k, (_, root) in enumerate(subproduct._level_recursion(system, cores[n + 1:], "qr")):
+            if (k, n) in moved:
+                unsquared = np.linalg.norm(root, 2)
+                assert abs(got[(k, n)] - unsquared) <= 1e-10 * unsquared
+
+
 @pytest.mark.parametrize("build", [
     lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 12),
     lambda: subproduct.from_qmatrix(Q3, 7),

@@ -13,12 +13,12 @@ off the complete invariants
 
     s2 / s1          and      (c0 / s1)^2,   c0 = conj(det W) * c,
 
-where c is the antisymmetric coefficient (A_a = c J). When the symmetric
-part has rank one the phase of c0 is gauge and only |c0| / s1 matters. A
-matching pair yields an explicit witness (λ, U) whose residual is verified
-before answering yes. The decision and the witness are closed forms in numpy;
-scipy is imported only when a witness misses its tolerance and is polished
-by a local search.
+where c is the antisymmetric coefficient (A_a = c J, J = [[0, 1], [-1, 0]]).
+When the symmetric part has rank one the phase of c0 is gauge and only
+|c0| / s1 matters. A matching pair yields an explicit witness (λ, U) whose residual is verified
+before answering yes. The decision and the witness are closed forms in numpy.
+A witness whose residual misses its threshold, although the invariants match,
+is reported inconclusive, with that residual.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from itertools import permutations
 
 import numpy as np
 
-from spsys import linalg
 from spsys.subproduct import is_admissible
 
 ENTRY_TOL = 1e-10
@@ -36,8 +35,6 @@ ENTRY_TOL = 1e-10
 Q_NEAR_MISS_FACTOR = 10.0
 WITNESS_TOL = 1e-8
 INVARIANT_TOL = 1e-8
-
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
 def q_equivalent(q: np.ndarray, r: np.ndarray, tol: float = ENTRY_TOL) -> dict:
@@ -90,7 +87,7 @@ def takagi_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     From the SVD A = U Σ V†, symmetry forces Z = U† conj(V) to be a
     symmetric unitary commuting with Σ, and W = U R works for any square
     root R of Z that is a polynomial in Z (`_unitary_sqrt_2x2`). Closed form
-    in numpy: scipy is loaded only to polish a witness (`_polish_witness`).
+    in numpy, with no iteration.
     """
     a = np.asarray(a, dtype=complex)
     sym_defect = np.max(np.abs(a - a.T))
@@ -131,33 +128,6 @@ def _canonical_data(a: np.ndarray):
     w, s = takagi_2x2(a_s)
     c0 = np.conj(np.linalg.det(w)) * c
     return w, s, c, c0
-
-
-def _polish_witness(a: np.ndarray, b: np.ndarray, lam0: complex,
-                    u0: np.ndarray) -> tuple[complex, np.ndarray, float]:
-    """Local refinement of B ≈ λ Uᵗ A U around a seed, over U(2) x C, in at
-    most 200 Nelder-Mead iterations."""
-    import scipy.linalg
-    import scipy.optimize
-
-    def unpack(x):
-        h = np.array(
-            [[x[0], x[2] + 1j * x[3]], [x[2] - 1j * x[3], x[1]]], dtype=complex
-        )
-        u = u0 @ scipy.linalg.expm(1j * h)
-        lam = lam0 * (1.0 + x[4] + 1j * x[5])
-        return lam, u
-
-    def objective(x):
-        lam, u = unpack(x)
-        return float(np.linalg.norm(_congruence(lam, u, a) - b))
-
-    res = scipy.optimize.minimize(
-        objective, np.zeros(6), method="Nelder-Mead",
-        options={"maxiter": 200, "xatol": 1e-12, "fatol": 1e-14},
-    )
-    lam, u = unpack(res.x)
-    return lam, u, objective(res.x)
 
 
 def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_TOL) -> dict:
@@ -229,46 +199,10 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
 
 
 def _with_witness(a, b, lam, u, report, inv) -> dict:
+    """`yes` with the witness (λ, U) when its residual meets the threshold, else
+    `inconclusive` with that residual."""
     residual = float(np.linalg.norm(_congruence(lam, u, a) - b))
     if residual <= report["threshold"]:
         return {**report, "verdict": "yes", "lam": complex(lam), "u": u,
                 "residual": residual, "invariants": inv}
-    lam2, u2, res2 = _polish_witness(a, b, lam, u)
-    if res2 <= report["threshold"]:
-        return {**report, "verdict": "yes", "lam": complex(lam2), "u": u2,
-                "residual": res2, "invariants": {**inv, "polished": True}}
-    return {**report, "verdict": "inconclusive", "residual": min(residual, res2), "invariants": inv}
-
-
-class CharacterSet:
-    """Joint character space of the q-commutation relations in the unit ball.
-
-    A point z satisfies (1 - q_ij) z_i z_j = 0, so coordinates i, j with
-    q_ij != 1 cannot be simultaneously nonzero: the support of z must be an
-    independent set of the conflict graph with edges {q_ij != 1}.
-    """
-
-    def __init__(self, q: np.ndarray, tol: float = 1e-12):
-        q = np.asarray(q, dtype=complex)
-        self.d = q.shape[0]
-        self.edges = [
-            (i + 1, j + 1)
-            for i in range(self.d)
-            for j in range(i + 1, self.d)
-            if abs(q[i, j] - 1.0) > tol
-        ]
-        complete = self.d * (self.d - 1) // 2
-        if not self.edges:
-            self.kind = "ball"
-        elif len(self.edges) == complete:
-            self.kind = "glued-discs"
-        else:
-            self.kind = "independent-sets"
-
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        z = np.asarray(z, dtype=complex).ravel()
-        if z.size != self.d:
-            raise ValueError("point has wrong dimension")
-        if np.linalg.norm(z) > 1 + tol:
-            return False
-        return all(abs(z[i - 1] * z[j - 1]) <= tol for i, j in self.edges)
+    return {**report, "verdict": "inconclusive", "residual": residual, "invariants": inv}

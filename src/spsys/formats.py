@@ -145,14 +145,6 @@ def encoding_bytes(entries: list[int]) -> int:
             + 16 * max(entries, default=0) + 4096)
 
 
-def encode_vector(v: np.ndarray) -> dict:
-    return encode_matrix(np.asarray(v, dtype=complex).reshape(-1, 1))
-
-
-def decode_vector(obj: dict) -> np.ndarray:
-    return decode_matrix(obj).ravel()
-
-
 def encode_poly(p: NCPoly) -> list[dict]:
     return [
         {"coeff": encode_complex(c), "word": list(w)}
@@ -169,10 +161,6 @@ def decode_poly(term_list: list, d: int) -> NCPoly:
     return NCPoly(d, terms)
 
 
-def encode_subspace(s: linalg.Subspace) -> dict:
-    return encode_matrix(s.frame)
-
-
 def decode_subspace(obj: dict, ambient_dim: int | None = None) -> linalg.Subspace:
     """The span of a matrix's columns, real when every imaginary part read is 0."""
     frame = decode_matrix(obj)
@@ -183,28 +171,6 @@ def decode_subspace(obj: dict, ambient_dim: int | None = None) -> linalg.Subspac
     if not frame.imag.any():
         frame = frame.real
     return linalg.span(frame, ambient_dim=frame.shape[0])
-
-
-def encode_system_spec(system: SubproductSystem) -> dict:
-    """Re-encode a system from its construction data when available."""
-    prov = system.provenance or {}
-    kind = prov.get("kind")
-    base = {"d": system.d, "depth": system.depth}
-    if kind == "subshift":
-        spec: SubshiftSpec = prov["spec"]
-        return {**base, "kind": "subshift",
-                "forbidden": [list(w) for w in spec.forbidden]}
-    if kind == "ideal":
-        gens: IdealGens = prov["gens"]
-        return {**base, "kind": "ideal",
-                "generators": [encode_poly(g) for g in gens.gens]}
-    if kind == "qmatrix":
-        return {**base, "kind": "qmatrix", "q": encode_matrix(prov["q"])}
-    if kind == "quadratic":
-        return {**base, "kind": "quadratic", "A": encode_matrix(prov["a"])}
-    if kind == "full":
-        return {**base, "kind": "full"}
-    return {**base, "kind": "fibers", "fibers": encode_fibers(system)}
 
 
 def encode_fibers(system: SubproductSystem) -> list[dict]:

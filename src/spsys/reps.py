@@ -96,6 +96,17 @@ class RepTuple:
         return out
 
 
+# A numpy array's header with its shape and strides, or a tuple or frame of
+# the recursion, in tracemalloc's count of CPython 3.10/3.11 and numpy
+_HEADER_BYTES = 128
+
+
+def _header_bytes(system: SubproductSystem) -> int:
+    """Bytes of the small objects a recursion-backed call holds next to its
+    arrays: one per level, and 64 for a step and the call's own."""
+    return _HEADER_BYTES * (system.depth + 65)
+
+
 def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     """T̃_n: X(n) ⊗ C^h -> C^h in fiber coordinates, for n = 0..system.depth.
 
@@ -109,10 +120,10 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
         raise ValueError("tuple size does not match the system")
     h = rep.h
     # the tildes; a recursion step, or the conjugate copy behind a new tilde;
-    # a few h × h blocks and array headers
-    words = h * h * sum(system.dims()) + 8 * h * h + 64 * system.depth + 1024
-    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), None, 16),
-                 f"tildes up to level {system.depth}")
+    # a few h × h blocks and the headers
+    words = h * h * sum(system.dims()) + 8 * h * h
+    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), None, 16)
+                 + _header_bytes(system), f"tildes up to level {system.depth}")
     return [np.ascontiguousarray(a.conj().T)
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
 
@@ -132,10 +143,10 @@ def _complement_roots(system: SubproductSystem, rep: RepTuple, extra: int = 0,
     `extra` complex words the caller holds next to the roots.
     """
     h, hh, dims = rep.h, rep.h ** 2, system.dims()
-    # a recursion step; the roots, a few h × h blocks and array headers
-    words = len(dims) * hh + 4 * hh + 64 * len(dims) + 1024
-    check_budget(_recursion_bytes(system, [h] * len(dims), "qr", 16) + 16 * (words + extra),
-                 f"{what} up to level {system.depth}")
+    # a recursion step; the roots, a few h × h blocks and the headers
+    words = len(dims) * hh + 4 * hh
+    check_budget(_recursion_bytes(system, [h] * len(dims), "qr", 16) + 16 * (words + extra)
+                 + _header_bytes(system), f"{what} up to level {system.depth}")
     return [root for _, root in _level_recursion(system, [rep.adjoints] * system.depth,
                                                  roots="qr")]
 
@@ -208,10 +219,10 @@ class PoissonKernel:
         h = rep.h
         hh, rows = h * h, sum(system.dims())
         # the kernel matrix, next to a step of the tilde recursion or to the
-        # conjugate copy isometry_defect takes; a few h × h blocks and headers
+        # conjugate copy isometry_defect takes; a few h × h blocks and the headers
         step = max(_recursion_bytes(system, [h] * (self.depth + 1), None, 16),
                    16 * (rows * hh + hh))
-        check_budget(16 * (rows * hh + 8 * hh + 64 * self.depth + 1024) + step,
+        check_budget(16 * (rows * hh + 8 * hh) + step + _header_bytes(system),
                      f"Poisson kernel up to level {self.depth}")
         self.system = system
         self.rep = rep

@@ -451,8 +451,7 @@ def from_qmatrix(q: np.ndarray, depth: int) -> SubproductSystem:
             f"q is not admissible at pair {pair}: need nonzero q_ij = 1/q_ji"
         )
     system = from_ideal(ncpoly.q_relation_gens(q), depth)
-    return replace(system, provenance={**system.provenance, "kind": "qmatrix",
-                                       "q": q.copy()})
+    return replace(system, provenance={**system.provenance, "kind": "qmatrix"})
 
 
 def from_quadratic(a: np.ndarray, depth: int) -> SubproductSystem:
@@ -465,8 +464,7 @@ def from_quadratic(a: np.ndarray, depth: int) -> SubproductSystem:
     else:
         relation = NCPoly.from_vector(a.ravel(), 2, 2)
         system = from_ideal(IdealGens(2, [relation]), depth)
-    return replace(system, provenance={**system.provenance, "kind": "quadratic",
-                                       "a": a.copy()})
+    return replace(system, provenance={**system.provenance, "kind": "quadratic"})
 
 
 def from_full(d: int, depth: int) -> SubproductSystem:

@@ -1,7 +1,11 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from spsys import classify
+from spsys import classify, formats
 
 
 def planted_q(rng, d):
@@ -125,13 +129,14 @@ def test_takagi_of_a_rank_one_symmetric_part():
 
 
 def test_purely_antisymmetric_pairs_need_no_polish():
-    # the symmetric parts are zero: Takagi-factoring them meets Z = I
+    # the symmetric parts are zero: Takagi-factoring them meets Z = I, and the
+    # closed-form witness is exact
     a = np.array([[0, 1.5 - 0.5j], [-1.5 + 0.5j, 0]])
     w, s = classify.takagi_2x2((a + a.T) / 2)
     assert np.array_equal(s, [0.0, 0.0])
     assert np.abs(w @ w.conj().T - np.eye(2)).max() < 1e-15
     out = classify.quad_equivalent(a, -0.2j * a)
-    assert out["verdict"] == "yes" and "polished" not in out["invariants"]
+    assert out["verdict"] == "yes"
     assert out["residual"] < 1e-15
 
 
@@ -204,29 +209,97 @@ def test_quad_mixed_invariant_separates():
 
 
 # ---------------------------------------------------------------------------
-# character sets
+# the closed form answers every equivalent pair
 
-def test_character_set_ball():
-    cs = classify.CharacterSet(np.ones((3, 3), dtype=complex))
-    assert cs.kind == "ball"
-    assert cs.contains([0.5, 0.5, 0.5])
-    assert not cs.contains([0.9, 0.9, 0.0])  # outside the unit ball
+def _unitary(rng):
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
 
 
-def test_character_set_glued_discs():
-    q = planted_q(np.random.default_rng(5), 3)
-    cs = classify.CharacterSet(q)
-    assert cs.kind == "glued-discs"
-    assert cs.contains([0.9, 0, 0])
-    assert not cs.contains([0.5, 0.5, 0])
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def test_character_set_independent_sets():
-    q = np.ones((3, 3), dtype=complex)
-    q[0, 1] = 2.0
-    q[1, 0] = 0.5
-    cs = classify.CharacterSet(q)
-    assert cs.kind == "independent-sets"
-    assert cs.edges == [(1, 2)]
-    assert cs.contains([0.5, 0, 0.5])
-    assert not cs.contains([0.5, 0.5, 0])
+_J = np.array([[0, 1], [-1, 0]])
+SWEEP_FAMILIES = {
+    "random": lambda rng: _complex(rng, 2, 2),
+    "symmetric": lambda rng: (lambda m: m + m.T)(_complex(rng, 2, 2)),
+    "antisymmetric": lambda rng: _complex(rng, 1)[0] * _J,
+    "rank-one": lambda rng: (lambda v: np.outer(v, v))(_complex(rng, 2)),
+    "diagonal": lambda rng: np.diag(_complex(rng, 2)),
+}
+# symmetric parts with singular values 1 and 1 - eps, plus c J
+NEAR_DEGENERATE = [(eps, c) for eps in (0.0, 1e-12, 1e-9, 1e-6)
+                   for c in (0.0, 1e-15, 1e-13, 0.3, 1j)]
+SWEEP = [*SWEEP_FAMILIES, "near-degenerate"]
+
+
+def _near_degenerate(rng, eps, c):
+    w = _unitary(rng)
+    return w @ np.diag([1.0, 1.0 - eps]) @ w.T + c * _J
+
+
+def _sweep_pairs(family, seed):
+    """(A, B = λ Uᵗ A U + noise·N, noise) for seeded A, λ, U and N: for a family,
+    20 exact pairs and 20 with noise 1e-9; for each near-degenerate case, 3 and 3."""
+    rng = np.random.default_rng(seed)
+    if family == "near-degenerate":
+        makes = [lambda rng, e=eps, c=c: _near_degenerate(rng, e, c)
+                 for eps, c in NEAR_DEGENERATE] * 3
+    else:
+        makes = [SWEEP_FAMILIES[family]] * 20
+    for make in makes:
+        for noise in (0.0, 1e-9):
+            a = make(rng)
+            lam = rng.uniform(0.2, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            u = _unitary(rng)
+            yield a, lam * (u.T @ a @ u) + noise * _complex(rng, 2, 2), noise
+
+
+@pytest.mark.parametrize("family", SWEEP)
+def test_quad_sweep_answers_equivalent_pairs_in_closed_form(family):
+    # every exact pair answers yes with its closed-form witness within the
+    # threshold; a pair with 1e-9 noise on B moves its invariants by the noise,
+    # so it may answer no, but never inconclusive: no witness misses
+    verdicts = {0.0: [], 1e-9: []}
+    for a, b, noise in _sweep_pairs(family, 40 + SWEEP.index(family)):
+        out = classify.quad_equivalent(a, b)
+        verdicts[noise].append(out["verdict"])
+        if out["verdict"] == "yes":
+            lam, u = out["lam"], out["u"]
+            assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+            residual = np.linalg.norm(lam * (u.T @ a @ u) - b)
+            assert residual == pytest.approx(out["residual"], rel=1e-6, abs=1e-15)
+            assert out["residual"] <= out["threshold"]
+    assert set(verdicts[0.0]) == {"yes"}
+    assert set(verdicts[1e-9]) <= {"yes", "no"}
+    assert len(verdicts[0.0]) == len(verdicts[1e-9]) >= 20
+
+
+def test_quad_witness_miss_is_inconclusive_with_its_residual(tmp_path):
+    # an equivalent pair whose closed-form witness (residual at roundoff) is
+    # held to a threshold below that residual: the miss is reported, not
+    # searched away, and the command exits 2 with scipy unloadable
+    a = np.array([[1, 2 - 1j], [0.3j, -0.7]])
+    c, s = np.cos(0.4), np.sin(0.4)
+    u = np.array([[c, -s], [s, c]]) @ np.diag([1, 1j])
+    b = 0.8j * (u.T @ a @ u)
+    exact = classify.quad_equivalent(a, b)
+    assert exact["verdict"] == "yes" and 0 < exact["residual"] < 1e-14
+    out = classify.quad_equivalent(a, b, witness_tol=1e-30)
+    assert out["verdict"] == "inconclusive"
+    assert out["residual"] == exact["residual"] > out["threshold"]
+    assert out["lam"] is None and out["u"] is None
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for m, path in zip((a, b), paths):
+        formats.dump_json(formats.encode_matrix(m), path)
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from spsys import cli\n"
+              "sys.exit(cli.main(['classify', 'quad', *sys.argv[1:], '--tol', '1e-30']))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *paths],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    (check,) = report["checks"]
+    assert check["verdict"] == "inconclusive" and report["equivalent"] is None
+    assert check["residual"] == exact["residual"] > check["threshold"]

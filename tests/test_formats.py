@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from spsys import formats, linalg, ncpoly
+from spsys import formats, linalg, subproduct
 from spsys.cpmaps import KrausChannel
-from spsys.ncpoly import NCPoly
+from spsys.ncpoly import IdealGens, NCPoly
 from spsys.reps import RepTuple
+from spsys.subproduct import SubshiftSpec
 
 from oracles import subspace_distance
 
@@ -64,11 +65,6 @@ def test_matrix_data_length_checked():
         formats.decode_matrix({"rows": 2, "cols": 2, "data": [[1, 0]]})
 
 
-def test_vector_round_trip():
-    v = np.array([1.0, 2.0 + 1j, -3.0])
-    assert np.allclose(formats.decode_vector(formats.encode_vector(v)), v)
-
-
 def test_poly_round_trip_and_term_order():
     p = NCPoly(2, {(2, 1): -1.0, (1, 2): 1.0, (1,): 0.5j})
     enc = formats.encode_poly(p)
@@ -80,10 +76,19 @@ def test_poly_round_trip_and_term_order():
 def test_subspace_round_trip():
     rng = np.random.default_rng(1)
     s = linalg.span(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
-    back = formats.decode_subspace(formats.encode_subspace(s), 6)
+    back = formats.decode_subspace(formats.encode_matrix(s.frame), 6)
     assert subspace_distance(s, back) < 1e-12
     with pytest.raises(ValueError):
-        formats.decode_subspace(formats.encode_subspace(s), 5)
+        formats.decode_subspace(formats.encode_matrix(s.frame), 5)
+
+
+# each kind against its constructor, called directly on the same data
+DIRECT = {
+    "subshift": lambda: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5),
+    "qmatrix": lambda: subproduct.from_qmatrix(np.array([[1, 2], [0.5, 1]]), 4),
+    "quadratic": lambda: subproduct.from_quadratic(np.array([[0, 1], [-1, 0]]), 4),
+    "full": lambda: subproduct.from_full(2, 4),
+}
 
 
 @pytest.mark.parametrize("spec", [
@@ -98,7 +103,8 @@ def test_subspace_round_trip():
 ])
 def test_system_spec_round_trip(spec):
     sys1 = formats.build_system(spec)
-    sys2 = formats.build_system(formats.encode_system_spec(sys1))
+    sys2 = DIRECT[spec["kind"]]()
+    assert sys1.kind == sys2.kind == spec["kind"]
     assert sys1.dims() == sys2.dims()
     for n in range(sys1.depth + 1):
         assert subspace_distance(sys1.fiber(n), sys2.fiber(n)) < 1e-9
@@ -110,15 +116,17 @@ def test_ideal_spec_round_trip():
             "generators": [formats.encode_poly(p)]}
     sys1 = formats.build_system(spec)
     assert sys1.dims() == [1, 2, 3, 4, 5, 6]
-    sys2 = formats.build_system(formats.encode_system_spec(sys1))
+    sys2 = subproduct.from_ideal(IdealGens(2, [p]), 5)
     assert sys1.dims() == sys2.dims()
+    for n in range(sys1.depth + 1):
+        assert subspace_distance(sys1.fiber(n), sys2.fiber(n)) < 1e-9
 
 
 def test_fibers_spec_builds_maximal_system():
     base = formats.build_system(
         {"kind": "subshift", "d": 2, "depth": 4, "forbidden": [[2, 2]]})
     spec = {"kind": "fibers", "d": 2, "depth": 4,
-            "fibers": [formats.encode_subspace(base.fiber(n))
+            "fibers": [formats.encode_matrix(base.fiber(n).frame)
                        for n in range(1, 3)]}
     sys_ = formats.build_system(spec)
     assert sys_.dims() == base.dims()

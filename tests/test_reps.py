@@ -224,11 +224,23 @@ def _dead_level_system(depth):
     return subproduct.SubproductSystem(2, depth, subproduct.from_subshift(spec, depth).fibers)
 
 
-@pytest.mark.parametrize("make, depth, h", [
+def _commutator_without_generators(depth):
+    """The d=2 commutator cores with no generators recorded: the complement route."""
+    system = subproduct.from_ideal(ncpoly.commutator_gens(2), depth)
+    return subproduct.SubproductSystem(2, depth, system.fibers)
+
+
+COMPLEMENT_CASES = [
     pytest.param(_symmetric_fibers_system, 7, 12, id="7-12"),
     pytest.param(_symmetric_fibers_system, 8, 8, id="8-8"),
     pytest.param(_dead_level_system, 5, 16, id="dead-5-16"),
-])
+    # at h = 3 the headers outweigh a recursion step
+    pytest.param(_symmetric_fibers_system, 7, 3, id="7-3"),
+    pytest.param(_commutator_without_generators, 7, 3, id="commutator-7-3"),
+]
+
+
+@pytest.mark.parametrize("make, depth, h", COMPLEMENT_CASES)
 def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth, h,
                                                                    monkeypatch):
     sys_ = make(depth)
@@ -247,11 +259,7 @@ def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth,
         reps.is_representation(sys_, rep)
 
 
-@pytest.mark.parametrize("make, depth, h", [
-    pytest.param(_symmetric_fibers_system, 7, 12, id="7-12"),
-    pytest.param(_symmetric_fibers_system, 8, 8, id="8-8"),
-    pytest.param(_dead_level_system, 5, 16, id="dead-5-16"),
-])
+@pytest.mark.parametrize("make, depth, h", COMPLEMENT_CASES)
 def test_is_representation_complement_estimate_is_within_twice_the_traced_peak(make, depth, h,
                                                                               monkeypatch):
     # the roots' estimate counts a recursion step, the roots and headers, and
@@ -315,7 +323,7 @@ KERNEL_Q3 = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]])
 @pytest.mark.parametrize("kind, h", [
     ("golden", 12), ("commutator", 12), ("fibers", 12),
     ("golden", 3), ("qmatrix3-7", 3), ("qmatrix3-7", 12), ("commutator3-8", 3),
-    ("commutator3-8", 12),
+    ("commutator3-8", 12), ("commutator2-7", 3), ("fibers", 3),
 ])
 def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h, monkeypatch):
     # word indices and cores (the fibers spec too); isometry_defect runs
@@ -323,6 +331,7 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h, monkeypatch):
     # and on the complex q-matrix cores each map is a conjugate copy of a core
     make = {"golden": lambda: _golden(9),
             "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
+            "commutator2-7": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 7),
             "fibers": lambda: _symmetric_fibers_system(7),
             "qmatrix3-7": lambda: subproduct.from_qmatrix(KERNEL_Q3, 7),
             "commutator3-8": lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 8)}[kind]
@@ -353,11 +362,13 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h, monkeypatch):
     run(2 * peak)
 
 
-@pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12)])
+@pytest.mark.parametrize("kind, h", [("golden", 12), ("commutator", 12), ("fibers", 12),
+                                     ("commutator2-7", 3), ("fibers", 3)])
 def test_cp_semigroup_budget_bounds_the_traced_peak(kind, h, monkeypatch):
     # every tilde is held; the estimate is checked before the first is made
     make = {"golden": lambda: _golden(9),
             "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6),
+            "commutator2-7": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 7),
             "fibers": lambda: _symmetric_fibers_system(7)}[kind]
     rep = random_row_contraction(np.random.default_rng(26), 2, h, 0.9)
 

@@ -765,7 +765,7 @@ REAL_SPECS = {
         np.array([[1, 2, 0.5], [0.5, 1, -3], [2, -1 / 3, 1]]))},
     "quadratic-commutator": {"kind": "quadratic", "A": formats.encode_matrix(QUAD_COMMUTATOR)},
     "golden123-fibers": {"kind": "fibers", "d": 2, "fibers": [
-        formats.encode_subspace(f) for f in
+        formats.encode_matrix(f.frame) for f in
         subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 3).fibers[1:]]},
 }
 COMPLEX_SPECS = {
@@ -774,7 +774,7 @@ COMPLEX_SPECS = {
     "commutator-phase": {"kind": "ideal", "d": 3, "generators": [
         formats.encode_poly(g) for g in _phase(ncpoly.commutator_gens(3), 0.7).gens]},
     "level2-fibers": {"kind": "fibers", "d": 3, "fibers": [
-        formats.encode_subspace(f) for f in _random_level2_chain()]},
+        formats.encode_matrix(f.frame) for f in _random_level2_chain()]},
 }
 
 

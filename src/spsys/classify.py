@@ -14,9 +14,10 @@ off the complete invariants
     s2 / s1          and      (c0 / s1)^2,   c0 = conj(det W) * c,
 
 where c is the antisymmetric coefficient (A_a = c J, J = [[0, 1], [-1, 0]]).
-When the symmetric part has rank one the phase of c0 is gauge and only
-|c0| / s1 matters. A matching pair yields an explicit witness (λ, U) whose residual is verified
-before answering yes. The decision and the witness are closed forms in numpy.
+The symmetric ranks are decided at the witness threshold. When the
+symmetric part has rank one the phase of c0 is gauge and only |c0| / s1
+matters. A matching pair yields an explicit witness (λ, U) whose residual
+is verified before answering yes. The decision and the witness are closed forms in numpy.
 A witness whose residual misses its threshold, although the invariants match,
 is reported inconclusive, with that residual.
 """
@@ -149,8 +150,11 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
 
     wa, sa, ca, c0a = _canonical_data(a)
     wb, sb, cb, c0b = _canonical_data(b)
-    rank_a = int(np.sum(sa > 1e-9 * max(sa[0], abs(ca))))
-    rank_b = int(np.sum(sb > 1e-9 * max(sb[0], abs(cb))))
+    # the symmetric ranks at the witness threshold: a symmetric part of B below
+    # it is within the threshold of 0, and A's scales by |λ| = ||B|| / ||A||
+    threshold = report["threshold"]
+    rank_a = int(np.sum(sa > threshold * na / nb))
+    rank_b = int(np.sum(sb > threshold))
     inv = {
         "sym_rank": (rank_a, rank_b),
         "case": f"sym-rank-{rank_a}",

@@ -395,6 +395,8 @@ def cmd_classify(args) -> int:
 def _load_stochastic(path: str) -> tuple[np.ndarray, Path]:
     p = Path(path)
     try:
+        if p.suffix.lower() != ".csv":  # a matrix .json, checked like every JSON input
+            check_budget(_json_read_bytes(p), f"reading {path}")
         return formats.load_stochastic(p), p
     except OSError as e:
         raise CLIError(f"{path}: {e.strerror or e}") from e

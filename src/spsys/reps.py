@@ -13,12 +13,12 @@ on X annihilates T. The dilation-side machinery lives here:
 * the discrete CP semigroup a -> T̃_n (I ⊗ a) T̃_n† induced by a
   representation.
 
-Tildes, Poisson kernels and the roots behind the complement residuals
-come from one recursion per level, `subproduct._level_recursion`
-on the letters T_i† (the core axiom check runs it on the system's own
-cores): C^d ⊗ X(n-1) is split by the stacked core Z_n and its orthonormal
-complement C_n (`subproduct._split`), read off the word indices of a
-coordinate system or the cores of a core chain. Poisson transforms and the
+Relation checks and pieces read the generators every constructor records.
+Tildes and Poisson kernels come from one recursion per level,
+`subproduct._level_recursion` on the letters T_i† (the core axiom check
+runs it on the system's own cores): C^d ⊗ X(n-1) is split by the stacked
+core Z_n (`subproduct._split`), read off the word indices of a coordinate
+system or the cores of a core chain. Poisson transforms and the
 model check lower the kernel through the adjoints of the same level maps,
 which the shift tuple holds. No routine enumerates the d^n words of a level.
 """
@@ -122,44 +122,25 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     # the tildes; a recursion step, or the conjugate copy behind a new tilde;
     # a few h × h blocks and the headers
     words = h * h * sum(system.dims()) + 8 * h * h
-    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), None, 16)
+    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), False, 16)
                  + _header_bytes(system), f"tildes up to level {system.depth}")
     return [np.ascontiguousarray(a.conj().T)
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
-
-
-def _complement_roots(system: SubproductSystem, rep: RepTuple, extra: int = 0,
-                      what: str = "complement residuals") -> list:
-    """The roots R_n (at most h × h) of W_n ((I - P_n) ⊗ I_h) W_n†, n = 0..system.depth.
-
-    W_n sends e_w ⊗ v to T^w v. As X(n) ⊆ E ⊗ X(n-1), I - P_n is
-    I_d ⊗ (I - P_{n-1}) plus (I_d ⊗ F_{n-1}) C_n C_n† (I_d ⊗ F_{n-1})†, C_n the
-    orthonormal complement of the stacked core Z_n. The first gives the rows
-    R_{n-1} T_i†, the second the (d·r_{n-1} - r_n)·h complement rows of
-    `_level_recursion`, whose "qr" roots keep at most h rows per level and nothing
-    with d^n rows. The piece decides the small singular values of the R_n† at its
-    tolerance, so the roots come from a QR, not from a Gram that would square
-    them. One budget check, before anything is allocated, covers the call and
-    `extra` complex words the caller holds next to the roots.
-    """
-    h, hh, dims = rep.h, rep.h ** 2, system.dims()
-    # a recursion step; the roots, a few h × h blocks and the headers
-    words = len(dims) * hh + 4 * hh
-    check_budget(_recursion_bytes(system, [h] * len(dims), "qr", 16) + 16 * (words + extra)
-                 + _header_bytes(system), f"{what} up to level {system.depth}")
-    return [root for _, root in _level_recursion(system, [rep.adjoints] * system.depth,
-                                                 roots="qr")]
 
 
 def _generator_values(system: SubproductSystem, rep: RepTuple, words: int | None = None,
                       what: str | None = None):
     """(deg g, g(T)) for the generators of degree <= depth, made as the caller takes
     them, after one budget check of `words` complex words and headers: by default
-    one g(T) with its sum, two word products and a copy."""
-    h = rep.h
-    gens = [g for g in system.provenance["gens"].gens if g.degree() <= system.depth]
+    one g(T) with its sum, two word products and a copy. Every constructor records
+    its generators; a system made by hand without them is refused."""
+    h, ideal = rep.h, system.provenance.get("gens")
+    if ideal is None:
+        raise ValueError("the system records no generators; build it with a constructor "
+                         "of `subproduct`, such as maximal_with_fibers for prescribed frames")
+    gens = [g for g in ideal.gens if g.degree() <= system.depth]
     words = 4 * h * h if words is None else words
-    check_budget(16 * words + 128 * (len(gens) + system.depth) + 4096,
+    check_budget(16 * words + 128 * (len(gens) + system.depth) + 2048,
                  what or f"generator values on {h} x {h}")
     return ((g.degree(), g.eval_on_tuple(rep.matrices)) for g in gens)
 
@@ -168,30 +149,23 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
                       tol: float = REP_TOL) -> dict:
     """Residuals of the annihilation conditions, level by level.
 
-    For systems whose constructor recorded a generating set in
-    ``provenance["gens"]`` (ideal, q-matrix, quadratic, subshift, full) the
-    level-n residual is the largest ||g(T)|| over generators of degree <= n;
-    annihilating the generators annihilates the whole graded ideal, so for a
-    contractive tuple this equals the residual over the full orthogonal
-    complement of the fiber, after one budget check. Without generators the
-    level-n residual is the root's norm ||R_n|| = ||W_n (G_n ⊗ I_h)||, G_n any
-    frame of the complement of X(n).
+    The level-n residual is the largest ||g(T)|| over the generators of degree
+    <= n that the system's constructor recorded in ``provenance["gens"]`` (for
+    `fibers` systems, those derived from the prescribed levels), after one
+    budget check. Annihilating the generators annihilates the whole graded
+    ideal, so the tuple represents X exactly when every residual is 0. The
+    report's `route` names that one route, "generators".
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    if system.provenance.get("gens") is not None:
-        norms = [(k, linalg.opnorm(v)) for k, v in _generator_values(system, rep)]
-        residuals = [max((r for k, r in norms if k <= n), default=0.0)
-                     for n in range(1, system.depth + 1)]
-        route = "generators"
-    else:
-        residuals = [linalg.opnorm(r) for r in _complement_roots(system, rep)[1:]]
-        route = "complement"
+    norms = [(k, linalg.opnorm(v)) for k, v in _generator_values(system, rep)]
+    residuals = [max((r for k, r in norms if k <= n), default=0.0)
+                 for n in range(1, system.depth + 1)]
     return {
         "residuals": residuals,
         "max_residual": max(residuals, default=0.0),
         "ok": all(r <= tol for r in residuals),
-        "route": route,
+        "route": "generators",
         "tol": tol,
     }
 
@@ -220,7 +194,7 @@ class PoissonKernel:
         hh, rows = h * h, sum(system.dims())
         # the kernel matrix, next to a step of the tilde recursion or to the
         # conjugate copy isometry_defect takes; a few h × h blocks and the headers
-        step = max(_recursion_bytes(system, [h] * (self.depth + 1), None, 16),
+        step = max(_recursion_bytes(system, [h] * (self.depth + 1), False, 16),
                    16 * (rows * hh + hh))
         check_budget(16 * (rows * hh + 8 * hh) + step + _header_bytes(system),
                      f"Poisson kernel up to level {self.depth}")
@@ -444,8 +418,7 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     that does not follow the fiber dimensions: V_1^⊥ = Σ_g Σ_{|a| <= depth - deg g}
     T^a range g(T), in rounds from the largest left length down, each adding the
     T_i times the directions new in the round before and the g(T) of its left
-    length (without generators, one round on the roots R_n† of `_complement_roots`);
-    then V_{j+1}^⊥ = V_j^⊥ + Σ_{1 <= |w| <= depth} T^w V_j^⊥, in depth such rounds
+    length; then V_{j+1}^⊥ = V_j^⊥ + Σ_{1 <= |w| <= depth} T^w V_j^⊥, in depth such rounds
     (the first of step 2 on all of V_1^⊥).
     Each block goes through `_grow`, which keeps the singular values above `tol`
     (the first step weighs the new directions by them), so the piece is C^h exactly
@@ -457,16 +430,14 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
         raise ValueError("tuple size does not match the system")
     h, hh, depth, mats = rep.h, rep.h ** 2, system.depth, rep.matrices
     gens = system.provenance.get("gens")
-    k = sum(g.degree() <= depth for g in gens.gens) if gens else depth  # blocks of G
+    # blocks of G; without generators `_generator_values` refuses the system
+    k = sum(g.degree() <= depth for g in gens.gens) if gens else 0
     # G next to the largest of: a g(T) being made; the basis and a block with
     # its projection or SVD factors; the complete QR; Q, Q† and the defect's
     # Gram, a part and its product. With no block, Q = I and its frame check.
     words = ((k + 6) * hh if k else 3 * hh) + 512
-    what = f"piece constraints up to level {depth}"
-    if gens is None:
-        blocks = [(0, r.conj().T) for r in _complement_roots(system, rep, words, what)[1:]]
-    else:
-        blocks = [(depth - deg, v) for deg, v in _generator_values(system, rep, words, what)]
+    blocks = [(depth - deg, v) for deg, v in _generator_values(
+        system, rep, words, f"piece constraints up to level {depth}")]
     basis = np.empty((h, h if blocks else 0), dtype=complex)
     weights = np.empty(basis.shape[1])
     c = start = 0  # basis[:, start:c] are the directions new in the last round

@@ -9,10 +9,10 @@ constructors here realize the concrete sources of such chains:
   x_i x_j = q_ij x_j x_i and one quadratic relation in two variables,
 * subshifts and the full system (coordinate subspaces spanned by words),
 
-each recording its generators in ``provenance["gens"]``, plus the maximal
-completion of an explicitly prescribed finite chain (`fibers` specs), which
-is `from_ideal` on generators derived from the prescribed levels. Every
-constructor returns a coordinate chain or a core chain.
+plus the maximal completion of an explicitly prescribed finite chain
+(`fibers` specs), which is `from_ideal` on generators derived from the
+prescribed levels. Every constructor records its generators in
+``provenance["gens"]`` and returns a coordinate chain or a core chain.
 
 A system's dtype follows its defining data, decided once per constructor:
 word indices and relations whose coefficients are all exactly real give
@@ -35,6 +35,9 @@ from spsys.ncpoly import IdealGens, NCPoly
 INCLUSION_TOL = 1e-9
 UNIT_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-12
+# An NCPoly term in tracemalloc's count (CPython 3.11, 64-bit), apart from its
+# word's 8 bytes a letter: the word tuple, the complex coefficient and a dict slot
+GEN_TERM_BYTES = 192
 
 
 @dataclass(frozen=True)
@@ -236,64 +239,55 @@ def _cols(op: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _level_recursion(system: SubproductSystem, stacks, roots: str | None = None,
-                     splits=None):
-    """Yield (A_k, R_k) for k = 0..len(stacks), holding only the level before.
+def _level_recursion(system: SubproductSystem, stacks, gram: bool = False, splits=None):
+    """Yield (A_k, G_k) for k = 0..len(stacks), holding only the level before.
 
     stacks[k-1] holds d letters L_{k,i} of shape w_{k-1} × w_k. With M_k the
     products L_{1,a_k} ⋯ L_{k,a_1} stacked on the rows (word a, w_0) of
     C^{d^k} ⊗ C^{w_0}, A_k = (F_k† ⊗ I) M_k ((r_k·w_0) × w_k, A_0 = I_{w_0}) and
-    R_k† R_k = M_k† ((I - P_k) ⊗ I) M_k. One step per level: U_k = [A_{k-1} L_{k,i}]_i,
+    G_k = M_k† ((I - P_k) ⊗ I) M_k. One step per level: U_k = [A_{k-1} L_{k,i}]_i,
     d GEMMs held as d·r_{k-1} rows (letter, previous word) of w_0·w_k, is split
     by [Z_k | C_k] (`_split`): A_k = (Z_k† ⊗ I) U_k, and the complement rows
-    Y_k = (C_k† ⊗ I) U_k carry R_{k-1} one level up, as I - P_k is
+    Y_k = (C_k† ⊗ I) U_k carry G_{k-1} one level up, as I - P_k is
     I_d ⊗ (I - P_{k-1}) plus (I_d ⊗ F_{k-1}) C_k C_k† (I_d ⊗ F_{k-1})†. With
-    `roots="qr"`, R_k is the R factor of the rows R_{k-1} L_{k,i} over Y_k, at most
-    w_k rows, whose small singular values are those of the level, unsquared. With
-    `roots="gram"`, R_k is the Gram G_k = R_k† R_k = Σ_i L_{k,i}† G_{k-1} L_{k,i}
-    + Y_k† Y_k (w_k × w_k): a sum of Grams, whose largest eigenvalue gives ||R_k||
-    to working accuracy (`linalg.gram_norm`), while its small ones are squared.
-    Without `roots`, R_k is None. Every width is positive. `splits[k-1]`, if
-    given, is `_split(system, k, True)`, held by the caller. A_0 and R_0 take the
+    `gram`, G_k = Σ_i L_{k,i}† G_{k-1} L_{k,i} + Y_k† Y_k (w_k × w_k): a sum of
+    Grams, whose largest eigenvalue gives ||((I - P_k) ⊗ I) M_k|| to working
+    accuracy (`linalg.gram_norm`), while its small ones are squared.
+    Without `gram`, G_k is None. Every width is positive. `splits[k-1]`, if
+    given, is `_split(system, k, True)`, held by the caller. A_0 and G_0 take the
     letters' dtype, and each step numpy's promotion of it with the split's.
     """
     w0 = stacks[0].shape[1]
     a = np.eye(w0, dtype=stacks[0].dtype)
-    root = (None if roots is None
-            else np.zeros((0 if roots == "qr" else w0, w0), dtype=stacks[0].dtype))
-    yield a, root
+    g = np.zeros((w0, w0), dtype=stacks[0].dtype) if gram else None
+    yield a, g
     for k, letters in enumerate(stacks, 1):
         w = letters.shape[2]
         u = np.matmul(a, letters).reshape(-1, w0 * w)
-        zh, ch = _split(system, k, roots is not None) if splits is None else splits[k - 1]
+        zh, ch = _split(system, k, gram) if splits is None else splits[k - 1]
         a = _rows(zh, u).reshape(-1, w)
-        if roots == "qr":
-            root = np.linalg.qr(np.vstack([np.matmul(root, letters).reshape(-1, w),
-                                           _rows(ch, u).reshape(-1, w)]), mode="r")
-        elif roots == "gram":
+        if gram:
             y = _rows(ch, u).reshape(-1, w)
-            gram = y.conj().T @ y
+            yy = y.conj().T @ y
             del y  # freed before the lifted products are made
-            root = gram + letters.reshape(-1, w).conj().T @ np.matmul(root, letters).reshape(-1, w)
+            g = yy + letters.reshape(-1, w).conj().T @ np.matmul(g, letters).reshape(-1, w)
         del u, zh, ch  # not held while the caller works on the level or makes the next split
-        yield a, root
+        yield a, g
 
 
-def _recursion_bytes(system: SubproductSystem, widths: list[int], roots: str | None,
+def _recursion_bytes(system: SubproductSystem, widths: list[int], gram: bool,
                      itemsize: int) -> int:
     """Bytes one step of `_level_recursion` holds at once, at its largest level,
     on letters of `itemsize` bytes an entry.
 
     `widths` are w_0..w_K. A_{k-1}, U_k and A_k; the split (a few index arrays, or
-    Z_k† and, with `roots`, the complete-QR factor and its R). With "qr", the
-    complement rows and the root products next to their stack, or the stack next
-    to its QR copy. With "gram", the complement rows and the lifted products, each
-    with a conjugate copy when complex, next to G_{k-1}, two w_k × w_k products,
-    G_k and its eigenvalues. numpy's complete QR holds about 2.4 rows² while it
-    runs. Products are in the wider of the letters' and the system's dtype; numpy
-    multiplies a real Z_k† (a view of the core) or C_k† into complex letters
-    through a complex copy of it, so Z_k† counts at that width either way, and
-    C_k†'s copy is held next to Q and R.
+    Z_k† and, with `gram`, the complete-QR factor and its R). With `gram`, the
+    complement rows and the lifted products, each with a conjugate copy when
+    complex, next to G_{k-1}, two w_k × w_k products, G_k and its eigenvalues.
+    numpy's complete QR holds about 2.4 rows² while it runs. Products are in the
+    wider of the letters' and the system's dtype; numpy multiplies a real Z_k† (a
+    view of the core) or C_k† into complex letters through a complex copy of it,
+    so Z_k† counts at that width either way, and C_k†'s copy is held next to Q and R.
     """
     d, dims, w0 = system.d, system.dims(), widths[0]
     held = system.dtype.itemsize
@@ -304,16 +298,14 @@ def _recursion_bytes(system: SubproductSystem, widths: list[int], roots: str | N
         rows = d * a
         if system.route == "coordinate":
             split = work * (3 * b + rows)
-        else:  # Z_k†, and for the roots the complete QR, then Q, R and C_k†'s copy
+        else:  # Z_k†, and for the Gram the complete QR, then Q, R and C_k†'s copy
             qr = held * rows * (5 * rows + 4 * b) // 2
             if work > held:
                 qr = max(qr, held * rows * (rows + 2 * b) + work * (rows - b) * rows)
-            split = work * rows * b + (roots is not None) * qr
+            split = work * rows * b + gram * qr
         step = work * (a * wp + (rows + b) * w) * w0 + split
-        stacked = ((rows - b) * w0 + d * wp) * w  # the complement rows and lifted products
-        if roots == "qr":
-            step += work * 2 * stacked
-        elif roots == "gram":
+        if gram:
+            stacked = ((rows - b) * w0 + d * wp) * w  # the complement rows and lifted products
             step += work * ((1 + (work > 8)) * stacked + wp * wp + 3 * w * w) + 8 * w
         most = max(most, step)
     return most
@@ -489,8 +481,10 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int) -> Subpr
     level j, N_j is the largest level the generators of lower degree allow:
     the chain is refused unless F_j lies in N_j, N_j ⊖ F_j joins the
     generators as degree j, and F_j's coordinates are the level's core
-    (`_prescribed_core`). Levels above k are plain ideal levels. The system is
-    float64 when every prescribed frame is, else complex128.
+    (`_prescribed_core`). Levels above k are plain ideal levels. The derived
+    generators, one polynomial g with g(e) = conj(row) for each row, are
+    recorded in ``provenance["gens"]`` like those of every other constructor.
+    The system is float64 when every prescribed frame is, else complex128.
     """
     k = len(prescribed)
     if k < 1:
@@ -510,9 +504,16 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int) -> Subpr
             held = dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
             core, coeffs[n] = _prescribed_core(core, given[n], given[n - 1], n, held)
         fibers.append(CoreSubspace(d, fibers[-1], core))
-    return SubproductSystem(
-        d, depth, tuple(fibers), {"kind": "fibers", "prescribed_levels": k}
-    )
+    # next to the cores and rows: the terms of every generator, and those of the
+    # largest once more while it is made
+    term = {n: (GEN_TERM_BYTES + 8 * n) * d**n for n, c in coeffs.items() if len(c)}
+    check_budget(dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
+                 + sum(len(coeffs[n]) * b for n, b in term.items())
+                 + max(term.values(), default=0),
+                 f"generators of the prescribed levels 1..{k}")
+    gens = [NCPoly.from_vector(np.conj(row), n, d) for n, c in coeffs.items() for row in c]
+    return SubproductSystem(d, depth, tuple(fibers), {
+        "kind": "fibers", "prescribed_levels": k, "gens": IdealGens(d, gens)})
 
 
 def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
@@ -570,10 +571,9 @@ def _core_axiom_residuals(system: SubproductSystem) -> dict:
     The letter-a_1 rows of F_{k+n} are those of F_{k+n-1} times Z_{k+n,a_1}, so
     X(k+n) = (I_{d^k} ⊗ F_n) M_k, where M_k stacks the products
     Z_{n+1,a_k} ⋯ Z_{n+k,a_1}; as M_k lies in C^{d^k} ⊗ X(n), the residual is
-    || ((I - P_k) ⊗ I_{r_n}) M_k ||, the norm of the root R_k of
-    `_level_recursion` on the letters Z_{n+1..depth}, read from its Gram: only the
-    largest singular value is read, and a Gram holds it to working accuracy
-    (`linalg.gram_norm`). One pass over k serves
+    || ((I - P_k) ⊗ I_{r_n}) M_k ||, read from the Gram G_k of `_level_recursion`
+    on the letters Z_{n+1..depth}: only the largest singular value is read, and a
+    Gram holds it to working accuracy (`linalg.gram_norm`). One pass over k serves
     every split with right leg n, and nothing has d^n rows. Each left level k is
     split once (`_split`) and held for every right leg. From the first zero
     level on, every level is zero and so is every residual into it.
@@ -584,7 +584,7 @@ def _core_axiom_residuals(system: SubproductSystem) -> dict:
     out = {(k, n): 0.0 for n in range(1, depth) for k in range(1, depth - n + 1)}
     splits = [_split(system, k, True) for k in range(1, live - 1)]
     for n in range(1, live - 1):
-        for k, (_, gram) in enumerate(_level_recursion(system, cores[n + 1:live], "gram",
+        for k, (_, gram) in enumerate(_level_recursion(system, cores[n + 1:live], True,
                                                        splits)):
             if k:
                 out[(k, n)] = linalg.gram_norm(gram)
@@ -603,12 +603,13 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     # the two residual dicts, their keys and values, and array headers
     small = 256 * system.depth**2 + 4096
     if system.route == "core":
-        # the splits of levels 1..depth-1, held for every right leg n (Z_k† and
-        # the complete QR behind C_k†); a Gram step of the recursion, counted
-        # with a split, which holds the Grams and the eigenvalues read from them
+        # the splits of levels 1..depth-1, held for every right leg n (the complete
+        # QR behind C_k†, and Z_k†, a view of the core when real); a Gram step of
+        # the recursion, counted with a split, which holds the Grams and the
+        # eigenvalues read from them
         dims, d, itemsize = system.dims(), system.d, system.dtype.itemsize
-        held = sum(d * a * (d * a + b) for a, b in zip(dims[:-2], dims[1:-1]))
-        step = max((_recursion_bytes(system, dims[n:], "gram", itemsize)
+        held = sum(d * a * (d * a + (itemsize > 8) * b) for a, b in zip(dims[:-2], dims[1:-1]))
+        step = max((_recursion_bytes(system, dims[n:], True, itemsize)
                     for n in range(1, system.depth)), default=0)
         check_budget(itemsize * held + step + small,
                      f"axiom residuals on the cores up to level {system.depth}")

@@ -9,9 +9,10 @@ by level, the pair projections, pair inclusions and unit
 residuals on dense frames, the Gram ranks behind the strong-commutation
 support counts, the Choi ranks of a channel's powers through its
 superoperator, a channel's subproduct system from its dense Kraus-word
-stacks, the maps over all d^n words behind the maximal piece and
-the complement residuals, and the maximal completion of a prescribed chain
-by the pair products of its dense frames.
+stacks, the maps over all d^n words behind the maximal piece, the
+unsquared QR roots of the level recursion whose Grams the axiom check reads,
+and the maximal completion of a prescribed chain by the pair products of its
+dense frames.
 """
 
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from spsys import linalg
 from spsys.linalg import RANK_ABS_FLOOR, Subspace, check_budget
-from spsys.subproduct import INCLUSION_TOL, _scalar_fiber, maximal_with_fibers
+from spsys.subproduct import INCLUSION_TOL, _rows, _scalar_fiber, _split, maximal_with_fibers
 from spsys.cpmaps import NONZERO_TOL, KrausChannel, StochasticMatrix
 from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
 from spsys.reps import REP_TOL
@@ -466,3 +467,23 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
         fibers.append(Subspace(d**n, frame, prev.tol_used))
     return tuple(fibers)
 
+
+def qr_level_roots(system, stacks) -> list[np.ndarray]:
+    """R_k for k = 0..len(stacks), with R_k† R_k the Gram G_k of
+    `subproduct._level_recursion` on the same letters, unsquared.
+
+    R_k is the R factor of the rows R_{k-1} L_{k,i} over the complement rows
+    Y_k = (C_k† ⊗ I) U_k, at most w_k rows, so its singular values are those of
+    ((I - P_k) ⊗ I) M_k themselves, not their squares.
+    """
+    w0 = stacks[0].shape[1]
+    a = np.eye(w0, dtype=stacks[0].dtype)
+    roots = [np.zeros((0, w0), dtype=stacks[0].dtype)]
+    for k, letters in enumerate(stacks, 1):
+        w = letters.shape[2]
+        u = np.matmul(a, letters).reshape(-1, w0 * w)
+        zh, ch = _split(system, k, True)
+        a = _rows(zh, u).reshape(-1, w)
+        roots.append(np.linalg.qr(np.vstack([np.matmul(roots[-1], letters).reshape(-1, w),
+                                             _rows(ch, u).reshape(-1, w)]), mode="r"))
+    return roots

@@ -257,9 +257,9 @@ def _sweep_pairs(family, seed):
 
 @pytest.mark.parametrize("family", SWEEP)
 def test_quad_sweep_answers_equivalent_pairs_in_closed_form(family):
-    # every exact pair answers yes with its closed-form witness within the
-    # threshold; a pair with 1e-9 noise on B moves its invariants by the noise,
-    # so it may answer no, but never inconclusive: no witness misses
+    # every pair answers yes with its closed-form witness within the threshold,
+    # also with 1e-9 noise on B: the symmetric ranks are decided at the
+    # threshold, so a symmetric part of noise does not count
     verdicts = {0.0: [], 1e-9: []}
     for a, b, noise in _sweep_pairs(family, 40 + SWEEP.index(family)):
         out = classify.quad_equivalent(a, b)
@@ -270,9 +270,24 @@ def test_quad_sweep_answers_equivalent_pairs_in_closed_form(family):
             residual = np.linalg.norm(lam * (u.T @ a @ u) - b)
             assert residual == pytest.approx(out["residual"], rel=1e-6, abs=1e-15)
             assert out["residual"] <= out["threshold"]
-    assert set(verdicts[0.0]) == {"yes"}
-    assert set(verdicts[1e-9]) <= {"yes", "no"}
+    assert set(verdicts[0.0]) == set(verdicts[1e-9]) == {"yes"}
     assert len(verdicts[0.0]) == len(verdicts[1e-9]) >= 20
+
+
+def test_quad_symmetric_rank_is_decided_at_the_witness_threshold():
+    # B = 0.5 J + N with ||N|| = 1.9e-9: the witness λ = 0.5, U = I meets the
+    # threshold 1e-8, and N's symmetric part, below it, does not count as rank
+    rng = np.random.default_rng(0)
+    noise = 1e-9 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    j = _J.astype(complex)
+    out = classify.quad_equivalent(j, 0.5 * j + noise)
+    assert out["verdict"] == "yes" and out["invariants"]["sym_rank"] == (0, 0)
+    assert out["residual"] <= np.linalg.norm(noise) < out["threshold"] == 1e-8
+    assert out["lam"] == pytest.approx(0.5, abs=1e-8)
+    # a symmetric part above the threshold is rank, and the pair is not equivalent
+    sym = 1e-6 * np.array([[1, 0], [0, 0]])
+    assert classify.quad_equivalent(j, 0.5 * j + sym)["invariants"]["sym_rank"] == (0, 1)
+    assert classify.quad_equivalent(j, 0.5 * j + sym)["verdict"] == "no"
 
 
 def test_quad_witness_miss_is_inconclusive_with_its_residual(tmp_path):

@@ -646,6 +646,25 @@ def test_cp_strong_commute_reports_the_threshold_it_decides_at(capsys, tmp_path)
     assert (code, c["verdict"], c["threshold"]) == (0, "pass", cpmaps.NONZERO_TOL)
 
 
+def test_cp_strong_commute_checks_a_json_input_before_reading_it(capsys, tmp_path,
+                                                                monkeypatch):
+    # a stochastic .json file is counted against the budget like every JSON input
+    paths = [tmp_path / "p.json", tmp_path / "q.json"]
+    for path in paths:
+        formats.dump_json(formats.encode_matrix(np.full((3, 3), 1 / 3)), path)
+    code, out, _ = run_cli(capsys, "cp", "strong-commute", *map(str, paths))
+    assert code == 0 and json.loads(out)["commute"] is True
+
+    def never(*args, **kwargs):
+        raise AssertionError("read before the budget check")
+
+    monkeypatch.setattr(formats, "load_stochastic", never)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 1024)
+    code, out, err = run_cli(capsys, "cp", "strong-commute", *map(str, paths))
+    assert code == 3 and out == ""
+    assert f"reading {paths[0]} needs about" in err
+
+
 def test_cp_strong_commute_example(capsys, tmp_path):
     p_csv = tmp_path / "p.csv"
     q_csv = tmp_path / "q.csv"

@@ -122,15 +122,19 @@ def test_is_representation_subshift_monomials(golden_6):
 
 
 def test_is_representation_fibers_route():
-    # maximal systems built from raw fibers record no generating polynomials,
-    # so the check takes the complement route
+    # maximal systems built from raw fibers record the generators derived from
+    # the prescribed levels: here X(2)^⊥ = span{e21}, so x2 x1 up to a phase
     level2 = linalg.complement(linalg.span(np.array([[0, 0, 1.0, 0]]).T))
     sys_ = subproduct.maximal_with_fibers(
         2, [linalg.full_space(2), level2], 4)
     rng = np.random.default_rng(5)
     rep = random_row_contraction(rng, 2, 3, 0.8)
     out = reps.is_representation(sys_, rep)
-    assert "ok" in out and "max_residual" in out
+    assert out["route"] == "generators"
+    t1, t2 = rep.matrices
+    expected = np.linalg.norm(t2 @ t1, 2)
+    assert out["residuals"] == pytest.approx([0.0] + [expected] * 3, rel=1e-12, abs=1e-15)
+    assert not out["ok"]
 
 
 def _symmetric_fibers_system(depth):
@@ -138,29 +142,13 @@ def _symmetric_fibers_system(depth):
     return subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], depth)
 
 
-def test_is_representation_complement_matches_kron_formula():
-    # the level-n residual is ||W_n (C ⊗ I_h)|| over the whole complement
-    # frame C, which bounds the norm of every single column's block
-    sys_ = _symmetric_fibers_system(6)
-    rng = np.random.default_rng(22)
-    h = 4
-    rep = random_row_contraction(rng, 2, h, 0.8)
-    out = reps.is_representation(sys_, rep)
-    assert out["route"] == "complement"
-    maps = full_word_maps(rep, sys_.depth)
-    for n in range(1, sys_.depth + 1):
-        comp = linalg.complement(sys_.fiber(n))
-        expected = linalg.opnorm(maps[n] @ np.kron(comp.frame, np.eye(h)))
-        assert abs(out["residuals"][n - 1] - expected) <= 1e-12
-
-
 def test_is_representation_complement_fits_a_small_budget_at_depth(monkeypatch):
-    # the top level has 8192 words; the roots keep the route at fiber size
+    # the top level has 8192 words; the derived generator keeps the check at h x h
     sys_ = _symmetric_fibers_system(13)
     rep = random_row_contraction(np.random.default_rng(24), 2, 16, 0.8)
     monkeypatch.setattr(linalg, "BUDGET_BYTES", 8 << 20)
     out = reps.is_representation(sys_, rep)
-    assert out["route"] == "complement"
+    assert out["route"] == "generators"
     assert not out["ok"]
 
 
@@ -218,25 +206,25 @@ def test_is_representation_generator_estimate_is_within_twice_the_traced_peak(ki
 
 
 def _dead_level_system(depth):
-    """The full shift below `depth` and a zero top level, with no generators:
-    every pair of the top level is a complement row."""
-    spec = SubshiftSpec(2, tuple(ncpoly.all_words(depth, 2)))
-    return subproduct.SubproductSystem(2, depth, subproduct.from_subshift(spec, depth).fibers)
+    """The full shift below `depth` and a zero top level: every word of the top
+    level is a generator."""
+    return subproduct.from_subshift(SubshiftSpec(2, tuple(ncpoly.all_words(depth, 2))), depth)
 
 
-def _commutator_without_generators(depth):
-    """The d=2 commutator cores with no generators recorded: the complement route."""
-    system = subproduct.from_ideal(ncpoly.commutator_gens(2), depth)
-    return subproduct.SubproductSystem(2, depth, system.fibers)
+def _commutator_system(depth):
+    return subproduct.from_ideal(ncpoly.commutator_gens(2), depth)
 
 
+# The residuals over the complement of each fiber, from the recorded generators:
+# `fibers` chains with their derived generators, a dead top level and the
+# commutators
 COMPLEMENT_CASES = [
     pytest.param(_symmetric_fibers_system, 7, 12, id="7-12"),
     pytest.param(_symmetric_fibers_system, 8, 8, id="8-8"),
     pytest.param(_dead_level_system, 5, 16, id="dead-5-16"),
-    # at h = 3 the headers outweigh a recursion step
+    # at h = 3 the headers outweigh the generator values
     pytest.param(_symmetric_fibers_system, 7, 3, id="7-3"),
-    pytest.param(_commutator_without_generators, 7, 3, id="commutator-7-3"),
+    pytest.param(_commutator_system, 7, 3, id="commutator-7-3"),
 ]
 
 
@@ -255,15 +243,15 @@ def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth,
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
-    with pytest.raises(linalg.MemoryBudgetError, match="complement residuals"):
+    with pytest.raises(linalg.MemoryBudgetError, match=f"generator values on {h} x {h}"):
         reps.is_representation(sys_, rep)
 
 
 @pytest.mark.parametrize("make, depth, h", COMPLEMENT_CASES)
 def test_is_representation_complement_estimate_is_within_twice_the_traced_peak(make, depth, h,
                                                                               monkeypatch):
-    # the roots' estimate counts a recursion step, the roots and headers, and
-    # nothing of the piece: a budget that would fit is not refused
+    # the estimate counts a generator value with its sum and products, and
+    # headers, and nothing of the piece: a budget that would fit is not refused
     sys_ = make(depth)
     rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
     for n in range(depth + 1):
@@ -859,13 +847,43 @@ def test_verdicts_agree_at_one_tolerance(name, kind):
 
 
 def test_piece_and_complement_build_no_fiber_frame():
+    # the residuals over the fibers' complements come from the generators, also
+    # on a `fibers` system, whose frames above the prescribed levels stay unbuilt
     rep, _, _ = conjugated_full_shift(4, seed=49)
-    for system in (_golden(4), subproduct.from_ideal(ncpoly.commutator_gens(2), 4)):
+    commutator = subproduct.from_ideal(ncpoly.commutator_gens(2), 4)
+    for system, unbuilt in ((_golden(4), 0), (commutator, 0), (_symmetric_fibers_system(4), 3)):
         reps.maximal_piece(system, rep)
         reps.is_representation(system, rep)
-        # the complement route, which is_representation skips when there are generators
-        reps._complement_roots(system, rep)
-        assert all("frame" not in vars(f) for f in system.fibers)
+        assert all("frame" not in vars(f) for f in system.fibers[unbuilt:])
+
+
+def test_a_system_without_generators_is_refused_before_any_allocation(monkeypatch):
+    # every constructor records generators; fibers assembled by hand have none,
+    # and both checks refuse them before the budget check or any g(T)
+    system = subproduct.SubproductSystem(2, 4, _golden(4).fibers)
+    rep = random_row_contraction(np.random.default_rng(30), 2, 3, 0.9)
+
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the refusal")
+
+    monkeypatch.setattr(reps, "check_budget", never)
+    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
+    for check in (reps.is_representation, reps.maximal_piece):
+        with pytest.raises(ValueError, match="records no generators"):
+            check(system, rep)
+
+
+def test_piece_budget_refusal_names_its_level_once(monkeypatch):
+    # a `fibers` system reads its derived generators, so the message is the
+    # piece's own and says "up to level 14" once
+    system = _symmetric_fibers_system(14)
+    rep = random_row_contraction(np.random.default_rng(31), 2, 16, 0.9)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 1024)
+    with pytest.raises(linalg.MemoryBudgetError) as refused:
+        reps.maximal_piece(system, rep)
+    message = str(refused.value)
+    assert "piece constraints up to level 14" in message
+    assert message.count("up to level 14") == 1
 
 
 def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):

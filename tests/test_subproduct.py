@@ -12,8 +12,8 @@ from spsys.subproduct import SubshiftSpec
 from conftest import random_homogeneous_poly
 from oracles import (
     dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
-    frame_letter_blocks, homogeneous_component, inclusion_residual, subspace_distance,
-    zero_space,
+    frame_letter_blocks, homogeneous_component, inclusion_residual, qr_level_roots,
+    subspace_distance, zero_space,
 )
 
 
@@ -368,6 +368,21 @@ def test_maximal_with_fibers_matches_the_dense_completion(case):
         assert np.max(np.abs(system.fiber(n).frame - f.frame), initial=0.0) <= 1e-12
 
 
+@pytest.mark.parametrize("case", sorted(FIBERS_CASES))
+def test_maximal_with_fibers_records_its_derived_generators(case):
+    # one generator of degree n for each direction of N_n ⊖ F_n, and the ideal
+    # system of those generators is the completion itself
+    d, chain, depth, dims = FIBERS_CASES[case]
+    prescribed = chain()
+    system = subproduct.maximal_with_fibers(d, prescribed, depth)
+    gens = system.provenance["gens"]
+    assert gens.d == d and all(g.degree() <= len(prescribed) for g in gens.gens)
+    ideal = subproduct.from_ideal(gens, depth)
+    assert ideal.dims() == system.dims() == dims
+    for n in range(depth + 1):
+        assert subspace_distance(ideal.fiber(n), system.fiber(n)) <= 1e-12
+
+
 def test_maximal_with_fibers_rejects_bad_inclusion():
     # prescribe a level-2 fiber that is not inside E (x) X(1)
     e1 = linalg.span(np.array([[1.0], [0.0]]))
@@ -594,7 +609,7 @@ def test_moved_core_axiom_residuals_match_the_unsquared_routes(case, eps):
     # singular value, unsquared: the two agree to working accuracy
     cores = [None] + [f.letter_cores() for f in system.fibers[1:]]
     for n in range(1, system.depth):
-        for k, (_, root) in enumerate(subproduct._level_recursion(system, cores[n + 1:], "qr")):
+        for k, root in enumerate(qr_level_roots(system, cores[n + 1:])):
             if (k, n) in moved:
                 unsquared = np.linalg.norm(root, 2)
                 assert abs(got[(k, n)] - unsquared) <= 1e-10 * unsquared
@@ -739,13 +754,14 @@ def test_provenance_kinds(symmetric2_6, golden_6, full2_6):
     assert symmetric2_6.kind == "ideal"
     assert golden_6.kind == "subshift"
     assert full2_6.kind == "full"
-    # every constructor but the maximal completion records its generators
+    # every constructor records its generators; the maximal completion derives them
     for system, gens in _generator_systems(3):
         assert [g.terms for g in system.provenance["gens"].gens] == [g.terms for g in gens.gens]
     assert [g.terms for g in golden_6.provenance["gens"].gens] == [{(2, 2): 1}]
     assert full2_6.provenance["gens"].gens == []
     assert subproduct.from_quadratic(np.zeros((2, 2)), 3).provenance["gens"].gens == []
-    assert "gens" not in subproduct.maximal_with_fibers(2, [linalg.full_space(2)], 2).provenance
+    full1 = subproduct.maximal_with_fibers(2, [linalg.full_space(2)], 2)
+    assert full1.provenance["gens"].gens == []
 
 
 # ---------------------------------------------------------------------------

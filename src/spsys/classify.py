@@ -14,10 +14,11 @@ off the complete invariants
     s2 / s1          and      (c0 / s1)^2,   c0 = conj(det W) * c,
 
 where c is the antisymmetric coefficient (A_a = c J, J = [[0, 1], [-1, 0]]).
-The symmetric ranks are decided at the witness threshold. When the
-symmetric part has rank one the phase of c0 is gauge and only |c0| / s1
-matters. A matching pair yields an explicit witness (λ, U) whose residual
-is verified before answering yes. The decision and the witness are closed forms in numpy.
+The symmetric ranks are decided at the witness threshold, at most half the
+norm. When the symmetric part has rank one the phase of c0 is gauge and
+only |c0| / s1 matters. A matching pair yields an explicit witness (λ, U)
+whose residual is verified before answering yes. The decision and the
+witness are closed forms in numpy.
 A witness whose residual misses its threshold, although the invariants match,
 is reported inconclusive, with that residual.
 """
@@ -151,10 +152,12 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
     wa, sa, ca, c0a = _canonical_data(a)
     wb, sb, cb, c0b = _canonical_data(b)
     # the symmetric ranks at the witness threshold: a symmetric part of B below
-    # it is within the threshold of 0, and A's scales by |λ| = ||B|| / ||A||
-    threshold = report["threshold"]
-    rank_a = int(np.sum(sa > threshold * na / nb))
-    rank_b = int(np.sum(sb > threshold))
+    # it is within the threshold of 0, and A's scales by |λ| = ||B|| / ||A||.
+    # The level is at most half of each norm, below s1 >= ||X|| / √2 of an X
+    # with no antisymmetric part, so rank 0 comes with c != 0 on both sides.
+    level = min(report["threshold"] / nb, 0.5)
+    rank_a = int(np.sum(sa > level * na))
+    rank_b = int(np.sum(sb > level * nb))
     inv = {
         "sym_rank": (rank_a, rank_b),
         "case": f"sym-rank-{rank_a}",

@@ -12,6 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# The word index of `NCPoly.values_on_tuple` in tracemalloc's count (CPython
+# 3.11, 64-bit): a dict slot, a list and a sorted slot a word; a list slot a term
+WORD_INDEX_BYTES = 160
+WORD_USE_BYTES = 12
+
+
 @dataclass(frozen=True)
 class Word:
     """A word in the letters 1..d."""
@@ -49,6 +55,11 @@ def index_word(idx: int, n: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
+def _shared(u: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """Length of the longest common prefix of two words."""
+    return next((j for j, (a, b) in enumerate(zip(u, w)) if a != b), min(len(u), len(w)))
+
+
 def all_words(n: int, d: int):
     """All words of length n in lexicographic order."""
     return (index_word(i, n, d) for i in range(d**n))
@@ -80,11 +91,25 @@ class NCPoly:
         vec = np.asarray(vec, dtype=complex).ravel()
         if vec.size != d**n:
             raise ValueError(f"expected {d ** n} coordinates, got {vec.size}")
-        terms = {}
-        for i, c in enumerate(vec):
-            if c != 0:
-                terms[index_word(i, n, d)] = c
-        return cls(d, terms)
+        return cls.from_rows(vec[None], n, d)[0]
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, n: int, d: int) -> list["NCPoly"]:
+        """One homogeneous degree-n polynomial per row of lexicographic coordinates
+        (k × d^n); the polynomials share one tuple per word."""
+        rows = np.asarray(rows, dtype=complex)
+        if rows.ndim != 2 or rows.shape[1] != d**n:
+            raise ValueError(f"expected rows of {d ** n} coordinates, got shape {rows.shape}")
+        used = np.flatnonzero(np.any(rows != 0, axis=0))
+        digits = used[:, None] // d ** np.arange(n - 1, -1, -1) % d + 1
+        words = dict(zip(used.tolist(), map(tuple, digits.tolist())))
+        polys = []
+        for row in rows:
+            nz = np.flatnonzero(row)
+            p = cls(d)  # the letters are 1..d by construction
+            p.terms = dict(zip(map(words.__getitem__, nz.tolist()), row[nz].tolist()))
+            polys.append(p)
+        return polys
 
     def degree(self) -> int:
         """Maximal word length (0 for the zero polynomial)."""
@@ -141,26 +166,63 @@ class NCPoly:
         return "NCPoly(" + " + ".join(bits) + ")"
 
     def eval_on_tuple(self, mats) -> np.ndarray:
-        """Evaluate on a tuple of square matrices: sum of c_w * T^w.
+        """Evaluate on a tuple of square matrices: sum of c_w * T^w
+        (`values_on_tuple`)."""
+        return NCPoly.values_on_tuple([self], mats)[0]
 
-        The empty word contributes c * I. Real coefficients on real matrices
-        give a float64 result, anything else complex128.
+    @staticmethod
+    def values_held(polys) -> tuple[int, int]:
+        """What `values_on_tuple` holds next to its values: the most word products
+        at once (the prefixes kept for the next word, and a product with the next
+        one or a term), and the bytes of its word index and array headers."""
+        words = sorted({w for p in polys for w in p.terms})
+        uses = sum(len(p.terms) for p in polys)
+        return (2 + max(map(_shared, words, words[1:]), default=0),
+                WORD_INDEX_BYTES * len(words) + WORD_USE_BYTES * uses + 2048)
+
+    @staticmethod
+    def values_on_tuple(polys, mats) -> np.ndarray:
+        """[p(T) for p in polys], stacked k × h × h, with one product T^w per word
+        of their terms.
+
+        The words run in lexicographic order, and each product starts from the
+        longest prefix it shares with the word before, which is held until
+        then, so d^n words of one degree cost about d^n·d/(d-1) matmuls between
+        all the polynomials, however many there are. A product is left to right,
+        the empty word's is I, and each value sums c_w T^w over its terms in
+        lexicographic order. Real coefficients on real matrices give float64
+        values, anything else complex128.
         """
-        real = self.is_real()
         mats = [np.asarray(m) for m in mats]
-        if len(mats) != self.d:
-            raise ValueError(f"expected {self.d} matrices, got {len(mats)}")
+        for p in polys:
+            if len(mats) != p.d:
+                raise ValueError(f"expected {p.d} matrices, got {len(mats)}")
         h = mats[0].shape[0]
         for m in mats:
             if m.shape != (h, h):
                 raise ValueError("matrices must be square and of equal size")
-        out = np.zeros((h, h), dtype=np.result_type(float if real else complex, *mats))
-        for w, c in self.terms.items():
-            # a word's product starts at its first letter: I @ T equals T
-            acc = mats[w[0] - 1] if w else np.eye(h)
-            for a in w[1:]:
-                acc = acc @ mats[a - 1]
-            out += (c.real if real else c) * acc
+        real = all(p.is_real() for p in polys)
+        out = np.zeros((len(polys), h, h), dtype=np.result_type(float if real else complex, *mats))
+        uses: dict[tuple[int, ...], list[int]] = {}
+        for i, p in enumerate(polys):
+            for w in p.terms:
+                uses.setdefault(w, []).append(i)
+        words = sorted(uses)
+        kept: list[np.ndarray] = []  # T^{w[:j]}, j = 1..len(kept), for the next word
+        for t, w in enumerate(words):
+            keep = _shared(w, words[t + 1]) if t + 1 < len(words) else 0
+            product = kept[-1] if kept else None
+            for j in range(len(kept), len(w)):
+                letter = mats[w[j] - 1]
+                product = letter if product is None else product @ letter
+                if j < keep:
+                    kept.append(product)
+            if product is None:  # the empty word
+                product = np.eye(h)
+            for i in uses[w]:
+                c = polys[i].terms[w]
+                out[i] += (c.real if real else c) * product
+            del kept[keep:]
         return out
 
     def eval_on_basis(self) -> np.ndarray:

@@ -20,7 +20,9 @@ runs it on the system's own cores): C^d ⊗ X(n-1) is split by the stacked
 core Z_n (`subproduct._split`), read off the word indices of a coordinate
 system or the cores of a core chain. Poisson transforms and the
 model check lower the kernel through the adjoints of the same level maps,
-which the shift tuple holds. No routine enumerates the d^n words of a level.
+which the shift tuple holds. Only a generator's value g(T) runs over words,
+those of g's terms: a generator derived from prescribed `fibers` frames may
+have up to d^n of them.
 """
 
 from __future__ import annotations
@@ -128,21 +130,39 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
 
 
-def _generator_values(system: SubproductSystem, rep: RepTuple, words: int | None = None,
-                      what: str | None = None):
-    """(deg g, g(T)) for the generators of degree <= depth, made as the caller takes
-    them, after one budget check of `words` complex words and headers: by default
-    one g(T) with its sum, two word products and a copy. Every constructor records
+def _gens(system: SubproductSystem) -> list[NCPoly]:
+    """The recorded generators of degree <= depth. Every constructor records
     its generators; a system made by hand without them is refused."""
-    h, ideal = rep.h, system.provenance.get("gens")
+    ideal = system.provenance.get("gens")
     if ideal is None:
         raise ValueError("the system records no generators; build it with a constructor "
                          "of `subproduct`, such as maximal_with_fibers for prescribed frames")
-    gens = [g for g in ideal.gens if g.degree() <= system.depth]
-    words = 4 * h * h if words is None else words
-    check_budget(16 * words + 128 * (len(gens) + system.depth) + 2048,
+    return [g for g in ideal.gens if g.degree() <= system.depth]
+
+
+def _generator_values(system: SubproductSystem, rep: RepTuple, keep: bool = False,
+                      after: int | None = None, what: str | None = None):
+    """(i, deg g, g(T)) for the generators g = gens[i] of degree <= depth (`_gens`),
+    a group of one degree and realness at a time (`NCPoly.values_on_tuple`), made
+    as the caller takes them, after one budget check: a group's values next to its
+    word products, index and headers (`NCPoly.values_held`), and then next to
+    `after` complex words of the caller's (by default an operator norm's copies of
+    one value); with `keep`, the caller holds every value it has taken."""
+    h, gens = rep.h, _gens(system)
+    after = 3 * h * h if after is None else after
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, g in enumerate(gens):
+        groups.setdefault((g.degree(), g.is_real()), []).append(i)
+    words, index, taken = after, 2048, 0
+    for ix in groups.values():
+        products, index_bytes = NCPoly.values_held([gens[i] for i in ix])
+        taken = (taken if keep else 0) + len(ix)
+        words = max(words, taken * h * h + max(products * h * h, after))
+        index = max(index, index_bytes)
+    check_budget(16 * words + index + 128 * (len(gens) + system.depth),
                  what or f"generator values on {h} x {h}")
-    return ((g.degree(), g.eval_on_tuple(rep.matrices)) for g in gens)
+    return ((i, n, v) for (n, _), ix in groups.items()
+            for i, v in zip(ix, NCPoly.values_on_tuple([gens[i] for i in ix], rep.matrices)))
 
 
 def is_representation(system: SubproductSystem, rep: RepTuple,
@@ -158,7 +178,7 @@ def is_representation(system: SubproductSystem, rep: RepTuple,
     """
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
-    norms = [(k, linalg.opnorm(v)) for k, v in _generator_values(system, rep)]
+    norms = [(k, linalg.opnorm(v)) for _, k, v in _generator_values(system, rep)]
     residuals = [max((r for k, r in norms if k <= n), default=0.0)
                  for n in range(1, system.depth + 1)]
     return {
@@ -343,13 +363,16 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     fk = fock_mod.build_fock(system)
     total = fk.total_dim
     # Held next to the d dense shifts: the level maps while the shifts are
-    # filled; later p(S) while q(S) is evaluated, where eval_on_tuple holds its
-    # sum, a word product and the next one (or p(S), q(S), a conjugate and
-    # their product), then p(S) q(S)† next to the working set of its operator
-    # norm, which covers its window's; and 16 KiB of headers and small arrays.
+    # filled; later p(S) while it is evaluated, with the word products and index
+    # of `NCPoly.values_on_tuple`, then next to q(S) while it is (or p(S), q(S), a
+    # conjugate and their product), then p(S) q(S)† next to the working set of
+    # its operator norm, which covers its window's; and 16 KiB of headers and
+    # small arrays.
     itemsize = np.result_type(system.dtype, float if p.is_real() and q.is_real()
                               else complex).itemsize
-    later = max(4 * itemsize * total**2,
+    (p_products, p_index), (q_products, q_index) = map(NCPoly.values_held, ([p], [q]))
+    later = max(max(1 + p_products, 2 + q_products, 4) * itemsize * total**2
+                + max(p_index, q_index),
                 itemsize * total**2 + linalg.opnorm_bytes(total, total, itemsize))
     check_budget(system.dtype.itemsize * system.d * total**2 + max(_split_bytes(system), later)
                  + (16 << 10),
@@ -429,15 +452,15 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
     h, hh, depth, mats = rep.h, rep.h ** 2, system.depth, rep.matrices
-    gens = system.provenance.get("gens")
-    # blocks of G; without generators `_generator_values` refuses the system
-    k = sum(g.degree() <= depth for g in gens.gens) if gens else 0
-    # G next to the largest of: a g(T) being made; the basis and a block with
-    # its projection or SVD factors; the complete QR; Q, Q† and the defect's
-    # Gram, a part and its product. With no block, Q = I and its frame check.
-    words = ((k + 6) * hh if k else 3 * hh) + 512
-    blocks = [(depth - deg, v) for deg, v in _generator_values(
-        system, rep, words, f"piece constraints up to level {depth}")]
+    k = len(_gens(system))  # blocks of G, in the generators' order
+    # G next to a group of g(T) being made, and then next to the largest of: the
+    # basis and a block with its projection or SVD factors; the complete QR; Q,
+    # Q† and the defect's Gram, a part and its product. With no block, Q = I and
+    # its frame check.
+    after = (6 if k else 3) * hh + 512
+    blocks = [(depth - deg, v) for _, deg, v in sorted(
+        _generator_values(system, rep, True, after, f"piece constraints up to level {depth}"),
+        key=lambda block: block[0])]
     basis = np.empty((h, h if blocks else 0), dtype=complex)
     weights = np.empty(basis.shape[1])
     c = start = 0  # basis[:, start:c] are the directions new in the last round

@@ -35,9 +35,13 @@ from spsys.ncpoly import IdealGens, NCPoly
 INCLUSION_TOL = 1e-9
 UNIT_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-12
-# An NCPoly term in tracemalloc's count (CPython 3.11, 64-bit), apart from its
-# word's 8 bytes a letter: the word tuple, the complex coefficient and a dict slot
-GEN_TERM_BYTES = 192
+# Generators made by `NCPoly.from_rows`, in tracemalloc's count (CPython 3.11,
+# 64-bit): a polynomial; a term (its complex coefficient and dict slot); and a
+# word of the degree apart from its 8 bytes a letter (the tuple the polynomials
+# share, and a row's nonzero entries in lists while its polynomial is made)
+GEN_BYTES = 512
+GEN_TERM_BYTES = 96
+GEN_WORD_BYTES = 320
 
 
 @dataclass(frozen=True)
@@ -504,14 +508,13 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int) -> Subpr
             held = dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
             core, coeffs[n] = _prescribed_core(core, given[n], given[n - 1], n, held)
         fibers.append(CoreSubspace(d, fibers[-1], core))
-    # next to the cores and rows: the terms of every generator, and those of the
-    # largest once more while it is made
-    term = {n: (GEN_TERM_BYTES + 8 * n) * d**n for n, c in coeffs.items() if len(c)}
+    # next to the cores and rows: every generator with its terms, the words of
+    # each degree, and the conjugate rows they are made from
     check_budget(dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
-                 + sum(len(coeffs[n]) * b for n, b in term.items())
-                 + max(term.values(), default=0),
+                 + sum(len(c) * (GEN_BYTES + GEN_TERM_BYTES * d**n) + 16 * c.size
+                       + (GEN_WORD_BYTES + 8 * n) * d**n for n, c in coeffs.items() if len(c)),
                  f"generators of the prescribed levels 1..{k}")
-    gens = [NCPoly.from_vector(np.conj(row), n, d) for n, c in coeffs.items() for row in c]
+    gens = [g for n, c in coeffs.items() if len(c) for g in NCPoly.from_rows(np.conj(c), n, d)]
     return SubproductSystem(d, depth, tuple(fibers), {
         "kind": "fibers", "prescribed_levels": k, "gens": IdealGens(d, gens)})
 
@@ -648,7 +651,7 @@ def recover_ideal_gens(system: SubproductSystem) -> IdealGens:
             gens += [NCPoly.monomial(d, ncpoly.index_word(int(w), n, d)) for w in words]
             continue
         comp = prev.frame @ ch.conj().T.reshape(d, prev.dim, len(ch))
-        gens += [NCPoly.from_vector(col, n, d) for col in comp.reshape(d**n, len(ch)).T]
+        gens += NCPoly.from_rows(comp.reshape(d**n, len(ch)).T, n, d)
     return IdealGens(d, gens)
 
 

@@ -290,6 +290,28 @@ def test_quad_symmetric_rank_is_decided_at_the_witness_threshold():
     assert classify.quad_equivalent(j, 0.5 * j + sym)["verdict"] == "no"
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-20])
+def test_quad_symmetric_rank_of_a_b_within_the_threshold_of_zero(scale):
+    # ||B|| is below the threshold 1e-8, so the rank level is capped at half
+    # of each norm: a matrix with no antisymmetric part keeps its rank, and
+    # the answers are the exact ones (before the cap, A = I gave rank 0 and
+    # divided by its zero antisymmetric coefficient)
+    eye, j = np.eye(2), _J.astype(complex)
+    out = classify.quad_equivalent(eye, scale * eye)
+    assert out["verdict"] == "yes" and out["invariants"]["sym_rank"] == (2, 2)
+    assert out["lam"] == pytest.approx(scale) and out["residual"] == 0.0
+    out = classify.quad_equivalent(eye, scale * j)
+    assert out["verdict"] == "no" and out["invariants"]["sym_rank"] == (2, 0)
+    out = classify.quad_equivalent(j, scale * j)
+    assert out["verdict"] == "yes" and out["invariants"]["sym_rank"] == (0, 0)
+    rng = np.random.default_rng(7)
+    for family in ("symmetric", "rank-one", "diagonal"):
+        a = SWEEP_FAMILIES[family](rng)
+        u = _unitary(rng)
+        out = classify.quad_equivalent(a, scale * (u.T @ a @ u))
+        assert out["verdict"] == "yes" and out["invariants"]["sym_rank"][0] >= 1
+
+
 def test_quad_witness_miss_is_inconclusive_with_its_residual(tmp_path):
     # an equivalent pair whose closed-form witness (residual at roundoff) is
     # held to a threshold below that residual: the miss is reported, not

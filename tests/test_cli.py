@@ -455,7 +455,7 @@ def test_piece_budget_refuses_before_word_maps(capsys, tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a generator evaluated before the budget check")
 
-    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
+    monkeypatch.setattr(NCPoly, "values_on_tuple", never)
     code, out, err = run_cli(capsys, "piece", "--spec", str(spec), "--rep", str(rep),
                              "--budget-mb", "3")
     assert code == 3

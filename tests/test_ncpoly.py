@@ -44,6 +44,84 @@ def test_from_vector_round_trip():
     assert np.allclose(p.eval_on_basis(), vec)
 
 
+def test_from_rows_matches_from_vector_and_shares_its_words():
+    rng = np.random.default_rng(3)
+    rows = (rng.normal(size=(4, 27)) + 1j * rng.normal(size=(4, 27))) * (rng.random((4, 27)) < 0.5)
+    polys = NCPoly.from_rows(rows, 3, 3)
+    for p, row in zip(polys, rows):
+        assert p.terms == NCPoly.from_vector(row, 3, 3).terms
+        assert list(p.terms) == sorted(p.terms)
+    # a word two polynomials share is one tuple
+    common = set(polys[0].terms) & set(polys[1].terms)
+    assert common
+    for w in common:
+        assert next(u for u in polys[0].terms if u == w) is next(u for u in polys[1].terms if u == w)
+    assert NCPoly.from_rows(np.ones((1, 1)), 0, 2)[0].terms == {(): 1.0}
+    with pytest.raises(ValueError, match="rows of 8 coordinates"):
+        NCPoly.from_rows(np.ones((2, 4)), 3, 2)
+
+
+def _word_by_word(p, mats):
+    """sum c_w T^w in term order, each product made from its first letter on."""
+    real = p.is_real()
+    out = np.zeros(mats[0].shape, dtype=np.result_type(float if real else complex, *mats))
+    for w, c in p.terms.items():
+        acc = mats[w[0] - 1] if w else np.eye(mats[0].shape[0])
+        for a in w[1:]:
+            acc = acc @ mats[a - 1]
+        out += (c.real if real else c) * acc
+    return out
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_values_on_tuple_shares_word_products_and_matches_each_polynomial(real):
+    # dense polynomials of one degree, next to sparse and inhomogeneous ones:
+    # every value is eval_on_tuple's, and the word-by-word sum, bit for bit when
+    # the terms are in lexicographic order (the sums then run in the same order)
+    rng = np.random.default_rng(4 + real)
+    rows = rng.normal(size=(5, 16)) * (rng.random((5, 16)) < 0.8)
+    if not real:
+        rows = rows + 1j * rng.normal(size=(5, 16))
+    mats = [rng.normal(size=(6, 6)) for _ in range(2)]
+    polys = NCPoly.from_rows(rows, 4, 2) + [
+        NCPoly(2, {(2, 1, 1): 3.0, (): -1.0, (1,): 0.5}), NCPoly.monomial(2, (2, 2, 2, 2, 1))]
+    values = NCPoly.values_on_tuple(polys, mats)
+    assert values.shape == (7, 6, 6)
+    assert values.dtype == (np.float64 if real else np.complex128)
+    for p, v in zip(polys, values):
+        assert np.array_equal(p.eval_on_tuple(mats), v)
+        if list(p.terms) == sorted(p.terms):
+            assert np.array_equal(v, _word_by_word(p, mats))
+        else:
+            assert np.allclose(v, _word_by_word(p, mats), rtol=1e-13, atol=1e-13)
+    assert NCPoly.values_on_tuple([NCPoly(2, {(1,): 1.0})], mats).dtype == np.float64
+
+
+def test_values_held_bounds_the_traced_peak():
+    # the values next to the held word products (the prefixes kept for the
+    # next word, a product and the next one) and the word index
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    h = 32
+    mats = [rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)) for _ in range(2)]
+    cases = [NCPoly.from_rows(rng.normal(size=(3, 2**7)), 7, 2),
+             [NCPoly.monomial(2, w) for w in ncpoly.all_words(5, 2)],
+             [NCPoly.monomial(2, (1, 2, 1, 2, 2, 1))]]
+    for polys in cases:
+        products, index = NCPoly.values_held(polys)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            NCPoly.values_on_tuple(polys, mats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        estimate = 16 * h * h * (len(polys) + products) + index
+        assert peak <= estimate <= 2 * peak
+    assert NCPoly.values_held(cases[0])[0] == 2 + 6  # words sharing 6 letters
+    assert NCPoly.values_held(cases[2])[0] == 2
+
+
 def test_poly_arithmetic_cancels():
     p = NCPoly.monomial(2, (1, 2))
     q = NCPoly.monomial(2, (1, 2))

@@ -174,6 +174,16 @@ def _generator_estimate(system, rep, monkeypatch):
     return seen[0]
 
 
+def _traced_peak(system, rep) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reps.is_representation(system, rep)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind", ["commutator", "golden"])
 def test_is_representation_generators_refuse_one_byte_below_the_estimate(kind, monkeypatch):
     system = GENERATOR_SYSTEMS[kind]()
@@ -183,7 +193,7 @@ def test_is_representation_generators_refuse_one_byte_below_the_estimate(kind, m
     def never(*args, **kwargs):
         raise AssertionError("a generator evaluated before the budget check")
 
-    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
+    monkeypatch.setattr(NCPoly, "values_on_tuple", never)
     monkeypatch.setattr(linalg, "BUDGET_BYTES", needed - 1)
     with pytest.raises(linalg.MemoryBudgetError, match="generator values on 12 x 12"):
         reps.is_representation(system, rep)
@@ -194,14 +204,7 @@ def test_is_representation_generator_estimate_is_within_twice_the_traced_peak(ki
                                                                              monkeypatch):
     system = GENERATOR_SYSTEMS[kind]()
     rep = random_row_contraction(np.random.default_rng(29), system.d, h, 0.9)
-    needed = _generator_estimate(system, rep, monkeypatch)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        reps.is_representation(system, rep)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    needed, peak = _generator_estimate(system, rep, monkeypatch), _traced_peak(system, rep)
     assert peak <= needed <= 2 * peak
 
 
@@ -215,9 +218,18 @@ def _commutator_system(depth):
     return subproduct.from_ideal(ncpoly.commutator_gens(2), depth)
 
 
-# The residuals over the complement of each fiber, from the recorded generators:
-# `fibers` chains with their derived generators, a dead top level and the
-# commutators
+def _rotated_subshift_system(depth):
+    """The subshift without x1 x2 x2, its levels 1-3 rotated by U^{⊗n} and
+    prescribed: the derived generator has all 8 words of degree 3."""
+    u = np.linalg.qr(np.array([[1.0, 2.0], [0.5j, -1.0]]))[0]
+    sub = subproduct.from_subshift(SubshiftSpec(2, ((1, 2, 2),)), 3)
+    rotations = [u, np.kron(u, u), np.kron(u, np.kron(u, u))]
+    return subproduct.maximal_with_fibers(
+        2, [linalg.span(r @ sub.fiber(n).frame) for n, r in enumerate(rotations, 1)], depth)
+
+
+# More systems for the same generator estimate: `fibers` chains with their
+# derived generators, a dead top level and the commutators
 COMPLEMENT_CASES = [
     pytest.param(_symmetric_fibers_system, 7, 12, id="7-12"),
     pytest.param(_symmetric_fibers_system, 8, 8, id="8-8"),
@@ -225,26 +237,36 @@ COMPLEMENT_CASES = [
     # at h = 3 the headers outweigh the generator values
     pytest.param(_symmetric_fibers_system, 7, 3, id="7-3"),
     pytest.param(_commutator_system, 7, 3, id="commutator-7-3"),
+    # a dense derived generator: its word products are held with its value
+    pytest.param(_rotated_subshift_system, 6, 12, id="rotated-6-12"),
+    pytest.param(_rotated_subshift_system, 6, 3, id="rotated-6-3"),
 ]
+
+
+def test_dense_derived_generators_are_checked_on_their_words():
+    # the generator derived from rotated levels has every word of its degree;
+    # its value is the word-by-word sum, and the system's own shifts annihilate it
+    system = _rotated_subshift_system(6)
+    gens = system.provenance["gens"].gens
+    assert [(g.degree(), len(g.terms)) for g in gens] == [(3, 8)]
+    rep = random_row_contraction(np.random.default_rng(32), 2, 5, 0.9)
+    value = sum(c * rep.word(w) for w, c in gens[0].terms.items())
+    out = reps.is_representation(system, rep)
+    assert out["residuals"] == pytest.approx(
+        [0.0, 0.0] + [np.linalg.norm(value, 2)] * 4, rel=1e-12, abs=1e-15)
+    shifts = RepTuple(tuple(fock.build_shifts(fock.build_fock(system)).matrices))
+    assert reps.is_representation(system, shifts)["max_residual"] < 1e-12
+    assert reps.maximal_piece(system, shifts)["dim"] == shifts.h
 
 
 @pytest.mark.parametrize("make, depth, h", COMPLEMENT_CASES)
 def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth, h,
                                                                    monkeypatch):
-    sys_ = make(depth)
+    system = make(depth)
     rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
-    for n in range(depth + 1):
-        sys_.fiber(n).frame
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        reps.is_representation(sys_, rep)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", _traced_peak(system, rep) - 1)
     with pytest.raises(linalg.MemoryBudgetError, match=f"generator values on {h} x {h}"):
-        reps.is_representation(sys_, rep)
+        reps.is_representation(system, rep)
 
 
 @pytest.mark.parametrize("make, depth, h", COMPLEMENT_CASES)
@@ -252,26 +274,10 @@ def test_is_representation_complement_estimate_is_within_twice_the_traced_peak(m
                                                                               monkeypatch):
     # the estimate counts a generator value with its sum and products, and
     # headers, and nothing of the piece: a budget that would fit is not refused
-    sys_ = make(depth)
+    system = make(depth)
     rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
-    for n in range(depth + 1):
-        sys_.fiber(n).frame
-    seen = []
-    check = reps.check_budget
-
-    def spy(needed, what):
-        seen.append(needed)
-        return check(needed, what)
-
-    monkeypatch.setattr(reps, "check_budget", spy)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        reps.is_representation(sys_, rep)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(seen) == 1 and peak <= seen[0] <= 2 * peak
+    needed, peak = _generator_estimate(system, rep, monkeypatch), _traced_peak(system, rep)
+    assert peak <= needed <= 2 * peak
 
 
 def test_poisson_kernel_isometry_defect_within_tail(symmetric2_6):
@@ -867,7 +873,7 @@ def test_a_system_without_generators_is_refused_before_any_allocation(monkeypatc
         raise AssertionError("allocated before the refusal")
 
     monkeypatch.setattr(reps, "check_budget", never)
-    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
+    monkeypatch.setattr(NCPoly, "values_on_tuple", never)
     for check in (reps.is_representation, reps.maximal_piece):
         with pytest.raises(ValueError, match="records no generators"):
             check(system, rep)
@@ -906,7 +912,7 @@ def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a generator evaluated before the budget check")
 
-    monkeypatch.setattr(NCPoly, "eval_on_tuple", never)
+    monkeypatch.setattr(NCPoly, "values_on_tuple", never)
     monkeypatch.setattr(linalg, "BUDGET_BYTES", seen[0][0] - 1)
     with pytest.raises(linalg.MemoryBudgetError, match="piece constraints up to level 5"):
         reps.maximal_piece(golden, rep)

@@ -3,12 +3,15 @@
 Subpackages build standard subproduct systems from relations (ideals,
 subshifts, q-commutation, quadratic forms), realize their shift tuples on
 truncated Fock spaces, and test representation/dilation statements at finite
-depth with explicit error windows.
+depth with explicit error windows. Import from the submodules (`spsys.subproduct`,
+`spsys.fock`, ...): the package imports none of them itself, so a command
+loads only the modules it runs, and `spsys.<module>` imports one on first use.
 
 Set SPSYS_THREADS to cap BLAS parallelism; it must take effect before the
-numeric stack loads, hence the environment fixup ahead of any import.
+numeric stack loads, hence the environment fixup on the first import.
 """
 
+import importlib
 import os as _os
 
 _threads = _os.environ.get("SPSYS_THREADS")
@@ -22,29 +25,15 @@ if _threads:
     ):
         _os.environ.setdefault(_var, _threads)
 
-from spsys.linalg import Subspace, span, complement, opnorm
-from spsys.ncpoly import NCPoly, Word, IdealGens
-from spsys.subproduct import SubproductSystem, SubshiftSpec
-from spsys.fock import TruncatedFock, ShiftSet, build_fock, build_shifts
-from spsys.reps import RepTuple, PoissonKernel
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "Subspace",
-    "span",
-    "complement",
-    "opnorm",
-    "NCPoly",
-    "Word",
-    "IdealGens",
-    "SubproductSystem",
-    "SubshiftSpec",
-    "TruncatedFock",
-    "ShiftSet",
-    "build_fock",
-    "build_shifts",
-    "RepTuple",
-    "PoissonKernel",
-    "__version__",
-]
+_SUBMODULES = ("classify", "cli", "cpmaps", "fock", "formats", "linalg", "ncpoly", "reps",
+               "subproduct")
+
+
+# `spsys.<module>` without an import statement imports that module, as
+# `perfbench/clishim.py` reads `spsys.classify` after importing `spsys.cli` alone
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

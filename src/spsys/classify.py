@@ -16,7 +16,9 @@ off the complete invariants
 where c is the antisymmetric coefficient (A_a = c J, J = [[0, 1], [-1, 0]]).
 The symmetric ranks are decided at the witness threshold, at most half the
 norm. When the symmetric part has rank one the phase of c0 is gauge and
-only |c0| / s1 matters. A matching pair yields an explicit witness (λ, U)
+only |c0| / s1 matters. The invariants are compared at the threshold too:
+the answer is no only when no change of B within it carries B's invariants
+onto A's. A matching pair yields an explicit witness (λ, U)
 whose residual is verified before answering yes. The decision and the
 witness are closed forms in numpy.
 A witness whose residual misses its threshold, although the invariants match,
@@ -25,18 +27,36 @@ is reported inconclusive, with that residual.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
 
-from spsys.subproduct import is_admissible
-
+ADMISSIBLE_TOL = 1e-12
 ENTRY_TOL = 1e-10
 # A closest permutation whose residual misses the entry tolerance by less than
 # this factor is too near the cutoff to call the pair inequivalent.
 Q_NEAR_MISS_FACTOR = 10.0
 WITNESS_TOL = 1e-8
-INVARIANT_TOL = 1e-8
+# The invariants' data is read to this relative accuracy of ||B||, on top of
+# the threshold: roundoff in the SVD and the Takagi factors.
+INVARIANT_TOL = 1e-12
+
+
+def is_admissible(q: np.ndarray, tol: float = ADMISSIBLE_TOL):
+    """Check q_ij = 1/q_ji (nonzero) off the diagonal; diagonal is ignored.
+
+    Returns (ok, offending pair or None).
+    """
+    q = np.asarray(q, dtype=complex)
+    d = q.shape[0]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if q[i, j] == 0 or q[j, i] == 0:
+                return False, (i + 1, j + 1)
+            if abs(q[i, j] * q[j, i] - 1) > tol * max(1.0, abs(q[i, j] * q[j, i])):
+                return False, (i + 1, j + 1)
+    return True, None
 
 
 def q_equivalent(q: np.ndarray, r: np.ndarray, tol: float = ENTRY_TOL) -> dict:
@@ -132,6 +152,19 @@ def _canonical_data(a: np.ndarray):
     return w, s, c, c0
 
 
+def _ratio_reachable(x: float, num: float, den: float, err_num: float, err_den: float) -> bool:
+    """Whether x >= 0 is num'/den' for some num' >= 0 within err_num of num and
+    some den' > 0 within err_den of den."""
+    return (num - err_num <= x * (den + err_den)
+            and (den <= err_den or x * (den - err_den) <= num + err_num))
+
+
+def _arg_slack(err: float, value: float) -> float:
+    """The largest change of the argument of a complex number of modulus
+    `value` that a change of at most `err` makes."""
+    return math.asin(err / value) if err < value else math.pi
+
+
 def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_TOL) -> dict:
     """Decide B = λ Uᵗ A U for 2x2 complex A, B, with a witness within `threshold`."""
     a = np.asarray(a, dtype=complex)
@@ -171,12 +204,20 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
         u = np.eye(2, dtype=complex)
         return _with_witness(a, b, lam, u, report, inv)
 
+    # B is within the threshold of λ Uᵗ A U only if B's invariants can be
+    # moved onto A's by a change E of B with ||E|| <= e, the threshold and the
+    # roundoff. E moves each singular value of the symmetric part by at most e,
+    # the antisymmetric coefficient c by at most e/√2, and the determinant of
+    # the symmetric part by at most ||B_s||·e + e²/2. Outside that reach the
+    # answer is no; within it the witness decides.
+    e = report["threshold"] + INVARIANT_TOL * nb
+    e_c = e / math.sqrt(2)
     t = sb[0] / sa[0]
     u0a, u0b = wa.conj(), wb.conj()
     if rank_a == 1:
         qa, qb = abs(c0a) / sa[0], abs(c0b) / sb[0]
         inv["q"] = (qa, qb)
-        if abs(qa - qb) > INVARIANT_TOL * max(1.0, qa, qb):
+        if not _ratio_reachable(qa, abs(c0b), sb[0], e_c, e):
             return {**report, "invariants": inv}
         if abs(c0a) <= 1e-14 * sa[0]:
             gauge = np.eye(2, dtype=complex)
@@ -186,15 +227,19 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
         u = u0a @ gauge @ u0b.conj().T
         return _with_witness(a, b, t, u, report, inv)
 
-    # rank 2: full invariants (s2/s1, (c0/s1)^2)
+    # rank 2: full invariants (s2/s1, (c0/s1)^2); the argument of (c0/s1)^2 is
+    # 2 arg c - arg det(X_s), since det(X_s) = det(W)^2 s1 s2
     ratio_a, ratio_b = sa[1] / sa[0], sb[1] / sb[0]
     phase_a = (c0a / sa[0]) ** 2
     phase_b = (c0b / sb[0]) ** 2
     inv["s_ratio"] = (float(ratio_a), float(ratio_b))
     inv["antisym_sq"] = (complex(phase_a), complex(phase_b))
-    if abs(ratio_a - ratio_b) > INVARIANT_TOL or abs(phase_a - phase_b) > INVARIANT_TOL * max(
-        1.0, abs(phase_a)
-    ):
+    b_s = (b + b.T) / 2
+    e_det = float(np.linalg.norm(b_s)) * e + e * e / 2
+    arg_reach = 2 * _arg_slack(e_c, abs(cb)) + _arg_slack(e_det, abs(np.linalg.det(b_s)))
+    if not (_ratio_reachable(ratio_a, sb[1], sb[0], e, e)
+            and _ratio_reachable(abs(c0a) / sa[0], abs(c0b), sb[0], e_c, e)
+            and abs(np.angle(phase_a * np.conj(phase_b))) <= arg_reach):
         return {**report, "invariants": inv}
     if abs(c0a) <= 1e-14 * sa[0]:
         gauge = np.eye(2, dtype=complex)

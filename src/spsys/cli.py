@@ -12,16 +12,23 @@ dimension sequence as a plain space-separated line.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 import spsys
-from spsys import classify, cpmaps, fock, formats, linalg, reps, subproduct
+from spsys import formats, linalg
 from spsys.linalg import MemoryBudgetError, check_budget
+
+if TYPE_CHECKING:
+    from spsys.reps import RepTuple
+
+# Each command imports the modules it runs, inside its function: a fresh
+# process (one command) then compiles and loads no more of the package than
+# that command needs.
 
 
 class CLIError(Exception):
@@ -58,6 +65,7 @@ def _tol(args, default: float) -> float:
 
 
 def _digest(path: Path) -> str:
+    import hashlib
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -200,6 +208,7 @@ def _build_system(args):
 
 
 def cmd_build(args) -> int:
+    from spsys import subproduct
     system, path = _build_system(args)
     ax = subproduct.verify_axioms(system, tol=_tol(args, subproduct.INCLUSION_TOL))
     checks = [check("build-axioms", (0, system.depth), ax["max_residual"], ax["tol"])]
@@ -227,6 +236,7 @@ def cmd_dims(args) -> int:
 
 
 def _verify_unit_check(system, tol):
+    from spsys import subproduct
     best = None
     confirmed = []
     for i in range(system.d):
@@ -243,6 +253,7 @@ def _verify_unit_check(system, tol):
 
 
 def cmd_verify(args) -> int:
+    from spsys import fock, subproduct
     system, path = _build_system(args)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"axioms", "defect", "subshift", "unit"}
@@ -296,6 +307,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_shift(args) -> int:
+    from spsys import fock
     system, path = _build_system(args)
     sh = fock.build_shifts(fock.build_fock(system))
     files = fock.export_shifts(sh, args.out)
@@ -303,7 +315,7 @@ def cmd_shift(args) -> int:
     # the files decode to the level maps bit for bit: the encoding is exact
     checks = [
         check("row-contraction", (0, system.depth),
-              max(row_norm - 1.0, 0.0), _tol(args, reps.ROW_NORM_SLACK)),
+              max(row_norm - 1.0, 0.0), _tol(args, fock.ROW_NORM_SLACK)),
         check("round-trip", (0, system.depth),
               fock.shift_files_residual(sh, files[:sh.d]), 0.0),
     ]
@@ -312,7 +324,7 @@ def cmd_shift(args) -> int:
     return _emit("shift", {"spec": path}, checks, extras)
 
 
-def _load_rep(args) -> tuple[reps.RepTuple, Path]:
+def _load_rep(args) -> tuple[RepTuple, Path]:
     obj, path = _load_json(args.rep)
     try:
         return formats.decode_rep(obj), path
@@ -321,6 +333,7 @@ def _load_rep(args) -> tuple[reps.RepTuple, Path]:
 
 
 def cmd_check_rep(args) -> int:
+    from spsys import reps
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = _tol(args, reps.REP_TOL)
@@ -334,6 +347,7 @@ def cmd_check_rep(args) -> int:
 
 
 def cmd_poisson(args) -> int:
+    from spsys import reps
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = _tol(args, reps.TAIL_TOL)
@@ -347,6 +361,7 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_piece(args) -> int:
+    from spsys import reps
     system, spec_path = _build_system(args)
     rep, rep_path = _load_rep(args)
     tol = _tol(args, reps.REP_TOL)
@@ -358,6 +373,7 @@ def cmd_piece(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from spsys import classify
     obj_a, path_a = _load_json(args.a)
     obj_b, path_b = _load_json(args.b)
     try:
@@ -395,8 +411,11 @@ def cmd_classify(args) -> int:
 def _load_stochastic(path: str) -> tuple[np.ndarray, Path]:
     p = Path(path)
     try:
-        if p.suffix.lower() != ".csv":  # a matrix .json, checked like every JSON input
-            check_budget(_json_read_bytes(p), f"reading {path}")
+        # checked before it is read: a .csv file from its size, a matrix .json
+        # like every JSON input
+        csv = p.suffix.lower() == ".csv"
+        check_budget(formats.csv_read_bytes(p) if csv else _json_read_bytes(p),
+                     f"reading {path}")
         return formats.load_stochastic(p), p
     except OSError as e:
         raise CLIError(f"{path}: {e.strerror or e}") from e
@@ -405,6 +424,7 @@ def _load_stochastic(path: str) -> tuple[np.ndarray, Path]:
 
 
 def cmd_cp(args) -> int:
+    from spsys import cpmaps
     if args.cp_command == "strong-commute":
         tol = _tol(args, cpmaps.NONZERO_TOL)
         p, p_path = _load_stochastic(args.p)
@@ -434,6 +454,11 @@ def cmd_cp(args) -> int:
     return _emit("cp", {"kraus": path}, checks, extras)
 
 
+def _add_budget(p):
+    p.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",
+                   help="memory budget in MiB (default 2048)")
+
+
 def _add_common(p, *, tol=True, rep=False, r=False, out=None):
     p.add_argument("--spec", required=True, help="system spec JSON file")
     p.add_argument("--depth", type=int, default=None,
@@ -441,8 +466,7 @@ def _add_common(p, *, tol=True, rep=False, r=False, out=None):
     if tol:
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="override the per-check default tolerance (a finite number >= 0)")
-    p.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",
-                   help="memory budget in MiB (default 2048)")
+    _add_budget(p)
     if rep:
         p.add_argument("--rep", required=True, help="operator tuple JSON file")
     if r:
@@ -507,12 +531,12 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("p", help="first stochastic matrix (.csv or matrix .json)")
     q.add_argument("q", help="second stochastic matrix (.csv or matrix .json)")
     q.add_argument("--tol", type=_tolerance, default=None)
+    _add_budget(q)
     q.set_defaults(func=cmd_cp)
     q = cp_sub.add_parser("as-dims", help="dimensions of the channel's subproduct system")
     q.add_argument("kraus", help="Kraus channel JSON file")
     q.add_argument("--n", type=_power, default=5, help="highest power, >= 0 (default 5)")
-    q.add_argument("--budget-mb", type=int, default=2048, dest="budget_mb",
-                   help="memory budget in MiB (default 2048)")
+    _add_budget(q)
     q.set_defaults(func=cmd_cp)
     return parser
 

@@ -30,6 +30,10 @@ from spsys.ncpoly import NCPoly
 from spsys.subproduct import SubproductSystem, _rows, _split, _split_bytes
 
 DEFECT_TOL = 1e-10
+# A row norm within this of 1 counts as 1, on both sides of the boundary: above
+# it a tuple is not a row contraction, below it r = 1 needs a strict one. The
+# shift tuple's row-contraction check and the Poisson kernels of `reps` read it.
+ROW_NORM_SLACK = 1e-10
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,20 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from spsys import linalg, subproduct
+from spsys import linalg
 from spsys.linalg import check_budget
-from spsys.ncpoly import IdealGens, NCPoly
-from spsys.subproduct import SubproductSystem, SubshiftSpec
-from spsys.reps import RepTuple
+
+if TYPE_CHECKING:
+    from spsys.ncpoly import NCPoly
+    from spsys.reps import RepTuple
+    from spsys.subproduct import SubproductSystem
+
+# The system, polynomial and tuple modules are imported by the decoders that
+# make their objects: reading a matrix or a channel loads none of them.
 
 
 # The decoders refuse a value of the wrong JSON type with a ValueError that
@@ -153,6 +159,7 @@ def encode_poly(p: NCPoly) -> list[dict]:
 
 
 def decode_poly(term_list: list, d: int) -> NCPoly:
+    from spsys.ncpoly import NCPoly
     terms: dict[tuple[int, ...], complex] = {}
     for t in _list(term_list, "a polynomial"):
         t = _object(t, "a polynomial term")
@@ -189,6 +196,8 @@ def encode_fibers(system: SubproductSystem) -> list[dict]:
 
 def build_system(obj: dict, depth: int | None = None) -> SubproductSystem:
     """Materialize a system description to the requested depth."""
+    from spsys import subproduct
+    from spsys.ncpoly import IdealGens
     kind = _object(obj, "a system spec").get("kind")
     if depth is None:
         if "depth" not in obj:
@@ -201,7 +210,7 @@ def build_system(obj: dict, depth: int | None = None) -> SubproductSystem:
     if kind == "subshift":
         forbidden = [tuple(_integer(x, "a letter") for x in _list(w, "a forbidden word"))
                      for w in obj["forbidden"]]
-        return subproduct.from_subshift(SubshiftSpec(d, tuple(forbidden)), depth)
+        return subproduct.from_subshift(subproduct.SubshiftSpec(d, tuple(forbidden)), depth)
     if kind == "ideal":
         polys = [decode_poly(t, d) for t in obj["generators"]]
         return subproduct.from_ideal(IdealGens(d, polys), depth)
@@ -225,6 +234,7 @@ def encode_rep(rep: RepTuple) -> dict:
 
 
 def decode_rep(obj: dict) -> RepTuple:
+    from spsys.reps import RepTuple
     mats = [decode_matrix(m) for m in _list(_object(obj, "a tuple")["matrices"], "matrices")]
     rep = RepTuple(tuple(mats))
     if "d" in obj and rep.d != _integer(obj["d"], "d"):
@@ -249,6 +259,20 @@ def decode_kraus(obj: dict) -> tuple[np.ndarray, ...]:
         if m.shape != (h, h):
             raise ValueError(f"Kraus operator shape {m.shape} != ({h}, {h})")
     return mats
+
+
+# Bytes that `np.loadtxt` holds per byte of a .csv file, and its fixed part. Its
+# tokenizer keeps one row's characters as UCS4 and each of its fields' offsets,
+# both grown by doubling (traced: up to 28.5 bytes a byte, for a row of empty
+# fields; 18.3 for one row of "0,"; 4.9 for many short rows), next to the
+# result, whose rows it allocates in blocks of up to about 100 KiB.
+CSV_READ_BYTES = 32
+CSV_ALLOWANCE_BYTES = 256 << 10
+
+
+def csv_read_bytes(path: Path) -> int:
+    """Bytes that `np.loadtxt` holds at once reading the .csv file `path`, from its size."""
+    return CSV_READ_BYTES * path.stat().st_size + CSV_ALLOWANCE_BYTES
 
 
 def load_stochastic(path: str | Path) -> np.ndarray:

@@ -45,9 +45,6 @@ from spsys import fock as fock_mod
 REP_TOL = 1e-9
 TAIL_TOL = 1e-9  # a residual above its tail bound
 VN_TOL = 1e-8  # the von Neumann comparison
-# A row norm within this of 1 counts as 1, on both sides of the boundary: above
-# it a tuple is not a row contraction, below it r = 1 needs a strict one.
-ROW_NORM_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,8 @@ class PoissonKernel:
     The level-n block is (I ⊗ Δ(rT)^{1/2}) (rT)~_n† with
     Δ(W) = I - sum_i W_i W_i†. For a representation with row norm below 1/r
     this is an isometry up to a geometric tail in the system's depth. At
-    r = 1 the row norm must lie below 1 - ROW_NORM_SLACK, since at row norm 1
-    the tail does not shrink.
+    r = 1 the row norm must lie below 1 - `fock.ROW_NORM_SLACK`, since at
+    row norm 1 the tail does not shrink.
     """
 
     def __init__(self, system: SubproductSystem, rep: RepTuple, r: float):
@@ -205,9 +202,9 @@ class PoissonKernel:
             raise ValueError("tuple size does not match the system")
         if not 0 < r <= 1:
             raise ValueError("need 0 < r <= 1")
-        if rep.row_norm > 1 + ROW_NORM_SLACK:
+        if rep.row_norm > 1 + fock_mod.ROW_NORM_SLACK:
             raise ValueError(f"row norm {rep.row_norm:.6f} exceeds 1")
-        if r == 1 and rep.row_norm >= 1 - ROW_NORM_SLACK:
+        if r == 1 and rep.row_norm >= 1 - fock_mod.ROW_NORM_SLACK:
             raise ValueError("r = 1 requires row norm strictly below 1")
         self.depth = system.depth
         h = rep.h
@@ -309,12 +306,12 @@ def model_intertwining_check(system: SubproductSystem, rep: RepTuple, r: float,
     """Check that T is a piece of the shift: (S_i ⊗ I)† K = K W_i† for W = T/r.
 
     Requires r strictly above the row norm of T, so that W = T/r has row
-    norm below one; an r within a relative ROW_NORM_SLACK of the row norm
-    counts as equal to it. Exact up to the top truncation level, whose size
+    norm below one; an r within a relative `fock.ROW_NORM_SLACK` of the row
+    norm counts as equal to it. Exact up to the top truncation level, whose size
     is bounded by row_norm(W)^{depth+1}.
     """
     w = rep.scaled(1.0 / r) if r > 0 else None
-    if w is None or w.row_norm >= 1 - ROW_NORM_SLACK:
+    if w is None or w.row_norm >= 1 - fock_mod.ROW_NORM_SLACK:
         raise ValueError(
             f"need r > row norm ({rep.row_norm:.6f}) for the rescaled model"
         )

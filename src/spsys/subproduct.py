@@ -34,7 +34,6 @@ from spsys.ncpoly import IdealGens, NCPoly
 
 INCLUSION_TOL = 1e-9
 UNIT_TOL = 1e-9
-ADMISSIBLE_TOL = 1e-12
 # Generators made by `NCPoly.from_rows`, in tracemalloc's count (CPython 3.11,
 # 64-bit): a polynomial; a term (its complex coefficient and dict slot); and a
 # word of the degree apart from its 8 bytes a letter (the tuple the polynomials
@@ -419,24 +418,9 @@ def from_subshift(spec: SubshiftSpec, depth: int) -> SubproductSystem:
     )
 
 
-def is_admissible(q: np.ndarray, tol: float = ADMISSIBLE_TOL):
-    """Check q_ij = 1/q_ji (nonzero) off the diagonal; diagonal is ignored.
-
-    Returns (ok, offending pair or None).
-    """
-    q = np.asarray(q, dtype=complex)
-    d = q.shape[0]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if q[i, j] == 0 or q[j, i] == 0:
-                return False, (i + 1, j + 1)
-            if abs(q[i, j] * q[j, i] - 1) > tol * max(1.0, abs(q[i, j] * q[j, i])):
-                return False, (i + 1, j + 1)
-    return True, None
-
-
 def from_qmatrix(q: np.ndarray, depth: int) -> SubproductSystem:
     """Maximal system with full level 1 and the q-commutation level 2, as an ideal system."""
+    from spsys.classify import is_admissible
     q = np.asarray(q, dtype=complex)
     d = q.shape[0]
     if q.shape != (d, d):

@@ -312,6 +312,61 @@ def test_quad_symmetric_rank_of_a_b_within_the_threshold_of_zero(scale):
         assert out["verdict"] == "yes" and out["invariants"]["sym_rank"][0] >= 1
 
 
+def _planted_gap_pair(rank):
+    """(A, B' = λ Uᵗ A U) with ||B'|| about 0.36 and the Takagi factors of B'_s:
+    for rank 1, A = v vᵗ + 0.9 J (q = |c0|/s1 = 0.72); for rank 2, a generic A."""
+    a = (np.outer([1.0, 0.5j], [1.0, 0.5j]) + 0.9 * _J if rank == 1
+         else np.array([[1.0, 0.3 + 0.2j], [0.1j, 0.6]]))
+    c, s = np.cos(0.7), np.sin(0.7)
+    u = np.array([[c, -s], [s, c]]) @ np.diag([1, np.exp(0.3j)])
+    b = 0.2 * np.exp(1.1j) * (u.T @ a @ u)
+    w, _ = classify.takagi_2x2((b + b.T) / 2)
+    return a, b, w
+
+
+def _gap_direction(b, w, direction):
+    """A unit (Frobenius) change of B that moves one piece of its data."""
+    c = (b - b.T)[0, 1] / 2
+    return {"s1": np.outer(w[:, 0], w[:, 0]), "s2": np.outer(w[:, 1], w[:, 1]),
+            "|c|": c / abs(c) * _J / np.sqrt(2),
+            "arg c": 1j * c / abs(c) * _J / np.sqrt(2)}[direction]
+
+
+GAP_CASES = [(1, "s1"), (1, "|c|"), (2, "s1"), (2, "s2"), (2, "|c|"), (2, "arg c")]
+
+
+@pytest.mark.parametrize("rank, direction", GAP_CASES,
+                         ids=[f"rank{r}-{d}" for r, d in GAP_CASES])
+def test_quad_no_only_when_no_witness_meets_the_threshold(rank, direction):
+    # B = B' + δ·D, ||D|| = 1: the planted witness has residual δ. The
+    # invariants are compared at the threshold, so no pair with δ within it
+    # answers no (the invariants once were compared at a fixed relative 1e-8,
+    # and a rank-one pair with a witness of residual 5.3e-9 answered no), and
+    # a change ten times the threshold still does
+    a, bp, w = _planted_gap_pair(rank)
+    change = _gap_direction(bp, w, direction)
+    verdicts = []
+    for delta in np.geomspace(1e-10, 1e-7, 16):
+        out = classify.quad_equivalent(a, bp + delta * change)
+        assert out["invariants"]["sym_rank"] == (rank, rank)
+        verdicts.append(out["verdict"])
+        if delta <= out["threshold"]:
+            assert out["verdict"] != "no", delta
+    assert verdicts[0] == "yes" and verdicts[-1] == "no"
+
+
+def test_quad_rank_one_pair_in_the_old_invariant_gap():
+    # |c| moved by 6e-9 (a change of norm 8.5e-9) moves q = |c0|/s1 = 0.72 by
+    # 2.4e-8, over the old 1e-8·max(1, q); the closed-form witness has
+    # residual 8.5e-9, under the threshold 1e-8
+    a, bp, w = _planted_gap_pair(1)
+    out = classify.quad_equivalent(a, bp + 6e-9 * np.sqrt(2) * _gap_direction(bp, w, "|c|"))
+    qa, qb = out["invariants"]["q"]
+    assert 2.3e-8 < qb - qa < 2.5e-8
+    assert out["verdict"] == "yes"
+    assert out["residual"] == pytest.approx(6e-9 * np.sqrt(2), rel=1e-3)
+
+
 def test_quad_witness_miss_is_inconclusive_with_its_residual(tmp_path):
     # an equivalent pair whose closed-form witness (residual at roundoff) is
     # held to a threshold below that residual: the miss is reported, not

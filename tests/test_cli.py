@@ -1,4 +1,6 @@
 import json
+import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spsys
 from spsys import classify, cli, cpmaps, fock, formats, linalg, ncpoly, reps, subproduct
 from spsys.linalg import MemoryBudgetError
 
@@ -394,7 +397,7 @@ THRESHOLD_CASES = [
     (fock, "DEFECT_TOL", "verify --spec {golden} --checks defect", "defect-k2"),
     (fock, "DEFECT_TOL", "verify --spec {golden} --checks subshift", "subshift"),
     (subproduct, "UNIT_TOL", "verify --spec {golden} --checks unit", "unit"),
-    (reps, "ROW_NORM_SLACK", "shift --spec {golden} --out {out}", "row-contraction"),
+    (fock, "ROW_NORM_SLACK", "shift --spec {golden} --out {out}", "row-contraction"),
     (reps, "REP_TOL", "check-rep --spec {commuting} --rep {rep}", "representation"),
     (reps, "TAIL_TOL", "poisson --spec {commuting} --rep {rep}", "kernel-isometry"),
     (reps, "REP_TOL", "piece --spec {commuting} --rep {rep}", "piece-fixed-point"),
@@ -659,10 +662,60 @@ def test_cp_strong_commute_checks_a_json_input_before_reading_it(capsys, tmp_pat
         raise AssertionError("read before the budget check")
 
     monkeypatch.setattr(formats, "load_stochastic", never)
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", 1024)
-    code, out, err = run_cli(capsys, "cp", "strong-commute", *map(str, paths))
+    code, out, err = run_cli(capsys, "cp", "strong-commute", *map(str, paths),
+                             "--budget-mb", "0")
     assert code == 3 and out == ""
     assert f"reading {paths[0]} needs about" in err
+
+
+CSV_CASES = {
+    "tall": lambda rng: "0.5,0.5\n" * 20000,
+    "one-row": lambda rng: ",".join(["0"] * 50000) + "\n",
+    "empty-fields": lambda rng: "," * 100000 + "\n",
+    "random": lambda rng: "\n".join(",".join(map(repr, row))
+                                    for row in rng.random((150, 150)).tolist()),
+}
+
+
+@pytest.mark.parametrize("kind", CSV_CASES)
+def test_csv_read_estimate_bounds_loadtxt(tmp_path, kind):
+    # the estimate from the file's size bounds the traced peak of reading it,
+    # also for a single long row, or one of empty fields that fails to parse
+    path = tmp_path / "m.csv"
+    path.write_text(CSV_CASES[kind](np.random.default_rng(3)))
+    needed = formats.csv_read_bytes(path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            formats.load_stochastic(path)
+        except ValueError:
+            assert kind == "empty-fields"
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= needed, (peak, needed)
+
+
+def test_cp_strong_commute_checks_a_csv_input_before_reading_it(capsys, tmp_path,
+                                                               monkeypatch):
+    # a 60 x 60 uniform matrix is 76 kB of .csv, estimated at 2.6 MiB: over
+    # --budget-mb 1 it exits 3 with one error line before np.loadtxt runs
+    path = tmp_path / "uniform.csv"
+    np.savetxt(path, np.full((60, 60), 1 / 60), delimiter=",")
+    code, out, _ = run_cli(capsys, "cp", "strong-commute", str(path), str(path),
+                           "--budget-mb", "4")
+    assert code == 0 and json.loads(out)["strong"] is True
+
+    def never(*args, **kwargs):
+        raise AssertionError("read before the budget check")
+
+    monkeypatch.setattr(np, "loadtxt", never)
+    code, out, err = run_cli(capsys, "cp", "strong-commute", str(path), str(path),
+                             "--budget-mb", "1")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"error: reading {path} needs about 3 MiB, budget is 1 MiB"]
+    assert linalg.BUDGET_BYTES == 2 << 30
 
 
 def test_cp_strong_commute_example(capsys, tmp_path):
@@ -856,9 +909,9 @@ def test_budget_flag_holds_for_one_command(capsys, golden_spec, tmp_path):
     assert code == 0 and out.split()[-1] == "34"
     assert linalg.BUDGET_BYTES == 2 << 30
     # a command without the flag runs under the process budget
-    uniform = tmp_path / "uniform.csv"
-    np.savetxt(uniform, np.full((2, 2), 0.5), delimiter=",")
-    assert run_cli(capsys, "cp", "strong-commute", str(uniform), str(uniform))[0] == 0
+    q = tmp_path / "q.json"
+    formats.dump_json(formats.encode_matrix(np.array([[1, 2.0], [0.5, 1]])), q)
+    assert run_cli(capsys, "classify", "qmat", str(q), str(q))[0] == 0
     assert linalg.BUDGET_BYTES == 2 << 30
 
 
@@ -959,13 +1012,41 @@ def test_deep_full_spec_is_refused_at_once():
     assert proc.stdout.startswith("full word indices up to level 200000 needs about")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, spsys.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60)
+# the spsys modules each command loads (cli, formats and linalg always); a
+# command that writes a report also loads hashlib, for the input digests
+IMPORT_CASES = [
+    ("import", "", []),
+    ("dims", "dims --spec {golden}", ["ncpoly", "subproduct"]),
+    ("verify", "verify --spec {golden}", ["fock", "ncpoly", "subproduct"]),
+    ("check-rep", "check-rep --spec {commuting} --rep {rep}",
+     ["fock", "ncpoly", "reps", "subproduct"]),
+    ("classify-qmat", "classify qmat {q1} {q2}", ["classify"]),
+    ("classify-quad", "classify quad {a} {b}", ["classify"]),
+    ("cp-strong-commute", "cp strong-commute {p} {s}", ["cpmaps"]),
+    ("cp-as-dims", "cp as-dims {kraus}", ["cpmaps"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", [case[1:] for case in IMPORT_CASES],
+                         ids=[case[0] for case in IMPORT_CASES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, golden_spec, commuting_spec,
+                                                     rep_file, argv, modules):
+    # a fresh process compiles every module it imports, so a command imports
+    # only what it runs; none of them imports scipy
+    files = _threshold_inputs(tmp_path, golden_spec, commuting_spec, rep_file)
+    files["kraus"] = _kraus_file(tmp_path, 2, 2)
+    script = ("import sys\n"
+              "from spsys import cli\n"
+              "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('spsys.'))\n"
+              "print(code, 'scipy' in sys.modules, 'hashlib' in sys.modules, *loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv.format(**files).split()],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    code, scipy, hashlib, *loaded = proc.stdout.splitlines()[-1].split()
+    reports = argv != "" and not argv.startswith("dims")
+    assert (code, scipy, hashlib) == ("0", "False", str(reports))
+    assert loaded == sorted(f"spsys.{m}" for m in ["cli", "formats", "linalg", *modules])
 
 
 def test_every_module_imports_with_scipy_masked():
@@ -985,6 +1066,27 @@ def test_every_module_imports_with_scipy_masked():
     assert proc.stdout.split() == [f"spsys.{m}" for m in (
         "classify", "cli", "cpmaps", "fock", "formats", "linalg", "ncpoly", "reps",
         "subproduct")]
+
+
+def test_package_attribute_imports_its_submodule_on_first_use():
+    # `import spsys` sets the BLAS thread caps from SPSYS_THREADS and loads
+    # neither numpy nor a submodule; `spsys.<module>` imports that module (and
+    # what it imports), for every module of the package, and no other name is
+    # re-exported
+    assert sorted(spsys._SUBMODULES) == sorted(
+        m.name for m in pkgutil.iter_modules(spsys.__path__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys, spsys\n"
+         "def loaded():\n"
+         "    return ','.join(sorted(m for m in sys.modules if m.startswith('spsys.')))\n"
+         "before = (os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules, repr(loaded()))\n"
+         "tol = spsys.cpmaps.NONZERO_TOL\n"
+         "print(*before, '|', loaded(), hasattr(spsys, 'Subspace'))"],
+        env={**env, "SPSYS_THREADS": "2"}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "False", "''", "|", "spsys.cpmaps,spsys.linalg", "False"]
 
 
 def test_reports_are_byte_stable(capsys, golden_spec):

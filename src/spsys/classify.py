@@ -195,22 +195,26 @@ def quad_equivalent(a: np.ndarray, b: np.ndarray, witness_tol: float = WITNESS_T
         "sym_rank": (rank_a, rank_b),
         "case": f"sym-rank-{rank_a}",
     }
-    if rank_a != rank_b:
-        return {**report, "invariants": inv}
-
-    if rank_a == 0:
-        # both purely antisymmetric and nonzero
-        lam = cb / ca
-        u = np.eye(2, dtype=complex)
-        return _with_witness(a, b, lam, u, report, inv)
-
     # B is within the threshold of λ Uᵗ A U only if B's invariants can be
     # moved onto A's by a change E of B with ||E|| <= e, the threshold and the
     # roundoff. E moves each singular value of the symmetric part by at most e,
     # the antisymmetric coefficient c by at most e/√2, and the determinant of
     # the symmetric part by at most ||B_s||·e + e²/2. Outside that reach the
-    # answer is no; within it the witness decides.
+    # answer is no; within it the witness decides. E reaches A's rank: it lifts
+    # any singular value past the level, and lowers those within e of it.
     e = report["threshold"] + INVARIANT_TOL * nb
+    if rank_a < rank_b and sb[rank_a] - e > level * nb:
+        return {**report, "invariants": inv}
+
+    # λ Uᵗ J U = λ det(U) J for the antisymmetric J, so U = I serves either side
+    if rank_a == 0:
+        return _with_witness(a, b, cb / ca, np.eye(2, dtype=complex), report, inv)
+    if sb[0] == 0.0:
+        # ||λ Uᵗ A U - B||² = |λ|²||A_s||² + 2|λ det(U) c_A - c_B|², least at this λ
+        lam = 2 * cb * np.conj(ca) / (float(np.sum(sa ** 2)) + 2 * abs(ca) ** 2)
+        found = _with_witness(a, b, lam, np.eye(2, dtype=complex), report, inv)
+        return found if found["verdict"] == "yes" else {**report, "invariants": inv}
+
     e_c = e / math.sqrt(2)
     t = sb[0] / sa[0]
     u0a, u0b = wa.conj(), wb.conj()
@@ -254,7 +258,7 @@ def _with_witness(a, b, lam, u, report, inv) -> dict:
     """`yes` with the witness (λ, U) when its residual meets the threshold, else
     `inconclusive` with that residual."""
     residual = float(np.linalg.norm(_congruence(lam, u, a) - b))
-    if residual <= report["threshold"]:
+    if residual <= report["threshold"] and lam != 0:
         return {**report, "verdict": "yes", "lam": complex(lam), "u": u,
                 "residual": residual, "invariants": inv}
     return {**report, "verdict": "inconclusive", "residual": residual, "invariants": inv}

@@ -69,36 +69,26 @@ def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# A JSON input is counted in chunks, then held as its bytes and its text
-# while it is read, then as the text and the objects json.loads makes, then as
-# those objects and the arrays decoded from them. The objects are bounded by
-# the file's tokens (CPython's json, 64-bit): a list, with room for four items
-# and the rounding of a longer one; a dict with room for five keys; each key
-# with its string and its entry; each value a slot in its container with room
-# to grow, and each scalar at most a 32-byte number (an integer of at most 18
-# digits), or a string with 17 bytes more, counted per quote, and its
-# characters. A decoded number takes 24 bytes with numpy's temporary. The
-# allowance covers the file buffers and headers.
+# A JSON input is counted in chunks of this size before it is read
 JSON_CHUNK_BYTES = 1 << 14
-JSON_LIST_BYTES = 104
-JSON_DICT_BYTES = 192
-JSON_KEY_BYTES = 48
-JSON_SLOT_BYTES = 9
-JSON_SCALAR_BYTES = 32
-JSON_QUOTE_BYTES = 9
-JSON_DECODED_BYTES = 24
-JSON_ALLOWANCE_BYTES = 16 << 10
 
 
-def _json_read_bytes(p: Path) -> int:
-    """Bytes that reading the JSON file `p`, parsing and decoding it hold at
-    once, from its tokens, counted one chunk at a time.
+def _json_read_terms(p: Path) -> dict[str, int]:
+    """What reading the JSON file `p`, parsing and decoding it hold at once, from
+    its tokens: the terms of the phase that holds the most, and the file buffers.
 
-    Values are the commas and the containers (a nonempty container has one
-    more element than it has commas), scalars at most the commas and one. A
-    chunk that holds a quote, or starts inside a string, counts as string
-    characters; so does the whole file if it holds an escape, which hides
-    where strings end. A non-ASCII byte makes every character four bytes.
+    The phases: the file's bytes and text; the text and the objects json.loads
+    makes; those objects and the arrays decoded from them. On CPython's json
+    (64-bit) a list holds room for four items and the rounding of a longer one,
+    a dict room for five keys, a key its string and its entry, a value a slot in
+    its container with room to grow, a scalar at most a 32-byte number (an
+    integer of at most 18 digits) or a string with 17 bytes more, counted per
+    quote, and its characters; a decoded number takes 24 bytes with numpy's
+    temporary. Values are the commas and the containers (a nonempty container
+    has one more element than it has commas), scalars at most the commas and
+    one. A chunk that holds a quote, or starts inside a string, counts as string
+    characters; so does the whole file if it holds an escape, which hides where
+    strings end. A non-ASCII byte makes every character four bytes.
     """
     size = lists = dicts = commas = colons = quotes = inside = 0
     in_string = escaped = wide = False
@@ -117,19 +107,19 @@ def _json_read_bytes(p: Path) -> int:
             escaped = escaped or b"\\" in chunk
             wide = wide or not chunk.isascii()
     char = 4 if wide else 1
-    text = char * size
-    scalars = commas + 1
-    objects = (JSON_LIST_BYTES * lists + JSON_DICT_BYTES * dicts + JSON_KEY_BYTES * colons
-               + JSON_SLOT_BYTES * (commas + lists + dicts) + JSON_SCALAR_BYTES * scalars
-               + JSON_QUOTE_BYTES * quotes + char * (size if escaped else inside))
-    return (max(JSON_CHUNK_BYTES, size + text, objects + max(text, JSON_DECODED_BYTES * scalars))
-            + JSON_ALLOWANCE_BYTES)
+    text, scalars = char * size, commas + 1
+    parsed = {"lists": 104 * lists, "dicts": 192 * dicts, "keys": 48 * colons,
+              "container slots": 9 * (commas + lists + dicts), "scalars": 32 * scalars,
+              "strings": 9 * quotes + char * (size if escaped else inside),
+              "file text or decoded numbers": max(text, 24 * scalars)}
+    phases = ({"read chunk": JSON_CHUNK_BYTES}, {"file bytes": size, "file text": text}, parsed)
+    return {**max(phases, key=lambda t: sum(t.values())), "file buffers and headers": 16 << 10}
 
 
 def _load_json(path: str) -> tuple[dict, Path]:
     p = Path(path)
     try:
-        check_budget(_json_read_bytes(p), f"reading {path}")
+        check_budget(_json_read_terms(p), f"reading {path}")
         text = p.read_text()
     except OSError as e:
         raise CLIError(f"{path}: {e.strerror or e}") from e
@@ -408,14 +398,21 @@ def cmd_classify(args) -> int:
     return _emit("classify", inputs, checks, extras)
 
 
+def _csv_read_terms(p: Path) -> dict[str, int]:
+    """What `np.loadtxt` holds at once reading the .csv file `p`, from its size.
+    Its tokenizer keeps one row's characters as UCS4 and each of its fields'
+    offsets, both grown by doubling (traced: up to 28.5 bytes a byte, for a row
+    of empty fields; 18.3 for one row of "0,"; 4.9 for many short rows), next to
+    the result, whose rows it allocates in blocks of up to about 100 KiB."""
+    return {"tokenizer and result": 32 * p.stat().st_size, "row blocks": 256 << 10}
+
+
 def _load_stochastic(path: str) -> tuple[np.ndarray, Path]:
     p = Path(path)
     try:
-        # checked before it is read: a .csv file from its size, a matrix .json
-        # like every JSON input
+        # checked before it is read, a .csv file from its size
         csv = p.suffix.lower() == ".csv"
-        check_budget(formats.csv_read_bytes(p) if csv else _json_read_bytes(p),
-                     f"reading {path}")
+        check_budget(_csv_read_terms(p) if csv else _json_read_terms(p), f"reading {path}")
         return formats.load_stochastic(p), p
     except OSError as e:
         raise CLIError(f"{path}: {e.strerror or e}") from e

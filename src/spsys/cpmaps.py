@@ -65,8 +65,9 @@ def as_fiber_dims(channel: KrausChannel, n_max: int) -> list[int]:
         r = len(factor)
         if r:  # from a zero level on, every level is zero
             k = min(d * r, hh)
-            check_budget(16 * (d * hh + d * r * (hh + k) + k * (2 * hh + 1)) + 4096,
-                         f"channel level {n} of {h} x {h}")
+            check_budget({"Kraus stack": 16 * d * hh, "level stack": 16 * d * r * hh,
+                          "SVD factors and the next factor": 16 * (d * r * k + k * (2 * hh + 1)),
+                          "headers": 4096}, f"channel level {n} of {h} x {h}")
             stack = np.matmul(kraus, factor.reshape(r, h, h)).reshape(d * r, hh)
             del factor  # one level's rows at a time
             s, wh = np.linalg.svd(stack, full_matrices=False)[1:]
@@ -129,9 +130,11 @@ def commute_check(a, b, tol: float = NONZERO_TOL) -> dict:
 
 
 def _support_counts(q: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
-    """counts[k, i] = #{j : q_kj * p_ji > tol}."""
-    prods = q[:, :, None] * p[None, :, :]  # [k, j, i]
-    return np.sum(np.abs(prods) > tol, axis=1)
+    """counts[k, i] = #{j : q_kj * p_ji > tol}, one row k at a time."""
+    counts = np.empty(q.shape, dtype=np.int64)
+    for k, row in enumerate(q):
+        counts[k] = np.count_nonzero(np.abs(row[:, None] * p) > tol, axis=0)  # over j
+    return counts
 
 
 def strong_commute_stochastic(p, q, tol: float = NONZERO_TOL) -> dict:
@@ -145,9 +148,16 @@ def strong_commute_stochastic(p, q, tol: float = NONZERO_TOL) -> dict:
     p, q = _as_stochastic(p), _as_stochastic(q)
     if p.n != q.n:
         raise ValueError("sizes differ")
+    # a row's products, absolute values and mask cover the commutator's before them
+    n, held = p.n, {"clipped pair": 16 * p.n**2, "headers and numpy's buffers": 64 << 10}
+    check_budget({**held, "support counts and a row's products": 33 * n * n + 8 * n},
+                 f"support counts of {n} x {n}")
     comm = commute_check(p, q, tol)
     qp = _support_counts(q.p, p.p, tol)  # qp[k, i]
     pq = _support_counts(p.p, q.p, tol)
+    check_budget({**held, "support counts": 16 * n * n,
+                  "witnesses": 256 * int(np.count_nonzero(qp != pq))},
+                 f"strong-commutation witnesses of {n} x {n}")
     witnesses = [
         {"i": i + 1, "k": k + 1, "count_qp": int(qp[k, i]), "count_pq": int(pq[k, i])}
         for k in range(p.n)

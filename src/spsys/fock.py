@@ -115,18 +115,18 @@ class ShiftSet:
         self._fill(out, n, slice(0, dims[n]), slice(0, dims[n - 1]))
         return out
 
-    def matrix_bytes(self) -> int:
-        """Bytes of the dense view: the d arrays, their headers and the views
-        that fill them; on word indices also a level's positions of the 1s."""
+    def matrix_terms(self) -> dict[str, int]:
+        """The budget terms of the dense view."""
         d, total = self.d, self.fock.total_dim
         scatter = 48 * max(self.fock.level_dims()) + 1024 if self.fock.system.route == "coordinate" else 0
-        return self.dtype.itemsize * d * total * total + 256 * d + 1024 + scatter
+        return {"shift matrices": self.dtype.itemsize * d * total * total,
+                "headers and fill views": 256 * d + 1024, "positions of a level's 1s": scatter}
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The d dense total × total shift matrices, filled straight from the maps."""
         fock, d, total = self.fock, self.d, self.fock.total_dim
-        check_budget(self.matrix_bytes(), "shift matrices")
+        check_budget(self.matrix_terms(), "shift matrices")
         mats = np.zeros((d, total, total), dtype=self.dtype)
         for n in range(1, fock.depth + 1):
             self._fill(mats, n, fock.level_slice(n), fock.level_slice(n - 1))
@@ -153,7 +153,7 @@ def build_shifts(fock: TruncatedFock) -> ShiftSet:
     """The shift tuple from the level maps of `subproduct._split`, after a
     budget check of the maps."""
     system = fock.system
-    check_budget(_split_bytes(system), "level maps")
+    check_budget({"level maps": _split_bytes(system)}, "level maps")
     maps = [_split(system, n, False)[0] for n in range(1, fock.depth + 1)]
     return ShiftSet(fock, (None, *maps))
 
@@ -323,7 +323,8 @@ def export_shifts(shifts: ShiftSet, out_dir) -> list:
     from spsys import formats
 
     total = shifts.fock.total_dim
-    check_budget(shifts.matrix_bytes() + formats.encoding_bytes([total * total]),
+    check_budget({**shifts.matrix_terms(),
+                  "JSON encoding of a matrix": formats.encoding_bytes([total * total])},
                  "shift matrices and their JSON encoding")
     mats = shifts.matrices
     out = Path(out_dir)
@@ -360,7 +361,8 @@ def shift_files_residual(shifts: ShiftSet, paths) -> float:
     from spsys import formats
 
     fk, total = shifts.fock, shifts.fock.total_dim
-    check_budget(shifts.matrix_bytes() + formats.encoding_bytes([total * total]),
+    check_budget({**shifts.matrix_terms(),
+                  "JSON encoding of a matrix": formats.encoding_bytes([total * total])},
                  "shift files read back")
     worst = 0.0
     for i, path in enumerate(paths):

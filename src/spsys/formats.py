@@ -189,8 +189,8 @@ def encode_fibers(system: SubproductSystem) -> list[dict]:
     """
     levels = range(1, system.depth + 1)
     entries = [system.d**n * system.dim(n) for n in levels]
-    check_budget(linalg.unbuilt_frame_bytes(system.fibers) + encoding_bytes(entries),
-                 "fiber frames and their JSON encoding")
+    check_budget({"frames not built yet": linalg.unbuilt_frame_bytes(system.fibers),
+                  "JSON encoding": encoding_bytes(entries)}, "fiber frames and their JSON encoding")
     return [encode_matrix(system.fiber(n).frame) for n in levels]
 
 
@@ -259,20 +259,6 @@ def decode_kraus(obj: dict) -> tuple[np.ndarray, ...]:
         if m.shape != (h, h):
             raise ValueError(f"Kraus operator shape {m.shape} != ({h}, {h})")
     return mats
-
-
-# Bytes that `np.loadtxt` holds per byte of a .csv file, and its fixed part. Its
-# tokenizer keeps one row's characters as UCS4 and each of its fields' offsets,
-# both grown by doubling (traced: up to 28.5 bytes a byte, for a row of empty
-# fields; 18.3 for one row of "0,"; 4.9 for many short rows), next to the
-# result, whose rows it allocates in blocks of up to about 100 KiB.
-CSV_READ_BYTES = 32
-CSV_ALLOWANCE_BYTES = 256 << 10
-
-
-def csv_read_bytes(path: Path) -> int:
-    """Bytes that `np.loadtxt` holds at once reading the .csv file `path`, from its size."""
-    return CSV_READ_BYTES * path.stat().st_size + CSV_ALLOWANCE_BYTES
 
 
 def load_stochastic(path: str | Path) -> np.ndarray:

@@ -14,8 +14,8 @@ previous fiber and an orthonormal core that carries it one letter further.
 Largest singular values come from Gram eigenvalues (`gram_norm`): a Gram
 X†X or a sum of such, never a difference, has its largest eigenvalue to
 absolute O(ε·σ_max²), which gives σ_max to relative O(ε). Rank decisions
-read small singular values, which a Gram would square, so `span`,
-`complement` and `nullspace` keep the SVD (or a QR before it).
+read small singular values, which a Gram would square, so `span` and
+`nullspace` keep the SVD (or a QR before it).
 """
 
 from __future__ import annotations
@@ -52,11 +52,27 @@ def _mib(n: int) -> str:
         return f"10^{round(math.log10(n) - 20 * math.log10(2))}"
 
 
-def check_budget(bytes_needed: int, what: str) -> None:
-    if bytes_needed > BUDGET_BYTES:
-        raise MemoryBudgetError(
-            f"{what} needs about {_mib(bytes_needed)} MiB, budget is {_mib(BUDGET_BYTES)} MiB"
-        )
+def _size(n: int) -> str:
+    """n bytes in whole MiB from 1 MiB on, else in KiB or bytes."""
+    return f"{_mib(n)} MiB" if n >> 20 else f"{n >> 10} KiB" if n >> 10 else f"{n} bytes"
+
+
+def check_budget(terms: dict[str, int], what: str) -> None:
+    """Refuse `what` when its estimate, the sum of `terms`, exceeds the budget.
+    Each term is the bytes (a non-negative int) that its label names, held at
+    the peak; phases that alternate are one term, the max of them."""
+    if sum(terms.values()) > BUDGET_BYTES:
+        message = _refusal(terms, what)
+        del terms  # the traceback keeps this frame, not the estimate
+        raise MemoryBudgetError(message)
+
+
+def _refusal(terms: dict[str, int], what: str) -> str:
+    """The refusal's one line: the estimate, the budget and the three largest terms."""
+    largest = sorted(terms, key=terms.get, reverse=True)[:3]
+    return (f"{what} needs about {_mib(sum(terms.values()))} MiB, budget is "
+            f"{_mib(BUDGET_BYTES)} MiB; largest: "
+            + ", ".join([f"{k} {_size(terms[k])}" for k in largest if terms[k]]))
 
 
 def unbuilt_frame_bytes(subspaces) -> int:
@@ -141,7 +157,7 @@ class CoordinateSubspace(Subspace):
     @cached_property
     def frame(self) -> np.ndarray:
         d, r = self.ambient_dim, self.index.size
-        check_budget(8 * d * r, f"coordinate frame of {d} x {r}")
+        check_budget({"frame": 8 * d * r}, f"coordinate frame of {d} x {r}")
         frame = np.zeros((d, r))
         frame[self.index, np.arange(r)] = 1.0
         return frame
@@ -181,7 +197,7 @@ class CoreSubspace(Subspace):
     @cached_property
     def frame(self) -> np.ndarray:
         dim, r = self.ambient_dim, self.dim
-        check_budget(unbuilt_frame_bytes([self]),
+        check_budget({"frames not built yet": unbuilt_frame_bytes([self])},
                      f"fiber frame of {dim} x {r} with the lower frames it builds")
         return np.matmul(self.prev.frame, self.letter_cores()).reshape(dim, r)
 
@@ -237,15 +253,6 @@ def project(s: Subspace, v: np.ndarray) -> np.ndarray:
     return s.frame @ (s.frame.conj().T @ v)
 
 
-def complement(s: Subspace) -> Subspace:
-    """Orthogonal complement inside the ambient space."""
-    d, r = s.ambient_dim, s.dim
-    if r == 0:
-        return full_space(d)
-    u, _, _ = np.linalg.svd(s.frame, full_matrices=True)
-    return Subspace(d, u[:, r:].copy(), s.tol_used)
-
-
 def nullspace(m: np.ndarray) -> Subspace:
     """Orthonormal basis of the right null space, with span() rank semantics,
     in the dtype of `m`: with no rows the whole space, as an identity frame."""
@@ -280,15 +287,6 @@ def gram_norm(gram: np.ndarray) -> float:
     if gram.size == 0:
         return 0.0
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-
-
-def opnorm_bytes(rows: int, cols: int, itemsize: int) -> int:
-    """Bytes `opnorm` holds on a rows × cols matrix of `itemsize`-byte entries:
-    the scaled copy, and for a complex matrix the conjugate copy, the smaller Gram
-    and its eigenvalues, with headers."""
-    small = min(rows, cols)
-    copies = 1 + (itemsize > 8)
-    return itemsize * (copies * rows * cols + small * small) + 8 * small + 512
 
 
 def opnorm(m: np.ndarray) -> float:

@@ -95,15 +95,11 @@ class RepTuple:
         return out
 
 
-# A numpy array's header with its shape and strides, or a tuple or frame of
-# the recursion, in tracemalloc's count of CPython 3.10/3.11 and numpy
-_HEADER_BYTES = 128
-
-
 def _header_bytes(system: SubproductSystem) -> int:
-    """Bytes of the small objects a recursion-backed call holds next to its
-    arrays: one per level, and 64 for a step and the call's own."""
-    return _HEADER_BYTES * (system.depth + 65)
+    """Bytes of the small objects a recursion-backed call holds next to its arrays,
+    one per level and 64 for a step and the call's own: 128 bytes each, a numpy
+    array's header or a tuple or frame, as tracemalloc counts on CPython 3.10/3.11."""
+    return 128 * (system.depth + 65)
 
 
 def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
@@ -118,11 +114,11 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     if rep.d != system.d:
         raise ValueError("tuple size does not match the system")
     h = rep.h
-    # the tildes; a recursion step, or the conjugate copy behind a new tilde;
-    # a few h × h blocks and the headers
-    words = h * h * sum(system.dims()) + 8 * h * h
-    check_budget(16 * words + _recursion_bytes(system, [h] * (system.depth + 1), False, 16)
-                 + _header_bytes(system), f"tildes up to level {system.depth}")
+    # a recursion step covers the conjugate copy behind a new tilde
+    check_budget({"tildes": 16 * h * h * sum(system.dims()),
+                  "a recursion step": _recursion_bytes(system, [h] * (system.depth + 1), False, 16),
+                  "h x h blocks": 16 * 8 * h * h, "headers": _header_bytes(system)},
+                 f"tildes up to level {system.depth}")
     return [np.ascontiguousarray(a.conj().T)
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
 
@@ -156,7 +152,8 @@ def _generator_values(system: SubproductSystem, rep: RepTuple, keep: bool = Fals
         taken = (taken if keep else 0) + len(ix)
         words = max(words, taken * h * h + max(products * h * h, after))
         index = max(index, index_bytes)
-    check_budget(16 * words + index + 128 * (len(gens) + system.depth),
+    check_budget({"values and word products": 16 * words, "word index": index,
+                  "headers": 128 * (len(gens) + system.depth)},
                  what or f"generator values on {h} x {h}")
     return ((i, n, v) for (n, _), ix in groups.items()
             for i, v in zip(ix, NCPoly.values_on_tuple([gens[i] for i in ix], rep.matrices)))
@@ -209,11 +206,11 @@ class PoissonKernel:
         self.depth = system.depth
         h = rep.h
         hh, rows = h * h, sum(system.dims())
-        # the kernel matrix, next to a step of the tilde recursion or to the
-        # conjugate copy isometry_defect takes; a few h × h blocks and the headers
-        step = max(_recursion_bytes(system, [h] * (self.depth + 1), False, 16),
-                   16 * (rows * hh + hh))
-        check_budget(16 * (rows * hh + 8 * hh) + step + _header_bytes(system),
+        check_budget({"kernel matrix": 16 * rows * hh,
+                      "a recursion step, or the defect's conjugate copy": max(
+                          _recursion_bytes(system, [h] * (self.depth + 1), False, 16),
+                          16 * (rows * hh + hh)),
+                      "h x h blocks": 16 * 8 * hh, "headers": _header_bytes(system)},
                      f"Poisson kernel up to level {self.depth}")
         self.system = system
         self.rep = rep
@@ -359,20 +356,17 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     )
     fk = fock_mod.build_fock(system)
     total = fk.total_dim
-    # Held next to the d dense shifts: the level maps while the shifts are
-    # filled; later p(S) while it is evaluated, with the word products and index
-    # of `NCPoly.values_on_tuple`, then next to q(S) while it is (or p(S), q(S), a
-    # conjugate and their product), then p(S) q(S)† next to the working set of
-    # its operator norm, which covers its window's; and 16 KiB of headers and
-    # small arrays.
-    itemsize = np.result_type(system.dtype, float if p.is_real() and q.is_real()
-                              else complex).itemsize
+    # after the level maps: p(S) with the word products and index of
+    # `NCPoly.values_on_tuple`, then q(S) (or p(S), q(S), a conjugate and their
+    # product); then p(S) q(S)† next to its operator norm's copies, Gram and
+    # eigenvalues, which cover its window's
+    item = np.result_type(system.dtype, float if p.is_real() and q.is_real() else complex).itemsize
     (p_products, p_index), (q_products, q_index) = map(NCPoly.values_held, ([p], [q]))
-    later = max(max(1 + p_products, 2 + q_products, 4) * itemsize * total**2
-                + max(p_index, q_index),
-                itemsize * total**2 + linalg.opnorm_bytes(total, total, itemsize))
-    check_budget(system.dtype.itemsize * system.d * total**2 + max(_split_bytes(system), later)
-                 + (16 << 10),
+    later = max(max(1 + p_products, 2 + q_products, 4) * item * total**2 + max(p_index, q_index),
+                (3 + (item > 8)) * item * total**2 + 8 * total + 512)
+    check_budget({"shift matrices": system.dtype.itemsize * system.d * total**2,
+                  "level maps, or p(S), q(S) and p(S) q(S)†": max(_split_bytes(system), later),
+                  "headers and small arrays": 16 << 10},
                  f"vN shift operators on {total} Fock dimensions")
     mats = fock_mod.build_shifts(fk).matrices
     op = p.eval_on_tuple(mats) @ q.eval_on_tuple(mats).conj().T

@@ -357,15 +357,14 @@ def _null_core(coeffs: dict, fibers: list, d: int, what: str, dtype: np.dtype) -
     batches = {k: c for k, c in coeffs.items() if dims[-1] and k <= n}
     rows = sum(len(c) * dims[n - k] for k, c in batches.items())
     cols = d * dims[-1]
-    # Held at once, next to the cores and generator rows so far and the
-    # constraint blocks (then their stack): the largest contraction step and
-    # its transposed copy; or the null space's copy of the stack and three
-    # cols x cols arrays (the SVD's factors, or the null frame with its frame
-    # check's conjugate copy and Gram).
+    # the null space: the stack's copy and the SVD's factors, or the null frame
+    # with its frame check's conjugate copy and Gram
     inter = max((len(c) * d**(k - t) * dims[n - k] * dims[n - k + t]
                  for k, c in batches.items() for t in range(1, k)), default=0)
-    check_budget(dtype.itemsize * (_held_words(coeffs, dims, d) + rows * cols
-                                   + max(2 * inter, rows * cols + 3 * cols * cols)),
+    check_budget({"cores and generator rows": dtype.itemsize * _held_words(coeffs, dims, d),
+                  "constraint stack": dtype.itemsize * rows * cols,
+                  "a contraction step and its transposed copy, or the null space":
+                      dtype.itemsize * max(2 * inter, rows * cols + 3 * cols * cols)},
                  f"{what} at level {n}")
     stack = np.vstack([np.zeros((0, cols), dtype=dtype)] + [
         _generator_rows(c, [f.letter_cores() for f in fibers[n - k + 1:n]], d, dims[-1])
@@ -404,9 +403,8 @@ def from_subshift(spec: SubshiftSpec, depth: int) -> SubproductSystem:
     fibers = [_scalar_fiber()]
     index = np.zeros(1, dtype=np.int64)
     for n in range(1, depth + 1):
-        # the candidates, one remainder and the new index (8 bytes each), and
-        # two masks (1 byte each), next to the indices already held
-        check_budget(sum(f.index.nbytes for f in fibers) + 26 * d * index.size,
+        check_budget({"word indices so far": sum(f.index.nbytes for f in fibers),
+                      "candidates, a remainder, the new index and two masks": 26 * d * index.size},
                      f"subshift word indices up to level {n}")
         index = spec.extend_index(index, n)
         fibers.append(CoordinateSubspace(d**n, index))
@@ -449,9 +447,8 @@ def from_quadratic(a: np.ndarray, depth: int) -> SubproductSystem:
 
 def from_full(d: int, depth: int) -> SubproductSystem:
     """The full system: every fiber is all of (C^d)^{⊗n}, indexed by every word."""
-    # 8 bytes for each of the d + d^2 + ... + d^depth word indices, summed in closed form
-    words = (d ** (depth + 1) - d) // (d - 1) if d != 1 else depth
-    check_budget(8 * words, f"full word indices up to level {depth}")
+    words = (d ** (depth + 1) - d) // (d - 1) if d != 1 else depth  # d + d^2 + ... + d^depth
+    check_budget({"word indices": 8 * words}, f"full word indices up to level {depth}")
     fibers = [_scalar_fiber()]
     for n in range(1, depth + 1):
         fibers.append(linalg.full_space(d**n))
@@ -492,15 +489,21 @@ def maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int) -> Subpr
             held = dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
             core, coeffs[n] = _prescribed_core(core, given[n], given[n - 1], n, held)
         fibers.append(CoreSubspace(d, fibers[-1], core))
-    # next to the cores and rows: every generator with its terms, the words of
-    # each degree, and the conjugate rows they are made from
-    check_budget(dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
-                 + sum(len(c) * (GEN_BYTES + GEN_TERM_BYTES * d**n) + 16 * c.size
-                       + (GEN_WORD_BYTES + 8 * n) * d**n for n, c in coeffs.items() if len(c)),
-                 f"generators of the prescribed levels 1..{k}")
+    held = dtype.itemsize * _held_words(coeffs, [f.dim for f in fibers], d)
+    check_budget({"cores and generator rows": held, **_generator_terms(
+        {n: len(c) for n, c in coeffs.items()}, d)}, f"generators of the prescribed levels 1..{k}")
     gens = [g for n, c in coeffs.items() if len(c) for g in NCPoly.from_rows(np.conj(c), n, d)]
     return SubproductSystem(d, depth, tuple(fibers), {
         "kind": "fibers", "prescribed_levels": k, "gens": IdealGens(d, gens)})
+
+
+def _generator_terms(counts: dict[int, int], d: int) -> dict[str, int]:
+    """The budget terms of counts[n] generators of each degree n, all held, made by
+    `NCPoly.from_rows` from complex rows: up to d^n terms each, sharing the words
+    of their degree."""
+    return {"generators": sum(c * (GEN_BYTES + GEN_TERM_BYTES * d**n) for n, c in counts.items()),
+            "complex rows": sum(16 * c * d**n for n, c in counts.items()),
+            "words": sum((GEN_WORD_BYTES + 8 * n) * d**n for n, c in counts.items() if c)}
 
 
 def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
@@ -517,14 +520,12 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     """
     size, r, rp, m = fiber.ambient_dim, fiber.dim, below.dim, null.dim
     d, cols = size // below.ambient_dim, null.ambient_dim
-    # Held at once, next to `held` bytes: Z and G†; c, y and their products
-    # (at most cols x m each); the SVD's factors and copies (3 m x m), or the
-    # norm's Gram (r x r); and at most three size x m arrays (the projection,
-    # the difference and the norm's conjugate copy of it, or the new generator
-    # rows); with the prescribed frames not built yet.
-    words = below.ambient_dim * rp + 4 * cols * m + 3 * m * m + 3 * size * m
-    itemsize = np.result_type(null.dtype, fiber.dtype, below.dtype).itemsize
-    check_budget(held + itemsize * words + linalg.unbuilt_frame_bytes([fiber, below]),
+    item = np.result_type(null.dtype, fiber.dtype, below.dtype).itemsize
+    check_budget({"cores and generator rows": held,
+                  "G†, Z, c, y and products": item * (below.ambient_dim * rp + 4 * cols * m),
+                  "SVD factors and copies, or the norm's Gram": item * 3 * m * m,
+                  "projection, difference and its copy, or new generator rows": item * 3 * size * m,
+                  "prescribed frames not built yet": linalg.unbuilt_frame_bytes([fiber, below])},
                  f"prescribed fiber at level {n}")
     f, gh, z = fiber.frame, below.frame.conj().T, null.frame
     c = (gh @ f.reshape(d, below.ambient_dim, r)).reshape(cols, r)
@@ -587,23 +588,20 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     budget before anything is allocated.
     """
     splits = [(i, total - i) for total in range(2, system.depth + 1) for i in range(1, total)]
-    # the two residual dicts, their keys and values, and array headers
-    small = 256 * system.depth**2 + 4096
+    small = {"residual dicts and headers": 256 * system.depth**2 + 4096}
     if system.route == "core":
-        # the splits of levels 1..depth-1, held for every right leg n (the complete
-        # QR behind C_k†, and Z_k†, a view of the core when real); a Gram step of
-        # the recursion, counted with a split, which holds the Grams and the
-        # eigenvalues read from them
+        # a split is the complete QR behind C_k†, and Z_k† (a view of the core
+        # when real); a Gram step is counted with a split
         dims, d, itemsize = system.dims(), system.d, system.dtype.itemsize
         held = sum(d * a * (d * a + (itemsize > 8) * b) for a, b in zip(dims[:-2], dims[1:-1]))
         step = max((_recursion_bytes(system, dims[n:], True, itemsize)
                     for n in range(1, system.depth)), default=0)
-        check_budget(itemsize * held + step + small,
+        check_budget({"splits of levels 1..depth-1": itemsize * held,
+                      "a Gram step with its Grams and eigenvalues": step, **small},
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
     else:
-        # a split holds a few index arrays of its top level
-        check_budget(48 * max(system.dims()[2:], default=0) + small,
+        check_budget({"a split's index arrays": 48 * max(system.dims()[2:], default=0), **small},
                      f"axiom residuals on the word indices up to level {system.depth}")
         found = {s: _index_axiom_residual(system.fibers, system.d, *s) for s in splits}
     residuals = {s: found[s] for s in splits}
@@ -625,8 +623,19 @@ def recover_ideal_gens(system: SubproductSystem) -> IdealGens:
     columns of (I_d ⊗ F_{n-1}) C_n: on a coordinate level, the monomials of the
     missed (letter, previous word) pairs.
     """
-    d, gens = system.d, []
-    for n in range(1, system.depth + 1):
+    d, depth, dims, item = system.d, system.depth, system.dims(), system.dtype.itemsize
+    new = {n: d * dims[n - 1] - dims[n] for n in range(1, depth + 1)}
+    if system.route == "coordinate":  # each monomial with its own word
+        terms = {"monomials": sum(c * (GEN_BYTES + GEN_TERM_BYTES + 8 * n) for n, c in new.items()),
+                 "a split's index arrays": 48 * d * max(dims[:-1])}
+    else:  # a split with its complete QR (`_recursion_bytes`) and C_n†'s conjugate copy
+        level = max(item * r * ((5 * r + 4 * dims[n]) // 2 + new[n]) + (item + 1) * d**n * new[n]
+                    for n, r in ((n, d * dims[n - 1]) for n in new))
+        terms = {**_generator_terms(new, d), "a split, complement rows and a mask": level,
+                 "frames not built yet": linalg.unbuilt_frame_bytes([system.fiber(depth - 1)])}
+    check_budget({**terms, "headers": 16 << 10}, f"recovered generators up to level {depth}")
+    gens = []
+    for n in range(1, depth + 1):
         prev = system.fiber(n - 1)
         _, ch = _split(system, n, complement=True)
         if system.route == "coordinate":

@@ -6,10 +6,13 @@ Everything random is seeded, so the suite is deterministic run to run.
 # spsys first: SPSYS_THREADS caps the BLAS threads only before numpy loads
 import spsys  # noqa: F401
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spsys import ncpoly, subproduct
+from spsys import linalg, ncpoly, subproduct
 from spsys.reps import RepTuple
 
 
@@ -108,6 +111,49 @@ def random_commuting_stochastic_pair(rng, n):
     w = w / w.sum()
     q = w[0] * np.eye(n) + w[1] * p + w[2] * (p @ p) + w[3] * (p @ p @ p)
     return p, q
+
+
+# ---------------------------------------------------------------------------
+# one traced run against the memory budget
+
+class budget_run:
+    """Trace the `with` block with tracemalloc: `peak` is its traced peak above
+    the memory traced at its start. With `spy`, every `check_budget` call in
+    `spsys` and the oracles is recorded in `checks` as (what, total, terms),
+    each term a non-negative int, and `peaks` holds the traced peak from each
+    check to the next (the last one to the end of the block); the records are
+    traced too. Without `spy` nothing is allocated next to the block, so that a
+    test can pin a small peak to the byte."""
+
+    def __init__(self, spy: bool = False):
+        self.spy = spy
+
+    def _check(self, terms, what):
+        assert all(type(v) is int and v >= 0 for v in terms.values()), (what, terms)
+        self._spans.append(tracemalloc.get_traced_memory()[1] - self._base)
+        self.checks.append((what, sum(terms.values()), terms))
+        tracemalloc.reset_peak()
+        return self._original(terms, what)
+
+    def __enter__(self):
+        if self.spy:
+            self.checks, self._spans, self._original = [], [], linalg.check_budget
+            self._patched = [m for m in list(sys.modules.values())
+                             if getattr(m, "check_budget", None) is self._original]
+            for module in self._patched:
+                module.check_budget = self._check
+        tracemalloc.start()
+        self._base = tracemalloc.get_traced_memory()[0]
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1] - self._base
+        tracemalloc.stop()
+        if self.spy:
+            for module in self._patched:
+                module.check_budget = self._original
+            self._spans.append(self.peak)
+            self.peak, self.peaks = max(self._spans), self._spans[1:]
 
 
 # ---------------------------------------------------------------------------

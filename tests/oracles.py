@@ -1,9 +1,10 @@
 """Brute-force oracles used only by the tests.
 
 Each enumerates what the package computes another way, so it stays out of
-`src/`: dense projectors, their distances and inclusion residuals, the
-placements of generators in an ideal component, the letter blocks and the
-shift by a whole fiber vector assembled from dense frames, the dense
+`src/`: orthogonal complements by a full SVD, dense projectors, their distances
+and inclusion residuals, the placements of generators in an ideal component,
+the letter blocks and the shift by a whole fiber vector assembled from dense
+frames, the dense
 total × total forms of the shift-side checks that the package runs level
 by level, the pair projections, pair inclusions and unit
 residuals on dense frames, the Gram ranks behind the strong-commutation
@@ -25,6 +26,15 @@ from spsys.cpmaps import NONZERO_TOL, KrausChannel, StochasticMatrix
 from spsys.fock import DEFECT_TOL, ShiftSet, TruncatedFock
 from spsys.reps import REP_TOL
 from spsys.ncpoly import IdealGens, NCPoly
+
+
+def complement(s: Subspace) -> Subspace:
+    """Orthogonal complement inside the ambient space, from a full SVD."""
+    d, r = s.ambient_dim, s.dim
+    if r == 0:
+        return linalg.full_space(d)
+    u, _, _ = np.linalg.svd(s.frame, full_matrices=True)
+    return Subspace(d, u[:, r:].copy(), s.tol_used)
 
 
 def zero_space(dim: int) -> Subspace:
@@ -432,7 +442,8 @@ def dense_maximal_with_fibers(d: int, prescribed: list[Subspace], depth: int,
         if prev.dim == 0 or fibers[1].dim == 0:
             fibers.append(zero_space(d**n))
             continue
-        check_budget(16 * d**n * fibers[1].dim * prev.dim, f"maximal fiber at level {n}")
+        check_budget({"Kronecker base": 16 * d**n * fibers[1].dim * prev.dim},
+                     f"maximal fiber at level {n}")
         base = np.kron(fibers[1].frame, prev.frame)
         m = base.shape[1]
         gram = np.zeros((m, m), dtype=complex)

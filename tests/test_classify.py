@@ -290,6 +290,30 @@ def test_quad_symmetric_rank_is_decided_at_the_witness_threshold():
     assert classify.quad_equivalent(j, 0.5 * j + sym)["verdict"] == "no"
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["ranks-2-1", "ranks-1-2"])
+def test_quad_rank_mismatch_within_the_reach_is_decided_by_the_witness(swap):
+    # s2 = 1.2e-8 counts as rank at the threshold 1e-8 and 0.8e-8 does not, yet
+    # λ = 1, U = I has residual 4e-9: a change of B within the reach gives it
+    # A's rank, so the witness decides
+    a, b = np.diag([1, 1.2e-8]), np.diag([1, 0.8e-8])
+    if swap:
+        a, b = b, a
+    out = classify.quad_equivalent(a, b)
+    assert out["invariants"]["sym_rank"] == ((1, 2) if swap else (2, 1))
+    assert out["verdict"] == "yes" and out["residual"] <= out["threshold"] == 1e-8
+    residual = np.linalg.norm(out["lam"] * (out["u"].T @ a @ out["u"]) - b)
+    assert residual == pytest.approx(4e-9, rel=1e-6)
+
+
+def test_quad_rank_mismatch_outside_the_reach_is_no():
+    # a second singular value 1e-3 is far above the threshold 1e-8 on one side
+    # and 0 on the other
+    a, b = np.diag([1, 1e-3]), np.diag([1, 0.0])
+    assert classify.quad_equivalent(a, b)["verdict"] == "no"
+    assert classify.quad_equivalent(b, a)["verdict"] == "no"
+    assert classify.quad_equivalent(b, a)["invariants"]["sym_rank"] == (1, 2)
+
+
 @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-20])
 def test_quad_symmetric_rank_of_a_b_within_the_threshold_of_zero(scale):
     # ||B|| is below the threshold 1e-8, so the rank level is capped at half

@@ -1,10 +1,10 @@
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import spsys
 from spsys import classify, cli, cpmaps, fock, formats, linalg, ncpoly, reps, subproduct
 from spsys.linalg import MemoryBudgetError
 
-from conftest import moved_commuting_pair
+from conftest import budget_run, moved_commuting_pair
 
 
 @pytest.fixture()
@@ -550,12 +550,9 @@ def test_out_budget_counts_the_json_encoding(capsys, tmp_path, monkeypatch):
     formats.dump_json({"kind": "subshift", "d": 2, "depth": 8, "forbidden": [[2, 2]]}, spec)
     for command, out in (("build", tmp_path / "fibers.json"), ("shift", tmp_path / "shifts")):
         argv = [command, "--spec", str(spec), "--out", str(out)]
-        tracemalloc.start()
-        try:
+        with budget_run() as run:
             code, _, _ = run_cli(capsys, *argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = run.peak
         assert code == 0
         if out.is_dir():
             shutil.rmtree(out)
@@ -683,18 +680,13 @@ def test_csv_read_estimate_bounds_loadtxt(tmp_path, kind):
     # also for a single long row, or one of empty fields that fails to parse
     path = tmp_path / "m.csv"
     path.write_text(CSV_CASES[kind](np.random.default_rng(3)))
-    needed = formats.csv_read_bytes(path)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    needed = sum(cli._csv_read_terms(path).values())
+    with budget_run() as run:
         try:
             formats.load_stochastic(path)
         except ValueError:
             assert kind == "empty-fields"
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= needed, (peak, needed)
+    assert run.peak <= needed, (run.peak, needed)
 
 
 def test_cp_strong_commute_checks_a_csv_input_before_reading_it(capsys, tmp_path,
@@ -714,7 +706,8 @@ def test_cp_strong_commute_checks_a_csv_input_before_reading_it(capsys, tmp_path
     code, out, err = run_cli(capsys, "cp", "strong-commute", str(path), str(path),
                              "--budget-mb", "1")
     assert code == 3 and out == ""
-    assert err.splitlines() == [f"error: reading {path} needs about 3 MiB, budget is 1 MiB"]
+    assert err.splitlines() == [f"error: reading {path} needs about 3 MiB, budget is 1 MiB; "
+                                "largest: tokenizer and result 3 MiB, row blocks 256 KiB"]
     assert linalg.BUDGET_BYTES == 2 << 30
 
 
@@ -816,17 +809,13 @@ def test_json_read_estimate_bounds_reading_and_decoding(capsys, tmp_path, kind):
     # the estimate counts the file's tokens in chunks before it is read; the
     # traced peak of reading it, parsing and decoding it stays below
     path, matrix = _json_input(capsys, tmp_path, kind)
-    needed = cli._json_read_bytes(path)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    needed = sum(cli._json_read_terms(path).values())
+    with budget_run() as run:
         obj, _ = cli._load_json(str(path))
         decoded = (formats.decode_matrix(obj) if matrix
                    else formats.decode_rep(obj) if "matrices" in obj else None)
         del obj, decoded
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = run.peak
     assert peak <= needed, (peak, needed)
     if kind in ("shift-0/1", "random-pair"):
         assert needed <= 2 * peak
@@ -899,6 +888,30 @@ def test_budget_flag_trips_guard(capsys, golden_spec):
     assert "budget" in err.lower()
 
 
+_SIZE_UNITS = {"MiB": 1 << 20, "KiB": 1 << 10, "bytes": 1}
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("shift", "shift matrices and their JSON encoding needs about 247 MiB, budget is 4 MiB"),
+    ("build", "fiber frames and their JSON encoding needs about 537 MiB, budget is 2 MiB"),
+], ids=["shift", "build"])
+def test_budget_refusal_is_one_line_with_its_largest_terms(capsys, tmp_path, command, prefix):
+    # the line up to ";" is the one written before the terms were named; the
+    # terms after it are the two or three largest, in decreasing order
+    spec = tmp_path / "golden12.json"
+    formats.dump_json({"kind": "subshift", "d": 2, "depth": 12, "forbidden": [[2, 2]]}, spec)
+    budget = prefix.rsplit(" ", 2)[1]
+    code, out, err = run_cli(capsys, command, "--spec", str(spec), "--out",
+                             str(tmp_path / "out"), "--budget-mb", budget)
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    head, largest = line.split("; largest: ")
+    assert head == f"error: {prefix}"
+    sizes = [int(n) * _SIZE_UNITS[unit]
+             for n, unit in re.findall(r" (\d+) (MiB|KiB|bytes)(?:, |$)", largest)]
+    assert 2 <= len(sizes) <= 3 and sizes == sorted(sizes, reverse=True)
+
+
 def test_budget_flag_holds_for_one_command(capsys, golden_spec, tmp_path):
     # --budget-mb sets the process budget for its command and no longer
     code, _, err = run_cli(capsys, "dims", "--spec", golden_spec, "--budget-mb", "0")
@@ -941,7 +954,8 @@ def test_cp_as_dims_takes_the_budget(capsys, tmp_path):
     kraus = _kraus_file(tmp_path, 2, 32)
     code, out, err = run_cli(capsys, "cp", "as-dims", kraus, "--n", "6", "--budget-mb", "2")
     assert code == 3 and out == ""
-    assert err == "error: channel level 6 of 32 x 32 needs about 3 MiB, budget is 2 MiB\n"
+    assert err == ("error: channel level 6 of 32 x 32 needs about 3 MiB, budget is 2 MiB; largest: "
+                   "SVD factors and the next factor 2 MiB, level stack 1 MiB, Kraus stack 32 KiB\n")
     assert linalg.BUDGET_BYTES == 2 << 30
     code, out, _ = run_cli(capsys, "cp", "as-dims", kraus, "--n", "6", "--budget-mb", "4")
     assert code == 0 and json.loads(out)["dims"] == [1, 2, 4, 8, 16, 32, 64]

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +5,7 @@ from scipy.linalg import expm
 from spsys import cpmaps, linalg, reps
 from spsys.cpmaps import KrausChannel, StochasticMatrix
 
-from conftest import random_commuting_stochastic_pair, random_stochastic
+from conftest import budget_run, random_commuting_stochastic_pair, random_stochastic
 from oracles import (
     choi_matrix, choi_rank, gram_dim_oracle, kraus_word_system, superop,
 )
@@ -85,6 +83,44 @@ def test_gram_oracle_matches_support_counts():
             for k in range(1, n + 1)
         )
         assert out["strong"] == oracle_strong
+
+
+def _sparse_pair(rng, n):
+    """Two nonnegative n x n matrices with exact zeros and entries down to 1e-7,
+    so that some products fall below the count's tolerance."""
+    return [rng.random((n, n)) ** 4 * (rng.random((n, n)) < 0.4) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_support_counts_by_rows_match_the_whole_product(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        p, q = _sparse_pair(rng, n)
+        whole = np.sum(np.abs(q[:, :, None] * p[None, :, :]) > cpmaps.NONZERO_TOL, axis=1)
+        assert np.array_equal(cpmaps._support_counts(q, p, cpmaps.NONZERO_TOL), whole)
+
+
+def test_strong_commute_holds_o_n2_within_its_estimates(monkeypatch):
+    # n = 200: the whole product array would be 17·n³ bytes, 130 MiB
+    n = 200
+    rng = np.random.default_rng(34)
+    sparse = [m / m.sum(axis=1, keepdims=True) for m in _sparse_pair(rng, n)]
+    for p, q in (random_commuting_stochastic_pair(rng, n), sparse):
+        with budget_run(spy=True) as run:
+            out = cpmaps.strong_commute_stochastic(p, q)
+        assert [what for what, _, _ in run.checks] == [
+            f"support counts of {n} x {n}", f"strong-commutation witnesses of {n} x {n}"]
+        for (_, needed, _), peak in zip(run.checks, run.peaks):
+            assert peak <= needed
+    assert out["witnesses"] and run.checks[1][1] >= 256 * len(out["witnesses"])
+    pair = random_commuting_stochastic_pair(rng, n)
+    with budget_run() as run:
+        cpmaps.strong_commute_stochastic(*pair)
+    assert run.peak <= 64 * n * n
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 17 * n * n)
+    monkeypatch.setattr(cpmaps, "_support_counts", None)  # refused before counting
+    with pytest.raises(linalg.MemoryBudgetError, match=f"support counts of {n} x {n}"):
+        cpmaps.strong_commute_stochastic(p, q)
 
 
 def test_identity_channel_dims_are_all_one():
@@ -195,34 +231,19 @@ def test_negative_power_is_refused():
     assert cpmaps.as_fiber_dims(chan, 0) == [1]
 
 
-def _level_peaks(chan, n, monkeypatch):
+def _level_peaks(chan, n):
     """(estimate, traced peak) of every level, the peak from the level's budget
     check to the next, relative to the traced memory before the call."""
-    levels = []
-
-    def spy(needed, what):
-        levels.append([needed, None])
-        if len(levels) > 1:
-            levels[-2][1] = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        return linalg.check_budget(needed, what)
-
-    monkeypatch.setattr(cpmaps, "check_budget", spy)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with budget_run(spy=True) as run:
         cpmaps.as_fiber_dims(chan, n)
-        levels[-1][1] = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return levels
+    return [(total, peak) for (_, total, _), peak in zip(run.checks, run.peaks)]
 
 
 @pytest.mark.parametrize("d, h, n", [(2, 64, 6), (2, 96, 6), (2, 32, 6), (3, 16, 5),
                                      (1, 24, 4), (2, 2, 6)])
-def test_level_estimates_lie_between_one_and_two_traced_peaks(d, h, n, monkeypatch):
+def test_level_estimates_lie_between_one_and_two_traced_peaks(d, h, n):
     chan = KrausChannel(_random_kraus(np.random.default_rng(31), d, h))
-    levels = _level_peaks(chan, n, monkeypatch)
+    levels = _level_peaks(chan, n)
     assert len(levels) == n  # one estimate per level, none at level 0
     for needed, peak in levels:
         assert peak <= needed <= 2 * peak
@@ -230,8 +251,7 @@ def test_level_estimates_lie_between_one_and_two_traced_peaks(d, h, n, monkeypat
 
 def test_a_refused_level_forms_no_stack(monkeypatch):
     chan = KrausChannel(_random_kraus(np.random.default_rng(32), 2, 16))
-    levels = _level_peaks(chan, 6, monkeypatch)
-    monkeypatch.undo()
+    levels = _level_peaks(chan, 6)
     stacks = []
     matmul = np.matmul
 
@@ -246,8 +266,8 @@ def test_a_refused_level_forms_no_stack(monkeypatch):
     assert len(stacks) == 4
 
 
-def test_dead_levels_take_no_budget(monkeypatch):
-    levels = _level_peaks(KrausChannel((np.eye(3, k=1),)), 8, monkeypatch)
+def test_dead_levels_take_no_budget():
+    levels = _level_peaks(KrausChannel((np.eye(3, k=1),)), 8)
     assert len(levels) == 3  # V^3 = 0: levels 4..8 are zero without a check
 
 

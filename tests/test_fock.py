@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from spsys.linalg import MemoryBudgetError
 from spsys.ncpoly import IdealGens, NCPoly
 from spsys.subproduct import SubshiftSpec
 
-from conftest import random_homogeneous_poly, random_row_contraction
+from conftest import budget_run, random_homogeneous_poly, random_row_contraction
 from oracles import (
     dense_annihilation_residual, dense_axiom_residuals, dense_defect_projection,
     dense_defect_residual, dense_model_residuals, dense_poisson_value,
@@ -321,7 +319,9 @@ def test_golden_depth_eighteen_shift_checks_under_one_mib():
         assert fock.defect_residual(sh, 1) == fock.defect_residual(sh, 2) == 0.0
         assert fock.subshift_relations(sh)["ok"]
 
-    assert _traced_peak(run) < 1 << 20
+    with budget_run() as traced:
+        run()
+    assert traced.peak < 1 << 20
 
 
 def test_coordinate_checks_build_no_dense_shift_or_frame(monkeypatch):
@@ -348,29 +348,24 @@ def test_coordinate_checks_build_no_dense_shift_or_frame(monkeypatch):
 # ---------------------------------------------------------------------------
 # budgets of the dense shift views
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_dense_shift_view_budget_bounds_the_traced_peak(monkeypatch):
     # cores (a view per letter block) and word indices (a scatter per letter)
     for system in (subproduct.from_ideal(ncpoly.commutator_gens(3), 7),
                    subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 8)):
         fk = fock.build_fock(system)
         maps = fock.build_shifts(fk).maps  # the level maps are held from here on
-        peak = _traced_peak(lambda: fock.ShiftSet(fk, maps).matrices)
+        with budget_run() as accepted:
+            fock.ShiftSet(fk, maps).matrices
+        peak = accepted.peak
         monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
 
         def refuse():
             with pytest.raises(MemoryBudgetError, match="shift matrices"):
                 fock.ShiftSet(fk, maps).matrices
 
-        assert _traced_peak(refuse) < peak // 100  # refused before anything is assembled
+        with budget_run() as refused:
+            refuse()
+        assert refused.peak < peak // 100  # refused before anything is assembled
         # the estimate is the arrays and a header allowance: within 2 KiB of the peak
         monkeypatch.setattr(linalg, "BUDGET_BYTES", peak + 2048)
         accepted = fock.ShiftSet(fk, maps).matrices
@@ -389,14 +384,18 @@ def test_vn_inequality_budget_bounds_the_traced_peak(monkeypatch):
     def run():
         return reps.vn_inequality_check(system, rep, p, q)
 
-    peak = _traced_peak(run)
+    with budget_run() as accepted:
+        run()
+    peak = accepted.peak
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
 
     def refuse():
         with pytest.raises(MemoryBudgetError, match="vN shift operators"):
             run()
 
-    assert _traced_peak(refuse) < peak // 100  # refused before anything is allocated
+    with budget_run() as refused:
+        refuse()
+    assert refused.peak < peak // 100  # refused before anything is allocated
     # the estimate is within 10% of the peak here
     monkeypatch.setattr(linalg, "BUDGET_BYTES", int(1.1 * peak))
     assert run()["verdict"] in ("pass", "inconclusive")

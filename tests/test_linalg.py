@@ -3,7 +3,9 @@ import pytest
 
 from spsys import linalg
 
-from oracles import pair_coordinates, project_pair, projector, subspace_distance, zero_space
+from oracles import (
+    complement, pair_coordinates, project_pair, projector, subspace_distance, zero_space,
+)
 
 
 def random_subspace(rng, ambient, dim):
@@ -42,7 +44,7 @@ def test_projector_is_idempotent_and_hermitian():
 def test_complement_dimensions_and_orthogonality():
     rng = np.random.default_rng(2)
     s = random_subspace(rng, 9, 4)
-    c = linalg.complement(s)
+    c = complement(s)
     assert c.dim == 5
     assert np.linalg.norm(s.frame.conj().T @ c.frame) < 1e-12
 
@@ -262,3 +264,26 @@ def test_subspace_distance_symmetry_and_zero():
     d_ab = subspace_distance(a, b)
     assert d_ab == pytest.approx(subspace_distance(b, a))
     assert d_ab == pytest.approx(1.0)  # different dimensions force distance 1
+
+
+def test_check_budget_compares_the_sum_of_its_terms(monkeypatch):
+    terms = {"level maps": 1400 << 20, "p(S) q(S)†": 600 << 20, "blocks": 5 << 20,
+             "headers": 16 << 10, "small arrays": 100, "nothing": 0}
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", sum(terms.values()))
+    linalg.check_budget(terms, "vN shift operators")
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", sum(terms.values()) - 1)
+    with pytest.raises(linalg.MemoryBudgetError) as refused:
+        linalg.check_budget(terms, "vN shift operators")
+    # the parent's one line, then the three largest terms in decreasing order
+    assert str(refused.value) == (
+        "vN shift operators needs about 2005 MiB, budget is 2005 MiB; "
+        "largest: level maps 1400 MiB, p(S) q(S)† 600 MiB, blocks 5 MiB")
+
+
+def test_check_budget_refusal_names_small_terms_in_kib_or_bytes(monkeypatch):
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", 0)
+    with pytest.raises(linalg.MemoryBudgetError) as refused:
+        linalg.check_budget({"headers": 100, "word indices": 3000, "none": 0}, "full words")
+    assert str(refused.value) == ("full words needs about 0 MiB, budget is 0 MiB; "
+                                  "largest: word indices 2 KiB, headers 100 bytes")
+    linalg.check_budget({"nothing": 0}, "an empty level")  # 0 bytes fit a budget of 0

@@ -4,7 +4,7 @@ import pytest
 from spsys import linalg, ncpoly
 from spsys.ncpoly import NCPoly, Word
 
-from conftest import random_homogeneous_poly
+from conftest import budget_run, random_homogeneous_poly
 from oracles import homogeneous_component, inclusion_residual
 
 
@@ -100,7 +100,6 @@ def test_values_on_tuple_shares_word_products_and_matches_each_polynomial(real):
 def test_values_held_bounds_the_traced_peak():
     # the values next to the held word products (the prefixes kept for the
     # next word, a product and the next one) and the word index
-    import tracemalloc
     rng = np.random.default_rng(5)
     h = 32
     mats = [rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)) for _ in range(2)]
@@ -109,15 +108,10 @@ def test_values_held_bounds_the_traced_peak():
              [NCPoly.monomial(2, (1, 2, 1, 2, 2, 1))]]
     for polys in cases:
         products, index = NCPoly.values_held(polys)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with budget_run() as run:
             NCPoly.values_on_tuple(polys, mats)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
         estimate = 16 * h * h * (len(polys) + products) + index
-        assert peak <= estimate <= 2 * peak
+        assert run.peak <= estimate <= 2 * run.peak
     assert NCPoly.values_held(cases[0])[0] == 2 + 6  # words sharing 6 letters
     assert NCPoly.values_held(cases[2])[0] == 2
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +8,10 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.reps import RepTuple
 from spsys.subproduct import SubshiftSpec
 
-from conftest import moved_commuting_pair, random_commuting_pair, random_row_contraction
-from oracles import full_word_maps, subspace_distance, word_map_piece
+from conftest import (
+    budget_run, moved_commuting_pair, random_commuting_pair, random_row_contraction,
+)
+from oracles import complement, full_word_maps, subspace_distance, word_map_piece
 
 
 def test_rep_tuple_validation():
@@ -50,7 +51,7 @@ def test_full_word_maps_collect_all_products():
 
 def _tilde_test_systems(symmetric2_6, golden_6):
     q = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
-    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
+    level2 = complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
     fibers = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5)
     return [
         (symmetric2_6, 3),
@@ -124,7 +125,7 @@ def test_is_representation_subshift_monomials(golden_6):
 def test_is_representation_fibers_route():
     # maximal systems built from raw fibers record the generators derived from
     # the prescribed levels: here X(2)^⊥ = span{e21}, so x2 x1 up to a phase
-    level2 = linalg.complement(linalg.span(np.array([[0, 0, 1.0, 0]]).T))
+    level2 = complement(linalg.span(np.array([[0, 0, 1.0, 0]]).T))
     sys_ = subproduct.maximal_with_fibers(
         2, [linalg.full_space(2), level2], 4)
     rng = np.random.default_rng(5)
@@ -138,7 +139,7 @@ def test_is_representation_fibers_route():
 
 
 def _symmetric_fibers_system(depth):
-    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))
+    level2 = complement(linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))
     return subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], depth)
 
 
@@ -158,37 +159,25 @@ GENERATOR_SYSTEMS = {
 }
 
 
-def _generator_estimate(system, rep, monkeypatch):
+def _generator_estimate(system, rep):
     """The one estimate `is_representation` checks on its generator route."""
-    seen = []
-    check = reps.check_budget
-
-    def spy(needed, what):
-        seen.append(needed)
-        return check(needed, what)
-
-    monkeypatch.setattr(reps, "check_budget", spy)
-    out = reps.is_representation(system, rep)
-    monkeypatch.setattr(reps, "check_budget", check)
-    assert out["route"] == "generators" and len(seen) == 1
-    return seen[0]
+    with budget_run(spy=True) as run:
+        out = reps.is_representation(system, rep)
+    assert out["route"] == "generators" and len(run.checks) == 1
+    return run.checks[0][1]
 
 
 def _traced_peak(system, rep) -> int:
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with budget_run() as run:
         reps.is_representation(system, rep)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return run.peak
 
 
 @pytest.mark.parametrize("kind", ["commutator", "golden"])
 def test_is_representation_generators_refuse_one_byte_below_the_estimate(kind, monkeypatch):
     system = GENERATOR_SYSTEMS[kind]()
     rep = random_row_contraction(np.random.default_rng(28), system.d, 12, 0.9)
-    needed = _generator_estimate(system, rep, monkeypatch)
+    needed = _generator_estimate(system, rep)
 
     def never(*args, **kwargs):
         raise AssertionError("a generator evaluated before the budget check")
@@ -200,11 +189,10 @@ def test_is_representation_generators_refuse_one_byte_below_the_estimate(kind, m
 
 
 @pytest.mark.parametrize("kind, h", [("commutator", 64), ("golden", 48)])
-def test_is_representation_generator_estimate_is_within_twice_the_traced_peak(kind, h,
-                                                                             monkeypatch):
+def test_is_representation_generator_estimate_is_within_twice_the_traced_peak(kind, h):
     system = GENERATOR_SYSTEMS[kind]()
     rep = random_row_contraction(np.random.default_rng(29), system.d, h, 0.9)
-    needed, peak = _generator_estimate(system, rep, monkeypatch), _traced_peak(system, rep)
+    needed, peak = _generator_estimate(system, rep), _traced_peak(system, rep)
     assert peak <= needed <= 2 * peak
 
 
@@ -270,13 +258,12 @@ def test_is_representation_complement_budget_bounds_the_traced_peak(make, depth,
 
 
 @pytest.mark.parametrize("make, depth, h", COMPLEMENT_CASES)
-def test_is_representation_complement_estimate_is_within_twice_the_traced_peak(make, depth, h,
-                                                                              monkeypatch):
+def test_is_representation_complement_estimate_is_within_twice_the_traced_peak(make, depth, h):
     # the estimate counts a generator value with its sum and products, and
     # headers, and nothing of the piece: a budget that would fit is not refused
     system = make(depth)
     rep = random_row_contraction(np.random.default_rng(23), 2, h, 0.8)
-    needed, peak = _generator_estimate(system, rep, monkeypatch), _traced_peak(system, rep)
+    needed, peak = _generator_estimate(system, rep), _traced_peak(system, rep)
     assert peak <= needed <= 2 * peak
 
 
@@ -339,16 +326,11 @@ def test_poisson_kernel_budget_bounds_the_traced_peak(kind, h, monkeypatch):
         for n in range(system.depth + 1):
             system.fiber(n).frame
         monkeypatch.setattr(linalg, "BUDGET_BYTES", budget)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with budget_run() as traced:
             kernel = reps.PoissonKernel(system, rep, 0.9)
             kernel.isometry_defect()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
         assert kernel._shifts is None  # the tildes need no level maps of the shifts
-        return peak
+        return traced.peak
 
     peak = run()
     with pytest.raises(linalg.MemoryBudgetError, match="Poisson kernel"):
@@ -370,14 +352,9 @@ def test_cp_semigroup_budget_bounds_the_traced_peak(kind, h, monkeypatch):
         system = make()  # fresh for every run
         for n in range(system.depth + 1):
             system.fiber(n).frame
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with budget_run() as traced:
             reps.CPSemigroup(system, rep)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        return peak
+        return traced.peak
 
     peak = run()
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
@@ -392,22 +369,15 @@ def test_rep_tildes_refuses_one_byte_below_its_estimate_before_any_tilde(kind, m
     system = {"golden": lambda: _golden(9),
               "commutator": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 6)}[kind]()
     rep = random_row_contraction(np.random.default_rng(27), 2, 5, 0.9)
-    seen = []
-    check = reps.check_budget
-
-    def spy(needed, what):
-        seen.append(needed)
-        return check(needed, what)
-
-    monkeypatch.setattr(reps, "check_budget", spy)
-    reps.rep_tildes(system, rep)
-    assert len(seen) == 1  # one estimate covers the whole call
+    with budget_run(spy=True) as run:
+        reps.rep_tildes(system, rep)
+    assert len(run.checks) == 1  # one estimate covers the whole call
 
     def never(*args, **kwargs):
         raise AssertionError("tildes allocated before the budget check")
 
     monkeypatch.setattr(reps, "_level_recursion", never)
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", seen[0] - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", run.checks[0][1] - 1)
     with pytest.raises(linalg.MemoryBudgetError, match=f"tildes up to level {system.depth}"):
         reps.rep_tildes(system, rep)
 
@@ -898,22 +868,15 @@ def test_maximal_piece_budget_covers_all_levels_before_allocating(monkeypatch):
     # one byte below it the piece is refused before any g(T) is evaluated
     golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 5)
     rep, _, _ = conjugated_full_shift(5, seed=41)
-    seen = []
-    check = reps.check_budget
-
-    def spy(needed, what):
-        seen.append((needed, what))
-        return check(needed, what)
-
-    monkeypatch.setattr(reps, "check_budget", spy)
-    reps.maximal_piece(golden, rep)
-    assert [what for _, what in seen] == ["piece constraints up to level 5"]
+    with budget_run(spy=True) as run:
+        reps.maximal_piece(golden, rep)
+    assert [what for what, _, _ in run.checks] == ["piece constraints up to level 5"]
 
     def never(*args, **kwargs):
         raise AssertionError("a generator evaluated before the budget check")
 
     monkeypatch.setattr(NCPoly, "values_on_tuple", never)
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", seen[0][0] - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", run.checks[0][1] - 1)
     with pytest.raises(linalg.MemoryBudgetError, match="piece constraints up to level 5"):
         reps.maximal_piece(golden, rep)
 
@@ -937,15 +900,10 @@ def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth, mo
     system = BUDGET_SYSTEMS[kind](d, depth)
     sh = fock.build_shifts(fock.build_fock(subproduct.from_full(d, h_depth)))
     rep = RepTuple(tuple(sh.matrices))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with budget_run() as run:
         reps.maximal_piece(system, rep)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
     # any budget the estimate accepts covers the measured peak
-    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", run.peak - 1)
     with pytest.raises(linalg.MemoryBudgetError):
         reps.maximal_piece(system, rep)
 
@@ -954,28 +912,14 @@ def test_maximal_piece_budget_bounds_the_traced_peak(kind, d, depth, h_depth, mo
     pytest.param("full", 2, 5, 5, id="2-5-5"),
     pytest.param("golden", 2, 9, 5, id="golden-9-5"),
 ])
-def test_maximal_piece_budget_is_at_most_twice_the_traced_peak(kind, d, depth, h_depth,
-                                                               monkeypatch):
+def test_maximal_piece_budget_is_at_most_twice_the_traced_peak(kind, d, depth, h_depth):
     # where the generator values, the basis and a block's projection outweigh
     # the headers, the estimate stays close enough that a budget which would fit
     # is not refused
-    seen = []
-    check = reps.check_budget
-
-    def spy(needed, *args):
-        seen.append(needed)
-        return check(needed, *args)
-
-    monkeypatch.setattr(reps, "check_budget", spy)
     system, rep = BUDGET_SYSTEMS[kind](d, depth), _shift_tuple(d, h_depth)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with budget_run(spy=True) as run:
         reps.maximal_piece(system, rep)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert seen[0] <= 2 * peak
+    assert run.checks[0][1] <= 2 * run.peak
 
 
 def test_maximal_piece_of_genuine_representation_is_everything(symmetric2_6):
@@ -1037,7 +981,7 @@ def test_cp_semigroup_unital_for_coisometric_row(symmetric2_6):
 
 
 _Q3 = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
-_LEVEL2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
+_LEVEL2 = complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
 _BUILDS = {
     "subshift": lambda n: subproduct.from_subshift(SubshiftSpec(3, ((1, 1), (2, 3, 1))), n),
     "full": lambda n: subproduct.from_full(2, n),

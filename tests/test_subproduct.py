@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from spsys.ncpoly import IdealGens, NCPoly
 from spsys.linalg import MemoryBudgetError
 from spsys.subproduct import SubshiftSpec
 
-from conftest import random_homogeneous_poly
+from conftest import budget_run, random_homogeneous_poly
 from oracles import (
-    dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
+    complement, dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
     frame_letter_blocks, homogeneous_component, inclusion_residual, qr_level_roots,
     subspace_distance, zero_space,
 )
@@ -199,7 +198,7 @@ def test_generator_systems_match_the_ideal_component_oracle():
     for system, gens in _generator_systems(5):
         for n in range(6):
             vecs = homogeneous_component(gens, n)
-            oracle = linalg.complement(linalg.span(
+            oracle = complement(linalg.span(
                 np.column_stack(vecs) if vecs else np.zeros((system.d**n, 0)),
                 ambient_dim=system.d**n))
             assert system.dim(n) == oracle.dim
@@ -210,7 +209,7 @@ def test_qmatrix_and_quadratic_match_maximal_with_fibers():
     # against the dense completion, which shares no step with the ideal route
     for system, gens in _generator_systems(6)[-3:]:
         d = system.d
-        level2 = linalg.complement(linalg.span(
+        level2 = complement(linalg.span(
             np.column_stack([g.eval_on_basis() for g in gens.gens])))
         dense = dense_maximal_with_fibers(d, [linalg.full_space(d), level2], 6)
         assert system.kind in ("qmatrix", "quadratic")
@@ -220,30 +219,22 @@ def test_qmatrix_and_quadratic_match_maximal_with_fibers():
 
 
 def test_commutator_three_letters_depth_twelve_on_cores_in_small_memory():
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         system = subproduct.from_ideal(ncpoly.commutator_gens(3), 12)
         fock.build_shifts(fock.build_fock(system))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert system.dims() == [math.comb(n + 2, 2) for n in range(13)]
     assert all("frame" not in vars(f) for f in system.fibers[1:])
-    assert peak < 64 << 20
+    assert run.peak < 64 << 20
 
 
 def test_core_frame_beyond_budget_is_refused_without_building(monkeypatch):
     monkeypatch.setattr(linalg, "BUDGET_BYTES", 8 << 20)
     system = subproduct.from_ideal(ncpoly.commutator_gens(3), 10)
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         with pytest.raises(MemoryBudgetError, match="fiber frame"):
             system.fiber(10).frame  # 3^10 x 66 complex is about 59 MiB
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert all("frame" not in vars(f) for f in system.fibers[1:])
-    assert peak < 1 << 20
+    assert run.peak < 1 << 20
 
 
 def test_core_frame_budget_counts_the_lower_frames_it_builds(monkeypatch):
@@ -252,12 +243,9 @@ def test_core_frame_budget_counts_the_lower_frames_it_builds(monkeypatch):
         return subproduct.from_ideal(ncpoly.commutator_gens(2), 14).fiber(14)
 
     fiber = top_fiber()
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         fiber.frame
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = run.peak
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak)
     assert top_fiber().frame.shape == fiber.frame.shape
     monkeypatch.setattr(linalg, "BUDGET_BYTES", int(peak * 0.999))
@@ -273,7 +261,7 @@ def _golden_chain(k):
 def _symmetric_chain(d):
     """The full X(1) and the symmetric X(2), the complement of the commutators."""
     commutators = [g.eval_on_basis() for g in ncpoly.commutator_gens(d).gens]
-    return [linalg.full_space(d), linalg.complement(linalg.span(np.column_stack(commutators)))]
+    return [linalg.full_space(d), complement(linalg.span(np.column_stack(commutators)))]
 
 
 @pytest.mark.parametrize("build", [
@@ -285,12 +273,9 @@ def _symmetric_chain(d):
 ], ids=["commutator3-12", "qmatrix3-8", "golden-20", "golden123-fibers-12",
         "symmetric3-fibers-9"])
 def test_construction_budget_bounds_the_traced_peak(build, monkeypatch):
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = run.peak
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
     with pytest.raises(MemoryBudgetError):
         build()
@@ -302,12 +287,9 @@ def test_prescribed_level_budget_bounds_the_traced_peak(monkeypatch):
     # a `build --out` file read back: every level is prescribed as a dense
     # frame, and the top prescribed step holds the largest estimate
     chain = [linalg.Subspace(f.ambient_dim, f.frame, f.tol_used) for f in _golden_chain(10)]
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         subproduct.maximal_with_fibers(2, chain, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = run.peak
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
     with pytest.raises(MemoryBudgetError, match="prescribed fiber at level 10"):
         subproduct.maximal_with_fibers(2, chain, 10)
@@ -330,7 +312,7 @@ def _random_level2_chain():
 
 def _one_complement_chain(vector):
     """The full X(1) and the complement of one vector in C^4."""
-    return [linalg.full_space(2), linalg.complement(linalg.span(np.array([vector], dtype=float).T))]
+    return [linalg.full_space(2), complement(linalg.span(np.array([vector], dtype=float).T))]
 
 
 FIBERS_CASES = {
@@ -397,7 +379,7 @@ def test_maximal_with_fibers_rejects_bad_inclusion():
 def test_letter_blocks_rebuild_the_frames(symmetric2_6, golden_6):
     # X(n) ⊆ E ⊗ X(n-1): the letter-i rows of F_n are F_{n-1} B_{n,i}†; the
     # dense view of the shift tuple's level maps gives those blocks
-    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
+    level2 = complement(linalg.span(np.array([[0, 1.0, -0.5, 0]]).T))
     fibers = subproduct.maximal_with_fibers(2, [linalg.full_space(2), level2], 5)
     q = np.array([[1, 2, 0.5j], [0.5, 1, 3], [-2j, 1 / 3, 1]], dtype=complex)
     for system in (symmetric2_6, golden_6, fibers, subproduct.from_qmatrix(q, 4)):
@@ -447,16 +429,12 @@ def test_coordinate_frames_equal_dense_frames():
 
 def test_subshift_frame_beyond_budget_is_refused_without_building(monkeypatch):
     monkeypatch.setattr(linalg, "BUDGET_BYTES", 1 << 20)
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 14)
         assert system.dim(14) == 987
         with pytest.raises(MemoryBudgetError, match="coordinate frame"):
             system.fiber(14).frame  # 2^14 x 987 complex is about 247 MiB
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert run.peak < 1 << 20
 
 
 def test_subshift_beyond_int64_word_indices_is_refused():
@@ -468,17 +446,13 @@ def test_subshift_beyond_int64_word_indices_is_refused():
 
 
 def test_golden_depth_twenty_dims_in_small_memory():
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     fib = [1, 2]
     while len(fib) < 21:
         fib.append(fib[-1] + fib[-2])
     assert system.dims() == fib
-    assert peak < 32 << 20
+    assert run.peak < 32 << 20
 
 
 def test_axioms_hold_on_every_route(symmetric2_6, golden_6, full2_6):
@@ -502,7 +476,7 @@ def test_coordinate_axioms_are_index_inclusions_equal_to_the_dense_oracle():
 def test_dense_and_mixed_levels_are_refused():
     # a system holds word indices on every level or a core over the level
     # below on every level above 0; hand-made frames go through the completion
-    level2 = linalg.complement(linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))
+    level2 = complement(linalg.span(np.array([[0, 1.0, -1.0, 0]]).T))
     golden = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 3)
     symmetric = subproduct.from_ideal(ncpoly.commutator_gens(2), 3)
     cases = {
@@ -622,20 +596,14 @@ def test_moved_core_axiom_residuals_match_the_unsquared_routes(case, eps):
 ], ids=["commutator3-12", "qmatrix3-7", "symmetric-fibers-9"])
 def test_axiom_budget_bounds_the_traced_peak(build, monkeypatch):
     system = build()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with budget_run() as accepted:
         subproduct.verify_axioms(system)
-        peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    peak = accepted.peak
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
+    with budget_run() as refused:
         with pytest.raises(MemoryBudgetError, match="axiom residuals"):
             subproduct.verify_axioms(system)
-        refused = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert refused < 16 << 10  # refused before anything level-sized is allocated
+    assert refused.peak < 16 << 10  # refused before anything level-sized is allocated
     monkeypatch.setattr(linalg, "BUDGET_BYTES", 2 * peak)
     assert subproduct.verify_axioms(system)["ok"]
     assert all("frame" not in vars(f) for f in system.fibers[1:]
@@ -658,7 +626,7 @@ def test_maximal_completion_of_a_generic_level_one_keeps_every_level(kind, seed)
 
 
 def test_recovered_ideal_level_two_of_symmetric(symmetric2_6):
-    comp = linalg.complement(symmetric2_6.fiber(2))
+    comp = complement(symmetric2_6.fiber(2))
     target = np.zeros((4, 1), dtype=complex)
     target[ncpoly.word_index((1, 2), 2), 0] = 1.0
     target[ncpoly.word_index((2, 1), 2), 0] = -1.0
@@ -693,6 +661,43 @@ def test_recovered_generators_come_from_the_complement_cores():
     assert all(len(g.terms) == 1 for g in gens)  # golden: monomials ending in 22
 
 
+RECOVER_BUILDS = {
+    "commutator3-6": lambda: subproduct.from_ideal(ncpoly.commutator_gens(3), 6),
+    "commutator2-10": lambda: subproduct.from_ideal(ncpoly.commutator_gens(2), 10),
+    "qmatrix3-6": lambda: subproduct.from_qmatrix(Q3, 6),
+    "symmetric-fibers-8": lambda: subproduct.maximal_with_fibers(2, _symmetric_chain(2), 8),
+    "golden-14": lambda: subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 14),
+    "subshift3-8": lambda: subproduct.from_subshift(SubshiftSpec(3, ((1, 2), (3, 3, 1))), 8),
+}
+
+
+@pytest.mark.parametrize("kind", RECOVER_BUILDS)
+def test_recovered_generators_budget_bounds_the_traced_peak(kind, monkeypatch):
+    # one estimate before the first level, over the d^n complement rows and the
+    # dense generators (monomials on word indices); fresh systems, whose frames
+    # are built inside the run
+    system = RECOVER_BUILDS[kind]()
+    with budget_run(spy=True) as spied:
+        subproduct.recover_ideal_gens(system)
+    (what, needed, _), *frames = spied.checks
+    assert what == f"recovered generators up to level {system.depth}"
+    assert all("frame of" in w for w, _, _ in frames)  # the lazy frames it builds
+    system = RECOVER_BUILDS[kind]()
+    with budget_run() as run:
+        subproduct.recover_ideal_gens(system)
+    assert run.peak <= needed <= 4 * run.peak
+
+    def never(*args, **kwargs):
+        raise AssertionError("a generator made before the budget check")
+
+    system = RECOVER_BUILDS[kind]()
+    monkeypatch.setattr(NCPoly, "from_rows", never)
+    monkeypatch.setattr(NCPoly, "monomial", never)
+    monkeypatch.setattr(linalg, "BUDGET_BYTES", needed - 1)
+    with pytest.raises(MemoryBudgetError, match="recovered generators up to level"):
+        subproduct.recover_ideal_gens(system)
+
+
 def test_units_on_word_indices_match_the_dense_oracle():
     rng = np.random.default_rng(29)
     for system in _coordinate_systems():
@@ -710,15 +715,11 @@ def test_units_on_word_indices_match_the_dense_oracle():
 
 def test_golden_depth_twenty_units_in_small_memory():
     system = subproduct.from_subshift(SubshiftSpec(2, ((2, 2),)), 20)
-    tracemalloc.start()
-    try:
+    with budget_run() as run:
         units = [subproduct.verify_unit(system, v) for v in np.eye(2)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert units[0]["unital"] and units[0]["residuals"] == [0.0] * 20
     assert units[1]["residuals"] == [0.0] + [1.0] * 19  # 2·2 is forbidden
-    assert peak < 1 << 20
+    assert run.peak < 1 << 20
 
 
 def test_unit_vectors_of_golden_mean(golden_6):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -226,20 +227,13 @@ def cmd_dims(args) -> int:
 
 
 def _verify_unit_check(system, tol):
+    """The unit check on the basis vectors e_1..e_d: the smallest of their worst
+    residuals, passing when some e_i is a unit, and those i."""
     from spsys import subproduct
-    best = None
-    confirmed = []
-    for i in range(system.d):
-        v = np.zeros(system.d, dtype=complex)
-        v[i] = 1.0
-        rep = subproduct.verify_unit(system, v, tol=tol)
-        worst = max(rep["residuals"]) if rep["residuals"] else 0.0
-        if rep["is_unit"]:
-            confirmed.append(i + 1)
-        if best is None or worst < best:
-            best = worst
-    verdict = "pass" if confirmed else "fail"
-    return check("unit", (0, system.depth), best, tol, verdict), confirmed
+    units = [subproduct.verify_unit(system, v, tol=tol) for v in np.eye(system.d, dtype=complex)]
+    confirmed = [i + 1 for i, u in enumerate(units) if u["is_unit"]]
+    best = min(max(u["residuals"], default=0.0) for u in units)
+    return check("unit", (0, system.depth), best, tol, "pass" if confirmed else "fail"), confirmed
 
 
 def cmd_verify(args) -> int:
@@ -254,14 +248,7 @@ def cmd_verify(args) -> int:
     checks = []
     extras = {"d": system.d, "depth": n_depth, "kind": system.kind,
               "dims": system.dims()}
-    shifts = None
-
-    def get_shifts():
-        nonlocal shifts
-        if shifts is None:
-            shifts = fock.build_shifts(fock.build_fock(system))
-        return shifts
-
+    get_shifts = cache(lambda: fock.build_shifts(fock.build_fock(system)))
     if "axioms" in wanted:
         tol = _tol(args, subproduct.INCLUSION_TOL)
         ax = subproduct.verify_axioms(system, tol=tol)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spsys.linalg import check_budget
+from spsys.linalg import check_budget, factor_bytes
 
 NONZERO_TOL = 1e-12
 ROWSUM_TOL = 1e-12
@@ -66,8 +66,8 @@ def as_fiber_dims(channel: KrausChannel, n_max: int) -> list[int]:
         if r:  # from a zero level on, every level is zero
             k = min(d * r, hh)
             check_budget({"Kraus stack": 16 * d * hh, "level stack": 16 * d * r * hh,
-                          "SVD factors and the next factor": 16 * (d * r * k + k * (2 * hh + 1)),
-                          "headers": 4096}, f"channel level {n} of {h} x {h}")
+                          "SVD factors and the next factor": factor_bytes("svd", d * r, hh, 16)
+                          + 16 * k * hh, "headers": 2048}, f"channel level {n} of {h} x {h}")
             stack = np.matmul(kraus, factor.reshape(r, h, h)).reshape(d * r, hh)
             del factor  # one level's rows at a time
             s, wh = np.linalg.svd(stack, full_matrices=False)[1:]

@@ -97,24 +97,6 @@ class ShiftSet:
             return np.divmod(op, r_prev)
         return op.reshape(op.shape[0], self.d, r_prev).transpose(1, 0, 2)
 
-    def _fill(self, out: np.ndarray, n: int, rows: slice, cols: slice) -> None:
-        """Write level n's letter blocks into out[:, rows, cols]: the core view,
-        or the 1s of the word indices."""
-        letters = self._letters(n)
-        if isinstance(letters, tuple):
-            letter, prev = letters
-            words = rows.start + np.arange(letter.size)
-            np.put(out, np.ravel_multi_index((letter, words, cols.start + prev), out.shape), 1.0)
-        else:
-            out[:, rows, cols] = letters
-
-    def blocks(self, n: int) -> np.ndarray:
-        """The dense letter blocks B_{n,i} of level n, d × r_n × r_{n-1}."""
-        dims = self.fock.level_dims()
-        out = np.zeros((self.d, dims[n], dims[n - 1]), dtype=self.dtype)
-        self._fill(out, n, slice(0, dims[n]), slice(0, dims[n - 1]))
-        return out
-
     def matrix_terms(self) -> dict[str, int]:
         """The budget terms of the dense view."""
         d, total = self.d, self.fock.total_dim
@@ -129,7 +111,13 @@ class ShiftSet:
         check_budget(self.matrix_terms(), "shift matrices")
         mats = np.zeros((d, total, total), dtype=self.dtype)
         for n in range(1, fock.depth + 1):
-            self._fill(mats, n, fock.level_slice(n), fock.level_slice(n - 1))
+            rows, cols, letters = fock.level_slice(n), fock.level_slice(n - 1), self._letters(n)
+            if isinstance(letters, tuple):
+                letter, prev = letters
+                words = rows.start + np.arange(letter.size)
+                np.put(mats, np.ravel_multi_index((letter, words, cols.start + prev), mats.shape), 1.0)
+            else:
+                mats[:, rows, cols] = letters
         return tuple(mats)
 
     @cached_property
@@ -349,28 +337,26 @@ def export_shifts(shifts: ShiftSet, out_dir) -> list:
 
 def shift_files_residual(shifts: ShiftSet, paths) -> float:
     """The largest entry by which the files `export_shifts` wrote for S_1..S_d
-    (`paths`, in letter order) differ from the level maps.
+    (`paths`, in letter order) differ from the shifts.
 
-    Each file is decoded and the letter block B_{n,i} is subtracted from its
-    block from level n-1 to level n; the residual is the largest entry left,
-    inside the blocks or outside them. The encoding is exact, so anything but 0
-    is a file that does not hold its shift. One estimate is checked first: the
-    dense view `export_shifts` keeps, next to decoding one file, which takes no
-    more than encoding it.
+    Each file is decoded and its shift's dense view, which `export_shifts`
+    built and the shift set keeps, is subtracted; the residual is the largest
+    entry left. The encoding is exact, so anything but 0 is a file that does not
+    hold its shift. One estimate is checked first: the dense view, next to
+    decoding one file, which takes no more than encoding it.
     """
     from spsys import formats
 
-    fk, total = shifts.fock, shifts.fock.total_dim
+    total = shifts.fock.total_dim
     check_budget({**shifts.matrix_terms(),
                   "JSON encoding of a matrix": formats.encoding_bytes([total * total])},
                  "shift files read back")
     worst = 0.0
-    for i, path in enumerate(paths):
+    for path, shift in zip(paths, shifts.matrices):
         s = formats.decode_matrix(formats.load_json(path))
         if s.shape != (total, total):
             raise ValueError(f"{path} holds a {s.shape[0]} x {s.shape[1]} matrix, "
                              f"not {total} x {total}")
-        for n in range(1, fk.depth + 1):
-            s[fk.level_slice(n), fk.level_slice(n - 1)] -= shifts.blocks(n)[i]
+        s -= shift
         worst = max(worst, float(np.abs(s).max(initial=0.0)))
     return worst

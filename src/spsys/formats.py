@@ -71,13 +71,15 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, least: int | None = None) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     # a boolean, a fraction, infinity or NaN too
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         shown = value if isinstance(value, float) else _json_type(value)
         raise ValueError(f"{what} must be an integer, not {shown}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"{what} must be >= {least}, not {value}")
     return int(value)
 
 
@@ -108,11 +110,11 @@ def encode_matrix(m: np.ndarray) -> dict:
     }
 
 
-def decode_matrix(obj: dict) -> np.ndarray:
+def decode_matrix(obj: dict, least: int | None = None) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError(f'a matrix must be an object {{"rows", "cols", "data"}}, '
                          f"not {_json_type(obj)}")
-    rows, cols = _integer(obj["rows"], "matrix rows"), _integer(obj["cols"], "matrix cols")
+    rows, cols = (_integer(obj[k], f"matrix {k}", least) for k in ("rows", "cols"))
     data = _list(obj["data"], "matrix data")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != {rows}x{cols}")
@@ -206,7 +208,7 @@ def build_system(obj: dict, depth: int | None = None) -> SubproductSystem:
     key = {"subshift": "forbidden", "ideal": "generators", "fibers": "fibers"}.get(kind)
     if key is not None and not isinstance(obj.get(key), list):
         raise ValueError(f"{kind} spec: {key!r} must be a list")
-    d = _integer(obj["d"], "d") if kind in ("subshift", "ideal", "full", "fibers") else None
+    d = _integer(obj["d"], "d", 1) if kind in ("subshift", "ideal", "full", "fibers") else None
     if kind == "subshift":
         forbidden = [tuple(_integer(x, "a letter") for x in _list(w, "a forbidden word"))
                      for w in obj["forbidden"]]
@@ -215,7 +217,7 @@ def build_system(obj: dict, depth: int | None = None) -> SubproductSystem:
         polys = [decode_poly(t, d) for t in obj["generators"]]
         return subproduct.from_ideal(IdealGens(d, polys), depth)
     if kind == "qmatrix":
-        return subproduct.from_qmatrix(decode_matrix(obj["q"]), depth)
+        return subproduct.from_qmatrix(decode_matrix(obj["q"], 1), depth)
     if kind == "quadratic":
         key = "A" if "A" in obj else "a"
         return subproduct.from_quadratic(decode_matrix(obj[key]), depth)
@@ -235,11 +237,11 @@ def encode_rep(rep: RepTuple) -> dict:
 
 def decode_rep(obj: dict) -> RepTuple:
     from spsys.reps import RepTuple
-    mats = [decode_matrix(m) for m in _list(_object(obj, "a tuple")["matrices"], "matrices")]
+    mats = [decode_matrix(m, 1) for m in _list(_object(obj, "a tuple")["matrices"], "matrices")]
     rep = RepTuple(tuple(mats))
     if "d" in obj and rep.d != _integer(obj["d"], "d"):
         raise ValueError("tuple length does not match declared d")
-    if "h" in obj and rep.h != _integer(obj["h"], "h"):
+    if rep.h != _integer(obj.get("h", rep.h), "h", 1):
         raise ValueError("matrix size does not match declared h")
     return rep
 
@@ -251,10 +253,10 @@ def encode_kraus(kraus) -> dict:
 
 
 def decode_kraus(obj: dict) -> tuple[np.ndarray, ...]:
-    mats = tuple(decode_matrix(m) for m in _list(_object(obj, "a channel")["kraus"], "kraus"))
+    mats = tuple(decode_matrix(m, 1) for m in _list(_object(obj, "a channel")["kraus"], "kraus"))
     if not mats:
         raise ValueError("channel needs at least one Kraus operator")
-    h = _integer(obj.get("h", mats[0].shape[0]), "h")
+    h = _integer(obj.get("h", mats[0].shape[0]), "h", 1)
     for m in mats:
         if m.shape != (h, h):
             raise ValueError(f"Kraus operator shape {m.shape} != ({h}, {h})")
@@ -268,7 +270,7 @@ def load_stochastic(path: str | Path) -> np.ndarray:
         m = np.loadtxt(path, delimiter=",", dtype=float)
         return np.atleast_2d(m)
     obj = json.loads(path.read_text())
-    m = decode_matrix(obj)
+    m = decode_matrix(obj, 1)
     if np.max(np.abs(m.imag)) > 1e-14:
         raise ValueError("stochastic matrix must be real")
     return m.real

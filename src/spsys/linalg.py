@@ -115,7 +115,7 @@ class Subspace:
         r = self.frame.shape[1]
         if r:
             defect = self.frame.conj().T @ self.frame
-            defect.flat[::r + 1] -= 1  # in place: no r x r identity or difference
+            defect.reshape(-1)[::r + 1] -= 1  # a view: no identity, difference or copy
             # the spectral norm is at most the Frobenius norm, so the SVD is
             # only needed when the cheap bound does not already accept
             if np.linalg.norm(defect) > FRAME_ORTHO_TOL:
@@ -251,6 +251,31 @@ def project(s: Subspace, v: np.ndarray) -> np.ndarray:
         out[s.index] = v[s.index]
         return out
     return s.frame @ (s.frame.conj().T @ v)
+
+
+def factor_bytes(call: str, m: int, n: int, itemsize: int, first: bool = False) -> int:
+    """Bytes of numpy's arrays at the peak of `call` on an m × n array of
+    `itemsize`-byte entries, as tracemalloc counts them (s and w at `itemsize`
+    too), with 1.25-2.5 KiB of headers; with `first`, the first array returned
+    (U, R, Q or w) alone, which a caller keeps by indexing [0]. "svd" (thin) and
+    "svd full" return U, s and Vᵀ; "qr r" R and "qr complete" Q and R, next to
+    an input copy, τ and `triu`'s mask; "eigh" w and V. `gram_norm` of an m × m
+    Gram holds w; `opnorm` the smaller Gram, w and a complex m's conjugate copy;
+    `nullspace` a tall m's "qr r", then an SVD, the null frame and its check.
+    LAPACK's own workspace is not counted (ROADMAP item 11)."""
+    k, c = min(m, n), itemsize > 8
+    if call == "nullspace":
+        held = (2 + c + (m > n)) * itemsize * n * n  # the null frame, its check and a tall m's R
+        held += factor_bytes("svd full" if m < n else "svd", k, n, itemsize)
+        return max(held, (m > n) * factor_bytes("qr r", m, n, itemsize))
+    # entries: the first array returned, the others, those made besides; and headers
+    out, rest, made, headers = {
+        "svd": (m * k, k + k * n, 0, 2048), "svd full": (m * m, k + n * n, 0, 2048),
+        "qr r": (k * n, 0, m * n + k, 2560), "qr complete": (m * m, m * n, m * n + k, 2560),
+        "eigh": (m, m * m, 0, 1536), "gram_norm": (0, 0, m, 1280),
+        "opnorm": (0, 0, k * k + k + c * m * n, 1536)}[call]
+    mask = (call == "qr r") * k * n + (call == "qr complete") * m * n
+    return itemsize * out if first else itemsize * (out + rest + made) + mask + headers
 
 
 def nullspace(m: np.ndarray) -> Subspace:

@@ -32,13 +32,6 @@ class Word:
             if not 1 <= a <= self.d:
                 raise ValueError(f"letter {a} outside 1..{self.d}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def index(self) -> int:
-        """Position of e_w in the lexicographic basis of (C^d)^{⊗|w|}."""
-        return word_index(self.letters, self.d)
-
 
 def word_index(letters, d: int) -> int:
     idx = 0

@@ -117,7 +117,8 @@ def rep_tildes(system: SubproductSystem, rep: RepTuple) -> list[np.ndarray]:
     # a recursion step covers the conjugate copy behind a new tilde
     check_budget({"tildes": 16 * h * h * sum(system.dims()),
                   "a recursion step": _recursion_bytes(system, [h] * (system.depth + 1), False, 16),
-                  "h x h blocks": 16 * 8 * h * h, "headers": _header_bytes(system)},
+                  "the letters T_i† and A_0": 16 * (rep.d + 1) * h * h,
+                  "headers": _header_bytes(system)},
                  f"tildes up to level {system.depth}")
     return [np.ascontiguousarray(a.conj().T)
             for a, _ in _level_recursion(system, [rep.adjoints] * system.depth)]
@@ -139,20 +140,20 @@ def _generator_values(system: SubproductSystem, rep: RepTuple, keep: bool = Fals
     a group of one degree and realness at a time (`NCPoly.values_on_tuple`), made
     as the caller takes them, after one budget check: a group's values next to its
     word products, index and headers (`NCPoly.values_held`), and then next to
-    `after` complex words of the caller's (by default an operator norm's copies of
-    one value); with `keep`, the caller holds every value it has taken."""
+    `after` bytes of the caller's (by default `opnorm` of one value); with `keep`,
+    the caller holds every value it has taken."""
     h, gens = rep.h, _gens(system)
-    after = 3 * h * h if after is None else after
+    after = linalg.factor_bytes("opnorm", h, h, 16) if after is None else after
     groups: dict[tuple[int, bool], list[int]] = {}
     for i, g in enumerate(gens):
         groups.setdefault((g.degree(), g.is_real()), []).append(i)
-    words, index, taken = after, 2048, 0
+    values, index, taken = after, 2048, 0
     for ix in groups.values():
         products, index_bytes = NCPoly.values_held([gens[i] for i in ix])
         taken = (taken if keep else 0) + len(ix)
-        words = max(words, taken * h * h + max(products * h * h, after))
+        values = max(values, 16 * taken * h * h + max(16 * products * h * h, after))
         index = max(index, index_bytes)
-    check_budget({"values and word products": 16 * words, "word index": index,
+    check_budget({"values and word products": values, "word index": index,
                   "headers": 128 * (len(gens) + system.depth)},
                  what or f"generator values on {h} x {h}")
     return ((i, n, v) for (n, _), ix in groups.items()
@@ -206,11 +207,15 @@ class PoissonKernel:
         self.depth = system.depth
         h = rep.h
         hh, rows = h * h, sum(system.dims())
+        # Δ, W, T_i†, A_0, and psd_sqrt's copies and norms (which cover its eigh) or W's row norm
         check_budget({"kernel matrix": 16 * rows * hh,
                       "a recursion step, or the defect's conjugate copy": max(
                           _recursion_bytes(system, [h] * (self.depth + 1), False, 16),
                           16 * (rows * hh + hh)),
-                      "h x h blocks": 16 * 8 * hh, "headers": _header_bytes(system)},
+                      "h x h blocks": 16 * (2 * rep.d + 2) * hh + max(
+                          16 * 2 * hh + linalg.factor_bytes("opnorm", h, h, 16),
+                          16 * rep.d * hh + linalg.factor_bytes("opnorm", h, rep.d * h, 16)),
+                      "headers": _header_bytes(system)},
                      f"Poisson kernel up to level {self.depth}")
         self.system = system
         self.rep = rep
@@ -358,12 +363,11 @@ def vn_inequality_check(system: SubproductSystem, rep: RepTuple,
     total = fk.total_dim
     # after the level maps: p(S) with the word products and index of
     # `NCPoly.values_on_tuple`, then q(S) (or p(S), q(S), a conjugate and their
-    # product); then p(S) q(S)† next to its operator norm's copies, Gram and
-    # eigenvalues, which cover its window's
+    # product); then p(S) q(S)† next to its `opnorm`, which covers its window's
     item = np.result_type(system.dtype, float if p.is_real() and q.is_real() else complex).itemsize
     (p_products, p_index), (q_products, q_index) = map(NCPoly.values_held, ([p], [q]))
     later = max(max(1 + p_products, 2 + q_products, 4) * item * total**2 + max(p_index, q_index),
-                (3 + (item > 8)) * item * total**2 + 8 * total + 512)
+                item * total**2 + linalg.factor_bytes("opnorm", total, total, item))
     check_budget({"shift matrices": system.dtype.itemsize * system.d * total**2,
                   "level maps, or p(S), q(S) and p(S) q(S)†": max(_split_bytes(system), later),
                   "headers and small arrays": 16 << 10},
@@ -444,11 +448,12 @@ def maximal_piece(system: SubproductSystem, rep: RepTuple,
         raise ValueError("tuple size does not match the system")
     h, hh, depth, mats = rep.h, rep.h ** 2, system.depth, rep.matrices
     k = len(_gens(system))  # blocks of G, in the generators' order
-    # G next to a group of g(T) being made, and then next to the largest of: the
-    # basis and a block with its projection or SVD factors; the complete QR; Q,
-    # Q† and the defect's Gram, a part and its product. With no block, Q = I and
-    # its frame check.
-    after = (6 if k else 3) * hh + 512
+    # G next to a group of g(T) being made, then next to 8 KiB of small arrays and the
+    # basis with the largest of: a block and its projection's four temporaries, or its
+    # SVD; the complete QR; Q, Q† and the defect's Gram and parts. No block: Q = I.
+    after = 8192 + (16 * hh + max(16 * 5 * hh, 16 * hh + linalg.factor_bytes("svd", h, h, 16),
+                                  linalg.factor_bytes("qr complete", h, h, 16)) if k
+                    else 16 * 2 * hh + linalg.factor_bytes("qr complete", h, 0, 16))
     blocks = [(depth - deg, v) for _, deg, v in sorted(
         _generator_values(system, rep, True, after, f"piece constraints up to level {depth}"),
         key=lambda block: block[0])]

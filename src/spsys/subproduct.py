@@ -284,13 +284,13 @@ def _recursion_bytes(system: SubproductSystem, widths: list[int], gram: bool,
     on letters of `itemsize` bytes an entry.
 
     `widths` are w_0..w_K. A_{k-1}, U_k and A_k; the split (a few index arrays, or
-    Z_k† and, with `gram`, the complete-QR factor and its R). With `gram`, the
+    Z_k† and, with `gram`, the complete QR's Q, which C_k† views). With `gram`, the
     complement rows and the lifted products, each with a conjugate copy when
-    complex, next to G_{k-1}, two w_k × w_k products, G_k and its eigenvalues.
-    numpy's complete QR holds about 2.4 rows² while it runs. Products are in the
+    complex, next to G_{k-1}, two w_k × w_k products, G_k and `gram_norm`'s
+    eigenvalues. The complete QR is `linalg.factor_bytes`'s. Products are in the
     wider of the letters' and the system's dtype; numpy multiplies a real Z_k† (a
     view of the core) or C_k† into complex letters through a complex copy of it,
-    so Z_k† counts at that width either way, and C_k†'s copy is held next to Q and R.
+    so Z_k† counts at that width either way, and C_k†'s copy is held next to Q.
     """
     d, dims, w0 = system.d, system.dims(), widths[0]
     held = system.dtype.itemsize
@@ -301,15 +301,15 @@ def _recursion_bytes(system: SubproductSystem, widths: list[int], gram: bool,
         rows = d * a
         if system.route == "coordinate":
             split = work * (3 * b + rows)
-        else:  # Z_k†, and for the Gram the complete QR, then Q, R and C_k†'s copy
-            qr = held * rows * (5 * rows + 4 * b) // 2
-            if work > held:
-                qr = max(qr, held * rows * (rows + 2 * b) + work * (rows - b) * rows)
+        else:  # Z_k†, and for the Gram the complete QR, then Q and C_k†'s copy
+            qr = max(linalg.factor_bytes("qr complete", rows, b, held), (work > held) * work * (
+                rows - b) * rows + linalg.factor_bytes("qr complete", rows, b, held, first=True))
             split = work * rows * b + gram * qr
         step = work * (a * wp + (rows + b) * w) * w0 + split
         if gram:
             stacked = ((rows - b) * w0 + d * wp) * w  # the complement rows and lifted products
-            step += work * ((1 + (work > 8)) * stacked + wp * wp + 3 * w * w) + 8 * w
+            step += (work * ((1 + (work > 8)) * stacked + wp * wp + 3 * w * w)
+                     + linalg.factor_bytes("gram_norm", w, w, work))
         most = max(most, step)
     return most
 
@@ -357,14 +357,13 @@ def _null_core(coeffs: dict, fibers: list, d: int, what: str, dtype: np.dtype) -
     batches = {k: c for k, c in coeffs.items() if dims[-1] and k <= n}
     rows = sum(len(c) * dims[n - k] for k, c in batches.items())
     cols = d * dims[-1]
-    # the null space: the stack's copy and the SVD's factors, or the null frame
-    # with its frame check's conjugate copy and Gram
     inter = max((len(c) * d**(k - t) * dims[n - k] * dims[n - k + t]
                  for k, c in batches.items() for t in range(1, k)), default=0)
     check_budget({"cores and generator rows": dtype.itemsize * _held_words(coeffs, dims, d),
                   "constraint stack": dtype.itemsize * rows * cols,
-                  "a contraction step and its transposed copy, or the null space":
-                      dtype.itemsize * max(2 * inter, rows * cols + 3 * cols * cols)},
+                  "a contraction step and its transposed copy, or the null space": max(
+                      2 * dtype.itemsize * inter,
+                      linalg.factor_bytes("nullspace", rows, cols, dtype.itemsize))},
                  f"{what} at level {n}")
     stack = np.vstack([np.zeros((0, cols), dtype=dtype)] + [
         _generator_rows(c, [f.letter_cores() for f in fibers[n - k + 1:n]], d, dims[-1])
@@ -523,8 +522,10 @@ def _prescribed_core(null: Subspace, fiber: Subspace, below: Subspace, n: int,
     item = np.result_type(null.dtype, fiber.dtype, below.dtype).itemsize
     check_budget({"cores and generator rows": held,
                   "G†, Z, c, y and products": item * (below.ambient_dim * rp + 4 * cols * m),
-                  "SVD factors and copies, or the norm's Gram": item * 3 * m * m,
-                  "projection, difference and its copy, or new generator rows": item * 3 * size * m,
+                  "SVD factors and a product, or the difference's norm": max(
+                      linalg.factor_bytes("svd full", m, r, item) + item * m * m,
+                      linalg.factor_bytes("opnorm", size, r, item)),
+                  "projection and difference, or new rows and copies": item * 3 * size * m,
                   "prescribed frames not built yet": linalg.unbuilt_frame_bytes([fiber, below])},
                  f"prescribed fiber at level {n}")
     f, gh, z = fiber.frame, below.frame.conj().T, null.frame
@@ -590,13 +591,14 @@ def verify_axioms(system: SubproductSystem, tol: float = INCLUSION_TOL) -> dict:
     splits = [(i, total - i) for total in range(2, system.depth + 1) for i in range(1, total)]
     small = {"residual dicts and headers": 256 * system.depth**2 + 4096}
     if system.route == "core":
-        # a split is the complete QR behind C_k†, and Z_k† (a view of the core
-        # when real); a Gram step is counted with a split
+        # a split is the complete QR's Q behind C_k†, and Z_k† (a view of the
+        # core when real); a Gram step is counted with a split
         dims, d, itemsize = system.dims(), system.d, system.dtype.itemsize
-        held = sum(d * a * (d * a + (itemsize > 8) * b) for a, b in zip(dims[:-2], dims[1:-1]))
+        held = sum(linalg.factor_bytes("qr complete", d * a, b, itemsize, first=True)
+                   + (itemsize > 8) * itemsize * d * a * b for a, b in zip(dims[:-2], dims[1:-1]))
         step = max((_recursion_bytes(system, dims[n:], True, itemsize)
                     for n in range(1, system.depth)), default=0)
-        check_budget({"splits of levels 1..depth-1": itemsize * held,
+        check_budget({"splits of levels 1..depth-1": held,
                       "a Gram step with its Grams and eigenvalues": step, **small},
                      f"axiom residuals on the cores up to level {system.depth}")
         found = _core_axiom_residuals(system)
@@ -628,9 +630,9 @@ def recover_ideal_gens(system: SubproductSystem) -> IdealGens:
     if system.route == "coordinate":  # each monomial with its own word
         terms = {"monomials": sum(c * (GEN_BYTES + GEN_TERM_BYTES + 8 * n) for n, c in new.items()),
                  "a split's index arrays": 48 * d * max(dims[:-1])}
-    else:  # a split with its complete QR (`_recursion_bytes`) and C_n†'s conjugate copy
-        level = max(item * r * ((5 * r + 4 * dims[n]) // 2 + new[n]) + (item + 1) * d**n * new[n]
-                    for n, r in ((n, d * dims[n - 1]) for n in new))
+    else:  # a split with its complete QR and C_n†'s conjugate copy
+        level = max(linalg.factor_bytes("qr complete", r, dims[n], item) + item * r * new[n]
+                    + (item + 1) * d**n * new[n] for n, r in ((n, d * dims[n - 1]) for n in new))
         terms = {**_generator_terms(new, d), "a split, complement rows and a mask": level,
                  "frames not built yet": linalg.unbuilt_frame_bytes([system.fiber(depth - 1)])}
     check_budget({**terms, "headers": 16 << 10}, f"recovered generators up to level {depth}")

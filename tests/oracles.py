@@ -132,6 +132,13 @@ def frame_letter_blocks(system, n: int) -> np.ndarray:
                      for i in range(system.d)])
 
 
+def shift_letter_blocks(shifts: ShiftSet, n: int) -> np.ndarray:
+    """B_{n,i} (d × r_n × r_{n-1}), the blocks of the dense shift view from
+    level n-1 to level n."""
+    fk = shifts.fock
+    return np.stack([m[fk.level_slice(n), fk.level_slice(n - 1)] for m in shifts.matrices])
+
+
 def shift_of_vector(shifts: ShiftSet, xi: np.ndarray, n: int) -> np.ndarray:
     """The shift by a whole fiber vector: sum_w xi_w S^w for xi in X(n).
 

@@ -165,6 +165,44 @@ def test_malformed_json_values_exit_3_without_a_traceback(capsys, tmp_path, comm
     assert "Traceback" not in err
 
 
+_EMPTY = {"rows": 0, "cols": 0, "data": []}
+
+
+@pytest.mark.parametrize("command, files, message", [
+    (["dims", "--spec", "{spec}"], {"spec": {"kind": "full", "d": -1, "depth": 4}},
+     "d must be >= 1, not -1"),
+    (["dims", "--spec", "{spec}"], {"spec": {"kind": "full", "d": 0, "depth": 4}},
+     "d must be >= 1, not 0"),
+    (["dims", "--spec", "{spec}"], {"spec": {"kind": "subshift", "d": 0, "depth": 4,
+                                             "forbidden": []}}, "d must be >= 1, not 0"),
+    (["dims", "--spec", "{spec}"], {"spec": {"kind": "qmatrix", "depth": 4, "q": _EMPTY}},
+     "matrix rows must be >= 1, not 0"),
+    (["cp", "as-dims", "{kraus}"], {"kraus": {"h": 0, "kraus": [_EMPTY]}},
+     "matrix rows must be >= 1, not 0"),
+    (["cp", "as-dims", "{kraus}"],
+     {"kraus": {"h": 0, "kraus": [{"rows": 1, "cols": 1, "data": [1]}]}}, "h must be >= 1, not 0"),
+    (["poisson", "--spec", "{spec}", "--rep", "{rep}"],
+     {"spec": {"kind": "full", "d": 2, "depth": 3}, "rep": {"d": 2, "matrices": [_EMPTY] * 2}},
+     "matrix rows must be >= 1, not 0"),
+    (["cp", "strong-commute", "{p}", "{p}"], {"p": _EMPTY}, "matrix rows must be >= 1, not 0"),
+], ids=["full-negative-d", "full-zero-d", "subshift-zero-d", "empty-q", "empty-kraus",
+        "zero-h-kraus", "empty-tuple", "empty-stochastic"])
+def test_empty_sizes_are_refused_at_input(capsys, tmp_path, command, files, message, monkeypatch):
+    # one error line naming the field; an empty spec size before any level is built
+    def never(*args, **kwargs):
+        raise AssertionError("a level built for an empty size")
+
+    from spsys import subproduct
+    if "rep" not in files:  # the tuple is read after its (valid) system is built
+        monkeypatch.setattr(subproduct, "_scalar_fiber", never)
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in command))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     [], ["dims"], ["bogus"], ["cp"], ["verify", "--spec"],
     ["dims", "--spec", "x", "--depth", "two"],

@@ -348,6 +348,19 @@ def test_coordinate_checks_build_no_dense_shift_or_frame(monkeypatch):
 # ---------------------------------------------------------------------------
 # budgets of the dense shift views
 
+def _refused(call, match: str) -> bool:
+    """Whether `call` is refused over the budget with `match` in the message.
+    Caught here, the refusal leaves no cyclic garbage behind: a `pytest.raises`
+    context would keep the exception, whose traceback holds the frame that holds
+    the context, so a traced peak would count it or not as the cycle collector
+    ran."""
+    try:
+        call()
+    except MemoryBudgetError as e:
+        return match in str(e)
+    return False
+
+
 def test_dense_shift_view_budget_bounds_the_traced_peak(monkeypatch):
     # cores (a view per letter block) and word indices (a scatter per letter)
     for system in (subproduct.from_ideal(ncpoly.commutator_gens(3), 7),
@@ -358,21 +371,15 @@ def test_dense_shift_view_budget_bounds_the_traced_peak(monkeypatch):
             fock.ShiftSet(fk, maps).matrices
         peak = accepted.peak
         monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
-
-        def refuse():
-            with pytest.raises(MemoryBudgetError, match="shift matrices"):
-                fock.ShiftSet(fk, maps).matrices
-
         with budget_run() as refused:
-            refuse()
-        assert refused.peak < peak // 100  # refused before anything is assembled
+            ok = _refused(lambda: fock.ShiftSet(fk, maps).matrices, "shift matrices")
+        assert ok and refused.peak < peak // 100  # refused before anything is assembled
         # the estimate is the arrays and a header allowance: within 2 KiB of the peak
         monkeypatch.setattr(linalg, "BUDGET_BYTES", peak + 2048)
         accepted = fock.ShiftSet(fk, maps).matrices
         monkeypatch.undo()
-        for n in range(1, fk.depth + 1):
-            for s, b in zip(accepted, fock.ShiftSet(fk, maps).blocks(n)):
-                assert np.array_equal(s[fk.level_slice(n), fk.level_slice(n - 1)], b)
+        # the view made at that budget is the one made at the default budget
+        assert all(map(np.array_equal, accepted, fock.ShiftSet(fk, maps).matrices))
 
 
 def test_vn_inequality_budget_bounds_the_traced_peak(monkeypatch):
@@ -388,14 +395,9 @@ def test_vn_inequality_budget_bounds_the_traced_peak(monkeypatch):
         run()
     peak = accepted.peak
     monkeypatch.setattr(linalg, "BUDGET_BYTES", peak - 1)
-
-    def refuse():
-        with pytest.raises(MemoryBudgetError, match="vN shift operators"):
-            run()
-
     with budget_run() as refused:
-        refuse()
-    assert refused.peak < peak // 100  # refused before anything is allocated
+        ok = _refused(run, "vN shift operators")
+    assert ok and refused.peak < peak // 100  # refused before anything is allocated
     # the estimate is within 10% of the peak here
     monkeypatch.setattr(linalg, "BUDGET_BYTES", int(1.1 * peak))
     assert run()["verdict"] in ("pass", "inconclusive")

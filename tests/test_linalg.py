@@ -3,6 +3,7 @@ import pytest
 
 from spsys import linalg
 
+from conftest import budget_run
 from oracles import (
     complement, pair_coordinates, project_pair, projector, subspace_distance, zero_space,
 )
@@ -287,3 +288,70 @@ def test_check_budget_refusal_names_small_terms_in_kib_or_bytes(monkeypatch):
     assert str(refused.value) == ("full words needs about 0 MiB, budget is 0 MiB; "
                                   "largest: word indices 2 KiB, headers 100 bytes")
     linalg.check_budget({"nothing": 0}, "an empty level")  # 0 bytes fit a budget of 0
+
+
+# ---------------------------------------------------------------------------
+# the one count of numpy's factorizations behind every budget estimate
+
+FACTOR_CALLS = {
+    "svd": lambda a: np.linalg.svd(a, full_matrices=False),
+    "svd full": lambda a: np.linalg.svd(a, full_matrices=True),
+    "qr r": lambda a: np.linalg.qr(a, mode="r"),
+    "qr complete": lambda a: np.linalg.qr(a, mode="complete"),
+    "eigh": np.linalg.eigh,
+    "gram_norm": linalg.gram_norm,
+    "opnorm": linalg.opnorm,
+}
+HERMITIAN = ("eigh", "gram_norm")
+
+
+def _factor_input(call, shape, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        a += 1j * rng.normal(size=shape)
+    return a.conj().T @ a if call in HERMITIAN else a
+
+
+def _traced_peak(fn, a):
+    fn(a)  # numpy's first call on a shape allocates caches of its own
+    with budget_run() as run:
+        fn(a)
+    return run.peak
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(96, 40), (64, 64), (40, 96), (7, 3), (3, 7)],
+                         ids=["tall", "square", "wide", "small-tall", "small-wide"])
+@pytest.mark.parametrize("call", FACTOR_CALLS)
+def test_factor_bytes_lie_between_one_and_two_traced_peaks(call, shape, dtype):
+    a = _factor_input(call, shape, dtype)
+    needed = linalg.factor_bytes(call, *a.shape, np.dtype(dtype).itemsize)
+    peak = _traced_peak(FACTOR_CALLS[call], a)
+    assert peak <= needed <= 2 * peak, (peak, needed)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("call", ["svd", "svd full", "qr r", "qr complete", "eigh"])
+def test_factor_bytes_of_the_first_array_returned(call, dtype):
+    # what a caller keeps by indexing [0] (R is returned alone); w counts at
+    # the input's itemsize
+    for shape in ((96, 40), (40, 96)):
+        a = _factor_input(call, shape, dtype)
+        out = FACTOR_CALLS[call](a)
+        first = out if call == "qr r" else out[0]
+        counted = linalg.factor_bytes(call, *a.shape, a.itemsize, first=True)
+        assert first.nbytes <= counted <= 2 * first.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape, rank", [((96, 40), 40), ((96, 40), 10), ((64, 64), 64),
+                                         ((64, 64), 16), ((40, 96), 40), ((40, 96), 10)])
+def test_factor_bytes_bound_the_nullspace_at_any_rank(shape, rank, dtype):
+    # the rank is not known before the call: the count takes a null frame of
+    # every column, so it bounds the traced peak at any rank
+    rng = np.random.default_rng(1)
+    a = (rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))).astype(dtype)
+    needed = linalg.factor_bytes("nullspace", *shape, a.itemsize)
+    peak = _traced_peak(linalg.nullspace, a)
+    assert peak <= needed <= 3 * peak, (peak, needed)

@@ -12,7 +12,7 @@ from conftest import budget_run, random_homogeneous_poly
 from oracles import (
     complement, dense_axiom_residuals, dense_maximal_with_fibers, dense_unit_residuals,
     frame_letter_blocks, homogeneous_component, inclusion_residual, qr_level_roots,
-    subspace_distance, zero_space,
+    shift_letter_blocks, subspace_distance, zero_space,
 )
 
 
@@ -386,7 +386,7 @@ def test_letter_blocks_rebuild_the_frames(symmetric2_6, golden_6):
         shifts = fock.build_shifts(fock.build_fock(system))
         assert len(shifts.maps) == system.depth + 1
         for n in range(1, system.depth + 1):
-            blocks = shifts.blocks(n)
+            blocks = shift_letter_blocks(shifts, n)
             f_n, f_prev = system.fiber(n).frame, system.fiber(n - 1).frame
             assert blocks.shape == (system.d, system.dim(n), system.dim(n - 1))
             rebuilt = np.vstack([f_prev @ b.conj().T for b in blocks])
@@ -408,7 +408,7 @@ def test_coordinate_letter_blocks_equal_frame_blocks():
     for system in _coordinate_systems():
         shifts = fock.build_shifts(fock.build_fock(system))
         # read off the word indices, before any frame
-        blocks = [shifts.blocks(n) for n in range(1, system.depth + 1)]
+        blocks = [shift_letter_blocks(shifts, n) for n in range(1, system.depth + 1)]
         assert all("frame" not in vars(f) for f in system.fibers)
         for n, b in enumerate(blocks, start=1):
             assert np.array_equal(b, frame_letter_blocks(system, n))
@@ -806,8 +806,7 @@ def test_real_specs_hold_real_arrays_and_complex_specs_complex(name):
         assert all(f.core.frame.dtype == want for f in system.fibers[1:])
     sh = fock.build_shifts(fock.build_fock(system))
     assert all(m.dtype.kind == "i" or m.dtype == want for m in sh.maps[1:])
-    assert all(sh.blocks(n).dtype == want for n in range(1, 5))
-    assert sh.matrices[0].dtype == want
+    assert all(m.dtype == want for m in sh.matrices)
     assert all(fock.defect_projection(sh, k).dtype == want for k in (1, 2))
     p = NCPoly.monomial(system.d, (1,)) + NCPoly.monomial(system.d, (2, 1))
     assert p.eval_on_tuple(sh.matrices).dtype == want
